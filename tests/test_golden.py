@@ -1,0 +1,66 @@
+"""Byte-for-byte gate on the demo link: metrics JSON and the trace CSV.
+
+The files under ``tests/data/`` were written by the simulator before its
+sample loop was restructured; a change that is meant only to make the loop
+faster must reproduce them exactly.  Re-record them only when the link's
+outputs are meant to change::
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import hashlib
+from importlib.resources import files
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from fdmlink.cli import main
+from fdmlink.simulate import load_scenario
+
+DEMO = str(files("fdmlink").joinpath("data/demo_scenario.yaml"))
+DATA = Path(__file__).resolve().parent / "data"
+TRACE_DIGEST = DATA / "demo_traces.sha256"
+
+# (golden file name, seed, noise_rms in volts)
+RUNS = (
+    ("demo_seed0.json", 0, 0.0),
+    ("demo_seed1_noise200uV.json", 1, 200e-6),
+    ("demo_seed2_noise200uV.json", 2, 200e-6),
+    ("demo_seed3_noise200uV.json", 3, 200e-6),
+)
+
+
+def _metrics_json(seed: int, noise_rms: float) -> str:
+    metrics, _ = load_scenario(DEMO).run(seed=seed, noise_rms=noise_rms)
+    return metrics.to_json()
+
+
+def _trace_csv_sha256(tmp_dir: Path) -> str:
+    """sha256 of the ``fdmlink simulate --traces`` CSV of the demo."""
+    path = tmp_dir / "traces.csv"
+    r = CliRunner().invoke(
+        main, ["simulate", DEMO, "--out", str(tmp_dir / "metrics.json"), "--traces", str(path)]
+    )
+    assert r.exit_code == 0, r.output
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed,noise_rms", RUNS, ids=[r[0] for r in RUNS])
+def test_demo_metrics_match_golden(name, seed, noise_rms):
+    assert _metrics_json(seed, noise_rms) == (DATA / name).read_text()
+
+
+def test_demo_trace_csv_matches_golden(tmp_path):
+    assert _trace_csv_sha256(tmp_path) == TRACE_DIGEST.read_text().strip()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    DATA.mkdir(exist_ok=True)
+    for name, seed, noise_rms in RUNS:
+        (DATA / name).write_text(_metrics_json(seed, noise_rms))
+    with tempfile.TemporaryDirectory() as tmp:
+        TRACE_DIGEST.write_text(_trace_csv_sha256(Path(tmp)) + "\n")
+    print(f"recorded {len(RUNS)} metrics files and the trace digest in {DATA}")
