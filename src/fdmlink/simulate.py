@@ -9,10 +9,14 @@ The line voltage at carrier j is the source amplitude times the divider
 between the pull-up and the total node/feed loading, so any node pulling
 low collapses that carrier for everyone - a wired-AND in amplitude.
 
-Demodulation runs per node per line: log detector, IIR reference, slicer
-with hysteresis (same math as the modem kernels, stepped sample by sample
-because slave reactions close the loop).  Bit errors are counted at
-quarter-bit midpoints against the ideal wired-AND level of the same run.
+Demodulation is a log detector, an IIR reference and a slicer with
+hysteresis (same math as the modem kernels, stepped sample by sample
+because slave reactions close the loop).  Nodes only reflect the carriers,
+so every node sees the same line amplitude: without noise all detectors on
+a line get identical input, and one demodulator stream per line serves
+every node.  With noise each node-line is its own stream.  Bit errors are
+counted at quarter-bit midpoints against the ideal wired-AND level of the
+same run.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,6 +161,8 @@ class BusTopology:
         masters = [n for n in self.nodes if n.role == "master"]
         if len(masters) != 1:
             raise TopologyError(f"exactly one master node required, found {len(masters)}")
+        if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
+            raise TopologyError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db!r}")
         self._check_harmonics()
         self._check_size()
 
@@ -225,15 +232,83 @@ def bus_amplitude(
             z = node.input_impedance(f, line, st)
             if z is not None:
                 y += _cap_admittance(z, topology.pole_cap)
+    for a in _fixed_admittances(topology, c):
+        y += a
+    return _divided_amplitude(topology, c, y, c.pullup_z(f))
+
+
+def _fixed_admittances(topology: BusTopology, carrier: CarrierSpec) -> list[complex]:
+    """Loads at the carrier besides the nodes: the dc feed, then the other pull-ups."""
+    f = carrier.frequency
+    ys = []
     if topology.dc_feed is not None:
-        y += _cap_admittance(complex(topology.dc_feed.impedance(f)), topology.pole_cap)
+        ys.append(_cap_admittance(complex(topology.dc_feed.impedance(f)), topology.pole_cap))
     for other in topology.carriers:
-        if other is not c:
-            y += _cap_admittance(other.pullup_z(f), topology.pole_cap)
+        if other is not carrier:
+            ys.append(_cap_admittance(other.pullup_z(f), topology.pole_cap))
+    return ys
+
+
+def _divided_amplitude(topology: BusTopology, carrier: CarrierSpec, y: complex, z_p: complex) -> float:
+    """Carrier amplitude across total load admittance ``y`` behind pull-up ``z_p``."""
     z_total = 1.0 / y if y != 0 else complex(topology.pole_cap, 0.0)
-    z_p = c.pullup_z(f)
-    amp = c.amplitude * abs(z_total / (z_p + z_total))
+    amp = carrier.amplitude * abs(z_total / (z_p + z_total))
     return amp * 10.0 ** (-topology.attenuation_db / 20.0)
+
+
+class _AmplitudeTable:
+    """Carrier amplitudes per drive state, filled on demand during one run.
+
+    Node admittances are computed once per (node, line, state, carrier), and
+    once for all nodes that share a filter design, loss model and ``which``.
+    An entry sums them in ``bus_amplitude``'s order, so it equals
+    ``bus_amplitude`` for the same pin states bit for bit.
+    """
+
+    def __init__(self, topology: BusTopology):
+        self.topology = topology
+        self.entries: dict[tuple[tuple[bool, ...], tuple[bool, ...]], tuple[float, ...]] = {}
+        # per carrier: (carrier, pull-up impedance, [line][node][pulled] -> admittance, fixed loads)
+        self._carriers = []
+        for c in topology.carriers:
+            f = c.frequency
+            shared: dict[tuple, tuple[complex | None, complex | None]] = {}
+            loads = []
+            for line in LINES:
+                row = []
+                for ni, node in enumerate(topology.nodes):
+                    if node.zin_override is None:
+                        key = (line, id(node.filters.get(line)), node.loss, node.which)
+                    else:
+                        key = (line, ni)
+                    if key not in shared:
+                        shared[key] = tuple(
+                            None if z is None else _cap_admittance(z, topology.pole_cap)
+                            for z in (node.input_impedance(f, line, st) for st in ("H", "L"))
+                        )
+                    row.append(shared[key])
+                loads.append(row)
+            self._carriers.append((c, c.pullup_z(f), loads, _fixed_admittances(topology, c)))
+
+    def __call__(self, scl_drives: tuple[bool, ...], sda_drives: tuple[bool, ...]) -> tuple[float, ...]:
+        key = (scl_drives, sda_drives)
+        hit = self.entries.get(key)
+        if hit is None:
+            hit = tuple(self._amplitude(key, j) for j in range(len(self._carriers)))
+            self.entries[key] = hit
+        return hit
+
+    def _amplitude(self, drives: tuple[tuple[bool, ...], ...], j: int) -> float:
+        c, z_p, loads, fixed = self._carriers[j]
+        y = 0j
+        for row, line_drives in zip(loads, drives):
+            for adm, pulled in zip(row, line_drives):
+                a = adm[pulled]
+                if a is not None:
+                    y += a
+        for a in fixed:
+            y += a
+        return _divided_amplitude(self.topology, c, y, z_p)
 
 
 class _DemodState:
@@ -328,6 +403,41 @@ class LinkMetrics:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
+def _check_run_settings(clock_hz: float, sim_rate: float | None, noise_rms: float, seed: int) -> None:
+    """Reject run settings that would crash the run or silently change it."""
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise TopologyError(f"clock must be a finite frequency > 0 Hz, got {clock_hz!r}")
+    if sim_rate is not None and not (math.isfinite(sim_rate) and sim_rate > 0):
+        raise TopologyError(f"sim_rate must be a finite frequency > 0 Hz, got {sim_rate!r}")
+    if not (math.isfinite(noise_rms) and noise_rms >= 0):
+        raise TopologyError(f"noise_rms must be a finite voltage >= 0 V, got {noise_rms!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise TopologyError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+class _NodeGroup:
+    """Nodes whose demodulators see identical input: one stream per line.
+
+    ``demods`` holds the (scl, sda) streams, ``slaves`` the slave engines of
+    ``members`` in node order, and ``trace`` the per-sample det/ref/out
+    lists of each line when traces are captured.
+    """
+
+    __slots__ = ("members", "demods", "slaves", "trace")
+
+    def __init__(self, members: tuple[int, ...], demods: tuple[_DemodState, _DemodState], slaves: list):
+        self.members = members
+        self.demods = demods
+        self.slaves = slaves
+        self.trace = tuple(([], [], []) for _ in LINES)
+
+    def record(self) -> None:
+        for dm, (dets, refs, outs) in zip(self.demods, self.trace):
+            dets.append(dm.det)
+            refs.append(dm.ref)
+            outs.append(dm.out)
+
+
 def run_scenario(
     topology: BusTopology,
     transactions: Sequence[Transaction],
@@ -342,12 +452,18 @@ def run_scenario(
 ) -> tuple[LinkMetrics, list[Transaction]]:
     """Run an I2C script over the analog link, sample by sample.
 
-    Slaves demodulate their own line voltages and react through the same
+    Slaves demodulate their line voltages and react through the same
     engines as the ideal bus; the master samples its demodulated SDA at
-    quarter-bit midpoints.  Deterministic for a fixed seed.  Returns the
-    metrics and the decoded transactions; pass a dict as ``trace_sink``
-    to capture per-sample detector/reference traces.
+    quarter-bit midpoints.  Every node sees the same carrier amplitude, so
+    each distinct demodulator input is stepped once: without noise one
+    stream per line fans out to every node, with noise each node-line is
+    its own stream.  Slave callbacks fire only when a stream's output
+    changes, and the amplitude lookup is redone only after the drives can
+    have changed.  Deterministic for a fixed seed.  Returns the metrics and
+    the decoded transactions; pass a dict as ``trace_sink`` to capture
+    per-sample detector/reference traces for every node.
     """
+    _check_run_settings(clock_hz, sim_rate, noise_rms, seed)
     if sim_rate is None:
         sim_rate = 64.0 * clock_hz
     spq = round(sim_rate / (QUARTERS_PER_BIT * clock_hz))
@@ -371,26 +487,25 @@ def run_scenario(
 
     det = detector if detector is not None else DetectorParams()
     alpha = SlicerParams(lpf_time_constant=slicer_tau_bits / clock_hz).alpha(sim_rate)
-    demods = [[_DemodState(det, alpha, hysteresis) for _ in LINES] for _ in range(n_nodes)]
 
     n_alloc = master.quarters_upper_bound() * spq
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_rms, size=(n_alloc, 2, n_nodes)) if noise_rms > 0 else None
 
-    amp_cache: dict[tuple[tuple[bool, ...], tuple[bool, ...]], tuple[float, float]] = {}
+    # Same input, same state, same floats: without noise one group holds
+    # every node, with noise each node reads its own noise column.
+    members_of = [tuple(range(n_nodes))] if noise is None else [(ni,) for ni in range(n_nodes)]
+    groups = [
+        _NodeGroup(
+            members,
+            tuple(_DemodState(det, alpha, hysteresis) for _ in LINES),
+            [engines[ni] for ni in members if engines[ni] is not None],
+        )
+        for members in members_of
+    ]
+    master_group = next(g for g in groups if mi in g.members)
 
-    def amps_for(scl_drives: tuple[bool, ...], sda_drives: tuple[bool, ...]) -> tuple[float, float]:
-        key = (scl_drives, sda_drives)
-        hit = amp_cache.get(key)
-        if hit is None:
-            states = {
-                "scl": tuple("L" if d else "H" for d in scl_drives),
-                "sda": tuple("L" if d else "H" for d in sda_drives),
-            }
-            hit = tuple(bus_amplitude(topology, states, j) for j in range(len(topology.carriers)))
-            amp_cache[key] = hit
-        return hit
-
+    table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
 
@@ -399,77 +514,74 @@ def run_scenario(
     eye = {line: math.inf for line in LINES}
     seen_low = {line: False for line in LINES}
     mid = spq // 2
-
-    node_levels = [[H, H] for _ in range(n_nodes)]
     isample = 0
 
     tracing = trace_sink is not None
-    if tracing:
-        trace: dict[str, list] = {"time_s": [], "wire_scl": [], "wire_sda": []}
-        for ni, node in enumerate(nodes):
-            for line in LINES:
-                trace[f"det_{node.name}_{line}"] = []
-                trace[f"ref_{node.name}_{line}"] = []
-                trace[f"out_{node.name}_{line}"] = []
+    time_s: list[float] = []
+    wire_trace: tuple[list[int], list[int]] = ([], [])
 
     gen = master.generator()
     intents = next(gen)
     while True:
         scl_i, sda_i = intents
         master_mid_obs = (H, H)
+        noise_rows = noise[isample:isample + spq].tolist() if noise is not None else None
+        stale = True  # the master's intents changed at the quarter boundary
         for si in range(spq):
-            scl_drives = tuple(
-                (scl_i == L) if i == mi else False for i in range(n_nodes)
-            )
-            sda_drives = tuple(
-                (sda_i == L) if i == mi else (engines[i].sda_drive if engines[i] else False)
-                for i in range(n_nodes)
-            )
-            amps = amps_for(scl_drives, sda_drives)
-            wire = (L if any(scl_drives) else H, L if any(sda_drives) else H)
-            for li, line in enumerate(LINES):
-                if wire[li] == L:
-                    seen_low[line] = True
-            for ni in range(n_nodes):
-                prev_scl, prev_sda = node_levels[ni]
-                if noise is not None:
-                    x_scl = amps[jscl] + noise[isample, 0, ni]
-                    x_sda = amps[jsda] + noise[isample, 1, ni]
+            if stale:
+                # tuple(list), not tuple(genexpr): the latter shrinks an oversized
+                # tuple and strands the freed ones on CPython's free list (~0.2 MB)
+                scl_drives = tuple([(scl_i == L) if i == mi else False for i in range(n_nodes)])
+                sda_drives = tuple([
+                    (sda_i == L) if i == mi else (engines[i].sda_drive if engines[i] else False)
+                    for i in range(n_nodes)
+                ])
+                amps = table(scl_drives, sda_drives)
+                a_scl, a_sda = amps[jscl], amps[jsda]
+                wire = (L if any(scl_drives) else H, L if any(sda_drives) else H)
+                for li, line in enumerate(LINES):
+                    if wire[li] == L:
+                        seen_low[line] = True
+                stale = False
+            for g in groups:
+                dm_scl, dm_sda = g.demods
+                prev_scl, prev_sda = dm_scl.out, dm_sda.out
+                if noise_rows is None:
+                    d_scl = dm_scl.step(a_scl)
+                    d_sda = dm_sda.step(a_sda)
                 else:
-                    x_scl, x_sda = amps[jscl], amps[jsda]
-                d_scl = demods[ni][0].step(x_scl)
-                d_sda = demods[ni][1].step(x_sda)
-                node_levels[ni][0] = d_scl
-                node_levels[ni][1] = d_sda
-                eng = engines[ni]
-                if eng is not None:
-                    if d_scl == prev_scl and d_sda != prev_sda:
-                        eng.on_sda_edge(d_sda, d_scl)
-                    elif d_scl != prev_scl:
+                    row, ni = noise_rows[si], g.members[0]
+                    d_scl = dm_scl.step(a_scl + row[0][ni])
+                    d_sda = dm_sda.step(a_sda + row[1][ni])
+                if d_scl != prev_scl:
+                    for eng in g.slaves:
                         if d_scl == H:
                             eng.on_scl_rise(d_sda)
                         else:
                             eng.on_scl_fall()
+                    stale = True
+                elif d_sda != prev_sda:
+                    for eng in g.slaves:
+                        eng.on_sda_edge(d_sda, d_scl)
+                    stale = True
             if tracing:
-                trace["time_s"].append(isample / sim_rate)
-                trace["wire_scl"].append(wire[0])
-                trace["wire_sda"].append(wire[1])
-                for ni, node in enumerate(nodes):
-                    for li, line in enumerate(LINES):
-                        dm = demods[ni][li]
-                        trace[f"det_{node.name}_{line}"].append(dm.det)
-                        trace[f"ref_{node.name}_{line}"].append(dm.ref)
-                        trace[f"out_{node.name}_{line}"].append(node_levels[ni][li])
+                time_s.append(isample / sim_rate)
+                wire_trace[0].append(wire[0])
+                wire_trace[1].append(wire[1])
+                for g in groups:
+                    g.record()
             if si == mid:
-                master_mid_obs = (node_levels[mi][0], node_levels[mi][1])
+                master_mid_obs = (master_group.demods[0].out, master_group.demods[1].out)
                 for li, line in enumerate(LINES):
                     if not seen_low[line]:
                         continue
-                    bits_checked[line] += n_nodes
-                    for ni in range(n_nodes):
-                        if node_levels[ni][li] != wire[li]:
-                            bit_errors[line] += 1
-                        m = demods[ni][li].margin
+                    for g in groups:
+                        dm = g.demods[li]
+                        fan_out = len(g.members)
+                        bits_checked[line] += fan_out
+                        if dm.out != wire[li]:
+                            bit_errors[line] += fan_out
+                        m = dm.margin
                         if m < eye[line]:
                             eye[line] = m
             isample += 1
@@ -480,11 +592,18 @@ def run_scenario(
 
     depth = {}
     for line, j in (("scl", jscl), ("sda", jsda)):
-        vals = [a[j] for a in amp_cache.values()]
+        vals = [a[j] for a in table.entries.values()]
         hi, lo = max(vals), min(vals)
         depth[line] = 20.0 * math.log10(hi / lo) if lo > 0 else math.inf
 
     if tracing:
+        trace: dict[str, list] = {"time_s": time_s, "wire_scl": wire_trace[0], "wire_sda": wire_trace[1]}
+        group_of = {ni: g for g in groups for ni in g.members}
+        for ni, node in enumerate(nodes):
+            for line, (dets, refs, outs) in zip(LINES, group_of[ni].trace):
+                trace[f"det_{node.name}_{line}"] = dets
+                trace[f"ref_{node.name}_{line}"] = refs
+                trace[f"out_{node.name}_{line}"] = outs
         trace_sink.update({k: np.asarray(v) for k, v in trace.items()})
 
     results = master.results
@@ -641,8 +760,15 @@ def load_scenario(path: str | Path) -> Scenario:
 
     clock = parse_quantity(str(raw["clock"]), "Hz")
     sim_rate = parse_quantity(str(raw["sim_rate"]), "Hz") if "sim_rate" in raw else 64.0 * clock
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
     noise_rms = parse_quantity(str(raw["noise_rms"]), "V") if "noise_rms" in raw else 0.0
+    try:
+        _check_run_settings(clock, sim_rate, noise_rms, seed)
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from None
+    attenuation_db = raw.get("attenuation_db", 0.0)
+    if isinstance(attenuation_db, bool) or not isinstance(attenuation_db, numbers.Real):
+        raise TopologyError(f"{path}: attenuation_db must be a number, got {attenuation_db!r}")
 
     loss_cfg = raw.get("loss", {})
     if loss_cfg.get("inductor_q") is None and "inductor_q" in loss_cfg:
@@ -714,7 +840,7 @@ def load_scenario(path: str | Path) -> Scenario:
         carriers=tuple(carriers),
         nodes=tuple(nodes),
         dc_feed=dc_feed,
-        attenuation_db=float(raw.get("attenuation_db", 0.0)),
+        attenuation_db=float(attenuation_db),
     )
 
     script = raw["script"]

@@ -240,6 +240,33 @@ def test_simulate_bad_scenario(runner, tmp_path):
     assert "error:" in _alltext(r)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (("clock: 100kHz", "clock: 0Hz"), "clock must be a finite frequency > 0 Hz"),
+        (("clock: 100kHz", "clock: 100kHz\nseed: -1"), "seed must be an integer >= 0"),
+        (("clock: 100kHz", "clock: 100kHz\nnoise_rms: -1mV"), "noise_rms must be a finite voltage >= 0 V"),
+        (("clock: 100kHz", "clock: 100kHz\nattenuation_db: .nan"), "attenuation_db must be finite and >= 0"),
+    ],
+    ids=["zero_clock", "negative_seed", "negative_noise", "nan_attenuation"],
+)
+def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
+    p = tmp_path / "probe.yaml"
+    p.write_text(MINIMAL.format(freq="20MHz").replace(*edit))
+    r = runner.invoke(main, ["simulate", str(p)])
+    assert r.exit_code == 2
+    assert "error:" in _alltext(r) and message in _alltext(r)
+    assert isinstance(r.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["simulate", "demo"])
+def test_negative_seed_flag_rejected(runner, minimal_scenario, command):
+    args = [command, str(minimal_scenario)] if command == "simulate" else [command]
+    r = runner.invoke(main, args + ["--seed", "-1"])
+    assert r.exit_code == 2
+    assert "error: seed must be an integer >= 0, got -1" in _alltext(r)
+
+
 def test_simulate_missing_file(runner):
     r = runner.invoke(main, ["simulate", "/no/such/scenario.yaml"])
     assert r.exit_code == 2

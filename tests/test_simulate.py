@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from importlib.resources import files
 
@@ -16,6 +17,7 @@ from fdmlink.simulate import (
     NodeSpec,
     Scenario,
     TopologyError,
+    _AmplitudeTable,
     bus_amplitude,
     load_scenario,
     run_scenario,
@@ -333,3 +335,113 @@ def test_missing_pullup_rejected(tmp_path):
     p = _write_scenario(tmp_path, text)
     with pytest.raises(TopologyError, match="pull-up"):
         load_scenario(p)
+
+
+# -- run-setting validation: each probe used to crash or run silently wrong --
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (("clock: 100kHz", "clock: 0Hz"), "clock"),
+        (("clock: 100kHz", "clock: 100kHz\nseed: -1"), "seed"),
+        (("clock: 100kHz", "clock: 100kHz\nnoise_rms: -1mV"), "noise_rms"),
+        (("clock: 100kHz", "clock: 100kHz\nattenuation_db: .nan"), "attenuation_db"),
+    ],
+    ids=["zero_clock", "negative_seed", "negative_noise", "nan_attenuation"],
+)
+def test_load_scenario_rejects_bad_run_settings(tmp_path, edit, match):
+    p = _write_scenario(tmp_path, MINIMAL.format(freq="20MHz").replace(*edit))
+    with pytest.raises(TopologyError, match=match):
+        load_scenario(p)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"clock_hz": 0.0}, "clock"),
+        ({"clock_hz": math.nan}, "clock"),
+        ({"sim_rate": -6.4e6}, "sim_rate"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"noise_rms": -1e-3}, "noise_rms"),
+        ({"noise_rms": math.nan}, "noise_rms"),
+    ],
+    ids=["zero_clock", "nan_clock", "negative_sim_rate", "negative_seed", "float_seed",
+         "negative_noise", "nan_noise"],
+)
+def test_run_scenario_rejects_bad_run_settings(demo, kwargs, match):
+    args = {"clock_hz": demo.clock_hz, **kwargs}
+    with pytest.raises(TopologyError, match=match):
+        run_scenario(demo.topology, demo.transactions[:1], **args)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -3.0])
+def test_topology_rejects_bad_attenuation(value):
+    topo = _resistive_topology(0)
+    with pytest.raises(TopologyError, match="attenuation_db"):
+        BusTopology(carriers=topo.carriers, nodes=topo.nodes, attenuation_db=value)
+
+
+# -- shared demodulator streams and the amplitude table --
+
+
+def _node_columns(sink, node, prefix):
+    return [sink[f"{prefix}_{node.name}_{line}"] for line in ("scl", "sda")]
+
+
+def test_noiseless_nodes_see_the_master_trace_exactly(demo):
+    sink: dict = {}
+    demo.run(trace_sink=sink)
+    master = demo.topology.nodes[demo.topology.master_index]
+    for node in demo.topology.nodes:
+        for prefix in ("det", "ref", "out"):
+            for got, want in zip(_node_columns(sink, node, prefix), _node_columns(sink, master, prefix)):
+                assert np.array_equal(got, want)
+
+
+def test_noisy_nodes_have_their_own_traces(demo):
+    sink: dict = {}
+    demo.run(seed=1, noise_rms=200e-6, trace_sink=sink)
+    master = demo.topology.nodes[demo.topology.master_index]
+    differs = [
+        not np.array_equal(got, want)
+        for node in demo.topology.nodes
+        if node is not master
+        for got, want in zip(_node_columns(sink, node, "det"), _node_columns(sink, master, "det"))
+    ]
+    assert any(differs)
+
+
+def _drive_states(n_nodes, mi):
+    """All released, each node pulling each line alone, the master pulling both."""
+    none = (False,) * n_nodes
+    one = [tuple(i == k for i in range(n_nodes)) for k in range(n_nodes)]
+    states = [(none, none)]
+    states += [(d, none) for d in one] + [(none, d) for d in one]
+    states.append((one[mi], one[mi]))
+    return states
+
+
+def _assert_table_matches_bus_amplitude(topo):
+    table = _AmplitudeTable(topo)
+    for scl, sda in _drive_states(len(topo.nodes), topo.master_index):
+        pins = {
+            "scl": tuple("L" if d else "H" for d in scl),
+            "sda": tuple("L" if d else "H" for d in sda),
+        }
+        want = tuple(bus_amplitude(topo, pins, j) for j in range(len(topo.carriers)))
+        assert table(scl, sda) == want
+
+
+def test_amplitude_table_equals_bus_amplitude(demo):
+    _assert_table_matches_bus_amplitude(demo.topology)
+
+
+def test_amplitude_table_equals_bus_amplitude_with_overrides():
+    # override nodes load scl only, so their sda entries are skipped
+    topo = _resistive_topology(3)
+    sda = CarrierSpec("sda", 50e6, 1.0, resistor(2000.0))
+    _assert_table_matches_bus_amplitude(
+        BusTopology(carriers=topo.carriers + (sda,), nodes=topo.nodes, dc_feed=inductor(47e-6))
+    )
