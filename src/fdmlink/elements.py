@@ -41,6 +41,10 @@ POLE_CLAMP = 1e12  # ohms; |Z| at or above this is reported as a pole
 EPS_POLE = 1e-12  # relative threshold for the input-impedance denominator
 POLE = complex(np.inf, 0.0)
 
+# cap on the lossless pole/zero refinement's iterations; brackets of random
+# designs converge in eight or fewer, so the cap only guards against a stall
+_REFINE_MAX_ITER = 60
+
 
 class DegenerateNetworkError(ArithmeticError):
     """Evaluation produced an indeterminate (0/0 or inf-inf) form."""
@@ -168,15 +172,6 @@ class Network:
         out = np.where(y_zero, POLE, 1.0 / safe_y)
         return np.where(short_mask, 0.0 + 0.0j, out)
 
-    def conducts_dc(self) -> bool:
-        """Whether the one-port passes direct current end to end."""
-        if self.op == "leaf":
-            assert self.element is not None
-            return self.element.kind in ("resistor", "inductor", "short")
-        if self.op == "series":
-            return all(c.conducts_dc() for c in self.children)
-        return any(c.conducts_dc() for c in self.children)
-
 
 def resistor(ohms: float, loss: float = 0.0) -> Network:
     return Network.of(ReactiveElement("resistor", ohms, loss))
@@ -296,27 +291,67 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     return out if np.ndim(f) else complex(np.asarray(out)[()])
 
 
-def _eval_scalar(net_fn: Callable, f: float) -> complex:
-    z = net_fn(np.asarray([f]))
-    return complex(np.asarray(z).ravel()[0])
+def _reactance_root_fn(z: np.ndarray, pole: np.ndarray) -> np.ndarray:
+    """X for zero brackets, -1/X for pole brackets; a pole-flagged value is 0.
+
+    Both rise through zero inside their bracket, and -1/X passes smoothly
+    through the pole where X itself jumps.
+    """
+    x = z.imag
+    with np.errstate(divide="ignore"):
+        g = np.where(pole, -1.0 / x, x)
+    return np.where(is_pole(z), 0.0, g)
 
 
-def _bisect_pole(net_fn: Callable, a: float, b: float, iters: int = 80) -> float:
-    """Locate a reactance jump (pole) by sign bisection on Im(Z)."""
-    sa = np.sign(_eval_scalar(net_fn, a).imag)
-    for _ in range(iters):
-        m = math.sqrt(a * b)
-        zm_ = _eval_scalar(net_fn, m)
-        if is_pole(zm_):
-            return m
-        sm = np.sign(zm_.imag)
-        if sm == sa:
-            a = m
-        else:
-            b = m
-        if b / a - 1.0 < 1e-15:
+def _refine_reactance_roots(
+    net_fn: Callable,
+    a: np.ndarray,
+    b: np.ndarray,
+    ga: np.ndarray,
+    gb: np.ndarray,
+    pole: np.ndarray,
+) -> np.ndarray:
+    """Roots of :func:`_reactance_root_fn` in every bracket [a, b] at once.
+
+    ``ga < 0 < gb`` are the function's values at the ends; ``a``, ``b``,
+    ``ga`` and ``gb`` are updated in place.
+
+    Illinois (modified regula falsi): each iteration evaluates ``net_fn`` once
+    on the array of all unconverged brackets, keeps the sub-bracket whose
+    ends differ in sign, and halves the retained end's value when the same
+    end survives twice, so both ends close in superlinearly.  A bracket is
+    done when the value at the new point is zero (a pole-flagged value counts
+    as zero) or when the interpolated point rounds onto an end: the root is
+    then that end, the one with the smaller value.  An interpolation made
+    undefined by an infinite end value falls back to the midpoint.
+    """
+    fn = lambda f, p: _reactance_root_fn(np.asarray(net_fn(f), dtype=complex), p)  # noqa: E731
+    root = np.empty_like(a)
+    side = np.zeros(a.size, dtype=np.int8)  # +1: b moved last, -1: a moved last
+    live = np.arange(a.size)
+    for _ in range(_REFINE_MAX_ITER):
+        al, bl, gal, gbl = a[live], b[live], ga[live], gb[live]
+        with np.errstate(invalid="ignore"):
+            c = (al * gbl - bl * gal) / (gbl - gal)
+        at_end = np.isfinite(c) & ~((c > al) & (c < bl))
+        root[live[at_end]] = np.where(np.abs(gal) <= np.abs(gbl), al, bl)[at_end]
+        inside = ~at_end
+        live, al, bl, gal, gbl, c = (v[inside] for v in (live, al, bl, gal, gbl, c))
+        if not live.size:
             break
-    return math.sqrt(a * b)
+        c = np.where(np.isfinite(c), c, 0.5 * (al + bl))
+        gc = fn(c, pole[live])
+        root[live] = c
+        move_b = gc > 0.0
+        move_a = gc < 0.0
+        sl = side[live]
+        a[live] = np.where(move_a, c, al)
+        b[live] = np.where(move_b, c, bl)
+        ga[live] = np.where(move_a, gc, np.where(move_b & (sl == 1), 0.5 * gal, gal))
+        gb[live] = np.where(move_b, gc, np.where(move_a & (sl == -1), 0.5 * gbl, gbl))
+        side[live] = np.where(move_b, 1, -1)
+        live = live[move_a | move_b]
+    return root
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -356,10 +391,19 @@ def find_poles_zeros(
 ) -> list[tuple[float, str]]:
     """Locate impedance poles and zeros of ``net_fn`` on [f_lo, f_hi].
 
-    The scan grid is log-spaced.  For lossless (purely reactive) one-ports
-    the classification is exact: a continuous upward crossing of the
-    reactance is a zero (refined by root finding), a downward jump is a pole
-    (refined by bisection on the sign).  Lossy networks fall back to the
+    ``net_fn`` maps an array of frequencies (Hz) to impedances.  The scan
+    grid is log-spaced.  For lossless (purely reactive) one-ports the
+    classification is exact.  By Foster's reactance theorem X rises between
+    poles, so every zero and pole lies in a grid cell where X changes sign:
+    upward (a zero) or downward (a pole, where X jumps).  Grid points that
+    are pole-flagged or exactly zero are reported as they are, and their
+    cells are not refined.  All other sign-change cells are refined together
+    by one vectorised Illinois solve: X = 0 for zeros, -1/X = 0 for poles,
+    one ``net_fn`` call per iteration on the array of unconverged cells.  A
+    pole-flagged value met on the way counts as the root, so a pole is
+    located to within the band where :func:`is_pole` flags it; every other
+    root is refined until its bracket closes to rounding.  Lossy networks
+    fall back to the
     local extrema of log10|Z| on the grid, with ``scipy.signal.find_peaks``
     semantics: a maximum is a pole and a minimum a zero when its prominence
     is at least one decade.  A maximum's prominence is its height minus the
@@ -389,22 +433,19 @@ def find_poles_zeros(
     if lossless:
         x = z.imag
         exact_zero = (~pole_grid) & (x == 0.0)
-        for i in np.nonzero(pole_grid)[0]:
-            found.append((float(fs[i]), "pole"))
-        for i in np.nonzero(exact_zero)[0]:
-            found.append((float(fs[i]), "zero"))
+        found.extend((float(f), "pole") for f in fs[pole_grid])
+        found.extend((float(f), "zero") for f in fs[exact_zero])
         skip = pole_grid | exact_zero
-        for i in range(grid - 1):
-            if skip[i] or skip[i + 1]:
-                continue
-            a, b = float(fs[i]), float(fs[i + 1])
-            if x[i] < 0.0 < x[i + 1]:
-                from scipy.optimize import brentq
-
-                f0 = brentq(lambda f: _eval_scalar(net_fn, f).imag, a, b, xtol=1e-6)
-                found.append((float(f0), "zero"))
-            elif x[i] > 0.0 > x[i + 1]:
-                found.append((_bisect_pole(net_fn, a, b), "pole"))
+        usable = ~(skip[:-1] | skip[1:])
+        rise = usable & (x[:-1] < 0.0) & (x[1:] > 0.0)
+        fall = usable & (x[:-1] > 0.0) & (x[1:] < 0.0)
+        cells = np.flatnonzero(rise | fall)
+        if cells.size:
+            pole = fall[cells]
+            ga = _reactance_root_fn(z[cells], pole)
+            gb = _reactance_root_fn(z[cells + 1], pole)
+            roots = _refine_reactance_roots(net_fn, fs[cells], fs[cells + 1], ga, gb, pole)
+            found.extend((float(f), "pole" if p else "zero") for f, p in zip(roots, pole))
     else:
         mag = np.abs(z)
         mag = np.clip(mag, 1e-30, POLE_CLAMP)

@@ -51,10 +51,6 @@ class LossModel:
     def lossless(self) -> bool:
         return self.inductor_q is None
 
-    @staticmethod
-    def ideal() -> "LossModel":
-        return LOSSLESS
-
     def inductor_esr(self, henries: float) -> float:
         """Series resistance of an inductor under this model."""
         if self.inductor_q is None:

@@ -22,14 +22,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from . import eseries
 from .elements import (
     Network,
-    POLE_CLAMP,
     TwoPortZ,
     capacitor,
     find_poles_zeros,
@@ -402,45 +398,59 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
 def default_xm_inductance(
     f_mod: float, f_stop: float, c_total: float, zero_target: float | None = None
 ) -> float:
-    """Shunt inductance placing the high-state zero at ``zero_target``.
+    """Shunt inductance placing the lossless high-state zero at ``zero_target``.
 
     Default target is the geometric mean of the carriers, keeping the zero
-    separated from both poles so neither is cancelled.  Solved by a scan
-    plus root refinement on the reactance of the high-state input impedance
-    at the target frequency.
+    separated from both poles so neither is cancelled.  Solved in closed
+    form.  Let a be x_m at f_mod, X = X_IO_H, r = f0/f_mod with f0 the
+    target and alpha = f_mod/f_stop.  At f0 the branches of the T are
+
+        x_m(f0) = a*r
+        x2(f0)  = (X - a)*k2,   k2 = 1/r for a capacitive x2 (f_stop > f_mod),
+                                k2 = r for an inductive x2 (f_stop < f_mod)
+        x1(f0)  = h*a*(a - X)/X,   h = r*(1 - alpha^2)/(1 - (f0/f_stop)^2)
+        load    = -X/r            (the pin capacitance)
+
+    (h is the L1 || C1 resonator's reactance at f0 over that at f_mod), and
+    the input reactance x1 + x_m - x_m^2/(x_m + x2 + load) vanishes where
+
+        (h*(a - X)/X + r) * (-X/r + k2*X + a*(r - k2)) - a*r^2 = 0,
+
+    a quadratic in a (after dividing out the root a = 0; linear when
+    f_stop < f_mod, where x2 and x_m are both inductors).  The result is the
+    smallest real root with x_m on the configuration's side of X: from
+    X*(1 + 1e-6) to 50*X for f_stop > f_mod (configuration A), from X/1000 to
+    X*(1 - 1e-6) below (configuration B).  ``SynthesisError`` when there is
+    none, as at ``zero_target`` = f_stop, where x1 itself is a pole.
     """
     if zero_target is None:
         zero_target = math.sqrt(f_mod * f_stop)
     w_mod = 2.0 * math.pi * f_mod
     x = 1.0 / (w_mod * c_total)
-    l_boundary = x / w_mod  # x_m = X_IO_H, the D-configuration point
-
-    if f_stop > f_mod:
-        lo, hi = l_boundary * (1.0 + 1e-6), l_boundary * 50.0
-    else:
-        lo, hi = l_boundary * 1e-3, l_boundary * (1.0 - 1e-6)
-
-    def zero_reactance(l_m: float) -> float:
-        spec = FilterSpec(f_mod, f_stop, c_total, xm_inductance=l_m)
-        d = synthesize(spec)
-        z = d.input_impedance(zero_target, "H")
-        if is_pole(z):
-            return POLE_CLAMP
-        return z.imag
-
-    grid = np.geomspace(lo, hi, 200)
-    vals = [zero_reactance(l) for l in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            from scipy.optimize import brentq
-
-            return float(brentq(zero_reactance, grid[i], grid[i + 1], xtol=1e-18))
-    raise SynthesisError(
-        "no shunt inductance in the scanned range places the high-state zero "
-        f"at {zero_target:.4g} Hz; give x_m explicitly"
-    )
+    above = f_stop > f_mod
+    r = zero_target / f_mod
+    k2 = 1.0 / r if above else r
+    resonator = 1.0 - (zero_target / f_stop) ** 2
+    roots: list[float] = []
+    if resonator != 0.0:
+        h = r * (1.0 - (f_mod / f_stop) ** 2) / resonator
+        # the quadratic in u = a/X: (h*(u - 1) + r)*(k2 - 1/r + u*(r - k2)) - u*r^2
+        p1, p0 = h, r - h
+        q1, q0 = r - k2, k2 - 1.0 / r
+        c2, c1, c0 = p1 * q1, p1 * q0 + p0 * q1 - r * r, p0 * q0
+        if c2 == 0.0:
+            roots = [-c0 / c1] if c1 != 0.0 else []
+        elif (disc := c1 * c1 - 4.0 * c2 * c0) >= 0.0:
+            q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            roots = [q / c2] + ([c0 / q] if q != 0.0 else [])
+    lo, hi = (1.0 + 1e-6, 50.0) if above else (1e-3, 1.0 - 1e-6)
+    inside = sorted(u for u in roots if lo <= u <= hi)
+    if not inside:
+        raise SynthesisError(
+            "no shunt inductance in the scanned range places the high-state zero "
+            f"at {zero_target:.4g} Hz; give x_m explicitly"
+        )
+    return inside[0] * x / w_mod
 
 
 @dataclass(frozen=True)
@@ -480,9 +490,12 @@ def verify_design(
 
     Lossless checks demand the ideal open/short pattern; lossy checks demand
     the high/low impedance ratio at f_mod to clear ``min_ratio``.  The
-    high-state pole/zero constellation is located numerically and flagged if
-    the zero drifts within 5% of either pole (a close zero cancels the pole
-    it was meant to separate from).
+    high-state poles and zeros between half the lower carrier and twice the
+    higher one come from :func:`find_poles_zeros` on a 4001-point grid:
+    refined roots of the reactance when lossless, prominent extrema of |Z|
+    when lossy.  The design is flagged if a zero drifts within 5% of either
+    pole (a close zero cancels the pole it was meant to separate from).
+    No scipy module is imported.
     """
     zh_fmod = d.input_impedance(d.f_mod, "H", which, loss)
     zl_fmod = d.input_impedance(d.f_mod, "L", which, loss)

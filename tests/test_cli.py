@@ -65,9 +65,24 @@ def test_design_json_output(runner):
     )
 
 
-def test_design_does_not_import_scipy():
-    # importing scipy.signal costs over a second cold; `design` must not
-    # pay it, whatever an earlier test in this process has imported
+@pytest.mark.parametrize(
+    "case", ["design", "design_lossless", "design_default_xm", "sweep_lossless"]
+)
+def test_design_does_not_import_scipy(case, tmp_path):
+    # importing scipy costs about a second cold; the design path (synthesis,
+    # both verifications, the default x_m and the sweep) must not pay it,
+    # whatever an earlier test in this process has imported
+    if case == "design_default_xm":
+        spec = tmp_path / "spec_no_xm.yaml"
+        spec.write_text("f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nshunt_c: 10pF\n")
+        args = ["design", str(spec), "--format", "json"]
+    elif case == "sweep_lossless":
+        saved = tmp_path / "design_a.json"
+        assert CliRunner().invoke(main, ["design", SPEC_A, "--out", str(saved)]).exit_code == 0
+        args = ["sweep", str(saved), "--lossless"]
+    else:
+        args = ["design", SPEC_A, "--format", "json"]
+        args += ["--lossless"] if case == "design_lossless" else []
     probe = (
         "import atexit, sys\n"
         "atexit.register(lambda: print('scipy' in sys.modules, file=sys.stderr))\n"
@@ -78,14 +93,19 @@ def test_design_does_not_import_scipy():
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     r = subprocess.run(
-        [sys.executable, "-c", probe, "design", SPEC_A, "--format", "json"],
+        [sys.executable, "-c", probe, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["verification"]["passed"] is True
+    if case == "design":
+        assert json.loads(r.stdout)["verification"]["passed"] is True
+    elif args[0] == "design":
+        assert json.loads(r.stdout)["design"]["config"] == "A"
+    else:
+        assert r.stdout.startswith("# schema_version: 1\nf_hz,")
     assert r.stderr.strip().splitlines()[-1] == "False"
 
 

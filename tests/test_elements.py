@@ -85,6 +85,20 @@ def test_series_lc_zero_location():
     assert zeros[0] == pytest.approx(1.0 / (TWO_PI * math.sqrt(1e-6 * 100e-12)), rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "l,c", [(1.3263292250357864e-6, 7.63921820689761e-12), (1e-6, 100e-12), (10e-9, 1e-9)]
+)
+def test_lc_resonances_are_exact(l, c):
+    # the vectorised refinement closes each bracket to rounding: the
+    # series-LC zero and the parallel-LC pole land on 1/(2 pi sqrt(LC))
+    f_res = 1.0 / (TWO_PI * math.sqrt(l * c))
+    zeros = find_poles_zeros((inductor(l) + capacitor(c)).impedance, f_res / 10, f_res * 10)
+    poles = find_poles_zeros((inductor(l) | capacitor(c)).impedance, f_res / 10, f_res * 10)
+    assert [k for _, k in zeros] == ["zero"] and [k for _, k in poles] == ["pole"]
+    assert zeros[0][0] == pytest.approx(f_res, rel=1e-12)
+    assert poles[0][0] == pytest.approx(f_res, rel=1e-12)
+
+
 def test_prominent_peaks_match_scipy(design_a, design_b, rng):
     # scipy is imported here, not at module level, so collecting this file
     # leaves the cold-start cost that criterion 01 times in place

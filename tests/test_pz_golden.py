@@ -47,13 +47,11 @@ def _random_specs(n: int = 200) -> list[dict]:
         f_stop = f_mod * ratio if stop_above else f_mod / ratio
         x = 1.0 / (TWO_PI * f_mod * c_io)
         spec = {"f_mod": f_mod, "f_stop": f_stop, "c_io": c_io}
-        if i % 5 == 4:
-            pass
-        elif i % 10 == 7:
+        if i % 10 == 7:
             # capacitive shunt (configuration C) needs f_stop above f_mod
             spec["f_stop"] = f_mod * ratio
             spec["xm_capacitance"] = 1.0 / (TWO_PI * f_mod * x * factor)
-        else:
+        elif i % 5 != 4:
             xm = x * (1.05 + factor) if stop_above else x * min(0.95, 0.1 + factor / 10.0)
             spec["xm_inductance"] = xm / (TWO_PI * f_mod)
         out.append(spec)

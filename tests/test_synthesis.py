@@ -11,6 +11,7 @@ from fdmlink.synthesis import (
     ConfigKind,
     FilterSpec,
     InfeasibleConfigError,
+    SynthesisError,
     classify,
     default_xm_inductance,
     design_from_dict,
@@ -202,6 +203,28 @@ def test_default_xm_targets_geometric_mean():
     r = verify_design(d, loss=LOSSLESS, which="exact")
     target = math.sqrt(20e6 * 50e6)
     assert r.h_zeros[0] == pytest.approx(target, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "f_mod,f_stop,c_total",
+    [(20e6, 50e6, 18e-12), (50e6, 20e6, 8e-12), (3e6, 17e6, 2e-12), (70e6, 12e6, 30e-12)],
+)
+def test_default_xm_zero_is_exact(f_mod, f_stop, c_total):
+    # the closed form puts the lossless high-state zero on the target itself
+    target = math.sqrt(f_mod * f_stop)
+    l_m = default_xm_inductance(f_mod, f_stop, c_total)
+    d = synthesize(FilterSpec(f_mod, f_stop, c_total, xm_inductance=l_m))
+    r = verify_design(d, loss=LOSSLESS, which="exact")
+    nearest = min(r.h_zeros, key=lambda z: abs(z - target))
+    assert nearest == pytest.approx(target, rel=1e-9)
+
+
+def test_default_xm_rejects_zero_at_f_stop():
+    # x1 is itself a pole at f_stop, so no x_m can put a zero there
+    with pytest.raises(SynthesisError):
+        default_xm_inductance(20e6, 50e6, 18e-12, zero_target=50e6)
+    with pytest.raises(SynthesisError):
+        default_xm_inductance(50e6, 20e6, 8e-12, zero_target=20e6)
 
 
 # -- randomized lossless synthesis across the configuration space --
