@@ -9,7 +9,9 @@ Heavy imports happen inside the commands so startup stays fast.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,8 +56,8 @@ def _loss_from_flags(lossless: bool, q: float | None):
     if lossless:
         return LOSSLESS
     if q is not None:
-        if q <= 0:
-            raise click.UsageError("--q must be positive")
+        if not q > 0:
+            raise click.UsageError(f"--q must be positive, got {q}")
         return LossModel(inductor_q=q)
     return LossModel()
 
@@ -182,6 +184,10 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
         loss = _loss_from_flags(lossless, q)
         f_lo = parse_quantity(flo, "Hz")
         f_hi = parse_quantity(fhi, "Hz")
+        if not f_lo > 0.0:
+            raise click.UsageError(f"--flo must be above 0 Hz, got {flo!r}")
+        if not f_lo < f_hi < math.inf:
+            raise click.UsageError(f"--fhi must be a finite frequency above --flo, got {fhi!r}")
         if points < 2:
             raise click.UsageError("--points must be at least 2")
         result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
@@ -205,20 +211,22 @@ def _parse_impedance(text: str) -> complex:
     from .units import UnitError, parse_quantity
 
     try:
-        return complex(parse_quantity(text, "ohm"))
+        z = complex(parse_quantity(text, "ohm"))
     except UnitError:
-        pass
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise click.UsageError(f"cannot read impedance {text!r}: use '8897', '1+2j', or '2kohm'")
+        try:
+            z = complex(text.replace(" ", ""))
+        except ValueError:
+            raise click.UsageError(f"cannot read impedance {text!r}: use '8897', '1+2j', or '2kohm'")
+    if not cmath.isfinite(z):
+        raise click.UsageError(f"impedance {text!r} must be finite")
+    return z
 
 
 @main.command()
 @click.option("--zh", required=True, help="Released-state node impedance (ohm, complex ok).")
 @click.option("--zl", required=True, help="Pulled-state node impedance.")
 @click.option("--zp", default=None, help="Pull-up impedance (omit for ratio-only form).")
-@click.option("--n", "n_values", type=int, multiple=True, help="Node counts to tabulate.")
+@click.option("--n", "n_values", type=click.IntRange(min=1), multiple=True, help="Node counts to tabulate.")
 @click.option("--min-depth-db", type=float, default=6.0, show_default=True)
 def budget(zh: str, zl: str, zp: str | None, n_values: tuple[int, ...], min_depth_db: float) -> None:
     """Modulation-depth budget for one carrier as nodes are added."""
@@ -227,6 +235,10 @@ def budget(zh: str, zl: str, zp: str | None, n_values: tuple[int, ...], min_dept
     z_h = _parse_impedance(zh)
     z_l = _parse_impedance(zl)
     z_p = _parse_impedance(zp) if zp is not None else None
+    if z_l == 0:
+        raise click.UsageError("--zl must be non-zero: a shorted pulled state has no finite depth")
+    if not 0.0 < min_depth_db < math.inf:
+        raise click.UsageError(f"--min-depth-db must be finite and above 0, got {min_depth_db}")
     kwargs = {"min_depth_db": min_depth_db}
     if n_values:
         kwargs["n_values"] = tuple(n_values)

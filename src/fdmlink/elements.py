@@ -4,6 +4,14 @@ Frequencies are plain Hz at every interface; angular frequency is internal.
 Poles (ideal opens, resonance singularities) are ordinary values, not
 exceptions: evaluation returns complex infinity and :func:`is_pole` also
 treats any magnitude at or above ``POLE_CLAMP`` as a pole.
+
+Each public evaluation (:meth:`Network.impedance`, :func:`element_impedance`,
+:func:`input_impedance`) checks its frequencies once and then walks the tree
+in one pass.  A series node adds its children; a parallel node adds their
+admittances and inverts.  Only when a sum shows an open (a non-finite child)
+or a short (a zero child, or a zero total admittance) does the node redo the
+same arithmetic with masks, so the masks cost nothing on ordinary values and
+the result is the same float either way.
 """
 
 from __future__ import annotations
@@ -58,8 +66,10 @@ def is_pole(z) -> bool | np.ndarray:
 
 
 def _check_freq(f) -> np.ndarray:
+    """``f`` as a float array; ``ValueError`` unless every value is in (0, inf)."""
     arr = np.asarray(f, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    # NaN fails both comparisons
+    if not ((arr > 0.0) & (arr < math.inf)).all():
         raise ValueError("frequency must be positive and finite (Hz)")
     return arr
 
@@ -94,7 +104,12 @@ class ReactiveElement:
 
 def element_impedance(e: ReactiveElement, f) -> complex | np.ndarray:
     """Impedance of one element at frequency ``f`` (Hz, scalar or array)."""
-    farr = _check_freq(f)
+    z = _element_z(e, _check_freq(f))
+    return z if np.ndim(f) else complex(z[()])
+
+
+def _element_z(e: ReactiveElement, farr: np.ndarray) -> np.ndarray:
+    """Impedance of one element on an already checked frequency array."""
     w = 2.0 * math.pi * farr
     if e.kind == "resistor":
         z = np.broadcast_to(complex(e.value, 0.0), farr.shape).copy()
@@ -113,7 +128,52 @@ def element_impedance(e: ReactiveElement, f) -> complex | np.ndarray:
             z = np.broadcast_to(POLE, farr.shape).copy()
     else:  # pragma: no cover - kinds are closed
         raise ValueError(f"unknown element kind {e.kind!r}")
-    return z if np.ndim(f) else complex(np.asarray(z)[()])
+    return np.asarray(z)
+
+
+def _series_z(zs: list, shape: tuple) -> np.ndarray:
+    """Series rule: impedances add, and an open (non-finite) child opens the sum."""
+    total = np.zeros(shape, dtype=complex)
+    for z in zs:
+        total = total + z
+    # any non-finite child makes the sum non-finite, so a finite sum has no
+    # open to mask and equals the masked sum below
+    if np.isfinite(total).all():
+        return total
+    total = np.zeros(shape, dtype=complex)
+    open_mask = np.zeros(shape, dtype=bool)
+    for z in zs:
+        pm = ~np.isfinite(z)
+        open_mask |= pm
+        total = total + np.where(pm, 0.0, z)
+    return np.where(open_mask, POLE, total)
+
+
+def _parallel_z(zs: list, shape: tuple) -> np.ndarray:
+    """Parallel rule in admittance: a short child wins, an open child adds nothing.
+
+    Without masks a short child makes the admittance sum non-finite and an
+    open child adds a signed zero, which leaves the sum unchanged because it
+    starts at +0.  So a finite, non-zero sum needs no mask and equals the
+    masked sum below.
+    """
+    y = np.zeros(shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for z in zs:
+            y = y + 1.0 / z
+    if np.isfinite(y).all() and y.all():
+        return 1.0 / y
+    short_mask = np.zeros(shape, dtype=bool)
+    y = np.zeros(shape, dtype=complex)
+    for z in zs:
+        zero = z == 0.0
+        short_mask |= zero
+        safe = np.where(zero | ~np.isfinite(z), 1.0, z)
+        y = y + np.where(~np.isfinite(z), 0.0, 1.0 / safe) * np.where(zero, 0.0, 1.0)
+    y_zero = y == 0.0
+    safe_y = np.where(y_zero, 1.0, y)
+    out = np.where(y_zero, POLE, 1.0 / safe_y)
+    return np.where(short_mask, 0.0 + 0.0j, out)
 
 
 @dataclass(frozen=True)
@@ -141,36 +201,19 @@ class Network:
     def impedance(self, f) -> complex | np.ndarray:
         farr = _check_freq(f)
         z = self._eval(farr)
-        if np.any(np.isnan(z)):
+        if np.isnan(z).any():
             raise DegenerateNetworkError("network evaluates to an indeterminate form")
         return z if np.ndim(f) else complex(z[()])
 
     def _eval(self, farr: np.ndarray) -> np.ndarray:
+        """Impedance on an already checked frequency array, NaN not checked."""
         if self.op == "leaf":
             assert self.element is not None
-            z = element_impedance(self.element, farr)
-            return np.atleast_1d(np.asarray(z)) if farr.ndim else np.asarray(z)
+            return _element_z(self.element, farr)
         zs = [c._eval(farr) for c in self.children]
         if self.op == "series":
-            total = np.zeros(farr.shape, dtype=complex)
-            open_mask = np.zeros(farr.shape, dtype=bool)
-            for z in zs:
-                pm = ~np.isfinite(z)
-                open_mask |= pm
-                total = total + np.where(pm, 0.0, z)
-            return np.where(open_mask, POLE, total)
-        # parallel: work in admittance, opens contribute zero
-        short_mask = np.zeros(farr.shape, dtype=bool)
-        y = np.zeros(farr.shape, dtype=complex)
-        for z in zs:
-            zero = z == 0.0
-            short_mask |= zero
-            safe = np.where(zero | ~np.isfinite(z), 1.0, z)
-            y = y + np.where(~np.isfinite(z), 0.0, 1.0 / safe) * np.where(zero, 0.0, 1.0)
-        y_zero = y == 0.0
-        safe_y = np.where(y_zero, 1.0, y)
-        out = np.where(y_zero, POLE, 1.0 / safe_y)
-        return np.where(short_mask, 0.0 + 0.0j, out)
+            return _series_z(zs, farr.shape)
+        return _parallel_z(zs, farr.shape)
 
 
 def resistor(ohms: float, loss: float = 0.0) -> Network:
@@ -226,42 +269,32 @@ def combine(net: Network, f) -> complex | np.ndarray:
 
 @dataclass(frozen=True)
 class TwoPortZ:
-    """Impedance-matrix view of a reciprocal two-port.
+    """Reciprocal two-port of a T: series branch ``x1``, shunt ``xm``, series ``x2``.
 
-    ``z11``, ``zm``, ``z22`` are frequency evaluators (Hz in, complex ohms
-    out, vectorized).  Reciprocity is structural: there is a single mutual
-    term.  ``branches`` keeps the realizing one-ports when built from a
-    T-network.
+    Only the three branch one-ports are kept.  Its impedance matrix is
+    z11 = Z(x1) + Z(xm), zm = Z(xm), z22 = Z(x2) + Z(xm); reciprocity is
+    structural (a single mutual term), and loss resistances in the branches
+    carry through as real parts.  :func:`input_impedance` evaluates each
+    branch once per call and forms z11 and z22 from those values by the
+    series rule, adding the same terms in the same order as
+    ``series(x1, xm)`` and ``series(x2, xm)``.
     """
 
-    z11: Callable[[np.ndarray], np.ndarray]
-    zm: Callable[[np.ndarray], np.ndarray]
-    z22: Callable[[np.ndarray], np.ndarray]
-    branches: tuple[Network, Network, Network] | None = None  # (x1, x2, xm)
-
-    def swapped(self) -> "TwoPortZ":
-        """The same two-port with port labels exchanged."""
-        br = None
-        if self.branches is not None:
-            x1, x2, xm = self.branches
-            br = (x2, x1, xm)
-        return TwoPortZ(self.z22, self.zm, self.z11, br)
+    x1: Network
+    x2: Network
+    xm: Network
 
 
 def t_network(x1: Network, x2: Network, xm: Network) -> TwoPortZ:
-    """Two-port of a T: series branch x1, shunt xm, series branch x2.
+    """Two-port of a T: series branch x1, shunt xm, series branch x2."""
+    return TwoPortZ(x1, x2, xm)
 
-    z11 = Z(x1)+Z(xm), z22 = Z(x2)+Z(xm), zm = Z(xm); loss resistances in the
-    branches carry through as real parts.
-    """
-    sx1 = series(x1, xm)
-    sx2 = series(x2, xm)
-    return TwoPortZ(
-        z11=sx1.impedance,
-        zm=xm.impedance,
-        z22=sx2.impedance,
-        branches=(x1, x2, xm),
-    )
+
+def _series_terms(net: Network, farr: np.ndarray) -> list:
+    """Values of the one-ports :func:`series` flattens ``net`` into."""
+    if net.op == "series":
+        return [c._eval(farr) for c in net.children]
+    return [net._eval(farr)]
 
 
 def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
@@ -269,12 +302,23 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
 
     Zin = z11 - zm^2/(z_load + z22).  When the denominator vanishes
     (relative to |zm|^2) the result is the intended ideal open and comes
-    back pole-flagged rather than raising.
+    back pole-flagged rather than raising.  ``DegenerateNetworkError`` when
+    the shunt branch or the result is indeterminate (NaN); z11 and z22
+    cannot be, since the series rule turns a NaN child into an open.
     """
     farr = _check_freq(f)
-    z11 = np.asarray(z.z11(farr), dtype=complex)
-    zm = np.asarray(z.zm(farr), dtype=complex)
-    z22 = np.asarray(z.z22(farr), dtype=complex)
+    # z11 adds the terms of series(x1, xm): a series branch contributes its
+    # children, so the sums run in the same order as that flattened network;
+    # the branches are evaluated x1, xm, x2, so the first error is the same
+    t1 = _series_terms(z.x1, farr)
+    tm = _series_terms(z.xm, farr)
+    # an array even for scalar f: numpy's scalar complex multiply can round
+    # zm * zm differently from its array multiply
+    zm = np.asarray(tm[0] if len(tm) == 1 else _series_z(tm, farr.shape), dtype=complex)
+    if np.isnan(zm).any():
+        raise DegenerateNetworkError("network evaluates to an indeterminate form")
+    z11 = _series_z(t1 + tm, farr.shape)
+    z22 = _series_z(_series_terms(z.x2, farr) + tm, farr.shape)
     zl = np.asarray(z_load, dtype=complex)
     den = zl + z22
 
@@ -286,9 +330,9 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     zm2 = np.abs(zm) ** 2
     out = np.where(~den_open & (np.abs(den) < EPS_POLE * zm2), POLE, out)
     out = np.where(~np.isfinite(z11), POLE, out)
-    if np.any(np.isnan(out)):
+    if np.isnan(out).any():
         raise DegenerateNetworkError("input impedance is indeterminate (0/0)")
-    return out if np.ndim(f) else complex(np.asarray(out)[()])
+    return out if np.ndim(f) else complex(out[()])
 
 
 def _reactance_root_fn(z: np.ndarray, pole: np.ndarray) -> np.ndarray:

@@ -38,13 +38,14 @@ class LossModel:
     q_ref_hz: float = DEFAULT_Q_REF_HZ
 
     def __post_init__(self) -> None:
-        if self.r_h <= 0.0:
+        # written so that NaN fails every check
+        if not self.r_h > 0.0:
             raise ValueError("r_h must be positive")
-        if self.r_l < 0.0 or self.l_l < 0.0:
+        if not (self.r_l >= 0.0 and self.l_l >= 0.0):
             raise ValueError("r_l and l_l must be >= 0")
-        if self.inductor_q is not None and self.inductor_q <= 0.0:
+        if self.inductor_q is not None and not self.inductor_q > 0.0:
             raise ValueError("inductor_q must be positive (or None for lossless)")
-        if self.q_ref_hz <= 0.0:
+        if not self.q_ref_hz > 0.0:
             raise ValueError("q_ref_hz must be positive")
 
     @property

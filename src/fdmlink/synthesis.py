@@ -497,20 +497,24 @@ def verify_design(
     pole (a close zero cancels the pole it was meant to separate from).
     No scipy module is imported.
     """
-    zh_fmod = d.input_impedance(d.f_mod, "H", which, loss)
-    zl_fmod = d.input_impedance(d.f_mod, "L", which, loss)
-    zh_fstop = d.input_impedance(d.f_stop, "H", which, loss)
-    zl_fstop = d.input_impedance(d.f_stop, "L", which, loss)
+    tp = d.two_port(which, loss)
+    h_load = loss.load(d.c_total, "H")
+    l_load = loss.load(d.c_total, "L")
+
+    def h_zin(f):
+        return input_impedance(tp, h_load.impedance(f), f)
+
+    def l_zin(f):
+        return input_impedance(tp, l_load.impedance(f), f)
+
+    zh_fmod = h_zin(d.f_mod)
+    zl_fmod = l_zin(d.f_mod)
+    zh_fstop = h_zin(d.f_stop)
+    zl_fstop = l_zin(d.f_stop)
     ratio = _capped_abs(zh_fmod) / max(_capped_abs(zl_fmod), 1e-30)
 
     f_lo = 0.5 * min(d.f_mod, d.f_stop)
     f_hi = 2.0 * max(d.f_mod, d.f_stop)
-    tp = d.two_port(which, loss)
-
-    def h_zin(farr):
-        z_load = loss.load(d.c_total, "H").impedance(farr)
-        return input_impedance(tp, z_load, farr)
-
     pz = find_poles_zeros(h_zin, f_lo, f_hi, grid=4001, lossless=loss.lossless)
     poles = tuple(f for f, kind in pz if kind == "pole")
     zeros = tuple(f for f, kind in pz if kind == "zero")

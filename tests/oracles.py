@@ -4,7 +4,9 @@ Everything here is deliberately naive: scalar complex arithmetic, nodal
 analysis solved exactly in rational arithmetic (``fractions.Fraction``, so
 an ill-conditioned system near series resonance loses no digits), no shared
 code with the package beyond reading its data structures.  Slow is fine;
-different is the point.
+different is the point.  The exception is the masked network evaluator at
+the end: a frozen copy of the package's earlier vectorised code, kept so the
+current evaluator can be held to the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from fdmlink.elements import DegenerateNetworkError, Network
 
 OPEN = complex(math.inf, 0.0)
 
@@ -144,3 +150,110 @@ def envelope_ratio(z_h: complex, z_l: complex, z_p: complex) -> float:
 def wired_and(levels_by_driver) -> int:
     """Open-drain bus: low wins."""
     return 0 if any(lv == 0 for lv in levels_by_driver) else 1
+
+
+# -- the masked evaluator that the one-pass rule replaced --
+#
+# Network._eval, element_impedance and input_impedance as they stood before
+# series and parallel nodes skipped their masks on ordinary values, copied
+# verbatim apart from taking the network as an argument and the two-port as
+# its three branches.  The package must match them bit for bit.
+
+_POLE_CLAMP = 1e12
+_EPS_POLE = 1e-12
+_POLE = complex(np.inf, 0.0)
+
+
+def _check_freq(f) -> np.ndarray:
+    arr = np.asarray(f, dtype=float)
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("frequency must be positive and finite (Hz)")
+    return arr
+
+
+def masked_element_impedance(e, f):
+    farr = _check_freq(f)
+    w = 2.0 * math.pi * farr
+    if e.kind == "resistor":
+        z = np.broadcast_to(complex(e.value, 0.0), farr.shape).copy()
+    elif e.kind == "inductor":
+        z = e.loss + 1j * w * e.value
+    elif e.kind == "capacitor":
+        z = -1j / (w * e.value)
+        if e.loss > 0.0:
+            z = z * e.loss / (z + e.loss)
+    elif e.kind == "short":
+        z = np.broadcast_to(0.0 + 0.0j, farr.shape).copy()
+    elif e.kind == "open":
+        if e.loss > 0.0:
+            z = np.broadcast_to(complex(e.loss, 0.0), farr.shape).copy()
+        else:
+            z = np.broadcast_to(_POLE, farr.shape).copy()
+    else:
+        raise ValueError(f"unknown element kind {e.kind!r}")
+    return z if np.ndim(f) else complex(np.asarray(z)[()])
+
+
+def masked_impedance(net, f):
+    """``Network.impedance`` over the masked evaluator."""
+    farr = _check_freq(f)
+    z = masked_eval(net, farr)
+    if np.any(np.isnan(z)):
+        raise DegenerateNetworkError("network evaluates to an indeterminate form")
+    return z if np.ndim(f) else complex(z[()])
+
+
+def masked_eval(net, farr: np.ndarray) -> np.ndarray:
+    if net.op == "leaf":
+        assert net.element is not None
+        z = masked_element_impedance(net.element, farr)
+        return np.atleast_1d(np.asarray(z)) if farr.ndim else np.asarray(z)
+    zs = [masked_eval(c, farr) for c in net.children]
+    if net.op == "series":
+        total = np.zeros(farr.shape, dtype=complex)
+        open_mask = np.zeros(farr.shape, dtype=bool)
+        for z in zs:
+            pm = ~np.isfinite(z)
+            open_mask |= pm
+            total = total + np.where(pm, 0.0, z)
+        return np.where(open_mask, _POLE, total)
+    # parallel: work in admittance, opens contribute zero
+    short_mask = np.zeros(farr.shape, dtype=bool)
+    y = np.zeros(farr.shape, dtype=complex)
+    for z in zs:
+        zero = z == 0.0
+        short_mask |= zero
+        safe = np.where(zero | ~np.isfinite(z), 1.0, z)
+        y = y + np.where(~np.isfinite(z), 0.0, 1.0 / safe) * np.where(zero, 0.0, 1.0)
+    y_zero = y == 0.0
+    safe_y = np.where(y_zero, 1.0, y)
+    out = np.where(y_zero, _POLE, 1.0 / safe_y)
+    return np.where(short_mask, 0.0 + 0.0j, out)
+
+
+def _flat_series(a, b):
+    """``series(a, b)`` with the package's flattening of nested series nodes."""
+    kids = tuple(k for n in (a, b) for k in (n.children if n.op == "series" else (n,)))
+    return Network("series", children=kids)
+
+
+def masked_input_impedance(x1, x2, xm, z_load, f):
+    """``input_impedance`` of the T (x1, x2, xm), with z11/zm/z22 as ``t_network`` built them."""
+    farr = _check_freq(f)
+    z11 = np.asarray(masked_impedance(_flat_series(x1, xm), farr), dtype=complex)
+    zm = np.asarray(masked_impedance(xm, farr), dtype=complex)
+    z22 = np.asarray(masked_impedance(_flat_series(x2, xm), farr), dtype=complex)
+    zl = np.asarray(z_load, dtype=complex)
+    den = zl + z22
+
+    with np.errstate(all="ignore"):
+        out = z11 - zm * zm / den
+    # an open-ish denominator decouples port 2 entirely
+    den_open = ~np.isfinite(den) | (np.abs(den) >= _POLE_CLAMP)
+    out = np.where(den_open, z11, out)
+    zm2 = np.abs(zm) ** 2
+    out = np.where(~den_open & (np.abs(den) < _EPS_POLE * zm2), _POLE, out)
+    out = np.where(~np.isfinite(z11), _POLE, out)
+    if np.any(np.isnan(out)):
+        raise DegenerateNetworkError("input impedance is indeterminate (0/0)")
+    return out if np.ndim(f) else complex(np.asarray(out)[()])

@@ -204,6 +204,38 @@ def test_budget_bad_impedance(runner):
     assert "cannot read impedance 'nonsense'" in _alltext(r)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["design", SPEC_A, "--q", "nan"], "--q must be positive, got nan"),
+        (["sweep", "{design}", "--q", "nan"], "--q must be positive, got nan"),
+        (["sweep", "{design}", "--flo", "0Hz"], "--flo must be above 0 Hz, got '0Hz'"),
+        (
+            ["sweep", "{design}", "--flo", "2MHz", "--fhi", "1MHz"],
+            "--fhi must be a finite frequency above --flo, got '1MHz'",
+        ),
+        (["budget", "--zh", "100", "--zl", "1", "--n", "0"], "0 is not in the range x>=1"),
+        (["budget", "--zh", "100", "--zl", "1", "--n", "-3"], "-3 is not in the range x>=1"),
+        (["budget", "--zh", "0", "--zl", "0"], "--zl must be non-zero"),
+        (["budget", "--zh", "nan", "--zl", "1"], "impedance 'nan' must be finite"),
+        (
+            ["budget", "--zh", "100", "--zl", "1", "--min-depth-db", "nan"],
+            "--min-depth-db must be finite and above 0, got nan",
+        ),
+    ],
+    ids=[
+        "design_q_nan", "sweep_q_nan", "sweep_flo_zero", "sweep_band_reversed",
+        "budget_n_zero", "budget_n_negative", "budget_zero_impedances",
+        "budget_zh_nan", "budget_min_depth_nan",
+    ],
+)
+def test_bad_values_exit_2(runner, design_json, args, message):
+    r = runner.invoke(main, [a.format(design=design_json) for a in args])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert message in _alltext(r)
+
+
 @pytest.fixture()
 def minimal_scenario(tmp_path):
     p = tmp_path / "minimal.yaml"

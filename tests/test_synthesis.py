@@ -283,3 +283,11 @@ def test_spec_validation():
         FilterSpec(20e6, 50e6, 8e-12, xm_inductance=1e-6, xm_capacitance=1e-12)
     with pytest.raises(ValueError):
         FilterSpec(20e6, 50e6, 8e-12, eseries="E13")
+
+
+@pytest.mark.parametrize(
+    "field", ["r_h", "r_l", "l_l", "inductor_q", "q_ref_hz"]
+)
+def test_loss_model_rejects_nan(field):
+    with pytest.raises(ValueError):
+        LossModel(**{field: math.nan})
