@@ -1,10 +1,8 @@
-"""Pure-Python reference implementations of the per-sample modem loops.
+"""Pure-Python implementations of the per-sample modem loops.
 
 These are the hot kernels of the physical layer: stateful sample-by-sample
 recurrences that cannot be vectorized (each output feeds the next state).
-`fdmlink.kernels` prefers the compiled versions and falls back to these.
-The two implementations must stay behaviorally identical; the test suite
-checks them sample-exactly against each other.
+They are the only implementation; `fdmlink.kernels` re-exports them.
 """
 
 from __future__ import annotations

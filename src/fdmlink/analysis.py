@@ -170,11 +170,17 @@ def multinode_ratio(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POL
 
 
 def multinode_approx(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POLE_CAP) -> float:
-    """Large-|z_p| approximation |1 + z_h/(n z_l)| of the n-node ratio."""
+    """Large-|z_p| approximation |1 + z_h/(n z_l)| of the n-node ratio.
+
+    A shorted pulled state (``z_l == 0``) makes the approximation diverge:
+    the result is ``math.inf``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     zh = _capped(complex(z_h), cap)
     zl = _capped(complex(z_l), cap)
+    if zl == 0:
+        return math.inf
     return abs(1.0 + zh / (n * zl))
 
 

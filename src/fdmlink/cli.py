@@ -67,8 +67,6 @@ def _complex_dict(z: complex) -> dict:
 
     if is_pole(z):
         return {"pole": True}
-    import cmath
-
     return {"abs": abs(z), "arg_deg": cmath.phase(z) * 180.0 / 3.141592653589793}
 
 
@@ -258,6 +256,21 @@ def _write_traces(path: str, traces: dict) -> None:
             fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _echo_summary(metrics, err: bool) -> None:
+    """One line per monitored bus line, then the transaction count."""
+    for line in sorted(metrics.bit_errors):
+        click.echo(
+            f"{line}: depth {metrics.depth_db[line]:.2f} dB, "
+            f"{metrics.bit_errors[line]} bit errors / {metrics.bits_checked[line]} checked, "
+            f"eye margin {metrics.eye_margin_v[line] * 1e3:.1f} mV",
+            err=err,
+        )
+    click.echo(
+        f"transactions: {metrics.transactions_completed}/{metrics.transactions_attempted} completed",
+        err=err,
+    )
+
+
 @main.command()
 @click.argument("scenario", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Metrics JSON path.")
@@ -293,17 +306,7 @@ def simulate(scenario: str, out: str | None, seed: int | None, strict: bool, tra
         Path(out).write_text(payload)
     else:
         click.echo(payload, nl=False)
-    for line in sorted(metrics.bit_errors):
-        click.echo(
-            f"{line}: depth {metrics.depth_db[line]:.2f} dB, "
-            f"{metrics.bit_errors[line]} bit errors / {metrics.bits_checked[line]} checked, "
-            f"eye margin {metrics.eye_margin_v[line] * 1e3:.1f} mV",
-            err=out is None,
-        )
-    click.echo(
-        f"transactions: {metrics.transactions_completed}/{metrics.transactions_attempted} completed",
-        err=out is None,
-    )
+    _echo_summary(metrics, err=out is None)
     if not metrics.error_free:
         sys.exit(1)
 
@@ -338,15 +341,7 @@ def demo(out: str | None, emit_configs: str | None, seed: int | None) -> None:
     if out:
         Path(out).write_text(metrics.to_json())
         click.echo(f"wrote {out}")
-    for line in sorted(metrics.bit_errors):
-        click.echo(
-            f"{line}: depth {metrics.depth_db[line]:.2f} dB, "
-            f"{metrics.bit_errors[line]} bit errors / {metrics.bits_checked[line]} checked, "
-            f"eye margin {metrics.eye_margin_v[line] * 1e3:.1f} mV"
-        )
-    click.echo(
-        f"transactions: {metrics.transactions_completed}/{metrics.transactions_attempted} completed"
-    )
+    _echo_summary(metrics, err=False)
     if not metrics.error_free:
         sys.exit(1)
 

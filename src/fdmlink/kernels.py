@@ -1,23 +1,15 @@
-"""Kernel dispatch: compiled modem loops with a pure-Python fallback.
+"""The per-sample modem loops, as used by the rest of the package.
 
-The compiled extension is optional; if it failed to build or is missing,
-the pure-Python implementations take over with identical behavior.
+There is one implementation, the numpy/Python one in ``_kernels_py``;
+``backend_name()`` names it for run reports.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _ckernels as _impl
+from ._kernels_py import demod_loop, slicer_loop
 
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _impl
-
-    HAVE_COMPILED = False
-
-slicer_loop = _impl.slicer_loop
-demod_loop = _impl.demod_loop
+__all__ = ["backend_name", "demod_loop", "slicer_loop"]
 
 
 def backend_name() -> str:
-    return "compiled" if HAVE_COMPILED else "python"
+    return "python"

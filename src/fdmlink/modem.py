@@ -219,6 +219,27 @@ class ClipParams:
         return math.exp(-1.0 / (sample_rate * self.spike_decay))
 
 
+def _decaying_impulses(n: int, idx: np.ndarray, jumps: np.ndarray, mult: float) -> np.ndarray:
+    """``n`` samples of ``out[k] = mult * out[k-1] + impulse[k]`` from rest.
+
+    The impulses are ``jumps`` at the increasing sample indices ``idx``.  The
+    loop runs once per impulse, filling the samples up to the next one with
+    ``mult`` powers, so the cost in Python steps does not grow with ``n``.
+    """
+    out = np.zeros(n, dtype=np.float64)
+    if idx.size == 0:
+        return out
+    lengths = np.diff(idx, append=n)
+    powers = mult ** np.arange(int(lengths.max()) + 1, dtype=np.float64)
+    value = 0.0
+    prev_len = 0
+    for start, length, jump in zip(idx.tolist(), lengths.tolist(), jumps.tolist()):
+        value = value * powers[prev_len] + jump
+        out[start : start + length] = value * powers[:length]
+        prev_len = length
+    return out
+
+
 def modulate(
     bus_amp_h: float,
     bus_amp_l: float,
@@ -228,7 +249,11 @@ def modulate(
     """Map logic levels to carrier amplitude with a one-pole transition.
 
     ``rise_time`` is 10-90%; zero means ideal instant switching.  A useful
-    default for a bit stream is 1% of the bit period.
+    default for a bit stream is 1% of the bit period.  The output follows
+    ``y[k] = a * target[k] + (1 - a) * y[k-1]`` from ``y[0] = target[0]``,
+    so ``y - target`` is zero until the first transition, jumps by
+    ``-(1 - a) * (target[k] - target[k-1])`` at each transition and decays
+    by ``1 - a`` per sample in between.
     """
     if not bus_amp_h >= bus_amp_l >= 0.0:
         raise ValueError("need bus_amp_h >= bus_amp_l >= 0")
@@ -237,10 +262,10 @@ def modulate(
         return EnvelopeTrace(logic.sample_rate, target)
     tau = rise_time / math.log(9.0)  # 10-90% of a one-pole step
     a = 1.0 - math.exp(-1.0 / (logic.sample_rate * tau))
-    from scipy.signal import lfilter
-
-    y, _ = lfilter([a], [1.0, a - 1.0], target, zi=[(1.0 - a) * target[0]])
-    return EnvelopeTrace(logic.sample_rate, y)
+    idx = logic.transitions()
+    jumps = -(1.0 - a) * (target[idx] - target[idx - 1])
+    lag = _decaying_impulses(len(target), idx, jumps, 1.0 - a)
+    return EnvelopeTrace(logic.sample_rate, target + lag)
 
 
 def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageTrace:
@@ -272,8 +297,10 @@ def inject_latchup_spike(
     detector output (the full amplitude with the clip disabled), decaying
     with ``spike_decay``.  On the envelope that is a multiplicative factor
     through the log detector, which is how it is applied here, so that
-    ``detect()`` of the result shows exactly the additive excursion.  No
-    transitions, no change.
+    ``detect()`` of the result shows exactly the additive excursion.  The
+    excursions of successive transitions add: the spike voltage jumps by
+    the amplitude at each transition and decays by ``clip.decay_mult`` per
+    sample.  No transitions, no change.
     """
     if len(det_in) != len(transitions):
         raise ValueError("envelope and transition timeline must be aligned")
@@ -281,11 +308,9 @@ def inject_latchup_spike(
     idx = transitions.transitions()
     if idx.size == 0 or amp == 0.0:
         return det_in
-    impulses = np.zeros(len(det_in), dtype=np.float64)
-    impulses[idx] = amp
-    from scipy.signal import lfilter
-
-    spike_v, _ = lfilter([1.0], [1.0, -clip.decay_mult(det_in.sample_rate)], impulses, zi=[0.0])
+    spike_v = _decaying_impulses(
+        len(det_in), idx, np.full(idx.size, amp), clip.decay_mult(det_in.sample_rate)
+    )
     if clip_enabled:
         spike_v = np.minimum(spike_v, clip.v_f)
     factor = 10.0 ** (spike_v / (20.0 * detector.slope))

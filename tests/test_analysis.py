@@ -166,6 +166,15 @@ def test_budget_without_pullup_uses_impedance_ratio():
     assert b.ratio_single == pytest.approx(300.0, rel=1e-12)
 
 
+def test_budget_with_shorted_pulled_state():
+    # a lossless design reports z_l = 0 at f_mod; the approximation diverges
+    # there, while the exact ratios stay finite behind their 1e-30 floor
+    b = budget(100.0, 0.0)
+    assert all(a == math.inf for a in b.approx_n)
+    assert all(math.isfinite(r) for r in b.ratio_n)
+    assert multinode_approx(100.0, 0.0, 1) == math.inf
+
+
 # -- frequency sweep --
 
 

@@ -66,13 +66,15 @@ def test_design_json_output(runner):
 
 
 @pytest.mark.parametrize(
-    "case", ["design", "design_lossless", "design_default_xm", "sweep_lossless"]
+    "case", ["design", "design_lossless", "design_default_xm", "sweep_lossless", "demo"]
 )
 def test_design_does_not_import_scipy(case, tmp_path):
     # importing scipy costs about a second cold; the design path (synthesis,
-    # both verifications, the default x_m and the sweep) must not pay it,
-    # whatever an earlier test in this process has imported
-    if case == "design_default_xm":
+    # both verifications, the default x_m and the sweep) and the demo link
+    # run must not pay it, whatever an earlier test in this process has imported
+    if case == "demo":
+        args = ["demo"]
+    elif case == "design_default_xm":
         spec = tmp_path / "spec_no_xm.yaml"
         spec.write_text("f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nshunt_c: 10pF\n")
         args = ["design", str(spec), "--format", "json"]
@@ -104,6 +106,8 @@ def test_design_does_not_import_scipy(case, tmp_path):
         assert json.loads(r.stdout)["verification"]["passed"] is True
     elif args[0] == "design":
         assert json.loads(r.stdout)["design"]["config"] == "A"
+    elif case == "demo":
+        assert "transactions: 16/16 completed" in r.stdout
     else:
         assert r.stdout.startswith("# schema_version: 1\nf_hz,")
     assert r.stderr.strip().splitlines()[-1] == "False"
@@ -333,6 +337,15 @@ def test_demo_emit_configs_only(runner, tmp_path):
         assert (dest / name).is_file()
     # config emission alone must not run the simulation
     assert "transactions:" not in r.output
+
+
+def test_simulate_and_demo_print_the_same_summary(runner, tmp_path):
+    # with --out, simulate prints its summary on stdout as demo does
+    sim = runner.invoke(main, ["simulate", DEMO, "--out", str(tmp_path / "m.json")])
+    demo = runner.invoke(main, ["demo"])
+    assert sim.exit_code == demo.exit_code == 0
+    assert sim.stdout == demo.stdout
+    assert sim.stdout.splitlines()[-1] == "transactions: 16/16 completed"
 
 
 def test_demo_runs_clean(runner, tmp_path):
