@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "H",
     "L",
@@ -277,6 +275,8 @@ def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageT
 
 def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
     """Binarize a detector trace; output starts high (bus idle)."""
+    from . import kernels  # on use, so loading a scenario does not import the kernel modules
+
     ref0 = p.initial_reference if p.initial_reference is not None else float(det.samples[0])
     levels, _ = kernels.slicer_loop(
         det.samples, p.alpha(det.sample_rate), p.hysteresis, ref0, H
@@ -338,6 +338,8 @@ class Demodulator:
         self, env: EnvelopeTrace, initial_out: int = H
     ) -> tuple[LogicTimeline, VoltageTrace, VoltageTrace]:
         """Demodulate an envelope; returns (levels, detector, reference)."""
+        from . import kernels  # on use, so loading a scenario does not import the kernel modules
+
         p = self.detector
         rate = env.sample_rate
         spike_amp = 0.0

@@ -10,11 +10,14 @@ between the pull-up and the total node/feed loading, so any node pulling
 low collapses that carrier for everyone - a wired-AND in amplitude.
 
 Demodulation is a log detector, an IIR reference and a slicer with
-hysteresis (same math as the modem kernels, stepped sample by sample
-because slave reactions close the loop).  Nodes only reflect the carriers,
-so every node sees the same line amplitude: without noise all detectors on
-a line get identical input, and one demodulator stream per line serves
-every node.  With noise each node-line is its own stream.  Bit errors are
+hysteresis (same math as the modem kernels).  Nodes only reflect the
+carriers, so every node sees the same line amplitude: without noise all
+detectors on a line get identical input, and one demodulator stream per
+line serves every node.  With noise each node-line is its own stream.  The
+amplitude holds between drive changes, so the streams advance in blocks
+through ``kernels.block_stepper()`` (compiled C, or the same arithmetic in
+Python) up to the end of a quarter bit or the first slicer output change;
+slave reactions, which close the loop, run between blocks.  Bit errors are
 counted at quarter-bit midpoints against the ideal wired-AND level of the
 same run.
 """
@@ -311,47 +314,6 @@ class _AmplitudeTable:
         return _divided_amplitude(self.topology, c, y, z_p)
 
 
-class _DemodState:
-    """Streaming detector + slicer, sample by sample (mirrors the kernels)."""
-
-    __slots__ = ("k", "ref_in", "ref_out", "floor", "alpha", "half_h", "ref", "out", "det", "started")
-
-    def __init__(self, detector: DetectorParams, alpha: float, hysteresis: float):
-        self.k = detector.slope * 20.0
-        self.ref_in = detector.ref_in
-        self.ref_out = detector.ref_out
-        self.floor = detector.floor_volts
-        self.alpha = alpha
-        self.half_h = 0.5 * hysteresis
-        self.ref = 0.0
-        self.out = H
-        self.det = 0.0
-        self.started = False
-
-    def step(self, x: float) -> int:
-        if x < self.floor:
-            x = self.floor
-        d = self.ref_out + self.k * math.log10(x / self.ref_in)
-        if not self.started:
-            self.ref = d
-            self.started = True
-        r = self.ref + self.alpha * (d - self.ref)
-        if d > r + self.half_h:
-            o = H
-        elif d < r - self.half_h:
-            o = L
-        else:
-            o = self.out
-        self.ref = r
-        self.out = o
-        self.det = d
-        return o
-
-    @property
-    def margin(self) -> float:
-        return abs(self.det - self.ref)
-
-
 @dataclass(frozen=True)
 class LinkMetrics:
     """Outcome of one scenario run."""
@@ -415,29 +377,6 @@ def _check_run_settings(clock_hz: float, sim_rate: float | None, noise_rms: floa
         raise TopologyError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-class _NodeGroup:
-    """Nodes whose demodulators see identical input: one stream per line.
-
-    ``demods`` holds the (scl, sda) streams, ``slaves`` the slave engines of
-    ``members`` in node order, and ``trace`` the per-sample det/ref/out
-    lists of each line when traces are captured.
-    """
-
-    __slots__ = ("members", "demods", "slaves", "trace")
-
-    def __init__(self, members: tuple[int, ...], demods: tuple[_DemodState, _DemodState], slaves: list):
-        self.members = members
-        self.demods = demods
-        self.slaves = slaves
-        self.trace = tuple(([], [], []) for _ in LINES)
-
-    def record(self) -> None:
-        for dm, (dets, refs, outs) in zip(self.demods, self.trace):
-            dets.append(dm.det)
-            refs.append(dm.ref)
-            outs.append(dm.out)
-
-
 def run_scenario(
     topology: BusTopology,
     transactions: Sequence[Transaction],
@@ -450,19 +389,24 @@ def run_scenario(
     hysteresis: float = 0.010,
     trace_sink: dict | None = None,
 ) -> tuple[LinkMetrics, list[Transaction]]:
-    """Run an I2C script over the analog link, sample by sample.
+    """Run an I2C script over the analog link, in blocks of samples.
 
     Slaves demodulate their line voltages and react through the same
     engines as the ideal bus; the master samples its demodulated SDA at
     quarter-bit midpoints.  Every node sees the same carrier amplitude, so
-    each distinct demodulator input is stepped once: without noise one
+    each distinct demodulator input is one stream: without noise one
     stream per line fans out to every node, with noise each node-line is
-    its own stream.  Slave callbacks fire only when a stream's output
-    changes, and the amplitude lookup is redone only after the drives can
-    have changed.  Deterministic for a fixed seed.  Returns the metrics and
-    the decoded transactions; pass a dict as ``trace_sink`` to capture
-    per-sample detector/reference traces for every node.
+    its own stream.  The line amplitudes hold between drive changes, so
+    ``kernels.block_stepper()`` advances all streams at once to the end of
+    the quarter or the first sample where an output changes; Python then
+    fires the slave callbacks in node order and rebuilds the drives only
+    after a callback or when the master's intents change.  Deterministic
+    for a fixed seed, and the same on both kernel backends.  Returns the
+    metrics and the decoded transactions; pass a dict as ``trace_sink`` to
+    capture per-sample detector/reference traces for every node.
     """
+    from . import kernels  # on use, so loading a scenario does not import the kernel modules
+
     _check_run_settings(clock_hz, sim_rate, noise_rms, seed)
     if sim_rate is None:
         sim_rate = 64.0 * clock_hz
@@ -476,6 +420,9 @@ def run_scenario(
     for line in LINES:
         topology.line_carrier(line)
         check_carrier_separation(clock_hz, topology.line_carrier(line).frequency)
+    det = detector if detector is not None else DetectorParams()
+    if not det.floor_volts > 0:
+        raise TopologyError(f"detector floor must be > 0 V, got {det.floor_volts!r}")
 
     nodes = topology.nodes
     n_nodes = len(nodes)
@@ -485,106 +432,116 @@ def run_scenario(
         SlaveEngine(copy.deepcopy(n.slave)) if n.slave is not None else None for n in nodes
     ]
 
-    det = detector if detector is not None else DetectorParams()
-    alpha = SlicerParams(lpf_time_constant=slicer_tau_bits / clock_hz).alpha(sim_rate)
-
     n_alloc = master.quarters_upper_bound() * spq
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_rms, size=(n_alloc, 2, n_nodes)) if noise_rms > 0 else None
 
-    # Same input, same state, same floats: without noise one group holds
-    # every node, with noise each node reads its own noise column.
-    members_of = [tuple(range(n_nodes))] if noise is None else [(ni,) for ni in range(n_nodes)]
-    groups = [
-        _NodeGroup(
-            members,
-            tuple(_DemodState(det, alpha, hysteresis) for _ in LINES),
-            [engines[ni] for ni in members if engines[ni] is not None],
-        )
-        for members in members_of
-    ]
-    master_group = next(g for g in groups if mi in g.members)
+    # Same input, same state, same floats: without noise one group of streams
+    # serves every node, with noise each node reads its own noise column.
+    # Stream li * n_groups + g is line li of group g, so a noise row
+    # (line, node) flattens onto the streams.
+    members_of = [range(n_nodes)] if noise is None else [(ni,) for ni in range(n_nodes)]
+    group_slaves = [[engines[ni] for ni in members if engines[ni] is not None] for members in members_of]
+    n_groups = len(members_of)
+    fan_out = n_nodes // n_groups
+    master_group = 0 if noise is None else mi
+    # the master drives from its intents, every other node from its slave engine
+    scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
+    sda_sources = [None if i == mi else e for i, e in enumerate(engines)]
+    tracing = trace_sink is not None
+    ctx = kernels.BlockContext(
+        2 * n_groups,
+        floor=det.floor_volts,
+        ref_in=det.ref_in,
+        ref_out=det.ref_out,
+        k=det.slope * 20.0,
+        alpha=SlicerParams(lpf_time_constant=slicer_tau_bits / clock_hz).alpha(sim_rate),
+        hysteresis=hysteresis,
+        samples_per_quarter=spq,
+        noise=None if noise is None else noise.reshape(n_alloc, 2 * n_nodes),
+        trace_samples=n_alloc if tracing else 0,
+    )
+    step = kernels.block_stepper()
+    amp, out_arr = ctx.amp, ctx.out
+    outs = out_arr.tolist()
 
     table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
 
-    bit_errors = {line: 0 for line in LINES}
-    bits_checked = {line: 0 for line in LINES}
-    eye = {line: math.inf for line in LINES}
-    seen_low = {line: False for line in LINES}
+    bit_errors = [0, 0]
+    bits_checked = [0, 0]
+    eye = [math.inf, math.inf]
+    seen_low = [False, False]
     mid = spq // 2
     isample = 0
-
-    tracing = trace_sink is not None
-    time_s: list[float] = []
-    wire_trace: tuple[list[int], list[int]] = ([], [])
+    wire_trace = np.zeros((2, n_alloc if tracing else 0), dtype=np.int64)
 
     gen = master.generator()
     intents = next(gen)
+    last_intents = last_amps = None
+    stale = True
     while True:
-        scl_i, sda_i = intents
+        if isample + spq > n_alloc:  # every block of this quarter must fit the buffers
+            raise ProtocolError(
+                f"run outgrew its {n_alloc}-sample budget at sample {isample}: "
+                "MasterEngine.quarters_upper_bound undercounts the script"
+            )
+        if intents != last_intents:
+            scl_i, sda_i = last_intents = intents
+            stale = True
         master_mid_obs = (H, H)
-        noise_rows = noise[isample:isample + spq].tolist() if noise is not None else None
-        stale = True  # the master's intents changed at the quarter boundary
-        for si in range(spq):
+        si = 0
+        while si < spq:
             if stale:
+                sda = [e.sda_drive if e else False for e in sda_sources]
+                sda[mi] = sda_i == L
                 # tuple(list), not tuple(genexpr): the latter shrinks an oversized
                 # tuple and strands the freed ones on CPython's free list (~0.2 MB)
-                scl_drives = tuple([(scl_i == L) if i == mi else False for i in range(n_nodes)])
-                sda_drives = tuple([
-                    (sda_i == L) if i == mi else (engines[i].sda_drive if engines[i] else False)
-                    for i in range(n_nodes)
-                ])
-                amps = table(scl_drives, sda_drives)
-                a_scl, a_sda = amps[jscl], amps[jsda]
-                wire = (L if any(scl_drives) else H, L if any(sda_drives) else H)
-                for li, line in enumerate(LINES):
-                    if wire[li] == L:
-                        seen_low[line] = True
+                amps = table(scl_drives[scl_i], tuple(sda))
+                if amps is not last_amps:
+                    amp[:n_groups] = amps[jscl]
+                    amp[n_groups:] = amps[jsda]
+                    last_amps = amps
+                wire = (L if scl_i == L else H, L if True in sda else H)
+                seen_low[0] = seen_low[0] or wire[0] == L
+                seen_low[1] = seen_low[1] or wire[1] == L
                 stale = False
-            for g in groups:
-                dm_scl, dm_sda = g.demods
-                prev_scl, prev_sda = dm_scl.out, dm_sda.out
-                if noise_rows is None:
-                    d_scl = dm_scl.step(a_scl)
-                    d_sda = dm_sda.step(a_sda)
-                else:
-                    row, ni = noise_rows[si], g.members[0]
-                    d_scl = dm_scl.step(a_scl + row[0][ni])
-                    d_sda = dm_sda.step(a_sda + row[1][ni])
-                if d_scl != prev_scl:
-                    for eng in g.slaves:
-                        if d_scl == H:
-                            eng.on_scl_rise(d_sda)
-                        else:
-                            eng.on_scl_fall()
-                    stale = True
-                elif d_sda != prev_sda:
-                    for eng in g.slaves:
-                        eng.on_sda_edge(d_sda, d_scl)
-                    stale = True
+            ctx.isample = isample
+            ctx.start = si
+            n = step(ctx)
             if tracing:
-                time_s.append(isample / sim_rate)
-                wire_trace[0].append(wire[0])
-                wire_trace[1].append(wire[1])
-                for g in groups:
-                    g.record()
-            if si == mid:
-                master_mid_obs = (master_group.demods[0].out, master_group.demods[1].out)
-                for li, line in enumerate(LINES):
-                    if not seen_low[line]:
+                wire_trace[:, isample:isample + n] = np.array(wire)[:, None]
+            if si <= mid < si + n:
+                mid_out = ctx.mid_out.tolist()
+                master_mid_obs = (mid_out[master_group], mid_out[n_groups + master_group])
+                margins = ctx.mid_margin.tolist()
+                for li in (0, 1):
+                    if not seen_low[li]:
                         continue
-                    for g in groups:
-                        dm = g.demods[li]
-                        fan_out = len(g.members)
-                        bits_checked[line] += fan_out
-                        if dm.out != wire[li]:
-                            bit_errors[line] += fan_out
-                        m = dm.margin
-                        if m < eye[line]:
-                            eye[line] = m
-            isample += 1
+                    lo, hi = li * n_groups, (li + 1) * n_groups
+                    bits_checked[li] += n_nodes
+                    bit_errors[li] += fan_out * (n_groups - mid_out[lo:hi].count(wire[li]))
+                    for m in margins[lo:hi]:
+                        if m < eye[li]:
+                            eye[li] = m
+            si += n
+            isample += n
+            new = out_arr.tolist()
+            if new != outs:
+                for g, slaves in enumerate(group_slaves):
+                    d_scl, d_sda = new[g], new[n_groups + g]
+                    if d_scl != outs[g]:
+                        for eng in slaves:
+                            if d_scl == H:
+                                eng.on_scl_rise(d_sda)
+                            else:
+                                eng.on_scl_fall()
+                    elif d_sda != outs[n_groups + g]:
+                        for eng in slaves:
+                            eng.on_sda_edge(d_sda, d_scl)
+                outs = new
+                stale = True
         try:
             intents = gen.send(master_mid_obs)
         except StopIteration:
@@ -597,20 +554,28 @@ def run_scenario(
         depth[line] = 20.0 * math.log10(hi / lo) if lo > 0 else math.inf
 
     if tracing:
-        trace: dict[str, list] = {"time_s": time_s, "wire_scl": wire_trace[0], "wire_sda": wire_trace[1]}
-        group_of = {ni: g for g in groups for ni in g.members}
+        trace: dict[str, np.ndarray] = {
+            "time_s": np.arange(isample, dtype=np.float64) / sim_rate,
+            "wire_scl": wire_trace[0, :isample].copy(),
+            "wire_sda": wire_trace[1, :isample].copy(),
+        }
+        columns = (
+            ("det", ctx.trace_det, np.float64),
+            ("ref", ctx.trace_ref, np.float64),
+            ("out", ctx.trace_out, np.int64),
+        )
         for ni, node in enumerate(nodes):
-            for line, (dets, refs, outs) in zip(LINES, group_of[ni].trace):
-                trace[f"det_{node.name}_{line}"] = dets
-                trace[f"ref_{node.name}_{line}"] = refs
-                trace[f"out_{node.name}_{line}"] = outs
-        trace_sink.update({k: np.asarray(v) for k, v in trace.items()})
+            g = 0 if noise is None else ni
+            for li, line in enumerate(LINES):
+                for prefix, arr, dtype in columns:
+                    trace[f"{prefix}_{node.name}_{line}"] = arr[:isample, li * n_groups + g].astype(dtype)
+        trace_sink.update(trace)
 
     results = master.results
     metrics = LinkMetrics(
-        bit_errors=bit_errors,
-        bits_checked=bits_checked,
-        eye_margin_v={k: (v if math.isfinite(v) else 0.0) for k, v in eye.items()},
+        bit_errors=dict(zip(LINES, bit_errors)),
+        bits_checked=dict(zip(LINES, bits_checked)),
+        eye_margin_v={line: (v if math.isfinite(v) else 0.0) for line, v in zip(LINES, eye)},
         depth_db=depth,
         transactions_attempted=len(transactions),
         transactions_completed=sum(1 for t in results if t.completed),

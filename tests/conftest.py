@@ -1,8 +1,38 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from fdmlink import _kernels_py, kernels
 from fdmlink.loss import LossModel
 from fdmlink.synthesis import FilterSpec, synthesize
+
+
+def pytest_report_header(config):
+    """Name the block stepper the simulator tests run on by default."""
+    name = kernels.backend_name()
+    detail = kernels.backend_detail().splitlines()
+    return f"fdmlink block stepper: {name} ({detail[0] if detail else ''})"
+
+
+def load_stepper(backend: str):
+    """The ``step_block`` of ``backend``; skips "c" only when no ``cc`` is on PATH.
+
+    A C build that fails with ``cc`` present raises, so the test fails.
+    """
+    if backend == "python":
+        return _kernels_py.step_block
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    return kernels.load_c()[0]
+
+
+@pytest.fixture
+def stepper(request, monkeypatch):
+    """Run the test with ``run_scenario`` on one block stepper: "c" or "python"."""
+    fn = load_stepper(request.param)
+    monkeypatch.setattr(kernels, "block_stepper", lambda: fn)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 The files under ``tests/data/`` were written by the simulator before its
 sample loop was restructured; a change that is meant only to make the loop
-faster must reproduce them exactly.  Re-record them only when the link's
-outputs are meant to change::
+faster must reproduce them exactly, on the C block stepper and on the
+Python one.  Re-record them only when the link's outputs are meant to
+change::
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -46,12 +47,18 @@ def _trace_csv_sha256(tmp_dir: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name,seed,noise_rms", RUNS, ids=[r[0] for r in RUNS])
-def test_demo_metrics_match_golden(name, seed, noise_rms):
+# the C cases keep the plain run names as ids, so existing test ids stay stable
+CASES = [(*run, "c") for run in RUNS] + [(*run, "python") for run in RUNS]
+CASE_IDS = [name for name, *_ in RUNS] + [f"{name}-python" for name, *_ in RUNS]
+
+
+@pytest.mark.parametrize("name,seed,noise_rms,stepper", CASES, ids=CASE_IDS, indirect=["stepper"])
+def test_demo_metrics_match_golden(name, seed, noise_rms, stepper):
     assert _metrics_json(seed, noise_rms) == (DATA / name).read_text()
 
 
-def test_demo_trace_csv_matches_golden(tmp_path):
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_demo_trace_csv_matches_golden(tmp_path, stepper):
     assert _trace_csv_sha256(tmp_path) == TRACE_DIGEST.read_text().strip()
 
 

@@ -1,13 +1,27 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fdmlink
 from fdmlink import _kernels_py, kernels
+
+from .conftest import load_stepper
+
+PACKAGE = Path(fdmlink.__file__).resolve().parent
 
 
 def test_backend_name():
-    assert kernels.backend_name() == "python"
+    assert kernels.backend_name() == ("python" if shutil.which("cc") is None else "c")
+    assert kernels.backend_detail()
     assert kernels.slicer_loop is _kernels_py.slicer_loop
     assert kernels.demod_loop is _kernels_py.demod_loop
 
@@ -50,3 +64,197 @@ def test_demod_no_spike_reduces_to_detect_plus_slicer():
     lv_s, rf_s = _kernels_py.slicer_loop(det_direct, 0.02, 0.01, 1.0, 1)
     assert np.array_equal(lv_d, lv_s)
     assert rf_d == pytest.approx(rf_s, rel=1e-12)
+
+
+# -- the block stepper: C against the Python reference --
+
+# below the floor, zero, subnormal, huge, and ordinary levels
+AMPLITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e300]),
+    st.floats(1e-9, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_streams=st.integers(1, 40),
+    spq=st.integers(1, 20),
+    noisy=st.booleans(),
+    noise_rms=st.sampled_from([1e-6, 1e-3, 0.3]),
+    traced=st.booleans(),
+    floor=st.sampled_from([1e-12, 1e-5, 1e-3, 0.05]),
+    ref_in=st.floats(1e-3, 1e3),
+    ref_out=st.floats(-10.0, 10.0),
+    k=st.floats(0.01, 2.0),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    hysteresis=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+    amps=st.lists(st.lists(AMPLITUDES, min_size=1, max_size=4), min_size=1, max_size=12),
+)
+@example(
+    n_streams=2, spq=16, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5, ref_in=0.01,
+    ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0, amps=[[0.3, 0.03, 0.3]],
+)
+def test_c_step_block_matches_python_bit_for_bit(
+    n_streams, spq, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha, hysteresis,
+    seed, amps,
+):
+    """Same return values, state, midpoint arrays and traces, compared as bytes.
+
+    ``amps`` holds the amplitude levels set between blocks, as ``run_scenario`` does;
+    the streams take them in turn, so streams differ and some flip first.
+    """
+    c_step = load_stepper("c")
+    rng = np.random.default_rng(seed)
+    n_alloc = spq * (len(amps) + 2)
+    noise = rng.normal(0.0, noise_rms, size=(n_alloc, n_streams)) if noisy else None
+    params = dict(floor=floor, ref_in=ref_in, ref_out=ref_out, k=k, alpha=alpha,
+                  hysteresis=hysteresis, samples_per_quarter=spq)
+    trace_samples = n_alloc if traced else 0
+    c_ctx, py_ctx = (
+        kernels.BlockContext(n_streams, noise=noise, trace_samples=trace_samples, **params)
+        for _ in range(2)
+    )
+    isample = 0
+    for levels in amps + [amps[-1]]:  # one quarter per entry, level changes between blocks
+        si = 0
+        while si < spq:
+            level = [levels[(s + isample) % len(levels)] for s in range(n_streams)]
+            for ctx in (c_ctx, py_ctx):
+                ctx.amp[:] = level
+                ctx.isample, ctx.start = isample, si
+            n = c_step(c_ctx)
+            assert n == _kernels_py.step_block(py_ctx)
+            assert 1 <= n <= spq - si
+            assert c_ctx.started == py_ctx.started == 1
+            for name in ("ref", "det", "out", "mid_out", "mid_margin"):
+                assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
+            si += n
+            isample += n
+    if traced:
+        for name in ("trace_det", "trace_ref", "trace_out"):
+            assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
+
+
+def test_step_block_ends_at_the_first_output_change():
+    # the streams step down together; the 20 dB drop flips them all at once
+    ctx = kernels.BlockContext(4, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
+                               hysteresis=0.01, samples_per_quarter=16)
+    ctx.amp[:] = 0.3
+    ctx.isample, ctx.start = 0, 0
+    assert _kernels_py.step_block(ctx) == 16  # settles high, no change
+    ctx.amp[:] = 0.03
+    ctx.isample, ctx.start = 16, 0
+    assert _kernels_py.step_block(ctx) == 1
+    assert ctx.out.tolist() == [0, 0, 0, 0]
+    assert ctx.mid_out.tolist() == [1, 1, 1, 1]  # from the first quarter
+    ctx.start = 16
+    assert _kernels_py.step_block(ctx) == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(floor=0.0), dict(ref_in=0.0), dict(floor=1e-300, ref_in=1e300), dict(hysteresis=-0.01),
+     dict(hysteresis=math.nan)],
+    ids=["floor_zero", "ref_in_zero", "floor_over_ref_in_underflows", "negative_hysteresis",
+         "nan_hysteresis"],
+)
+def test_block_context_rejects_params_the_kernels_would_disagree_on(kwargs):
+    params = dict(floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01, hysteresis=0.01,
+                  samples_per_quarter=16)
+    with pytest.raises(ValueError):
+        kernels.BlockContext(2, **{**params, **kwargs})
+
+
+def test_block_context_rejects_misshapen_noise():
+    with pytest.raises(ValueError, match="noise"):
+        kernels.BlockContext(3, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
+                             hysteresis=0.01, samples_per_quarter=16, noise=np.zeros((10, 2)))
+
+
+# -- building and loading the C kernel --
+
+
+def _copy_package(tmp_path: Path) -> Path:
+    """A copy of the package with an empty kernel cache; returns its source root."""
+    root = tmp_path / "src"
+    shutil.copytree(PACKAGE, root / "fdmlink", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    return root
+
+
+def _run(code: str, root: Path, tmp_path: Path, **env) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root), XDG_CACHE_HOME=str(tmp_path / "cache"), **env)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+def _kernel_files(root: Path, tmp_path: Path) -> list[Path]:
+    dirs = (root / "fdmlink" / "__pycache__", tmp_path / "cache" / "fdmlink")
+    return [p for d in dirs if d.is_dir() for p in d.iterdir() if p.name.startswith("_blockkernel")]
+
+
+def test_design_and_import_neither_build_nor_load_the_kernel(tmp_path):
+    # `fdmlink design` imports fdmlink.simulate; criterion 01's cold-start gate
+    # must not pay for a compile
+    root = _copy_package(tmp_path)
+    spec = root / "fdmlink" / "data" / "filter_a.yaml"
+    r = _run(f"""
+        import json
+        from fdmlink.cli import main
+        main(["design", {str(spec)!r}, "--format", "json"], standalone_mode=False)
+        import fdmlink.simulate
+        from fdmlink import kernels
+        print(json.dumps(kernels._stepper is None))
+    """, root, tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "true"
+    assert _kernel_files(root, tmp_path) == []
+
+
+def test_first_run_builds_the_kernel_into_the_package_cache(tmp_path):
+    load_stepper("c")  # skips without cc
+    root = _copy_package(tmp_path)
+    r = _run("""
+        from fdmlink import kernels
+        from fdmlink.simulate import load_scenario
+        from importlib.resources import files
+        metrics, _ = load_scenario(str(files("fdmlink") / "data" / "demo_scenario.yaml")).run()
+        print(kernels.backend_name(), metrics.transactions_completed)
+    """, root, tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["c", "16"]
+    built = _kernel_files(root, tmp_path)
+    assert [p.parent for p in built] == [root / "fdmlink" / "__pycache__"]
+    assert built[0].suffix == ".so"  # no temporary file left behind
+
+
+def test_world_writable_cache_is_skipped(tmp_path):
+    load_stepper("c")
+    root = _copy_package(tmp_path)
+    pycache = root / "fdmlink" / "__pycache__"
+    pycache.mkdir()
+    pycache.chmod(0o777)
+    r = _run("from fdmlink import kernels; print(kernels.backend_name())", root, tmp_path,
+             PYTHONDONTWRITEBYTECODE="1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["c"]
+    assert [p.parent for p in _kernel_files(root, tmp_path)] == [tmp_path / "cache" / "fdmlink"]
+
+
+def test_without_a_compiler_the_python_stepper_runs(tmp_path):
+    root = _copy_package(tmp_path)
+    empty = tmp_path / "no_tools"
+    empty.mkdir()
+    r = _run("""
+        from fdmlink import kernels
+        from fdmlink.simulate import load_scenario
+        from importlib.resources import files
+        metrics, _ = load_scenario(str(files("fdmlink") / "data" / "demo_scenario.yaml")).run()
+        print(kernels.backend_name(), metrics.transactions_completed)
+        print(kernels.backend_detail())
+    """, root, tmp_path, PATH=str(empty))
+    assert r.returncode == 0, r.stderr
+    first, detail = r.stdout.splitlines()
+    assert first.split() == ["python", "16"]
+    assert "cc" in detail
+    assert _kernel_files(root, tmp_path) == []

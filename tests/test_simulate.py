@@ -6,9 +6,11 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from fdmlink import kernels
 from fdmlink.analysis import modulation_ratio
 from fdmlink.elements import POLE, inductor, resistor
-from fdmlink.protocol import Transaction
+from fdmlink.modem import DetectorParams
+from fdmlink.protocol import QUARTERS_PER_BIT, MasterEngine, ProtocolError, Transaction
 from fdmlink.simulate import (
     BusTopology,
     CarrierSpec,
@@ -366,9 +368,10 @@ def test_load_scenario_rejects_bad_run_settings(tmp_path, edit, match):
         ({"seed": 1.5}, "seed"),
         ({"noise_rms": -1e-3}, "noise_rms"),
         ({"noise_rms": math.nan}, "noise_rms"),
+        ({"detector": DetectorParams(floor=0.0)}, "detector floor"),
     ],
     ids=["zero_clock", "nan_clock", "negative_sim_rate", "negative_seed", "float_seed",
-         "negative_noise", "nan_noise"],
+         "negative_noise", "nan_noise", "zero_detector_floor"],
 )
 def test_run_scenario_rejects_bad_run_settings(demo, kwargs, match):
     args = {"clock_hz": demo.clock_hz, **kwargs}
@@ -445,3 +448,45 @@ def test_amplitude_table_equals_bus_amplitude_with_overrides():
     _assert_table_matches_bus_amplitude(
         BusTopology(carriers=topo.carriers + (sda,), nodes=topo.nodes, dc_feed=inductor(47e-6))
     )
+
+
+# -- block stepping --
+
+
+def _output_change_samples(sink) -> int:
+    """Samples at which any node's slicer output changes; outputs start high."""
+    outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
+    prev = np.concatenate([np.ones((len(outs), 1), dtype=outs.dtype), outs[:, :-1]], axis=1)
+    return int(np.count_nonzero((outs != prev).any(axis=0)))
+
+
+def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
+    from .conftest import load_stepper
+
+    counts = {}
+    for backend in ("c", "python"):
+        fn = load_stepper(backend)
+        calls = []
+
+        def counting(ctx, fn=fn):
+            calls.append(None)
+            return fn(ctx)
+
+        monkeypatch.setattr(kernels, "block_stepper", lambda counting=counting: counting)
+        sink: dict = {}
+        m, _ = demo.run(trace_sink=sink)
+        counts[backend] = len(calls)
+    quarters = m.n_samples // round(m.sim_rate / (QUARTERS_PER_BIT * m.clock_hz))
+    assert counts["c"] == counts["python"]
+    assert counts["c"] <= quarters + _output_change_samples(sink)
+    assert m.n_samples == 26_496
+    assert counts["c"] < m.n_samples / 5
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_undercounted_sample_budget_raises_protocol_error(demo, monkeypatch, stepper):
+    # the noise and trace buffers hold quarters_upper_bound() quarters; a run
+    # that outgrows them stops with a message instead of reading past the end
+    monkeypatch.setattr(MasterEngine, "quarters_upper_bound", lambda self: 40)
+    with pytest.raises(ProtocolError, match="sample budget"):
+        demo.run(seed=1, noise_rms=10e-6, trace_sink={})
