@@ -3,6 +3,9 @@
  * Same recurrence and the same floating-point operations, in the same
  * order, as _kernels_py.step_block, which documents the contract; build
  * with -ffp-contract=off and without -ffast-math so every double matches.
+ * Without noise the input is constant over the block, so each stream's
+ * detector value is computed once into det[] before the loop, as
+ * _kernels_py._step_constant does; an empty block leaves det[] as it was.
  * The struct layout mirrors _kernels_py.BlockContext._fields_.
  */
 #include <math.h>
@@ -31,20 +34,25 @@ int64_t block_ctx_size(void)
     return (int64_t)sizeof(block_ctx);
 }
 
+static double detector(const block_ctx *c, double x)
+{
+    if (x < c->floor)
+        x = c->floor;
+    return c->ref_out + c->k * log10(x / c->ref_in);
+}
+
 int64_t step_block(block_ctx *c)
 {
     const int64_t ns = c->n_streams;
     int64_t j;
+    if (!c->noise && c->start < c->end)
+        for (int64_t s = 0; s < ns; s++)
+            c->det[s] = detector(c, c->amp[s]);
     for (j = c->start; j < c->end; j++) {
         const int64_t row = (c->isample + (j - c->start)) * ns;
         int changed = 0;
         for (int64_t s = 0; s < ns; s++) {
-            double x = c->amp[s];
-            if (c->noise)
-                x = x + c->noise[row + s];
-            if (x < c->floor)
-                x = c->floor;
-            const double d = c->ref_out + c->k * log10(x / c->ref_in);
+            const double d = c->noise ? detector(c, c->amp[s] + c->noise[row + s]) : c->det[s];
             const double r0 = c->started ? c->ref[s] : d;
             const double r = r0 + c->alpha * (d - r0);
             uint8_t o = c->out[s];

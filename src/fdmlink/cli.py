@@ -244,16 +244,25 @@ def budget(zh: str, zl: str, zp: str | None, n_values: tuple[int, ...], min_dept
     click.echo(json.dumps(result.to_dict(), indent=2))
 
 
+_TRACE_CHUNK_ROWS = 1024
+
+
 def _write_traces(path: str, traces: dict) -> None:
     import numpy as np
 
     keys = list(traces)
     cols = [np.asarray(traces[k]) for k in keys]
+    # float64 columns (their values are Python floats) print .9g, int columns str
+    fmts = ["{:.9g}".format if issubclass(c.dtype.type, float) else str for c in cols]
+    n_rows = min((len(c) for c in cols), default=0)
     with open(path, "w") as fh:
         fh.write("# schema_version: 1\n")
         fh.write(",".join(keys) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+        # a column at a time within each chunk of rows, so memory stays bounded
+        for i in range(0, n_rows, _TRACE_CHUNK_ROWS):
+            rows = slice(i, i + _TRACE_CHUNK_ROWS)
+            texts = [list(map(fmt, c[rows].tolist())) for c, fmt in zip(cols, fmts)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _echo_summary(metrics, err: bool) -> None:

@@ -145,6 +145,11 @@ class SlaveEngine:
     ``on_sda_edge(sda, scl)`` on data-line edges; read back ``sda_drive``
     (True = pulling low).  A START inside a byte resets the engine to
     address hunting, a STOP returns it to idle.
+
+    Only ``on_scl_fall`` and ``on_sda_edge`` move ``sda_drive``;
+    ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
+    only while SCL is low.  The link simulator relies on this and skips
+    rebuilding the bus drives after a rising clock.
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)

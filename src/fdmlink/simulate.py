@@ -24,7 +24,7 @@ same run.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import math
 import numbers
@@ -400,10 +400,12 @@ def run_scenario(
     ``kernels.block_stepper()`` advances all streams at once to the end of
     the quarter or the first sample where an output changes; Python then
     fires the slave callbacks in node order and rebuilds the drives only
-    after a callback or when the master's intents change.  Deterministic
-    for a fixed seed, and the same on both kernel backends.  Returns the
-    metrics and the decoded transactions; pass a dict as ``trace_sink`` to
-    capture per-sample detector/reference traces for every node.
+    after an ``on_scl_fall`` or ``on_sda_edge`` callback or when the
+    master's intents change (``on_scl_rise`` never moves a drive).
+    Deterministic for a fixed seed, and the same on both kernel backends.
+    Returns the metrics and the decoded transactions; pass a dict as
+    ``trace_sink`` to capture per-sample detector/reference traces for
+    every node.
     """
     from . import kernels  # on use, so loading a scenario does not import the kernel modules
 
@@ -429,7 +431,10 @@ def run_scenario(
     mi = topology.master_index
     master = MasterEngine(transactions, clock_hz)
     engines: list[SlaveEngine | None] = [
-        SlaveEngine(copy.deepcopy(n.slave)) if n.slave is not None else None for n in nodes
+        None if n.slave is None else SlaveEngine(dataclasses.replace(
+            n.slave, registers=dict(n.slave.registers), widths=dict(n.slave.widths)
+        ))
+        for n in nodes
     ]
 
     n_alloc = master.quarters_upper_bound() * spq
@@ -532,16 +537,19 @@ def run_scenario(
                 for g, slaves in enumerate(group_slaves):
                     d_scl, d_sda = new[g], new[n_groups + g]
                     if d_scl != outs[g]:
-                        for eng in slaves:
-                            if d_scl == H:
+                        if d_scl == H:
+                            # samples SDA only, so the drives stand
+                            for eng in slaves:
                                 eng.on_scl_rise(d_sda)
-                            else:
+                        else:
+                            for eng in slaves:
                                 eng.on_scl_fall()
+                            stale = True
                     elif d_sda != outs[n_groups + g]:
                         for eng in slaves:
                             eng.on_sda_edge(d_sda, d_scl)
+                        stale = True
                 outs = new
-                stale = True
         try:
             intents = gen.send(master_mid_obs)
         except StopIteration:

@@ -206,6 +206,9 @@ class FilterDesign:
     lists the branches that need a DC-block capacitor for the three ports to
     be DC-isolated; DCBs are chosen large enough to be transparent at the
     carriers and are excluded from impedance evaluation.
+
+    A scalar ``input_impedance`` result is remembered per design (``_zin``),
+    which equality and ``repr`` ignore.
     """
 
     spec: FilterSpec
@@ -218,6 +221,7 @@ class FilterDesign:
     exact: dict[str, float]
     snapped: dict[str, float]
     dcb: tuple[str, ...]
+    _zin: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def f_mod(self) -> float:
@@ -272,10 +276,20 @@ class FilterDesign:
         which: str = "exact",
         loss: LossModel = LOSSLESS,
     ):
-        """Bus-side input impedance with the pin in logic state 'H' or 'L'."""
-        tp = self.two_port(which, loss)
-        z_load = loss.load(self.c_total, state).impedance(f)
-        return input_impedance(tp, z_load, f)
+        """Bus-side input impedance with the pin in logic state 'H' or 'L'.
+
+        For a Python float ``f`` the first result is stored and returned
+        again, so a simulator run on an existing design evaluates nothing;
+        array ``f`` is computed every time.
+        """
+        key = (f, state, which, loss) if type(f) is float else None
+        z = self._zin.get(key)
+        if z is None:
+            tp = self.two_port(which, loss)
+            z = input_impedance(tp, loss.load(self.c_total, state).impedance(f), f)
+            if key is not None:
+                self._zin[key] = z
+        return z
 
 
 def _realize(spec: FilterSpec, config: ConfigKind) -> dict[str, float]:

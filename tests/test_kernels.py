@@ -152,6 +152,37 @@ def test_step_block_ends_at_the_first_output_change():
     assert _kernels_py.step_block(ctx) == 0
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["constant", "noisy"])
+def test_empty_block_changes_nothing(backend, noisy):
+    """A block that starts at the quarter end returns 0 and leaves every array as it was."""
+    step = load_stepper(backend)
+    noise = np.full((32, 3), 1e-3) if noisy else None
+    ctx = kernels.BlockContext(3, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
+                               hysteresis=0.01, samples_per_quarter=16, noise=noise)
+    ctx.amp[:] = 0.3
+    ctx.isample, ctx.start = 0, 0
+    assert step(ctx) == 16
+    names = ("ref", "det", "out", "mid_out", "mid_margin")
+    before = {name: getattr(ctx, name).tobytes() for name in names}
+    ctx.amp[:] = 0.03  # a new level that a non-empty block would act on
+    ctx.isample, ctx.start = 16, 16
+    assert step(ctx) == 0
+    assert {name: getattr(ctx, name).tobytes() for name in names} == before
+
+
+def test_block_kernel_compiles_without_warnings(tmp_path):
+    """``_blockkernel.c`` builds under -Wall -Wextra -Werror with the loader's flags."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    r = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", *kernels.CFLAGS,
+         "-o", str(tmp_path / "blockkernel.so"), str(kernels.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=kernels.BUILD_TIMEOUT_S,
+    )
+    assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [dict(floor=0.0), dict(ref_in=0.0), dict(floor=1e-300, ref_in=1e300), dict(hysteresis=-0.01),

@@ -182,21 +182,18 @@ _addr = st.integers(min_value=0x08, max_value=0x77)
 _byte = st.integers(min_value=0, max_value=0xFF)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("write"), _addr, st.lists(_byte, min_size=1, max_size=4)),
-            st.tuples(st.just("read"), _addr, st.integers(min_value=1, max_value=4)),
-        ),
-        min_size=1,
-        max_size=6,
+_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _addr, st.lists(_byte, min_size=1, max_size=4)),
+        st.tuples(st.just("read"), _addr, st.integers(min_value=1, max_value=4)),
     ),
-    st.integers(min_value=0, max_value=2**31 - 1),
+    min_size=1,
+    max_size=6,
 )
-def test_random_programs_decode_byte_exact(program, seed):
-    rng = np.random.default_rng(seed)
-    regs = {k: int(rng.integers(0, 1 << 16)) for k in range(4)}
+
+
+def _slaves_and_transactions(program, regs):
+    """One slave per address the program names, and the program's transactions."""
     slaves = {}
     for _, addr, _ in program:
         if addr not in slaves:
@@ -207,6 +204,15 @@ def test_random_programs_decode_byte_exact(program, seed):
             txs.append(Transaction.write(addr, arg))
         else:
             txs.append(Transaction.read(addr, arg))
+    return slaves, txs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs, st.integers(min_value=0, max_value=2**31 - 1))
+def test_random_programs_decode_byte_exact(program, seed):
+    rng = np.random.default_rng(seed)
+    regs = {k: int(rng.integers(0, 1 << 16)) for k in range(4)}
+    slaves, txs = _slaves_and_transactions(program, regs)
     master = MasterEngine(txs, 400e3)
     run_ideal_bus(master, [SlaveEngine(s) for s in slaves.values()])
     assert len(master.results) == len(txs)
@@ -228,3 +234,34 @@ def test_random_programs_decode_byte_exact(program, seed):
             val = shadow[a].get(pointers[a], 0)
             stream = [(val >> (8 * (w - 1 - (k % w)))) & 0xFF for k in range(t.read_length)]
             assert list(r.payload) == stream
+
+
+class _RiseRecorder(SlaveEngine):
+    """A slave engine that records ``sda_drive`` before and after each ``on_scl_rise``."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.rises = []
+
+    def on_scl_rise(self, sda):
+        before = self.sda_drive
+        super().on_scl_rise(sda)
+        self.rises.append((before, self.sda_drive))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs, st.integers(min_value=0, max_value=2**31 - 1))
+def test_scl_rise_never_moves_sda_drive(program, seed):
+    """The contract ``run_scenario`` relies on to keep its drives after a rising clock."""
+    rng = np.random.default_rng(seed)
+    regs = {k: int(rng.integers(0, 1 << 16)) for k in range(4)}
+    slaves, txs = _slaves_and_transactions(program, regs)
+    # a slave nobody addresses still sees every clock edge
+    decoy = next(a for a in range(0x08, 0x78) if a not in slaves)
+    slaves[decoy] = SlaveModel(address=decoy)
+    engines = [_RiseRecorder(m) for m in slaves.values()]
+    run_ideal_bus(MasterEngine(txs, 400e3), engines)
+    rises = [r for e in engines for r in e.rises]
+    assert all(before == after for before, after in rises)
+    # every addressed slave ACKs its address with SCL high, so some rises see it driving
+    assert any(before for before, _ in rises)

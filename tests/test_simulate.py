@@ -257,6 +257,32 @@ def test_run_scenario_direct_call(demo):
     assert list(decoded[1].payload) == [0x01, 0x90]
 
 
+def test_run_leaves_topology_slave_models_unchanged(demo):
+    slaves = [n.slave for n in demo.topology.nodes if n.slave is not None]
+    before = [(dict(m.registers), m.pointer, dict(m.widths)) for m in slaves]
+    addr = slaves[0].address
+    metrics, decoded = run_scenario(
+        demo.topology,
+        [Transaction.write(addr, [0x06, 0xAB, 0xCD]), Transaction.read(addr, 2)],
+        100e3,
+    )
+    assert metrics.error_free
+    assert list(decoded[1].payload) == [0xAB, 0xCD]  # the run's copy took the write
+    assert [(m.registers, m.pointer, m.widths) for m in slaves] == before
+
+
+@pytest.mark.parametrize("seed,noise_rms", [(0, 0.0), (1, 200e-6)])
+def test_warm_designs_give_the_same_metrics_as_fresh_ones(seed, noise_rms):
+    """Remembered carrier impedances reproduce the metrics JSON byte for byte."""
+    warm = load_scenario(DEMO)
+    warm.run(seed=seed, noise_rms=noise_rms)
+    designs = {id(d): d for n in warm.topology.nodes for d in n.filters.values()}.values()
+    assert all(d._zin for d in designs)
+    fresh, _ = load_scenario(DEMO).run(seed=seed, noise_rms=noise_rms)
+    again, _ = warm.run(seed=seed, noise_rms=noise_rms)
+    assert again.to_json() == fresh.to_json()
+
+
 def test_sim_rate_floor_enforced(demo):
     with pytest.raises(ValueError, match="sim_rate"):
         run_scenario(demo.topology, demo.transactions, 100e3, sim_rate=1e6)

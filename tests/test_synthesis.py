@@ -291,3 +291,17 @@ def test_spec_validation():
 def test_loss_model_rejects_nan(field):
     with pytest.raises(ValueError):
         LossModel(**{field: math.nan})
+
+
+def test_input_impedance_remembers_scalar_frequencies_only(design_a, q40):
+    d = synthesize(design_a.spec)
+    z = d.input_impedance(20e6, "H", which="snapped", loss=q40)
+    assert d.input_impedance(20e6, "H", which="snapped", loss=q40) is z
+    assert list(d._zin) == [(20e6, "H", "snapped", q40)]
+    d.input_impedance(np.array([20e6, 50e6]), "H", which="snapped", loss=q40)
+    d.input_impedance(np.float64(50e6), "L", loss=q40)  # a numpy scalar is not a Python float
+    assert len(d._zin) == 1
+    cold = synthesize(design_a.spec)
+    # equality and repr ignore what a design remembers
+    assert d == cold and repr(d) == repr(cold)
+    assert cold.input_impedance(20e6, "H", which="snapped", loss=q40) == z
