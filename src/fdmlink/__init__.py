@@ -45,6 +45,7 @@ _EXPORTS = {
         "default_xm_inductance",
         "design_from_dict",
         "design_to_dict",
+        "spec_from_dict",
         "synthesize",
         "verify_design",
     ],

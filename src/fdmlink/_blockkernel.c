@@ -1,11 +1,12 @@
 /* Block stepper of run_scenario: log detector, IIR reference and slicer.
  *
- * Same recurrence and the same floating-point operations, in the same
- * order, as _kernels_py.step_block, which documents the contract; build
- * with -ffp-contract=off and without -ffast-math so every double matches.
+ * _kernels_py.step_block documents the contract and is this loop written
+ * in Python, statement for statement: the same recurrence and the same
+ * floating-point operations in the same order.  Build with
+ * -ffp-contract=off and without -ffast-math so every double matches.
  * Without noise the input is constant over the block, so each stream's
- * detector value is computed once into det[] before the loop, as
- * _kernels_py._step_constant does; an empty block leaves det[] as it was.
+ * detector value is computed once into det[] before the loop; with noise
+ * it is computed every sample.  An empty block leaves det[] as it was.
  * The struct layout mirrors _kernels_py.BlockContext._fields_.
  */
 #include <math.h>

@@ -4,9 +4,10 @@ These are the hot kernels of the physical layer: stateful sample-by-sample
 recurrences that cannot be vectorized (each output feeds the next state).
 ``slicer_loop`` and ``demod_loop`` run whole traces for the modem.
 ``step_block`` advances the demodulator streams of ``run_scenario`` one
-block at a time; it is the reference for the C copy in ``_blockkernel.c``
-and the fallback where that cannot be built.  `fdmlink.kernels` picks the
-backend.
+block at a time.  It is the loop of ``step_block`` in ``_blockkernel.c``
+written in Python, statement for statement: the reference the tests hold
+the C kernel to, and the fallback where that cannot be built.
+`fdmlink.kernels` picks the backend.
 """
 
 from __future__ import annotations
@@ -232,111 +233,37 @@ def step_block(ctx: BlockContext) -> int:
     stream's output and |det - ref| in ``mid_out``/``mid_margin``, and with
     traces on it writes every sample's det/ref/out at row isample + j - start.
 
-    The per-sample arithmetic is the C kernel's.  Python runs it in the
-    order that is cheapest for the input: stream by stream when the input
-    is constant, sample by sample when it is noisy.
+    This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
+    every double matches (``math.log10`` is the C library's log10); like it,
+    it computes the detector once per block when there is no noise, and an
+    empty block changes nothing.
     """
-    if ctx.end <= ctx.start:
+    start, isample, n = ctx.start, ctx.isample, ctx.end - ctx.start
+    if n <= 0:
         return 0
-    return _step_constant(ctx) if ctx.noise is None else _step_noisy(ctx)
-
-
-def _step_constant(ctx: BlockContext) -> int:
-    """Constant input: one detector value per stream, streams one at a time.
-
-    A stream stops at its first output change and later streams stop there
-    too, so the block is as long as its earliest change; each stream keeps
-    its references per sample to read back its state at the last sample.
-    """
-    start, isample, alpha, h2 = ctx.start, ctx.isample, ctx.alpha, ctx.half_h
-    n = ctx.end - start
+    alpha, h2 = ctx.alpha, ctx.half_h
     floor, ref_in, ref_out, k = ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k
-    dets = [ref_out + k * math.log10((floor if x < floor else x) / ref_in) for x in ctx.amp.tolist()]
-    started = ctx.started
-    outs = ctx.out.tolist()
-    refs = []
-    flips: list[int] = []  # streams whose output changes at the block's last sample
-    for s, (d, r) in enumerate(zip(dets, ctx.ref.tolist() if started else dets)):
-        rs = []
-        refs.append(rs)
-        # one loop per output level, so each sample makes one comparison
-        if outs[s]:
-            for _ in range(n):
-                r += alpha * (d - r)
-                rs.append(r)
-                if d < r - h2:
-                    break
-            else:
-                continue
-        else:
-            for _ in range(n):
-                r += alpha * (d - r)
-                rs.append(r)
-                if d > r + h2:
-                    break
-            else:
-                continue
-        if len(rs) < n:
-            n = len(rs)
-            flips = []
-        flips.append(s)
-    last = n - 1
-    m = ctx.mid - start
-    if 0 <= m < n:
-        ctx.mid_out[:] = outs if m < last or not flips else [o ^ (s in flips) for s, o in enumerate(outs)]
-        ctx.mid_margin[:] = [abs(d - rs[m]) for d, rs in zip(dets, refs)]
-    if ctx.trace_det is not None:
-        rows = slice(isample, isample + n)
-        ctx.trace_det[rows] = dets
-        ctx.trace_ref[rows] = np.array([rs[:n] for rs in refs]).T
-        ctx.trace_out[rows] = outs
-    for s in flips:
-        outs[s] ^= 1
-        if ctx.trace_out is not None:
-            ctx.trace_out[isample + last, s] = outs[s]
-    ctx.ref[:] = [rs[last] for rs in refs]
-    ctx.det[:] = dets
-    if flips:
-        ctx.out[:] = outs
-    if not started:
-        ctx.started = 1
-    return n
+    log10 = math.log10
 
+    def detector(xs: list[float]) -> list[float]:
+        return [ref_out + k * log10((floor if x < floor else x) / ref_in) for x in xs]
 
-def _detector_rows(ctx: BlockContext, i0: int, i1: int) -> list[list[float]]:
-    """Detector values of every stream for noise rows i0..i1-1, one list per row.
-
-    ``np.maximum`` with floor > 0 clamps as the C comparison does (NaN
-    stays NaN); ``math.log10`` is the C library's log10, and the other
-    operations are elementwise IEEE arithmetic, so every double matches.
-    """
-    y = np.maximum(ctx.amp + ctx.noise[i0:i1], ctx.floor) / ctx.ref_in
-    logs = np.fromiter(map(math.log10, y.ravel().tolist()), float, y.size)
-    return (ctx.ref_out + ctx.k * logs).reshape(y.shape).tolist()
-
-
-def _step_noisy(ctx: BlockContext) -> int:
-    """Noisy input: sample by sample, every stream at once."""
-    start, isample, alpha, h2 = ctx.start, ctx.isample, ctx.alpha, ctx.half_h
-    n = ctx.end - start
-
-    def rows():
-        # a new amplitude flips outputs at the block's first sample, if at
-        # all, so that sample's detector values come first, the rest lazily
-        yield from _detector_rows(ctx, isample, isample + 1)
-        yield from _detector_rows(ctx, isample + 1, isample + n)
-
+    if ctx.noise is None:
+        rows = [detector(ctx.amp.tolist())] * n
+    else:
+        rows = map(detector, (ctx.amp + ctx.noise[isample:isample + n]).tolist())
     ref = ctx.ref.tolist() if ctx.started else None
     out = ctx.out.tolist()
     m = ctx.mid - start
     tracing = ctx.trace_det is not None
-    trace: list[tuple[list, list, list]] = []
-    j = 0
-    for ds in rows():
+    trace_det: list[float] = []
+    trace_ref: list[float] = []
+    trace_out: list[int] = []
+    for j, det in enumerate(rows):
         if ref is None:  # the run's first sample starts every reference at its input
-            ref = ds[:]
+            ref = det[:]
         changed = False
-        for s, d in enumerate(ds):
+        for s, d in enumerate(det):
             r = ref[s]
             r += alpha * (d - r)
             ref[s] = r
@@ -348,20 +275,22 @@ def _step_noisy(ctx: BlockContext) -> int:
                 out[s] = 1
                 changed = True
         if tracing:
-            trace.append((ds, ref[:], out[:]))
+            trace_det += det
+            trace_ref += ref
+            trace_out += out
         if j == m:
             ctx.mid_out[:] = out
-            ctx.mid_margin[:] = [abs(d - r) for d, r in zip(ds, ref)]
-        j += 1
+            ctx.mid_margin[:] = [abs(d - r) for d, r in zip(det, ref)]
         if changed:
             break
+    n = j + 1
     if tracing:
-        rows_ = slice(isample, isample + j)
-        for col, arr in enumerate((ctx.trace_det, ctx.trace_ref, ctx.trace_out)):
-            arr[rows_] = [t[col] for t in trace]
+        block = slice(isample, isample + n)
+        ctx.trace_det[block].flat = trace_det
+        ctx.trace_ref[block].flat = trace_ref
+        ctx.trace_out[block].flat = trace_out
     ctx.ref[:] = ref
-    ctx.det[:] = ds
-    if changed:
-        ctx.out[:] = out
+    ctx.det[:] = det
+    ctx.out[:] = out
     ctx.started = 1
-    return j
+    return n

@@ -92,12 +92,12 @@ def _report_dict(r) -> dict:
 def _spec_from_file(path: str):
     import yaml
 
-    from .simulate import _filter_from_dict
+    from .synthesis import spec_from_dict
 
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise click.UsageError(f"{path}: spec must be a mapping")
-    return _filter_from_dict(raw, raw.get("eseries", "E12"))
+    return spec_from_dict(raw, raw.get("eseries", "E12"))
 
 
 @click.group()

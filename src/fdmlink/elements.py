@@ -116,7 +116,12 @@ def _element_z(e: ReactiveElement, farr: np.ndarray) -> np.ndarray:
     elif e.kind == "inductor":
         z = e.loss + 1j * w * e.value
     elif e.kind == "capacitor":
-        z = -1j / (w * e.value)
+        try:
+            z = -1j / (w * e.value)
+        except ZeroDivisionError:  # a scalar w*C that underflows to 0; an array gives NaN
+            raise DegenerateNetworkError(
+                "capacitor impedance is indeterminate: w*C underflows to 0"
+            ) from None
         if e.loss > 0.0:
             z = z * e.loss / (z + e.loss)
     elif e.kind == "short":

@@ -3,15 +3,16 @@
 ``slicer_loop`` and ``demod_loop`` are the numpy/Python ones in
 ``_kernels_py``.  ``run_scenario`` advances its demodulator streams through
 ``block_stepper()``: the C ``step_block`` in ``_blockkernel.c`` where the
-system ``cc`` can build it, else ``_kernels_py.step_block``, which gives the
-same doubles bit for bit.  Both compute a stream's detector value once per
-block when there is no noise, since the input is then constant over the
-block; with noise they compute it every sample.  Nothing is compiled or
-loaded at import; the first ``block_stepper()`` call compiles the source
-once into a cache keyed by its hash (the package's ``__pycache__``, else
-``$XDG_CACHE_HOME/fdmlink`` or ``~/.cache/fdmlink``) and loads it through
-ctypes.  Any build or load failure falls back to Python;
-``backend_name()`` and ``backend_detail()`` say which backend runs and why.
+system ``cc`` can build it, else ``_kernels_py.step_block``, the same loop
+written in Python, which gives the same doubles bit for bit.  Both compute
+a stream's detector value once per block when there is no noise, since the
+input is then constant over the block; with noise they compute it every
+sample.  Nothing is compiled or loaded at import; the first
+``block_stepper()`` call compiles the source once into a cache keyed by its
+hash (the package's ``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or
+``~/.cache/fdmlink``) and loads it through ctypes.  Any build or load
+failure falls back to Python; ``backend_name()`` and ``backend_detail()``
+say which backend runs and why.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .elements import Network, capacitor, inductor, resistor, short_circuit
 
-__all__ = ["LossModel", "LOSSLESS"]
+__all__ = ["DEFAULT_Q", "DEFAULT_R_H", "DEFAULT_R_L", "LossModel", "LOSSLESS"]
 
 DEFAULT_R_H = 10e3
 DEFAULT_R_L = 10.0

@@ -55,7 +55,7 @@ from .protocol import (
     Transaction,
     parse_script,
 )
-from .synthesis import FilterDesign, FilterSpec, synthesize
+from .synthesis import FilterDesign, FilterSpec, spec_from_dict, synthesize
 from .units import UnitError, parse_quantity
 
 __all__ = [
@@ -698,24 +698,6 @@ def _network_from_list(items: Sequence[str]) -> Network:
     return series(*[_element_from_text(str(x)) for x in items])
 
 
-def _filter_from_dict(d: Mapping, eseries: str) -> FilterSpec:
-    spec_kwargs: dict = {
-        "f_mod": parse_quantity(str(d["f_mod"]), "Hz"),
-        "f_stop": parse_quantity(str(d["f_stop"]), "Hz"),
-        "c_io": parse_quantity(str(d["c_io"]), "F"),
-        "eseries": d.get("eseries", eseries),
-    }
-    if "shunt_c" in d:
-        spec_kwargs["shunt_c"] = parse_quantity(str(d["shunt_c"]), "F")
-    if "xm" in d:
-        text = str(d["xm"])
-        try:
-            spec_kwargs["xm_inductance"] = parse_quantity(text, "H")
-        except UnitError:
-            spec_kwargs["xm_capacitance"] = parse_quantity(text, "F")
-    return FilterSpec(**spec_kwargs)
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load a YAML scenario: carriers, pull-ups, nodes, script, run settings.
 
@@ -777,7 +759,7 @@ def load_scenario(path: str | Path) -> Scenario:
     dc_feed = _network_from_list(raw["dc_feed"]) if "dc_feed" in raw else None
 
     defaults = {
-        line: _filter_from_dict(cfg, eseries)
+        line: spec_from_dict(cfg, eseries)
         for line, cfg in raw.get("filter_defaults", {}).items()
     }
     design_cache: dict[FilterSpec, FilterDesign] = {}
@@ -791,7 +773,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for ncfg in raw["nodes"]:
         specs = dict(defaults)
         for line, fcfg in ncfg.get("filters", {}).items():
-            specs[line] = _filter_from_dict(fcfg, eseries)
+            specs[line] = spec_from_dict(fcfg, eseries)
         filters = {line: design_for(s) for line, s in specs.items()}
         slave = None
         if ncfg.get("role", "slave") == "slave" and "address" in ncfg:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import eseries
 from .elements import (
@@ -36,8 +37,10 @@ from .elements import (
     t_network,
 )
 from .loss import LOSSLESS, LossModel
+from .units import UnitError, parse_quantity
 
 __all__ = [
+    "DEFAULT_POLE_CAP",
     "ConfigKind",
     "FilterSpec",
     "FilterDesign",
@@ -50,6 +53,7 @@ __all__ = [
     "default_xm_inductance",
     "design_to_dict",
     "design_from_dict",
+    "spec_from_dict",
 ]
 
 DEFAULT_POLE_CAP = 1e9  # finite stand-in for pole-flagged impedances in ratios
@@ -292,18 +296,13 @@ class FilterDesign:
         return z
 
 
-def _realize(spec: FilterSpec, config: ConfigKind) -> dict[str, float]:
+def _realize(
+    spec: FilterSpec, config: ConfigKind, x: float, xm: float, x1: float, x2: float
+) -> dict[str, float]:
+    """Element values for the reactances x = X_IO_H, x_m, x1 and x2 at f_mod."""
     w_mod = 2.0 * math.pi * spec.f_mod
     w_stop = 2.0 * math.pi * spec.f_stop
-    x = spec.x_io_h
-    xm = spec.xm_value()
     alpha = spec.alpha
-    if config in (ConfigKind.D1, ConfigKind.D2):
-        x2 = 0.0
-        x1 = 0.0
-    else:
-        x2 = x - xm
-        x1 = -(xm / x) * x2
 
     v: dict[str, float] = {}
     # shunt branch
@@ -393,7 +392,7 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
     else:
         x2 = x - xm
         x1 = -(xm / x) * x2
-    exact = _realize(spec, config)
+    exact = _realize(spec, config, x, xm, x1, x2)
     snapped = {k: _snap_policy(k, val, spec.eseries) for k, val in exact.items()}
     return FilterDesign(
         spec=spec,
@@ -586,6 +585,29 @@ def design_to_dict(d: FilterDesign) -> dict:
         "snapped": dict(d.snapped),
         "dcb": list(d.dcb),
     }
+
+
+def spec_from_dict(d: Mapping, eseries: str) -> FilterSpec:
+    """A ``FilterSpec`` from a spec-file or scenario mapping of unit-suffixed values.
+
+    ``eseries`` applies when the mapping names none; ``xm`` is read as an
+    inductance when it parses as henries, else as a capacitance.
+    """
+    spec_kwargs: dict = {
+        "f_mod": parse_quantity(str(d["f_mod"]), "Hz"),
+        "f_stop": parse_quantity(str(d["f_stop"]), "Hz"),
+        "c_io": parse_quantity(str(d["c_io"]), "F"),
+        "eseries": d.get("eseries", eseries),
+    }
+    if "shunt_c" in d:
+        spec_kwargs["shunt_c"] = parse_quantity(str(d["shunt_c"]), "F")
+    if "xm" in d:
+        text = str(d["xm"])
+        try:
+            spec_kwargs["xm_inductance"] = parse_quantity(text, "H")
+        except UnitError:
+            spec_kwargs["xm_capacitance"] = parse_quantity(text, "F")
+    return FilterSpec(**spec_kwargs)
 
 
 def design_from_dict(rec: dict) -> FilterDesign:

@@ -179,7 +179,10 @@ def masked_element_impedance(e, f):
     elif e.kind == "inductor":
         z = e.loss + 1j * w * e.value
     elif e.kind == "capacitor":
-        z = -1j / (w * e.value)
+        try:
+            z = -1j / (w * e.value)
+        except ZeroDivisionError:  # scalar w*C == 0: indeterminate, as NaN is for an array
+            raise DegenerateNetworkError("capacitor impedance is indeterminate") from None
         if e.loss > 0.0:
             z = z * e.loss / (z + e.loss)
     elif e.kind == "short":

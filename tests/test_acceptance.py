@@ -122,10 +122,10 @@ def test_criterion_03_ideal_filter_behavior(report):
     for path in (SPEC_A, SPEC_B):
         import yaml
 
-        from fdmlink.simulate import _filter_from_dict
+        from fdmlink.synthesis import spec_from_dict
 
         raw = yaml.safe_load(open(path).read())
-        designs.append(synthesize(_filter_from_dict(raw, raw.get("eseries", "E12"))))
+        designs.append(synthesize(spec_from_dict(raw, raw.get("eseries", "E12"))))
     ok = all(_lossless_pattern_holds(d) for d in designs)
     assert report(3, "ideal open/short at both carriers, 1000 specs", ok)
 
@@ -141,10 +141,10 @@ def test_criterion_04_lossy_ratio(report):
     for path, label in ((SPEC_A, "a"), (SPEC_B, "b")):
         import yaml
 
-        from fdmlink.simulate import _filter_from_dict
+        from fdmlink.synthesis import spec_from_dict
 
         raw = yaml.safe_load(open(path).read())
-        d = synthesize(_filter_from_dict(raw, raw.get("eseries", "E12")))
+        d = synthesize(spec_from_dict(raw, raw.get("eseries", "E12")))
         row = []
         for q in qs:
             r = verify_design(d, loss=LossModel(inductor_q=q), which="snapped")

@@ -65,6 +65,26 @@ def test_design_json_output(runner):
     )
 
 
+def _run_fresh(args: list[str], probe: str) -> subprocess.CompletedProcess:
+    """Run ``fdmlink args`` in a new interpreter; its last stderr line is ``probe`` at exit."""
+    code = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print({probe}, file=sys.stderr))\n"
+        "from fdmlink.cli import main\n"
+        "main()\n"
+    )
+    src = str(Path(fdmlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "case", ["design", "design_lossless", "design_default_xm", "sweep_lossless", "demo"]
 )
@@ -85,22 +105,7 @@ def test_design_does_not_import_scipy(case, tmp_path):
     else:
         args = ["design", SPEC_A, "--format", "json"]
         args += ["--lossless"] if case == "design_lossless" else []
-    probe = (
-        "import atexit, sys\n"
-        "atexit.register(lambda: print('scipy' in sys.modules, file=sys.stderr))\n"
-        "from fdmlink.cli import main\n"
-        "main()\n"
-    )
-    src = str(Path(fdmlink.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    r = subprocess.run(
-        [sys.executable, "-c", probe, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    r = _run_fresh(args, "'scipy' in sys.modules")
     assert r.returncode == 0, r.stderr
     if case == "design":
         assert json.loads(r.stdout)["verification"]["passed"] is True
@@ -111,6 +116,18 @@ def test_design_does_not_import_scipy(case, tmp_path):
     else:
         assert r.stdout.startswith("# schema_version: 1\nf_hz,")
     assert r.stderr.strip().splitlines()[-1] == "False"
+
+
+def test_design_imports_no_simulator_module():
+    # spec files are read by synthesis.spec_from_dict, so `fdmlink design`
+    # loads neither the simulator nor the modules only it needs
+    r = _run_fresh(["design", SPEC_A, "--format", "json"],
+                   "sorted(m for m in sys.modules if m.startswith('fdmlink'))")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verification"]["passed"] is True
+    loaded = r.stderr.strip().splitlines()[-1]
+    for name in ("simulate", "modem", "protocol", "analysis", "kernels"):
+        assert f"'fdmlink.{name}'" not in loaded, loaded
 
 
 def test_design_writes_json_file(runner, tmp_path):

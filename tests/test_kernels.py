@@ -225,8 +225,8 @@ def _kernel_files(root: Path, tmp_path: Path) -> list[Path]:
 
 
 def test_design_and_import_neither_build_nor_load_the_kernel(tmp_path):
-    # `fdmlink design` imports fdmlink.simulate; criterion 01's cold-start gate
-    # must not pay for a compile
+    # neither `fdmlink design` nor importing the simulator compiles, so
+    # criterion 01's cold-start gate never pays for a build
     root = _copy_package(tmp_path)
     spec = root / "fdmlink" / "data" / "filter_a.yaml"
     r = _run(f"""
