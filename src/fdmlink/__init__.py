@@ -39,6 +39,7 @@ _EXPORTS = {
         "FilterDesign",
         "FilterSpec",
         "InfeasibleConfigError",
+        "SpecError",
         "SynthesisError",
         "VerificationReport",
         "classify",

@@ -3,10 +3,13 @@
 These are the hot kernels of the physical layer: stateful sample-by-sample
 recurrences that cannot be vectorized (each output feeds the next state).
 ``slicer_loop`` and ``demod_loop`` run whole traces for the modem.
-``step_block`` advances the demodulator streams of ``run_scenario`` one
-block at a time.  It is the loop of ``step_block`` in ``_blockkernel.c``
-written in Python, statement for statement: the reference the tests hold
-the C kernel to, and the fallback where that cannot be built.
+``step_block`` advances the demodulator streams of ``run_scenario``
+through one master segment, from one slicer output change to the next,
+and does the quarter-midpoint bookkeeping (the master's observations, bit
+errors and eye margins) on the way.  It is the loop of ``step_block`` in
+``_blockkernel.c`` written in Python, statement for statement: the
+reference the tests hold the C kernel to, and the fallback where that
+cannot be built.
 `fdmlink.kernels` picks the backend.
 """
 
@@ -127,43 +130,62 @@ class BlockContext(ctypes.Structure):
 
     The fields mirror the C struct in ``_blockkernel.c``: scalars, then
     pointers into the numpy arrays this object keeps as attributes of the
-    same name without the ``_p`` suffix (``amp``, ``ref``, ``det``, ``out``,
-    ``mid_out``, ``mid_margin``, and ``noise`` and the ``trace_*`` arrays or
-    None).  Every stream starts with its output high.  Before each
-    ``step_block`` call the caller writes ``amp`` in place and sets
-    ``isample`` and ``start``, keeping the block inside the noise and trace
-    rows (``isample + end - start`` at most their count: the C kernel does
-    not check); the kernels own the rest.
+    same name without the ``_p`` suffix.  There are ``2 * groups`` streams,
+    the SCL stream of each group and then the SDA ones; every stream starts
+    with its output high.  The run is ``quarters`` quarter bits long, so
+    ``code`` and ``obs`` have a row per quarter, and ``noise`` and the
+    ``trace_*`` arrays (or None) a row per sample.
+
+    The caller owns ``code``, ``amp``, ``sda_pulled`` and ``q_end``.  For
+    each master segment it writes the segment's intent codes (2 * scl + sda)
+    into ``code`` from quarter ``quarter`` on and sets ``q_end`` past them,
+    keeping ``q_end`` at most ``quarters`` (the C kernel does not check).
+    Whenever the slave drives change it writes ``amp`` (one amplitude row
+    per code) and ``sda_pulled`` (a node other than the master pulls SDA).
+    The kernels own the rest: the position, the stream state, ``obs``, the
+    ``used`` flags of the codes that ran, ``seen_low``, the bit and eye
+    counters (``bits_checked``, ``bit_errors``, ``eye``) and the traces.
     """
 
     _fields_ = [
         ("n_streams", ctypes.c_int64),
-        ("isample", ctypes.c_int64),
-        ("start", ctypes.c_int64),
-        ("end", ctypes.c_int64),
+        ("spq", ctypes.c_int64),
         ("mid", ctypes.c_int64),
+        ("fan_out", ctypes.c_int64),
+        ("master", ctypes.c_int64),
         ("started", ctypes.c_int64),
+        ("quarter", ctypes.c_int64),
+        ("pos", ctypes.c_int64),
+        ("q_end", ctypes.c_int64),
+        ("sda_pulled", ctypes.c_int64),
+        ("event", ctypes.c_int64),
         ("floor", ctypes.c_double),
         ("ref_in", ctypes.c_double),
         ("ref_out", ctypes.c_double),
         ("k", ctypes.c_double),
         ("alpha", ctypes.c_double),
         ("half_h", ctypes.c_double),
+        ("code_p", ctypes.c_void_p),
         ("amp_p", ctypes.c_void_p),
         ("noise_p", ctypes.c_void_p),
         ("ref_p", ctypes.c_void_p),
         ("det_p", ctypes.c_void_p),
         ("out_p", ctypes.c_void_p),
-        ("mid_out_p", ctypes.c_void_p),
-        ("mid_margin_p", ctypes.c_void_p),
+        ("obs_p", ctypes.c_void_p),
+        ("used_p", ctypes.c_void_p),
+        ("seen_low_p", ctypes.c_void_p),
+        ("bits_checked_p", ctypes.c_void_p),
+        ("bit_errors_p", ctypes.c_void_p),
+        ("eye_p", ctypes.c_void_p),
         ("trace_det_p", ctypes.c_void_p),
         ("trace_ref_p", ctypes.c_void_p),
         ("trace_out_p", ctypes.c_void_p),
+        ("trace_wire_p", ctypes.c_void_p),
     ]
 
     def __init__(
         self,
-        n_streams: int,
+        groups: int,
         *,
         floor: float,
         ref_in: float,
@@ -172,26 +194,39 @@ class BlockContext(ctypes.Structure):
         alpha: float,
         hysteresis: float,
         samples_per_quarter: int,
+        quarters: int,
+        fan_out: int = 1,
+        master: int = 0,
         noise: np.ndarray | None = None,
-        trace_samples: int = 0,
+        traces: bool = False,
     ):
-        """``noise`` is (samples, n_streams); ``trace_samples`` > 0 records traces.
+        """``noise`` is (quarters * samples_per_quarter, 2 * groups); ``traces`` records them.
 
         Detector: d = ref_out + k*log10(max(x, floor)/ref_in); the
         reference starts at the first d.  Quarters are
         ``samples_per_quarter`` long, with the midpoint at half of that.
+        Each stream stands for ``fan_out`` nodes, and ``master`` is the
+        group whose outputs the master observes.
         """
-        if n_streams < 1:
-            raise ValueError(f"need at least one stream, got {n_streams}")
+        if groups < 1:
+            raise ValueError(f"need at least one group, got {groups}")
+        if not 0 <= master < groups:
+            raise ValueError(f"master group {master} outside [0, {groups})")
+        if samples_per_quarter < 1 or quarters < 1 or fan_out < 1:
+            raise ValueError("samples_per_quarter, quarters and fan_out must be >= 1")
         # floor/ref_in > 0 keeps every log10 argument positive (or NaN)
         if not (ref_in > 0 and floor / ref_in > 0):
             raise ValueError(f"need ref_in > 0 and floor/ref_in > 0, got {floor!r}/{ref_in!r}")
         if not hysteresis >= 0:
             raise ValueError(f"hysteresis must be >= 0, got {hysteresis!r}")
+        n_streams = 2 * groups
+        n_samples = quarters * samples_per_quarter
         super().__init__(
             n_streams=n_streams,
-            end=samples_per_quarter,
+            spq=samples_per_quarter,
             mid=samples_per_quarter // 2,
+            fan_out=fan_out,
+            master=master,
             floor=floor,
             ref_in=ref_in,
             ref_out=ref_out,
@@ -199,48 +234,65 @@ class BlockContext(ctypes.Structure):
             alpha=alpha,
             half_h=0.5 * hysteresis,
         )
-        self.amp = np.zeros(n_streams)
+        self.code = np.zeros(quarters, dtype=np.uint8)
+        self.amp = np.zeros((4, n_streams))
         self.ref = np.zeros(n_streams)
         self.det = np.zeros(n_streams)
         self.out = np.ones(n_streams, dtype=np.uint8)
-        self.mid_out = np.ones(n_streams, dtype=np.uint8)
-        self.mid_margin = np.zeros(n_streams)
+        self.obs = np.ones((quarters, 2), dtype=np.uint8)
+        self.used = np.zeros(4, dtype=np.uint8)
+        self.seen_low = np.zeros(2, dtype=np.uint8)
+        self.bits_checked = np.zeros(2, dtype=np.int64)
+        self.bit_errors = np.zeros(2, dtype=np.int64)
+        self.eye = np.full(2, math.inf)
         if noise is not None:
             noise = np.ascontiguousarray(noise, dtype=np.float64)
-            if noise.ndim != 2 or noise.shape[1] != n_streams:
-                raise ValueError(f"noise must be (samples, {n_streams}), got {noise.shape}")
+            if noise.shape != (n_samples, n_streams):
+                raise ValueError(f"noise must be ({n_samples}, {n_streams}), got {noise.shape}")
         self.noise = noise
-        if trace_samples > 0:
-            self.trace_det = np.zeros((trace_samples, n_streams))
-            self.trace_ref = np.zeros((trace_samples, n_streams))
-            self.trace_out = np.zeros((trace_samples, n_streams), dtype=np.uint8)
+        if traces:
+            self.trace_det = np.zeros((n_samples, n_streams))
+            self.trace_ref = np.zeros((n_samples, n_streams))
+            self.trace_out = np.zeros((n_samples, n_streams), dtype=np.uint8)
+            self.trace_wire = np.zeros((n_samples, 2), dtype=np.uint8)
         else:
-            self.trace_det = self.trace_ref = self.trace_out = None
-        for name in ("amp", "noise", "ref", "det", "out", "mid_out", "mid_margin",
-                     "trace_det", "trace_ref", "trace_out"):
+            self.trace_det = self.trace_ref = self.trace_out = self.trace_wire = None
+        for name in ("code", "amp", "noise", "ref", "det", "out", "obs", "used", "seen_low",
+                     "bits_checked", "bit_errors", "eye", "trace_det", "trace_ref", "trace_out",
+                     "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
 
 
 def step_block(ctx: BlockContext) -> int:
-    """Advance every stream from sample ``start`` of the quarter; return the count.
+    """Advance every stream through the segment from (``quarter``, ``pos``); return the count.
 
-    Each stream s sees x = amp[s] (+ noise[isample + j - start, s]) at
-    quarter sample j, and steps the log detector, the one-pole reference
-    and the hysteresis slicer with the recurrence of ``demod_loop`` (no spikes).
-    The block ends after the first sample where any output changes, or at
-    the end of the quarter.  At the quarter midpoint it stores each
-    stream's output and |det - ref| in ``mid_out``/``mid_margin``, and with
-    traces on it writes every sample's det/ref/out at row isample + j - start.
+    Quarter q runs under intent code c = ``code[q]``: stream s sees
+    x = amp[c, s] (+ noise[q * spq + pos, s]) and steps the log detector,
+    the one-pole reference and the hysteresis slicer with the recurrence of
+    ``demod_loop`` (no spikes).  The wired-AND levels of the quarter are
+    SCL = c >> 1 and SDA = c & 1 unless ``sda_pulled``; a line's
+    ``seen_low`` is set once its level is low, and ``used[c]`` once a sample
+    runs under c.  At each quarter midpoint the master's outputs go to
+    ``obs[q]``, and for each line with ``seen_low`` set, ``bits_checked``
+    grows by fan_out per stream, ``bit_errors`` by fan_out per stream whose
+    output differs from the line's level, and ``eye`` takes the least
+    |det - ref|.  The call ends after the first sample where any output
+    changes, setting ``event``, or when ``quarter`` reaches ``q_end``; it
+    takes the next quarter's code only when it goes on into that quarter.
+    With traces on it writes every sample's det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches (``math.log10`` is the C library's log10); like it,
-    it computes the detector once per block when there is no noise, and an
-    empty block changes nothing.
+    it computes the detector once per quarter and on entry when there is no
+    noise, and a call at the segment end changes nothing but ``event``.
     """
-    start, isample, n = ctx.start, ctx.isample, ctx.end - ctx.start
-    if n <= 0:
+    q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
+    ctx.event = 0
+    if q >= q_end:
         return 0
+    spq, mid, ng, fan_out = ctx.spq, ctx.mid, ctx.n_streams // 2, ctx.fan_out
+    mscl, msda = ctx.master, ng + ctx.master
     alpha, h2 = ctx.alpha, ctx.half_h
     floor, ref_in, ref_out, k = ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k
     log10 = math.log10
@@ -248,49 +300,79 @@ def step_block(ctx: BlockContext) -> int:
     def detector(xs: list[float]) -> list[float]:
         return [ref_out + k * log10((floor if x < floor else x) / ref_in) for x in xs]
 
-    if ctx.noise is None:
-        rows = [detector(ctx.amp.tolist())] * n
-    else:
-        rows = map(detector, (ctx.amp + ctx.noise[isample:isample + n]).tolist())
     ref = ctx.ref.tolist() if ctx.started else None
     out = ctx.out.tolist()
-    m = ctx.mid - start
+    seen_low = ctx.seen_low.tolist()
+    bits_checked, bit_errors, eye = ctx.bits_checked.tolist(), ctx.bit_errors.tolist(), ctx.eye.tolist()
     tracing = ctx.trace_det is not None
-    trace_det: list[float] = []
-    trace_ref: list[float] = []
-    trace_out: list[int] = []
-    for j, det in enumerate(rows):
-        if ref is None:  # the run's first sample starts every reference at its input
-            ref = det[:]
-        changed = False
-        for s, d in enumerate(det):
-            r = ref[s]
-            r += alpha * (d - r)
-            ref[s] = r
-            if out[s]:
-                if d < r - h2:
-                    out[s] = 0
+    n = 0
+    changed = False
+    while not changed and q < q_end:  # the rest of one quarter per pass
+        code = int(ctx.code[q])
+        wire = (code >> 1, 1 if code & 1 and not ctx.sda_pulled else 0)
+        for li in (0, 1):
+            if not wire[li]:
+                seen_low[li] = 1
+        ctx.used[code] = 1
+        isample = q * spq + pos
+        if ctx.noise is None:
+            rows = [detector(ctx.amp[code].tolist())] * (spq - pos)
+        else:
+            rows = map(detector, (ctx.amp[code] + ctx.noise[isample:isample + spq - pos]).tolist())
+        trace_det: list[float] = []
+        trace_ref: list[float] = []
+        trace_out: list[int] = []
+        for det in rows:
+            if ref is None:  # the run's first sample starts every reference at its input
+                ref = det[:]
+            for s, d in enumerate(det):
+                r = ref[s]
+                r += alpha * (d - r)
+                ref[s] = r
+                if out[s]:
+                    if d < r - h2:
+                        out[s] = 0
+                        changed = True
+                elif d > r + h2:
+                    out[s] = 1
                     changed = True
-            elif d > r + h2:
-                out[s] = 1
-                changed = True
+            if tracing:
+                trace_det += det
+                trace_ref += ref
+                trace_out += out
+            n += 1
+            if pos == mid:
+                ctx.obs[q] = (out[mscl], out[msda])
+                for li in (0, 1):
+                    if not seen_low[li]:
+                        continue
+                    bits_checked[li] += fan_out * ng
+                    for s in range(li * ng, (li + 1) * ng):
+                        m = abs(det[s] - ref[s])
+                        if out[s] != wire[li]:
+                            bit_errors[li] += fan_out
+                        if m < eye[li]:
+                            eye[li] = m
+            pos += 1
+            if changed:
+                break
         if tracing:
-            trace_det += det
-            trace_ref += ref
-            trace_out += out
-        if j == m:
-            ctx.mid_out[:] = out
-            ctx.mid_margin[:] = [abs(d - r) for d, r in zip(det, ref)]
-        if changed:
-            break
-    n = j + 1
-    if tracing:
-        block = slice(isample, isample + n)
-        ctx.trace_det[block].flat = trace_det
-        ctx.trace_ref[block].flat = trace_ref
-        ctx.trace_out[block].flat = trace_out
+            block = slice(isample, q * spq + pos)
+            ctx.trace_det[block].flat = trace_det
+            ctx.trace_ref[block].flat = trace_ref
+            ctx.trace_out[block].flat = trace_out
+            ctx.trace_wire[block] = wire
+        if pos == spq:
+            pos = 0
+            q += 1
     ctx.ref[:] = ref
     ctx.det[:] = det
     ctx.out[:] = out
+    ctx.seen_low[:] = seen_low
+    ctx.bits_checked[:] = bits_checked
+    ctx.bit_errors[:] = bit_errors
+    ctx.eye[:] = eye
     ctx.started = 1
+    ctx.quarter, ctx.pos = q, pos
+    ctx.event = 1 if changed else 0
     return n

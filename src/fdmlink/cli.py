@@ -17,30 +17,30 @@ from pathlib import Path
 
 import click
 
-_CONFIG_ERRORS: tuple[type[Exception], ...] | None = None
+def _design_errors() -> tuple[type[Exception], ...]:
+    """What a bad spec or saved design raises; imports no simulator module."""
+    import yaml
+
+    from .synthesis import InfeasibleConfigError, SpecError, SynthesisError
+    from .units import UnitError
+
+    return (
+        UnitError,
+        SpecError,
+        InfeasibleConfigError,
+        SynthesisError,
+        yaml.YAMLError,
+        KeyError,
+        FileNotFoundError,
+    )
 
 
-def _config_errors() -> tuple[type[Exception], ...]:
-    global _CONFIG_ERRORS
-    if _CONFIG_ERRORS is None:
-        import yaml
+def _scenario_errors() -> tuple[type[Exception], ...]:
+    """What a bad scenario raises: the design errors and the link's own."""
+    from .protocol import ProtocolError
+    from .simulate import TopologyError
 
-        from .protocol import ProtocolError
-        from .simulate import TopologyError
-        from .synthesis import InfeasibleConfigError, SynthesisError
-        from .units import UnitError
-
-        _CONFIG_ERRORS = (
-            UnitError,
-            InfeasibleConfigError,
-            SynthesisError,
-            ProtocolError,
-            TopologyError,
-            yaml.YAMLError,
-            KeyError,
-            FileNotFoundError,
-        )
-    return _CONFIG_ERRORS
+    return (*_design_errors(), ProtocolError, TopologyError)
 
 
 def _fail(code: int, message: str) -> None:
@@ -128,7 +128,7 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
         }
     except click.UsageError:
         raise
-    except _config_errors() as exc:
+    except _design_errors() as exc:
         _fail(2, str(exc))
         return
 
@@ -191,7 +191,7 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
         result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
     except click.UsageError:
         raise
-    except (json.JSONDecodeError, *_config_errors()) as exc:
+    except (json.JSONDecodeError, *_design_errors()) as exc:
         _fail(2, str(exc))
         return
 
@@ -300,7 +300,7 @@ def simulate(scenario: str, out: str | None, seed: int | None, strict: bool, tra
             if strict:
                 warnings.simplefilter("error")
             metrics, _ = sc.run(seed=seed, trace_sink=sink)
-    except _config_errors() as exc:
+    except _scenario_errors() as exc:
         _fail(2, str(exc))
         return
     except Warning as exc:
@@ -343,7 +343,7 @@ def demo(out: str | None, emit_configs: str | None, seed: int | None) -> None:
 
         sc = load_scenario(Path(str(data / "demo_scenario.yaml")))
         metrics, _ = sc.run(seed=seed)
-    except _config_errors() as exc:
+    except _scenario_errors() as exc:
         _fail(2, str(exc))
         return
 

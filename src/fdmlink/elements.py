@@ -11,7 +11,10 @@ in one pass.  A series node adds its children; a parallel node adds their
 admittances and inverts.  Only when a sum shows an open (a non-finite child)
 or a short (a zero child, or a zero total admittance) does the node redo the
 same arithmetic with masks, so the masks cost nothing on ordinary values and
-the result is the same float either way.
+the result is the same float either way.  A capacitor whose w*C underflows
+to 0 is indeterminate: a scalar frequency raises ``DegenerateNetworkError``
+at the division, and for an array, whose division gives NaN, the masked
+pass raises it.
 """
 
 from __future__ import annotations
@@ -136,8 +139,23 @@ def _element_z(e: ReactiveElement, farr: np.ndarray) -> np.ndarray:
     return np.asarray(z)
 
 
-def _series_z(zs: list, shape: tuple) -> np.ndarray:
-    """Series rule: impedances add, and an open (non-finite) child opens the sum."""
+def _check_capacitors(farr: np.ndarray, kids: Sequence["Network"]) -> None:
+    """``DegenerateNetworkError`` where a capacitor leaf's w*C underflows to 0.
+
+    ``_element_z`` raises this for a scalar frequency; an array divides to NaN.
+    """
+    w = 2.0 * math.pi * farr
+    for kid in kids:
+        if kid.op == "leaf" and kid.element.kind == "capacitor" and not (w * kid.element.value).all():
+            raise DegenerateNetworkError("capacitor impedance is indeterminate: w*C underflows to 0")
+
+
+def _series_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarray:
+    """Series rule: impedances add, and an open (non-finite) child opens the sum.
+
+    ``kids`` are the child networks of the values ``zs`` at frequencies ``farr``.
+    """
+    shape = farr.shape
     total = np.zeros(shape, dtype=complex)
     for z in zs:
         total = total + z
@@ -145,6 +163,7 @@ def _series_z(zs: list, shape: tuple) -> np.ndarray:
     # open to mask and equals the masked sum below
     if np.isfinite(total).all():
         return total
+    _check_capacitors(farr, kids)
     total = np.zeros(shape, dtype=complex)
     open_mask = np.zeros(shape, dtype=bool)
     for z in zs:
@@ -154,7 +173,7 @@ def _series_z(zs: list, shape: tuple) -> np.ndarray:
     return np.where(open_mask, POLE, total)
 
 
-def _parallel_z(zs: list, shape: tuple) -> np.ndarray:
+def _parallel_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarray:
     """Parallel rule in admittance: a short child wins, an open child adds nothing.
 
     Without masks a short child makes the admittance sum non-finite and an
@@ -162,12 +181,14 @@ def _parallel_z(zs: list, shape: tuple) -> np.ndarray:
     starts at +0.  So a finite, non-zero sum needs no mask and equals the
     masked sum below.
     """
+    shape = farr.shape
     y = np.zeros(shape, dtype=complex)
     with np.errstate(all="ignore"):
         for z in zs:
             y = y + 1.0 / z
     if np.isfinite(y).all() and y.all():
         return 1.0 / y
+    _check_capacitors(farr, kids)
     short_mask = np.zeros(shape, dtype=bool)
     y = np.zeros(shape, dtype=complex)
     for z in zs:
@@ -217,8 +238,8 @@ class Network:
             return _element_z(self.element, farr)
         zs = [c._eval(farr) for c in self.children]
         if self.op == "series":
-            return _series_z(zs, farr.shape)
-        return _parallel_z(zs, farr.shape)
+            return _series_z(zs, farr, self.children)
+        return _parallel_z(zs, farr, self.children)
 
 
 def resistor(ohms: float, loss: float = 0.0) -> Network:
@@ -295,11 +316,9 @@ def t_network(x1: Network, x2: Network, xm: Network) -> TwoPortZ:
     return TwoPortZ(x1, x2, xm)
 
 
-def _series_terms(net: Network, farr: np.ndarray) -> list:
-    """Values of the one-ports :func:`series` flattens ``net`` into."""
-    if net.op == "series":
-        return [c._eval(farr) for c in net.children]
-    return [net._eval(farr)]
+def _series_kids(net: Network) -> tuple[Network, ...]:
+    """The one-ports :func:`series` flattens ``net`` into."""
+    return net.children if net.op == "series" else (net,)
 
 
 def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
@@ -308,22 +327,24 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     Zin = z11 - zm^2/(z_load + z22).  When the denominator vanishes
     (relative to |zm|^2) the result is the intended ideal open and comes
     back pole-flagged rather than raising.  ``DegenerateNetworkError`` when
-    the shunt branch or the result is indeterminate (NaN); z11 and z22
-    cannot be, since the series rule turns a NaN child into an open.
+    a branch or the result is indeterminate (NaN), for a scalar ``f`` and
+    an array alike; z11 and z22 are never NaN, since the series rule makes
+    a NaN term an open, or raises for a capacitor's.
     """
     farr = _check_freq(f)
     # z11 adds the terms of series(x1, xm): a series branch contributes its
     # children, so the sums run in the same order as that flattened network;
     # the branches are evaluated x1, xm, x2, so the first error is the same
-    t1 = _series_terms(z.x1, farr)
-    tm = _series_terms(z.xm, farr)
+    k1, km, k2 = _series_kids(z.x1), _series_kids(z.xm), _series_kids(z.x2)
+    t1 = [k._eval(farr) for k in k1]
+    tm = [k._eval(farr) for k in km]
     # an array even for scalar f: numpy's scalar complex multiply can round
     # zm * zm differently from its array multiply
-    zm = np.asarray(tm[0] if len(tm) == 1 else _series_z(tm, farr.shape), dtype=complex)
+    zm = np.asarray(tm[0] if len(tm) == 1 else _series_z(tm, farr, km), dtype=complex)
     if np.isnan(zm).any():
         raise DegenerateNetworkError("network evaluates to an indeterminate form")
-    z11 = _series_z(t1 + tm, farr.shape)
-    z22 = _series_z(_series_terms(z.x2, farr) + tm, farr.shape)
+    z11 = _series_z(t1 + tm, farr, k1 + km)
+    z22 = _series_z([k._eval(farr) for k in k2] + tm, farr, k2 + km)
     zl = np.asarray(z_load, dtype=complex)
     den = zl + z22
 

@@ -4,15 +4,20 @@
 ``_kernels_py``.  ``run_scenario`` advances its demodulator streams through
 ``block_stepper()``: the C ``step_block`` in ``_blockkernel.c`` where the
 system ``cc`` can build it, else ``_kernels_py.step_block``, the same loop
-written in Python, which gives the same doubles bit for bit.  Both compute
-a stream's detector value once per block when there is no noise, since the
-input is then constant over the block; with noise they compute it every
-sample.  Nothing is compiled or loaded at import; the first
-``block_stepper()`` call compiles the source once into a cache keyed by its
-hash (the package's ``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or
-``~/.cache/fdmlink``) and loads it through ctypes.  Any build or load
-failure falls back to Python; ``backend_name()`` and ``backend_detail()``
-say which backend runs and why.
+written in Python, which gives the same doubles bit for bit.  One call runs
+the streams across the quarters of a master segment (the intent codes and
+one amplitude row per code sit in the ``BlockContext``) and returns at the
+first slicer output change, flagged in ``event``, or at the segment end; on
+the way it records the master's midpoint observations, the bit and eye
+counters and, when asked, the traces.  Both compute a stream's detector
+value once per quarter when there is no noise, since the input is then
+constant over the quarter; with noise they compute it every sample.
+Nothing is compiled or loaded at import; the first ``block_stepper()`` call
+compiles the source once into a cache keyed by its hash (the package's
+``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or ``~/.cache/fdmlink``)
+and loads it through ctypes.  Any build or load failure falls back to
+Python; ``backend_name()`` and ``backend_detail()`` say which backend runs
+and why.
 """
 
 from __future__ import annotations

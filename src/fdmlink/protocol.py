@@ -268,13 +268,47 @@ class SlaveEngine:
         self._wcount = 0
 
 
+# fixed quarter sequences of the master, as (scl, sda) intents
+_IDLE_BIT = ((H, H),) * QUARTERS_PER_BIT
+_START = ((H, H), (H, L), (L, L))  # SDA falls while SCL high
+_RESTART = ((L, H), (H, H), (H, L), (L, L))
+_STOP = ((L, L), (H, L), (H, H), (H, H))  # SDA rises while SCL high
+_ACK_TAIL = ((L, H),)  # the quarter that closes an ACK slot after it is sampled
+_READ_BIT = ((L, H), (H, H), (H, H), (L, H))  # sampled in its third quarter
+_TX_BIT = tuple(((L, v), (H, v), (H, v), (L, v)) for v in (L, H))  # indexed by the bit sent
+_QUARTERS_PER_BYTE = 9 * QUARTERS_PER_BIT
+
+
+def _tx_quarters(byte: int) -> tuple[tuple[int, int], ...]:
+    """Clock out ``byte`` MSB first, then release SDA up to the quarter that samples the ACK."""
+    q: tuple[tuple[int, int], ...] = ()
+    for bit in range(7, -1, -1):
+        q += _TX_BIT[(byte >> bit) & 1]
+    return q + ((L, H), (H, H), (H, H))
+
+
+def _rx_quarters(ack: bool) -> tuple[tuple[int, int], ...]:
+    """Clock in one byte with SDA released, then drive the ACK slot (ACK or NACK)."""
+    a = L if ack else H
+    return _READ_BIT * 8 + ((L, a), (H, a), (H, a), (L, a))
+
+
 class MasterEngine:
     """Clock-owning side: compiles transactions into quarter-bit intents.
 
-    ``generator()`` yields (scl_intent, sda_intent) pairs, one per quarter
-    bit, and receives the resolved (scl, sda) of that same quarter back.
-    Completed transactions (with observed ACKs and read data) accumulate in
-    ``results``.  One engine instance runs one program, once.
+    ``segments()`` is the master program.  It yields segments, each a tuple
+    of (scl_intent, sda_intent) pairs, one per quarter bit, and receives
+    back the resolved (scl, sda) the master observed at the midpoint of
+    each of them, in order.  A segment ends only after a quarter whose
+    observation changes later intents: the quarter that samples the ACK of
+    a byte the master sends.  Read bits only fill ``results``, so the bytes
+    of a read, its STOP or repeated START and the next address byte run as
+    one segment.  ``generator()`` is the same program one quarter at a
+    time: it yields each intent and receives that quarter's (scl, sda).
+    Completed transactions (with observed ACKs and read data) accumulate
+    in ``results``; a read's entry is added once the segment holding its
+    data bits has been observed.  One engine instance runs one program,
+    once.
     """
 
     def __init__(
@@ -312,102 +346,77 @@ class MasterEngine:
             total += 4 + self.gap_bits * QUARTERS_PER_BIT  # STOP + gap
         return total
 
-    # quarter helpers: each yields intents and receives resolved lines
+    def _record(self, t: Transaction, acks: list[bool], completed: bool, data: bytes = b"") -> None:
+        self.results.append(
+            replace(
+                t,
+                payload=data if t.direction == "read" else t.payload,
+                acks=tuple(acks),
+                completed=completed,
+            )
+        )
 
-    @staticmethod
-    def _idle(quarters: int):
-        for _ in range(quarters):
-            yield (H, H)
-
-    @staticmethod
-    def _start_cond():
-        yield (H, H)
-        yield (H, L)  # SDA falls while SCL high
-        yield (L, L)
-
-    @staticmethod
-    def _restart_cond():
-        yield (L, H)
-        yield (H, H)
-        yield (H, L)
-        yield (L, L)
-
-    @staticmethod
-    def _stop_cond():
-        yield (L, L)
-        yield (H, L)
-        yield (H, H)  # SDA rises while SCL high
-        yield (H, H)
-
-    @staticmethod
-    def _byte_tx(byte: int):
-        """Clock out one byte, release for the ACK slot; returns ack bool."""
-        for bit in range(7, -1, -1):
-            v = (byte >> bit) & 1
-            yield (L, v)
-            yield (H, v)
-            yield (H, v)
-            yield (L, v)
-        yield (L, H)
-        yield (H, H)
-        res = yield (H, H)
-        yield (L, H)
-        return res[1] == L
-
-    @staticmethod
-    def _byte_rx(ack: bool):
-        """Clock in one byte, then drive the ACK slot; returns the byte."""
-        value = 0
-        for _ in range(8):
-            yield (L, H)
-            yield (H, H)
-            res = yield (H, H)
-            yield (L, H)
-            value = (value << 1) | (1 if res[1] else 0)
-        a = L if ack else H
-        yield (L, a)
-        yield (H, a)
-        yield (H, a)
-        yield (L, a)
-        return value
-
-    def generator(self) -> Generator[tuple[int, int], tuple[int, int], None]:
-        yield from self._idle(self.lead_in_bits * QUARTERS_PER_BIT)
+    def segments(self) -> Generator[tuple[tuple[int, int], ...], Sequence[Sequence[int]], None]:
+        """The master program: yields segments of intents, receives each one's observations."""
+        seg = list(_IDLE_BIT * self.lead_in_bits)
+        # a completed read whose data bits sit in ``seg`` from index ``first``
+        read: tuple[Transaction, list[bool], int] | None = None
         stopped = True
         for t in self.transactions:
-            if stopped:
-                yield from self._start_cond()
-            else:
-                yield from self._restart_cond()
-            addr_byte = (t.address << 1) | (1 if t.direction == "read" else 0)
-            acks = [(yield from self._byte_tx(addr_byte))]
-            data = bytearray()
+            seg += _START if stopped else _RESTART
+            seg += _tx_quarters((t.address << 1) | (1 if t.direction == "read" else 0))
+            obs = yield tuple(seg)
+            if read is not None:
+                self._finish_read(read, obs)
+                read = None
+            seg = list(_ACK_TAIL)
+            acks = [obs[-1][1] == L]
             completed = acks[0]
             if completed and t.direction == "write":
                 for b in t.payload:
-                    a = yield from self._byte_tx(b)
-                    acks.append(a)
-                    if not a:
+                    seg += _tx_quarters(b)
+                    obs = yield tuple(seg)
+                    seg = list(_ACK_TAIL)
+                    acks.append(obs[-1][1] == L)
+                    if not acks[-1]:
                         completed = False
                         break
             elif completed:
+                read = (t, acks, len(seg))
                 for k in range(t.read_length):
-                    v = yield from self._byte_rx(ack=k < t.read_length - 1)
-                    data.append(v)
-            stop_now = t.stop_after or not completed
-            if stop_now:
-                yield from self._stop_cond()
-                yield from self._idle(self.gap_bits * QUARTERS_PER_BIT)
-            stopped = stop_now
-            self.results.append(
-                replace(
-                    t,
-                    payload=bytes(data) if t.direction == "read" else t.payload,
-                    acks=tuple(acks),
-                    completed=completed,
-                )
-            )
-        yield from self._idle(2 * QUARTERS_PER_BIT)
+                    seg += _rx_quarters(ack=k < t.read_length - 1)
+            stopped = t.stop_after or not completed
+            if stopped:
+                seg += _STOP + _IDLE_BIT * self.gap_bits
+            if read is None:
+                self._record(t, acks, completed)
+        obs = yield tuple(seg + list(_IDLE_BIT * 2))
+        if read is not None:
+            self._finish_read(read, obs)
+
+    def _finish_read(self, read: tuple[Transaction, list[bool], int], obs: Sequence[Sequence[int]]) -> None:
+        t, acks, first = read
+        data = bytearray()
+        for k in range(t.read_length):
+            base = first + k * _QUARTERS_PER_BYTE + 2
+            value = 0
+            for i in range(8):
+                value = (value << 1) | (1 if obs[base + i * QUARTERS_PER_BIT][1] else 0)
+            data.append(value)
+        self._record(t, acks, True, bytes(data))
+
+    def generator(self) -> Generator[tuple[int, int], tuple[int, int], None]:
+        """``segments()`` one quarter at a time: yields each intent, receives its (scl, sda)."""
+        program = self.segments()
+        seg = next(program)
+        while True:
+            obs = []
+            for intent in seg:
+                obs.append((yield intent))
+            try:
+                seg = program.send(obs)
+            except StopIteration:
+                return
 
 
 def run_ideal_bus(

@@ -14,12 +14,14 @@ hysteresis (same math as the modem kernels).  Nodes only reflect the
 carriers, so every node sees the same line amplitude: without noise all
 detectors on a line get identical input, and one demodulator stream per
 line serves every node.  With noise each node-line is its own stream.  The
-amplitude holds between drive changes, so the streams advance in blocks
-through ``kernels.block_stepper()`` (compiled C, or the same arithmetic in
-Python) up to the end of a quarter bit or the first slicer output change;
-slave reactions, which close the loop, run between blocks.  Bit errors are
-counted at quarter-bit midpoints against the ideal wired-AND level of the
-same run.
+master's program comes in segments of quarter bits whose intents do not
+depend on each other's observations, and the amplitude of each quarter
+follows from its intents and the slave drives, so
+``kernels.block_stepper()`` (compiled C, or the same arithmetic in Python)
+advances the streams through a segment up to its end or the first slicer
+output change; slave reactions, which close the loop, run between calls.
+Bit errors are counted at quarter-bit midpoints against the ideal
+wired-AND level of the same run.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ __all__ = [
 
 LINES = ("scl", "sda")
 MIN_SAMPLES_PER_QUARTER = 13
+# a master quarter's (scl, sda) intents as the block kernel's code 2 * scl + sda
+_INTENT_CODE = {(scl, sda): 2 * scl + sda for scl in (H, L) for sda in (H, L)}
 
 # rough phase velocity on FR4 for the electrical-size check
 _VELOCITY_M_S = 1.5e8
@@ -389,19 +393,28 @@ def run_scenario(
     hysteresis: float = 0.010,
     trace_sink: dict | None = None,
 ) -> tuple[LinkMetrics, list[Transaction]]:
-    """Run an I2C script over the analog link, in blocks of samples.
+    """Run an I2C script over the analog link, one master segment at a time.
 
     Slaves demodulate their line voltages and react through the same
-    engines as the ideal bus; the master samples its demodulated SDA at
+    engines as the ideal bus; the master samples its demodulated lines at
     quarter-bit midpoints.  Every node sees the same carrier amplitude, so
     each distinct demodulator input is one stream: without noise one
     stream per line fans out to every node, with noise each node-line is
-    its own stream.  The line amplitudes hold between drive changes, so
-    ``kernels.block_stepper()`` advances all streams at once to the end of
-    the quarter or the first sample where an output changes; Python then
-    fires the slave callbacks in node order and rebuilds the drives only
-    after an ``on_scl_fall`` or ``on_sda_edge`` callback or when the
-    master's intents change (``on_scl_rise`` never moves a drive).
+    its own stream.
+
+    ``MasterEngine.segments()`` yields the master's quarter intents a
+    segment at a time; only the ACK sample of a byte the master sends ends
+    a segment early.  The segment's intent codes go to the kernel context
+    with one amplitude row per code for the current slave drives, and
+    ``kernels.block_stepper()`` runs every stream across the segment's
+    quarters.  It records the master's observation and counts bits and eye
+    margins at each midpoint, and returns at the segment end or after the
+    first sample where an output changes.  Python then fires the slave
+    callbacks in node order and recomputes the amplitude rows only when a
+    slave's ``sda_drive`` changed (``on_scl_rise`` never moves one).  At
+    the segment end the observations go back to the master program.  The
+    sample budget is checked once per segment, before it runs.  The keying
+    depth is taken over the drive states some sample ran under.
     Deterministic for a fixed seed, and the same on both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
     ``trace_sink`` to capture per-sample detector/reference traces for
@@ -437,7 +450,8 @@ def run_scenario(
         for n in nodes
     ]
 
-    n_alloc = master.quarters_upper_bound() * spq
+    n_quarters = master.quarters_upper_bound()
+    n_alloc = n_quarters * spq
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_rms, size=(n_alloc, 2, n_nodes)) if noise_rms > 0 else None
 
@@ -448,14 +462,12 @@ def run_scenario(
     members_of = [range(n_nodes)] if noise is None else [(ni,) for ni in range(n_nodes)]
     group_slaves = [[engines[ni] for ni in members if engines[ni] is not None] for members in members_of]
     n_groups = len(members_of)
-    fan_out = n_nodes // n_groups
-    master_group = 0 if noise is None else mi
     # the master drives from its intents, every other node from its slave engine
     scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
     sda_sources = [None if i == mi else e for i, e in enumerate(engines)]
     tracing = trace_sink is not None
     ctx = kernels.BlockContext(
-        2 * n_groups,
+        n_groups,
         floor=det.floor_volts,
         ref_in=det.ref_in,
         ref_out=det.ref_out,
@@ -463,109 +475,107 @@ def run_scenario(
         alpha=SlicerParams(lpf_time_constant=slicer_tau_bits / clock_hz).alpha(sim_rate),
         hysteresis=hysteresis,
         samples_per_quarter=spq,
+        quarters=n_quarters,
+        fan_out=n_nodes // n_groups,
+        master=0 if noise is None else mi,
         noise=None if noise is None else noise.reshape(n_alloc, 2 * n_nodes),
-        trace_samples=n_alloc if tracing else 0,
+        traces=tracing,
     )
     step = kernels.block_stepper()
-    amp, out_arr = ctx.amp, ctx.out
+    out_arr = ctx.out
     outs = out_arr.tolist()
 
     table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
+    # per slave-drive tuple: an amplitude row per master intent code, the
+    # table entries behind them, and whether a slave pulls SDA
+    rows_of: dict[tuple[bool, ...], tuple[np.ndarray, list[tuple[float, ...]], bool]] = {}
+    ran: dict[tuple[float, ...], None] = {}  # table entries some sample ran under
 
-    bit_errors = [0, 0]
-    bits_checked = [0, 0]
-    eye = [math.inf, math.inf]
-    seen_low = [False, False]
-    mid = spq // 2
-    isample = 0
-    wire_trace = np.zeros((2, n_alloc if tracing else 0), dtype=np.int64)
-
-    gen = master.generator()
-    intents = next(gen)
-    last_intents = last_amps = None
-    stale = True
-    while True:
-        if isample + spq > n_alloc:  # every block of this quarter must fit the buffers
-            raise ProtocolError(
-                f"run outgrew its {n_alloc}-sample budget at sample {isample}: "
-                "MasterEngine.quarters_upper_bound undercounts the script"
-            )
-        if intents != last_intents:
-            scl_i, sda_i = last_intents = intents
-            stale = True
-        master_mid_obs = (H, H)
-        si = 0
-        while si < spq:
-            if stale:
-                sda = [e.sda_drive if e else False for e in sda_sources]
-                sda[mi] = sda_i == L
+    def set_drives(drives: tuple[bool, ...]) -> list[tuple[float, ...]]:
+        hit = rows_of.get(drives)
+        if hit is None:
+            entries = []
+            for code in range(4):
+                sda = list(drives)
+                sda[mi] = (code & 1) == L
                 # tuple(list), not tuple(genexpr): the latter shrinks an oversized
                 # tuple and strands the freed ones on CPython's free list (~0.2 MB)
-                amps = table(scl_drives[scl_i], tuple(sda))
-                if amps is not last_amps:
-                    amp[:n_groups] = amps[jscl]
-                    amp[n_groups:] = amps[jsda]
-                    last_amps = amps
-                wire = (L if scl_i == L else H, L if True in sda else H)
-                seen_low[0] = seen_low[0] or wire[0] == L
-                seen_low[1] = seen_low[1] or wire[1] == L
-                stale = False
-            ctx.isample = isample
-            ctx.start = si
-            n = step(ctx)
-            if tracing:
-                wire_trace[:, isample:isample + n] = np.array(wire)[:, None]
-            if si <= mid < si + n:
-                mid_out = ctx.mid_out.tolist()
-                master_mid_obs = (mid_out[master_group], mid_out[n_groups + master_group])
-                margins = ctx.mid_margin.tolist()
-                for li in (0, 1):
-                    if not seen_low[li]:
-                        continue
-                    lo, hi = li * n_groups, (li + 1) * n_groups
-                    bits_checked[li] += n_nodes
-                    bit_errors[li] += fan_out * (n_groups - mid_out[lo:hi].count(wire[li]))
-                    for m in margins[lo:hi]:
-                        if m < eye[li]:
-                            eye[li] = m
-            si += n
-            isample += n
+                entries.append(table(scl_drives[code >> 1], tuple(sda)))
+            rows = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
+            hit = rows_of[drives] = (rows, entries, True in drives)
+        ctx.amp[:] = hit[0]
+        ctx.sda_pulled = hit[2]
+        return hit[1]
+
+    def harvest(entries: list[tuple[float, ...]]) -> None:
+        for code, was_used in enumerate(ctx.used.tolist()):
+            if was_used:
+                ran[entries[code]] = None
+        ctx.used[:] = 0
+
+    drives = tuple([e.sda_drive if e else False for e in sda_sources])
+    entries = set_drives(drives)
+    program = master.segments()
+    seg = next(program)
+    while True:
+        q0, q_end = ctx.quarter, ctx.quarter + len(seg)
+        if q_end > n_quarters:  # every quarter of the segment must fit the buffers
+            raise ProtocolError(
+                f"run outgrew its {n_alloc}-sample budget at sample {q0 * spq}: "
+                "MasterEngine.quarters_upper_bound undercounts the script"
+            )
+        ctx.code[q0:q_end] = [_INTENT_CODE[i] for i in seg]
+        ctx.q_end = q_end
+        while True:
+            step(ctx)
+            if not ctx.event:
+                break
             new = out_arr.tolist()
-            if new != outs:
-                for g, slaves in enumerate(group_slaves):
-                    d_scl, d_sda = new[g], new[n_groups + g]
-                    if d_scl != outs[g]:
-                        if d_scl == H:
-                            # samples SDA only, so the drives stand
-                            for eng in slaves:
-                                eng.on_scl_rise(d_sda)
-                        else:
-                            for eng in slaves:
-                                eng.on_scl_fall()
-                            stale = True
-                    elif d_sda != outs[n_groups + g]:
+            stale = False
+            for g, slaves in enumerate(group_slaves):
+                d_scl, d_sda = new[g], new[n_groups + g]
+                if d_scl != outs[g]:
+                    if d_scl == H:
+                        # samples SDA only, so the drives stand
                         for eng in slaves:
-                            eng.on_sda_edge(d_sda, d_scl)
+                            eng.on_scl_rise(d_sda)
+                    else:
+                        for eng in slaves:
+                            eng.on_scl_fall()
                         stale = True
-                outs = new
+                elif d_sda != outs[n_groups + g]:
+                    for eng in slaves:
+                        eng.on_sda_edge(d_sda, d_scl)
+                    stale = True
+            outs = new
+            if stale:
+                now = tuple([e.sda_drive if e else False for e in sda_sources])
+                if now != drives:
+                    harvest(entries)
+                    drives = now
+                    entries = set_drives(drives)
+            if ctx.quarter == q_end:
+                break
         try:
-            intents = gen.send(master_mid_obs)
+            seg = program.send(ctx.obs[q0:q_end].tolist())
         except StopIteration:
             break
+    harvest(entries)
+    isample = ctx.quarter * spq
 
     depth = {}
     for line, j in (("scl", jscl), ("sda", jsda)):
-        vals = [a[j] for a in table.entries.values()]
+        vals = [a[j] for a in ran]
         hi, lo = max(vals), min(vals)
         depth[line] = 20.0 * math.log10(hi / lo) if lo > 0 else math.inf
 
     if tracing:
         trace: dict[str, np.ndarray] = {
             "time_s": np.arange(isample, dtype=np.float64) / sim_rate,
-            "wire_scl": wire_trace[0, :isample].copy(),
-            "wire_sda": wire_trace[1, :isample].copy(),
+            "wire_scl": ctx.trace_wire[:isample, 0].astype(np.int64),
+            "wire_sda": ctx.trace_wire[:isample, 1].astype(np.int64),
         }
         columns = (
             ("det", ctx.trace_det, np.float64),
@@ -581,9 +591,9 @@ def run_scenario(
 
     results = master.results
     metrics = LinkMetrics(
-        bit_errors=dict(zip(LINES, bit_errors)),
-        bits_checked=dict(zip(LINES, bits_checked)),
-        eye_margin_v={line: (v if math.isfinite(v) else 0.0) for line, v in zip(LINES, eye)},
+        bit_errors=dict(zip(LINES, ctx.bit_errors.tolist())),
+        bits_checked=dict(zip(LINES, ctx.bits_checked.tolist())),
+        eye_margin_v={line: (v if math.isfinite(v) else 0.0) for line, v in zip(LINES, ctx.eye.tolist())},
         depth_db=depth,
         transactions_attempted=len(transactions),
         transactions_completed=sum(1 for t in results if t.completed),

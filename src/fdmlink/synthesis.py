@@ -46,6 +46,7 @@ __all__ = [
     "FilterDesign",
     "VerificationReport",
     "InfeasibleConfigError",
+    "SpecError",
     "SynthesisError",
     "classify",
     "synthesize",
@@ -72,6 +73,10 @@ class InfeasibleConfigError(ValueError):
 
 class SynthesisError(ValueError):
     """Synthesis produced an unrealizable element value."""
+
+
+class SpecError(ValueError):
+    """A spec file, scenario filter or saved design holds values ``FilterSpec`` rejects."""
 
 
 class ConfigKind(enum.Enum):
@@ -124,6 +129,8 @@ class FilterSpec:
             raise ValueError("shunt_c must be >= 0")
         if self.xm_inductance is not None and self.xm_capacitance is not None:
             raise ValueError("give x_m as an inductance or a capacitance, not both")
+        if self.xm_capacitance is not None and not self.xm_capacitance > 0.0:
+            raise ValueError("xm_capacitance must be positive")
         if self.eseries not in eseries.ESERIES:
             raise ValueError(f"unknown E-series {self.eseries!r}")
 
@@ -146,8 +153,6 @@ class FilterSpec:
         if self.xm_inductance is not None:
             return w * self.xm_inductance
         if self.xm_capacitance is not None:
-            if self.xm_capacitance <= 0.0:
-                raise ValueError("xm_capacitance must be positive")
             return -1.0 / (w * self.xm_capacitance)
         return w * default_xm_inductance(self.f_mod, self.f_stop, self.c_total)
 
@@ -607,15 +612,24 @@ def spec_from_dict(d: Mapping, eseries: str) -> FilterSpec:
             spec_kwargs["xm_inductance"] = parse_quantity(text, "H")
         except UnitError:
             spec_kwargs["xm_capacitance"] = parse_quantity(text, "F")
-    return FilterSpec(**spec_kwargs)
+    return _checked_spec(**spec_kwargs)
+
+
+def _checked_spec(**kwargs) -> FilterSpec:
+    """``FilterSpec(**kwargs)``, its rejection raised as ``SpecError``."""
+    try:
+        return FilterSpec(**kwargs)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def design_from_dict(rec: dict) -> FilterDesign:
+    """Re-synthesize a design saved by ``design_to_dict``; bad values raise ``SpecError``."""
     if rec.get("schema_version") != 1:
-        raise ValueError("unsupported design schema_version")
+        raise SpecError("unsupported design schema_version")
     xm_l = rec["exact"].get("l_m")
     xm_c = rec["exact"].get("c_m")
-    spec = FilterSpec(
+    spec = _checked_spec(
         f_mod=rec["f_mod_hz"],
         f_stop=rec["f_stop_hz"],
         c_io=rec["c_io_f"],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -260,3 +261,86 @@ def masked_input_impedance(x1, x2, xm, z_load, f):
     if np.any(np.isnan(out)):
         raise DegenerateNetworkError("input impedance is indeterminate (0/0)")
     return out if np.ndim(f) else complex(np.asarray(out)[()])
+
+
+# -- the earlier per-quarter master program ----------------------------------
+
+
+def master_quarters(master, results: list):
+    """The quarter intents of ``master``'s transactions, one per quarter, as a generator.
+
+    Receives the observed (scl, sda) of each quarter and appends the decoded
+    transactions to ``results``.
+    """
+    H, L = 1, 0
+
+    def fixed(intents):
+        for q in intents:
+            yield q
+
+    def idle(quarters):
+        yield from fixed([(H, H)] * quarters)
+
+    def byte_tx(byte):
+        for bit in range(7, -1, -1):
+            v = (byte >> bit) & 1
+            yield (L, v)
+            yield (H, v)
+            yield (H, v)
+            yield (L, v)
+        yield (L, H)
+        yield (H, H)
+        res = yield (H, H)
+        yield (L, H)
+        return res[1] == L
+
+    def byte_rx(ack):
+        value = 0
+        for _ in range(8):
+            yield (L, H)
+            yield (H, H)
+            res = yield (H, H)
+            yield (L, H)
+            value = (value << 1) | (1 if res[1] else 0)
+        a = L if ack else H
+        yield (L, a)
+        yield (H, a)
+        yield (H, a)
+        yield (L, a)
+        return value
+
+    yield from idle(master.lead_in_bits * 4)
+    stopped = True
+    for t in master.transactions:
+        if stopped:
+            yield from fixed(((H, H), (H, L), (L, L)))
+        else:
+            yield from fixed(((L, H), (H, H), (H, L), (L, L)))
+        addr_byte = (t.address << 1) | (1 if t.direction == "read" else 0)
+        acks = [(yield from byte_tx(addr_byte))]
+        data = bytearray()
+        completed = acks[0]
+        if completed and t.direction == "write":
+            for b in t.payload:
+                a = yield from byte_tx(b)
+                acks.append(a)
+                if not a:
+                    completed = False
+                    break
+        elif completed:
+            for k in range(t.read_length):
+                data.append((yield from byte_rx(ack=k < t.read_length - 1)))
+        stop_now = t.stop_after or not completed
+        if stop_now:
+            yield from fixed(((L, L), (H, L), (H, H), (H, H)))
+            yield from idle(master.gap_bits * 4)
+        stopped = stop_now
+        results.append(
+            replace(
+                t,
+                payload=bytes(data) if t.direction == "read" else t.payload,
+                acks=tuple(acks),
+                completed=completed,
+            )
+        )
+    yield from idle(8)

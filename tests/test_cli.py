@@ -130,6 +130,32 @@ def test_design_imports_no_simulator_module():
         assert f"'fdmlink.{name}'" not in loaded, loaded
 
 
+@pytest.mark.parametrize(
+    "command,spec,message",
+    [
+        ("design", "f_mod: 20MHz\nf_stop: 20MHz\nc_io: 8pF\n", "f_mod and f_stop must differ"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: -1pF\n",
+         "xm_capacitance must be positive"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: E7\n", "unknown E-series 'E7'"),
+        ("sweep", '{"schema_version": 1, "f_mod_hz": 2e7, "f_stop_hz": 2e7, "c_io_f": 8e-12, '
+                  '"exact": {"l_m": 4.7e-6}}', "f_mod and f_stop must differ"),
+        ("sweep", '{"schema_version": 2}', "unsupported design schema_version"),
+    ],
+    ids=["design_equal_carriers", "design_negative_xm", "design_unknown_eseries",
+         "sweep_equal_carriers", "sweep_schema_version"],
+)
+def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message):
+    """One line on stderr, exit 2, and no simulator module loaded to report it."""
+    path = tmp_path / ("spec.yaml" if command == "design" else "design.json")
+    path.write_text(spec)
+    r = _run_fresh([command, str(path)], "sorted(m for m in sys.modules if m.startswith('fdmlink'))")
+    assert r.returncode == 2, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert lines[:-1] == [f"error: {message}"]
+    for name in ("simulate", "modem", "protocol", "kernels"):
+        assert f"'fdmlink.{name}'" not in lines[-1], lines[-1]
+
+
 def test_design_writes_json_file(runner, tmp_path):
     out = tmp_path / "design_a.json"
     r = runner.invoke(main, ["design", SPEC_A, "--out", str(out)])

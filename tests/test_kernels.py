@@ -73,12 +73,27 @@ AMPLITUDES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e300]),
     st.floats(1e-9, 10.0),
 )
+# one drive state: per intent code, the levels the streams take in turn; a slave pulls SDA
+DRIVES = st.tuples(st.lists(st.lists(AMPLITUDES, min_size=1, max_size=3), min_size=4, max_size=4),
+                   st.booleans())
+STATE = ("ref", "det", "out", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye")
+POSITION = ("quarter", "pos", "event", "started")
+
+
+def _set_drives(ctxs, drives):
+    rows, pulled = drives
+    for ctx in ctxs:
+        for code, levels in enumerate(rows):
+            ctx.amp[code] = [levels[s % len(levels)] for s in range(ctx.n_streams)]
+        ctx.sda_pulled = pulled
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n_streams=st.integers(1, 40),
+    groups=st.integers(1, 20),
     spq=st.integers(1, 20),
+    fan_out=st.integers(1, 5),
+    master=st.integers(0, 19),
     noisy=st.booleans(),
     noise_rms=st.sampled_from([1e-6, 1e-3, 0.3]),
     traced=st.booleans(),
@@ -89,86 +104,115 @@ AMPLITUDES = st.one_of(
     alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     hysteresis=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     seed=st.integers(0, 2**32 - 1),
-    amps=st.lists(st.lists(AMPLITUDES, min_size=1, max_size=4), min_size=1, max_size=12),
+    segments=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=5),
+    drives=st.lists(DRIVES, min_size=1, max_size=6),
 )
 @example(
-    n_streams=2, spq=16, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5, ref_in=0.01,
-    ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0, amps=[[0.3, 0.03, 0.3]],
+    groups=1, spq=16, fan_out=9, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0,
+    segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
+    drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)],
 )
 def test_c_step_block_matches_python_bit_for_bit(
-    n_streams, spq, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha, hysteresis,
-    seed, amps,
+    groups, spq, fan_out, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
+    hysteresis, seed, segments, drives,
 ):
-    """Same return values, state, midpoint arrays and traces, compared as bytes.
+    """Same returns, position, state, counters and traces, compared as bytes.
 
-    ``amps`` holds the amplitude levels set between blocks, as ``run_scenario`` does;
-    the streams take them in turn, so streams differ and some flip first.
+    The segments hold random intent codes.  After every output change the
+    caller moves to the next drive state, as ``run_scenario`` does after
+    slave callbacks, so the kernels resume mid-segment on new amplitude rows;
+    a call at the segment end must return 0 and clear ``event``.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
-    n_alloc = spq * (len(amps) + 2)
-    noise = rng.normal(0.0, noise_rms, size=(n_alloc, n_streams)) if noisy else None
+    quarters = sum(map(len, segments))
+    noise = rng.normal(0.0, noise_rms, size=(quarters * spq, 2 * groups)) if noisy else None
     params = dict(floor=floor, ref_in=ref_in, ref_out=ref_out, k=k, alpha=alpha,
-                  hysteresis=hysteresis, samples_per_quarter=spq)
-    trace_samples = n_alloc if traced else 0
-    c_ctx, py_ctx = (
-        kernels.BlockContext(n_streams, noise=noise, trace_samples=trace_samples, **params)
-        for _ in range(2)
-    )
-    isample = 0
-    for levels in amps + [amps[-1]]:  # one quarter per entry, level changes between blocks
-        si = 0
-        while si < spq:
-            level = [levels[(s + isample) % len(levels)] for s in range(n_streams)]
-            for ctx in (c_ctx, py_ctx):
-                ctx.amp[:] = level
-                ctx.isample, ctx.start = isample, si
+                  hysteresis=hysteresis, samples_per_quarter=spq, quarters=quarters,
+                  fan_out=fan_out, master=master % groups, noise=noise, traces=traced)
+    ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
+    _set_drives(ctxs, drives[0])
+    changes = 0
+    for seg in segments:
+        q_end = c_ctx.quarter + len(seg)
+        for ctx in ctxs:
+            ctx.code[ctx.quarter:q_end] = seg
+            ctx.q_end = q_end
+        while True:
             n = c_step(c_ctx)
             assert n == _kernels_py.step_block(py_ctx)
-            assert 1 <= n <= spq - si
-            assert c_ctx.started == py_ctx.started == 1
-            for name in ("ref", "det", "out", "mid_out", "mid_margin"):
+            for name in STATE:
                 assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
-            si += n
-            isample += n
+            for name in POSITION:
+                assert getattr(c_ctx, name) == getattr(py_ctx, name), name
+            if not c_ctx.event:
+                assert c_ctx.quarter == q_end and c_ctx.pos == 0
+                break
+            assert n >= 1
+            changes += 1
+            _set_drives(ctxs, drives[changes % len(drives)])
+    assert c_ctx.quarter == quarters
     if traced:
-        for name in ("trace_det", "trace_ref", "trace_out"):
+        for name in ("trace_det", "trace_ref", "trace_out", "trace_wire"):
             assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
 
 
+def _context(groups=2, quarters=4, **kwargs):
+    params = dict(floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01, hysteresis=0.01,
+                  samples_per_quarter=16, quarters=quarters)
+    return kernels.BlockContext(groups, **{**params, **kwargs})
+
+
 def test_step_block_ends_at_the_first_output_change():
-    # the streams step down together; the 20 dB drop flips them all at once
-    ctx = kernels.BlockContext(4, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
-                               hysteresis=0.01, samples_per_quarter=16)
+    """Runs across quarters to the first output change, counting bits at the midpoints on the way."""
+    step = _kernels_py.step_block
+    ctx = _context(groups=2, fan_out=3, master=1)
     ctx.amp[:] = 0.3
-    ctx.isample, ctx.start = 0, 0
-    assert _kernels_py.step_block(ctx) == 16  # settles high, no change
-    ctx.amp[:] = 0.03
-    ctx.isample, ctx.start = 16, 0
-    assert _kernels_py.step_block(ctx) == 1
-    assert ctx.out.tolist() == [0, 0, 0, 0]
-    assert ctx.mid_out.tolist() == [1, 1, 1, 1]  # from the first quarter
-    ctx.start = 16
-    assert _kernels_py.step_block(ctx) == 0
+    ctx.amp[1, :2] = 0.03  # code 1 = (L, H): the master pulls SCL, a 20 dB drop
+    ctx.code[:2] = [3, 1]
+    ctx.q_end = 2
+    # quarter 0 settles high; the drop flips both SCL streams on quarter 1's first sample
+    assert step(ctx) == 17
+    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 1, 1)
+    assert ctx.out.tolist() == [0, 0, 1, 1]
+    assert ctx.obs[0].tolist() == [1, 1]
+    assert ctx.seen_low.tolist() == [1, 0]
+    assert ctx.bits_checked.tolist() == [0, 0]  # quarter 0's midpoint came before SCL was low
+    assert ctx.used.tolist() == [0, 1, 0, 1]
+    # on to the segment end: quarter 1's midpoint sees SCL low on both groups of 3 nodes
+    assert step(ctx) == 15
+    assert (ctx.event, ctx.quarter, ctx.pos) == (0, 2, 0)
+    assert ctx.obs[1].tolist() == [0, 1]
+    assert ctx.bits_checked.tolist() == [6, 0]
+    assert ctx.bit_errors.tolist() == [0, 0]
+    assert 0 < ctx.eye[0] < math.inf and ctx.eye[1] == math.inf
+    # a slave pulling SDA makes SDA's level low while the amplitudes keep both SDA streams high
+    ctx.sda_pulled = 1
+    ctx.code[2] = 1
+    ctx.q_end = 3
+    assert step(ctx) == 16
+    assert ctx.seen_low.tolist() == [1, 1]
+    assert ctx.bits_checked.tolist() == [12, 6] and ctx.bit_errors.tolist() == [0, 6]
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["constant", "noisy"])
 def test_empty_block_changes_nothing(backend, noisy):
-    """A block that starts at the quarter end returns 0 and leaves every array as it was."""
+    """A call with ``quarter == q_end`` returns 0, clears ``event`` and leaves every array as it was."""
     step = load_stepper(backend)
-    noise = np.full((32, 3), 1e-3) if noisy else None
-    ctx = kernels.BlockContext(3, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
-                               hysteresis=0.01, samples_per_quarter=16, noise=noise)
+    noise = np.full((32, 6), 1e-3) if noisy else None
+    ctx = _context(groups=3, quarters=2, noise=noise)
     ctx.amp[:] = 0.3
-    ctx.isample, ctx.start = 0, 0
+    ctx.code[0] = 3
+    ctx.q_end = 1
     assert step(ctx) == 16
-    names = ("ref", "det", "out", "mid_out", "mid_margin")
-    before = {name: getattr(ctx, name).tobytes() for name in names}
-    ctx.amp[:] = 0.03  # a new level that a non-empty block would act on
-    ctx.isample, ctx.start = 16, 16
+    before = {name: getattr(ctx, name).tobytes() for name in STATE}
+    ctx.amp[:] = 0.03  # a new level that a non-empty call would act on
+    ctx.event = 1
     assert step(ctx) == 0
-    assert {name: getattr(ctx, name).tobytes() for name in names} == before
+    assert {name: getattr(ctx, name).tobytes() for name in STATE} == before
+    assert (ctx.event, ctx.quarter, ctx.pos) == (0, 1, 0)
 
 
 def test_block_kernel_compiles_without_warnings(tmp_path):
@@ -186,21 +230,21 @@ def test_block_kernel_compiles_without_warnings(tmp_path):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(floor=0.0), dict(ref_in=0.0), dict(floor=1e-300, ref_in=1e300), dict(hysteresis=-0.01),
-     dict(hysteresis=math.nan)],
+     dict(hysteresis=math.nan), dict(master=2), dict(quarters=0)],
     ids=["floor_zero", "ref_in_zero", "floor_over_ref_in_underflows", "negative_hysteresis",
-         "nan_hysteresis"],
+         "nan_hysteresis", "master_outside_groups", "no_quarters"],
 )
 def test_block_context_rejects_params_the_kernels_would_disagree_on(kwargs):
-    params = dict(floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01, hysteresis=0.01,
-                  samples_per_quarter=16)
     with pytest.raises(ValueError):
-        kernels.BlockContext(2, **{**params, **kwargs})
+        _context(**kwargs)
 
 
 def test_block_context_rejects_misshapen_noise():
+    # a row per sample of every quarter, a column per stream
     with pytest.raises(ValueError, match="noise"):
-        kernels.BlockContext(3, floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01,
-                             hysteresis=0.01, samples_per_quarter=16, noise=np.zeros((10, 2)))
+        _context(groups=2, quarters=4, noise=np.zeros((63, 4)))
+    with pytest.raises(ValueError, match="noise"):
+        _context(groups=2, quarters=4, noise=np.zeros((64, 2)))
 
 
 # -- building and loading the C kernel --

@@ -265,3 +265,71 @@ def test_scl_rise_never_moves_sda_drive(program, seed):
     assert all(before == after for before, after in rises)
     # every addressed slave ACKs its address with SCL high, so some rises see it driving
     assert any(before for before, _ in rises)
+
+
+# -- the segment program against the per-quarter views --
+
+_scripts = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "read"]),
+        _addr,
+        st.lists(_byte, min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _script_transactions(script):
+    return [
+        Transaction.write(addr, data, stop_after=stop)
+        if kind == "write"
+        else Transaction.read(addr, n, stop_after=stop)
+        for kind, addr, data, n, stop in script
+    ]
+
+
+def _drive(gen, feedback):
+    """Run a per-quarter program, answering quarter i with ``feedback[i]``; return its intents."""
+    quarters = [next(gen)]
+    try:
+        while True:
+            quarters.append(gen.send(feedback[len(quarters) - 1]))
+    except StopIteration:
+        return quarters
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scripts, st.integers(min_value=0, max_value=2**31 - 1), st.floats(0.0, 1.0))
+def test_segments_flatten_to_the_per_quarter_program(script, seed, p_low):
+    """Random ACK/NACK and read bits anywhere: segments, ``generator()`` and the old program agree."""
+    from .oracles import master_quarters
+
+    txs = _script_transactions(script)
+    rng = np.random.default_rng(seed)
+    bound = MasterEngine(txs, 400e3).quarters_upper_bound()
+    feedback = [tuple(int(v) for v in row) for row in (rng.random((bound, 2)) >= p_low)]
+
+    seg_master = MasterEngine(txs, 400e3)
+    program = seg_master.segments()
+    segs = [next(program)]
+    flat = list(segs[0])
+    try:
+        while True:
+            segs.append(program.send(feedback[len(flat) - len(segs[-1]):len(flat)]))
+            flat += segs[-1]
+    except StopIteration:
+        pass
+
+    gen_master = MasterEngine(txs, 400e3)
+    ref_results: list = []
+    assert _drive(gen_master.generator(), feedback) == flat
+    assert _drive(master_quarters(gen_master, ref_results), feedback) == flat
+    assert seg_master.results == gen_master.results == ref_results
+    assert len(seg_master.results) == len(txs)
+    assert len(flat) <= seg_master.quarters_upper_bound()
+    # only the ACK sample of a byte the master sends ends a segment early
+    assert all(s[-1] == (1, 1) and s[-3:-1] == ((0, 1), (1, 1)) for s in segs[:-1])
+    assert len(segs) <= 1 + sum(1 + (len(d) if k == "write" else 0) for k, _, d, _, _ in script)

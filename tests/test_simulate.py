@@ -1,16 +1,28 @@
+import copy
+import dataclasses
 import json
 import math
 import warnings
 from importlib.resources import files
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdmlink import kernels
 from fdmlink.analysis import modulation_ratio
 from fdmlink.elements import POLE, inductor, resistor
 from fdmlink.modem import DetectorParams
-from fdmlink.protocol import QUARTERS_PER_BIT, MasterEngine, ProtocolError, Transaction
+from fdmlink.protocol import (
+    QUARTERS_PER_BIT,
+    MasterEngine,
+    ProtocolError,
+    SlaveEngine,
+    Transaction,
+    run_ideal_bus,
+)
 from fdmlink.simulate import (
     BusTopology,
     CarrierSpec,
@@ -487,8 +499,23 @@ def _output_change_samples(sink) -> int:
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
+    """One kernel call per slicer event or master segment, on either stepper."""
     from .conftest import load_stepper
 
+    segments = []
+    program = MasterEngine.segments
+
+    def counted(self):
+        gen = program(self)
+        seg = next(gen)
+        while True:
+            segments.append(len(seg))
+            try:
+                seg = gen.send((yield seg))
+            except StopIteration:
+                return
+
+    monkeypatch.setattr(MasterEngine, "segments", counted)
     counts = {}
     for backend in ("c", "python"):
         fn = load_stepper(backend)
@@ -499,14 +526,57 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
             return fn(ctx)
 
         monkeypatch.setattr(kernels, "block_stepper", lambda counting=counting: counting)
+        segments.clear()
         sink: dict = {}
         m, _ = demo.run(trace_sink=sink)
         counts[backend] = len(calls)
-    quarters = m.n_samples // round(m.sim_rate / (QUARTERS_PER_BIT * m.clock_hz))
-    assert counts["c"] == counts["python"]
-    assert counts["c"] <= quarters + _output_change_samples(sink)
-    assert m.n_samples == 26_496
-    assert counts["c"] < m.n_samples / 5
+    spq = round(m.sim_rate / (QUARTERS_PER_BIT * m.clock_hz))
+    assert m.n_samples == 26_496 == sum(segments) * spq
+    assert counts["c"] == counts["python"] == 1_001
+    assert counts["c"] <= len(segments) + _output_change_samples(sink)
+    assert len(segments) == 25
+
+
+_ABSENT = range(0x40, 0x48)
+_demo_scripts = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "read"]),
+        st.one_of(st.integers(0x18, 0x1F), st.sampled_from(_ABSENT)),
+        st.lists(st.integers(0, 0xFF), min_size=1, max_size=3),
+        st.integers(1, 4),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=_demo_scripts, regs=st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8))
+def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
+    """Writes, reads, NACKed addresses and repeated STARTs, on both block steppers."""
+    from .conftest import load_stepper
+
+    txns = [
+        Transaction.write(addr, data, stop_after=stop)
+        if kind == "write"
+        else Transaction.read(addr, n, stop_after=stop)
+        for kind, addr, data, n, stop in script
+    ]
+    nodes = tuple(
+        n if n.slave is None
+        else dataclasses.replace(n, slave=dataclasses.replace(n.slave, registers={r: regs[(i + r) % 8] for r in range(8)}))
+        for i, n in enumerate(demo.topology.nodes)
+    )
+    topo = dataclasses.replace(demo.topology, nodes=nodes)
+    ideal = MasterEngine(txns, demo.clock_hz)
+    run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
+    for backend in ("c", "python"):
+        fn = load_stepper(backend)
+        with mock.patch.object(kernels, "block_stepper", lambda: fn):
+            metrics, decoded = run_scenario(topo, txns, demo.clock_hz, sim_rate=demo.sim_rate)
+        assert decoded == ideal.results, backend
+        assert metrics.bit_errors == {"scl": 0, "sda": 0}
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
