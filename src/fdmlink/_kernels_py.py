@@ -2,15 +2,16 @@
 
 These are the hot kernels of the physical layer: stateful sample-by-sample
 recurrences that cannot be vectorized (each output feeds the next state).
-``slicer_loop`` and ``demod_loop`` run whole traces for the modem.
+``slicer_loop`` and ``demod_loop`` run whole traces; ``modem`` imports them
+from here, and ``Demodulator.run`` always starts ``demod_loop`` high
+(``out0 = H``) with ``feedback`` on exactly when a spike model is set.
 ``step_block`` advances the demodulator streams of ``run_scenario``
 through one master segment, from one slicer output change to the next,
 and does the quarter-midpoint bookkeeping (the master's observations, bit
 errors and eye margins) on the way.  It is the loop of ``step_block`` in
 ``_blockkernel.c`` written in Python, statement for statement: the
 reference the tests hold the C kernel to, and the fallback where that
-cannot be built.
-`fdmlink.kernels` picks the backend.
+cannot be built.  ``fdmlink.kernels`` picks the block stepper's backend.
 """
 
 from __future__ import annotations

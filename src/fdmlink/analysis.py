@@ -30,14 +30,17 @@ __all__ = [
     "budget",
 ]
 
+# the largest node count n_max reports
+N_LIMIT = 100_000
 
-def _capped(z: complex, cap: float) -> complex:
-    """Replace a pole-flagged impedance by a large finite stand-in."""
+
+def _capped(z: complex) -> complex:
+    """Replace a pole-flagged impedance by one of magnitude ``DEFAULT_POLE_CAP``."""
     if is_pole(z):
         mag = abs(z)
         if not math.isfinite(mag) or mag == 0.0:
-            return complex(cap, 0.0)
-        return z * (cap / mag)
+            return complex(DEFAULT_POLE_CAP, 0.0)
+        return z * (DEFAULT_POLE_CAP / mag)
     return z
 
 
@@ -51,11 +54,11 @@ class SweepResult:
     markers_h: tuple[tuple[float, str], ...] = ()
     markers_l: tuple[tuple[float, str], ...] = ()
 
-    def ratio_at(self, f: float, cap: float = DEFAULT_POLE_CAP) -> float:
-        """|z_h|/|z_l| at the grid point nearest ``f``."""
+    def ratio_at(self, f: float) -> float:
+        """|z_h|/|z_l| at the grid point nearest ``f``, poles capped at ``DEFAULT_POLE_CAP``."""
         i = int(np.argmin(np.abs(self.frequencies - f)))
-        zh = _capped(complex(self.z_h[i]), cap)
-        zl = _capped(complex(self.z_l[i]), cap)
+        zh = _capped(complex(self.z_h[i]))
+        zl = _capped(complex(self.z_l[i]))
         return abs(zh) / max(abs(zl), 1e-30)
 
     def to_csv(self) -> str:
@@ -86,20 +89,18 @@ def sweep(
     f_lo: float = 1e6,
     f_hi: float = 100e6,
     points: int = 501,
-    scale: str = "log",
     which: str = "exact",
 ) -> SweepResult:
-    """Input impedance of a design over a frequency grid, both pin states."""
+    """Input impedance of a design at ``points`` log-spaced frequencies, both pin states.
+
+    The markers come from :func:`find_poles_zeros` on a log grid of at least
+    2001 points, told whether ``loss`` is lossless.
+    """
     if not f_lo < f_hi:
         raise ValueError("need f_lo < f_hi")
     if points < 2:
         raise ValueError("points must be >= 2")
-    if scale == "log":
-        fs = np.geomspace(f_lo, f_hi, points)
-    elif scale == "linear":
-        fs = np.linspace(f_lo, f_hi, points)
-    else:
-        raise ValueError("scale must be 'log' or 'linear'")
+    fs = np.geomspace(f_lo, f_hi, points)
 
     # pull the nearest interior grid points onto the carriers so the exact
     # resonance values (including pole flags) land in the output; the row
@@ -134,7 +135,7 @@ def sweep(
     return SweepResult(fs, np.asarray(z_h), np.asarray(z_l), tuple(mk_h), tuple(mk_l))
 
 
-def modulation_ratio(z_h: complex, z_l: complex, z_p: complex, cap: float = DEFAULT_POLE_CAP) -> float:
+def modulation_ratio(z_h: complex, z_l: complex, z_p: complex) -> float:
     """Single-node amplitude ratio between pin states behind pull-up ``z_p``.
 
     |z_h/(z_p+z_h)| / |z_l/(z_p+z_l)|; as |z_p| grows this tends to
@@ -142,8 +143,8 @@ def modulation_ratio(z_h: complex, z_l: complex, z_p: complex, cap: float = DEFA
     """
     if z_p == 0:
         return 1.0
-    zh = _capped(complex(z_h), cap)
-    zl = _capped(complex(z_l), cap)
+    zh = _capped(complex(z_h))
+    zl = _capped(complex(z_l))
     num = abs(zh / (z_p + zh))
     den = abs(zl / (z_p + zl))
     if den == 0.0:
@@ -151,7 +152,7 @@ def modulation_ratio(z_h: complex, z_l: complex, z_p: complex, cap: float = DEFA
     return num / den
 
 
-def multinode_ratio(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POLE_CAP) -> float:
+def multinode_ratio(z_h: complex, z_l: complex, n: int) -> float:
     """Worst-case depth with ``n`` nodes: one pulls low, n-1 idle high.
 
     The idle nodes load the line with z_h/ (n-1) in parallel with the one
@@ -159,8 +160,8 @@ def multinode_ratio(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POL
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zh = _capped(complex(z_h), cap)
-    zl = _capped(complex(z_l), cap)
+    zh = _capped(complex(z_h))
+    zl = _capped(complex(z_l))
     if n == 1:
         return abs(zh) / max(abs(zl), 1e-30)
     z_high_all = zh / n
@@ -169,7 +170,7 @@ def multinode_ratio(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POL
     return abs(z_high_all) / max(abs(z_low), 1e-30)
 
 
-def multinode_approx(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_POLE_CAP) -> float:
+def multinode_approx(z_h: complex, z_l: complex, n: int) -> float:
     """Large-|z_p| approximation |1 + z_h/(n z_l)| of the n-node ratio.
 
     A shorted pulled state (``z_l == 0``) makes the approximation diverge:
@@ -177,26 +178,26 @@ def multinode_approx(z_h: complex, z_l: complex, n: int, cap: float = DEFAULT_PO
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zh = _capped(complex(z_h), cap)
-    zl = _capped(complex(z_l), cap)
+    zh = _capped(complex(z_h))
+    zl = _capped(complex(z_l))
     if zl == 0:
         return math.inf
     return abs(1.0 + zh / (n * zl))
 
 
-def n_max(z_h: complex, z_l: complex, min_depth_db: float, n_limit: int = 100_000) -> int:
-    """Largest node count keeping 20*log10(multinode_ratio) at or above the floor."""
+def n_max(z_h: complex, z_l: complex, min_depth_db: float) -> int:
+    """Largest node count up to ``N_LIMIT`` keeping 20*log10(multinode_ratio) >= the floor."""
     if min_depth_db <= 0.0:
         raise ValueError("min_depth_db must be positive")
     if 20.0 * math.log10(max(multinode_ratio(z_h, z_l, 1), 1e-30)) < min_depth_db:
         return 0
     lo, hi = 1, 1
-    while hi < n_limit:
-        hi = min(hi * 2, n_limit)
+    while hi < N_LIMIT:
+        hi = min(hi * 2, N_LIMIT)
         if 20.0 * math.log10(max(multinode_ratio(z_h, z_l, hi), 1e-30)) < min_depth_db:
             break
     else:
-        return n_limit
+        return N_LIMIT
     # ratio is non-increasing in n: bisect the crossing
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -126,8 +126,6 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
             "design": design_to_dict(d),
             "verification": _report_dict(report),
         }
-    except click.UsageError:
-        raise
     except _design_errors() as exc:
         _fail(2, str(exc))
         return
@@ -178,7 +176,7 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
         from .units import parse_quantity
 
         doc = json.loads(Path(designfile).read_text())
-        d = design_from_dict(doc.get("design", doc))
+        d = design_from_dict(doc.get("design", doc) if isinstance(doc, dict) else doc)
         loss = _loss_from_flags(lossless, q)
         f_lo = parse_quantity(flo, "Hz")
         f_hi = parse_quantity(fhi, "Hz")
@@ -189,8 +187,6 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
         if points < 2:
             raise click.UsageError("--points must be at least 2")
         result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
-    except click.UsageError:
-        raise
     except (json.JSONDecodeError, *_design_errors()) as exc:
         _fail(2, str(exc))
         return

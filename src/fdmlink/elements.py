@@ -5,23 +5,23 @@ Poles (ideal opens, resonance singularities) are ordinary values, not
 exceptions: evaluation returns complex infinity and :func:`is_pole` also
 treats any magnitude at or above ``POLE_CLAMP`` as a pole.
 
-Each public evaluation (:meth:`Network.impedance`, :func:`element_impedance`,
-:func:`input_impedance`) checks its frequencies once and then walks the tree
-in one pass.  A series node adds its children; a parallel node adds their
+Each public evaluation (:meth:`Network.impedance`,
+:func:`element_impedance`, :func:`input_impedance`) checks its frequencies
+and forms w = 2*pi*f and its least value once, then walks the tree in one
+pass.  A series node adds its children; a parallel node adds their
 admittances and inverts.  Only when a sum shows an open (a non-finite child)
 or a short (a zero child, or a zero total admittance) does the node redo the
 same arithmetic with masks, so the masks cost nothing on ordinary values and
 the result is the same float either way.  A capacitor whose w*C underflows
-to 0 is indeterminate: a scalar frequency raises ``DegenerateNetworkError``
-at the division, and for an array, whose division gives NaN, the masked
-pass raises it.
+to 0 is indeterminate: its evaluation raises ``DegenerateNetworkError``
+before it divides, for a scalar frequency and an array alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -68,13 +68,14 @@ def is_pole(z) -> bool | np.ndarray:
     return out if out.ndim else bool(out)
 
 
-def _check_freq(f) -> np.ndarray:
-    """``f`` as a float array; ``ValueError`` unless every value is in (0, inf)."""
+def _omega(f) -> tuple[np.ndarray, float]:
+    """w = 2*pi*f and its least value; ``ValueError`` unless every f is in (0, inf) Hz."""
     arr = np.asarray(f, dtype=float)
-    # NaN fails both comparisons
-    if not ((arr > 0.0) & (arr < math.inf)).all():
+    lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
+    # a NaN comes out of both and fails both comparisons
+    if not (0.0 < lo and hi < math.inf):
         raise ValueError("frequency must be positive and finite (Hz)")
-    return arr
+    return 2.0 * math.pi * arr, 2.0 * math.pi * float(lo)
 
 
 Kind = Literal["resistor", "inductor", "capacitor", "open", "short"]
@@ -107,55 +108,38 @@ class ReactiveElement:
 
 def element_impedance(e: ReactiveElement, f) -> complex | np.ndarray:
     """Impedance of one element at frequency ``f`` (Hz, scalar or array)."""
-    z = _element_z(e, _check_freq(f))
+    z = _element_z(e, *_omega(f))
     return z if np.ndim(f) else complex(z[()])
 
 
-def _element_z(e: ReactiveElement, farr: np.ndarray) -> np.ndarray:
-    """Impedance of one element on an already checked frequency array."""
-    w = 2.0 * math.pi * farr
+def _element_z(e: ReactiveElement, w: np.ndarray, w_lo: float) -> np.ndarray:
+    """Impedance of one element at the angular frequencies ``w``, least ``w_lo``."""
     if e.kind == "resistor":
-        z = np.broadcast_to(complex(e.value, 0.0), farr.shape).copy()
+        z = np.broadcast_to(complex(e.value, 0.0), w.shape).copy()
     elif e.kind == "inductor":
         z = e.loss + 1j * w * e.value
     elif e.kind == "capacitor":
-        try:
-            z = -1j / (w * e.value)
-        except ZeroDivisionError:  # a scalar w*C that underflows to 0; an array gives NaN
+        if not w_lo * e.value:  # rounding is monotonic: the least w*C is 0 when any is
             raise DegenerateNetworkError(
                 "capacitor impedance is indeterminate: w*C underflows to 0"
-            ) from None
+            )
+        z = -1j / (w * e.value)
         if e.loss > 0.0:
             z = z * e.loss / (z + e.loss)
     elif e.kind == "short":
-        z = np.broadcast_to(0.0 + 0.0j, farr.shape).copy()
+        z = np.broadcast_to(0.0 + 0.0j, w.shape).copy()
     elif e.kind == "open":
         if e.loss > 0.0:
-            z = np.broadcast_to(complex(e.loss, 0.0), farr.shape).copy()
+            z = np.broadcast_to(complex(e.loss, 0.0), w.shape).copy()
         else:
-            z = np.broadcast_to(POLE, farr.shape).copy()
+            z = np.broadcast_to(POLE, w.shape).copy()
     else:  # pragma: no cover - kinds are closed
         raise ValueError(f"unknown element kind {e.kind!r}")
     return np.asarray(z)
 
 
-def _check_capacitors(farr: np.ndarray, kids: Sequence["Network"]) -> None:
-    """``DegenerateNetworkError`` where a capacitor leaf's w*C underflows to 0.
-
-    ``_element_z`` raises this for a scalar frequency; an array divides to NaN.
-    """
-    w = 2.0 * math.pi * farr
-    for kid in kids:
-        if kid.op == "leaf" and kid.element.kind == "capacitor" and not (w * kid.element.value).all():
-            raise DegenerateNetworkError("capacitor impedance is indeterminate: w*C underflows to 0")
-
-
-def _series_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarray:
-    """Series rule: impedances add, and an open (non-finite) child opens the sum.
-
-    ``kids`` are the child networks of the values ``zs`` at frequencies ``farr``.
-    """
-    shape = farr.shape
+def _series_z(zs: list, shape: tuple) -> np.ndarray:
+    """Series rule: impedances add, and an open (non-finite) child opens the sum."""
     total = np.zeros(shape, dtype=complex)
     for z in zs:
         total = total + z
@@ -163,7 +147,6 @@ def _series_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarr
     # open to mask and equals the masked sum below
     if np.isfinite(total).all():
         return total
-    _check_capacitors(farr, kids)
     total = np.zeros(shape, dtype=complex)
     open_mask = np.zeros(shape, dtype=bool)
     for z in zs:
@@ -173,7 +156,7 @@ def _series_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarr
     return np.where(open_mask, POLE, total)
 
 
-def _parallel_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.ndarray:
+def _parallel_z(zs: list, shape: tuple) -> np.ndarray:
     """Parallel rule in admittance: a short child wins, an open child adds nothing.
 
     Without masks a short child makes the admittance sum non-finite and an
@@ -181,14 +164,12 @@ def _parallel_z(zs: list, farr: np.ndarray, kids: Sequence["Network"]) -> np.nda
     starts at +0.  So a finite, non-zero sum needs no mask and equals the
     masked sum below.
     """
-    shape = farr.shape
     y = np.zeros(shape, dtype=complex)
     with np.errstate(all="ignore"):
         for z in zs:
             y = y + 1.0 / z
     if np.isfinite(y).all() and y.all():
         return 1.0 / y
-    _check_capacitors(farr, kids)
     short_mask = np.zeros(shape, dtype=bool)
     y = np.zeros(shape, dtype=complex)
     for z in zs:
@@ -225,21 +206,20 @@ class Network:
         return parallel(self, other)
 
     def impedance(self, f) -> complex | np.ndarray:
-        farr = _check_freq(f)
-        z = self._eval(farr)
+        z = self._eval(*_omega(f))
         if np.isnan(z).any():
             raise DegenerateNetworkError("network evaluates to an indeterminate form")
         return z if np.ndim(f) else complex(z[()])
 
-    def _eval(self, farr: np.ndarray) -> np.ndarray:
-        """Impedance on an already checked frequency array, NaN not checked."""
+    def _eval(self, w: np.ndarray, w_lo: float) -> np.ndarray:
+        """Impedance at the angular frequencies ``w`` from :func:`_omega`, NaN not checked."""
         if self.op == "leaf":
             assert self.element is not None
-            return _element_z(self.element, farr)
-        zs = [c._eval(farr) for c in self.children]
+            return _element_z(self.element, w, w_lo)
+        zs = [c._eval(w, w_lo) for c in self.children]
         if self.op == "series":
-            return _series_z(zs, farr, self.children)
-        return _parallel_z(zs, farr, self.children)
+            return _series_z(zs, w.shape)
+        return _parallel_z(zs, w.shape)
 
 
 def resistor(ohms: float, loss: float = 0.0) -> Network:
@@ -329,22 +309,22 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     back pole-flagged rather than raising.  ``DegenerateNetworkError`` when
     a branch or the result is indeterminate (NaN), for a scalar ``f`` and
     an array alike; z11 and z22 are never NaN, since the series rule makes
-    a NaN term an open, or raises for a capacitor's.
+    a NaN term an open (a capacitor raises before it gives one).
     """
-    farr = _check_freq(f)
+    w, w_lo = _omega(f)
     # z11 adds the terms of series(x1, xm): a series branch contributes its
     # children, so the sums run in the same order as that flattened network;
     # the branches are evaluated x1, xm, x2, so the first error is the same
     k1, km, k2 = _series_kids(z.x1), _series_kids(z.xm), _series_kids(z.x2)
-    t1 = [k._eval(farr) for k in k1]
-    tm = [k._eval(farr) for k in km]
+    t1 = [k._eval(w, w_lo) for k in k1]
+    tm = [k._eval(w, w_lo) for k in km]
     # an array even for scalar f: numpy's scalar complex multiply can round
     # zm * zm differently from its array multiply
-    zm = np.asarray(tm[0] if len(tm) == 1 else _series_z(tm, farr, km), dtype=complex)
+    zm = np.asarray(tm[0] if len(tm) == 1 else _series_z(tm, w.shape), dtype=complex)
     if np.isnan(zm).any():
         raise DegenerateNetworkError("network evaluates to an indeterminate form")
-    z11 = _series_z(t1 + tm, farr, k1 + km)
-    z22 = _series_z([k._eval(farr) for k in k2] + tm, farr, k2 + km)
+    z11 = _series_z(t1 + tm, w.shape)
+    z22 = _series_z([k._eval(w, w_lo) for k in k2] + tm, w.shape)
     zl = np.asarray(z_load, dtype=complex)
     den = zl + z22
 
@@ -457,29 +437,31 @@ def find_poles_zeros(
     f_lo: float,
     f_hi: float,
     grid: int = 2001,
-    lossless: bool | None = None,
+    *,
+    lossless: bool,
 ) -> list[tuple[float, str]]:
     """Locate impedance poles and zeros of ``net_fn`` on [f_lo, f_hi].
 
     ``net_fn`` maps an array of frequencies (Hz) to impedances.  The scan
-    grid is log-spaced.  For lossless (purely reactive) one-ports the
-    classification is exact.  By Foster's reactance theorem X rises between
-    poles, so every zero and pole lies in a grid cell where X changes sign:
-    upward (a zero) or downward (a pole, where X jumps).  Grid points that
-    are pole-flagged or exactly zero are reported as they are, and their
-    cells are not refined.  All other sign-change cells are refined together
-    by one vectorised Illinois solve: X = 0 for zeros, -1/X = 0 for poles,
-    one ``net_fn`` call per iteration on the array of unconverged cells.  A
-    pole-flagged value met on the way counts as the root, so a pole is
-    located to within the band where :func:`is_pole` flags it; every other
-    root is refined until its bracket closes to rounding.  Lossy networks
-    fall back to the
-    local extrema of log10|Z| on the grid, with ``scipy.signal.find_peaks``
+    grid is log-spaced.  The caller says whether the network is lossless
+    (purely reactive), as ``LossModel.lossless`` does; nothing is guessed
+    from the values.  For lossless one-ports the classification is exact.
+    By Foster's reactance theorem X rises between poles, so every zero and
+    pole lies in a grid cell where X changes sign: upward (a zero) or
+    downward (a pole, where X jumps).  Grid points that are pole-flagged or
+    exactly zero are reported as they are, and their cells are not refined.
+    All other sign-change cells are refined together by one vectorised
+    Illinois solve: X = 0 for zeros, -1/X = 0 for poles, one ``net_fn`` call
+    per iteration on the array of unconverged cells.  A pole-flagged value
+    met on the way counts as the root, so a pole is located to within the
+    band where :func:`is_pole` flags it; every other root is refined until
+    its bracket closes to rounding.  Lossy networks fall back to the local
+    extrema of log10|Z| on the grid, with ``scipy.signal.find_peaks``
     semantics: a maximum is a pole and a minimum a zero when its prominence
     is at least one decade.  A maximum's prominence is its height minus the
-    higher of its two side minima, each side searched up to the first
-    higher sample (mirrored for minima).  A flat extremum reports its
-    midpoint; one that runs to either end of the grid is not reported.  Returns
+    higher of its two side minima, each side searched up to the first higher
+    sample (mirrored for minima).  A flat extremum reports its midpoint; one
+    that runs to either end of the grid is not reported.  Returns
     ``[(frequency, "pole"|"zero"), ...]`` sorted by frequency; no crossings
     means an empty list.
     """
@@ -490,14 +472,6 @@ def find_poles_zeros(
     fs = np.geomspace(f_lo, f_hi, grid)
     z = np.asarray(net_fn(fs), dtype=complex)
     pole_grid = is_pole(z)
-
-    if lossless is None:
-        finite = ~pole_grid
-        if not np.any(finite):
-            lossless = True
-        else:
-            scale = float(np.max(np.abs(z[finite])))
-            lossless = float(np.max(np.abs(z[finite].real))) <= 1e-9 * max(scale, 1.0)
 
     found: list[tuple[float, str]] = []
     if lossless:

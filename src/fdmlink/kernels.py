@@ -1,10 +1,15 @@
-"""The per-sample loops, as used by the rest of the package.
+"""The backend of ``run_scenario``'s block stepper.
 
-``slicer_loop`` and ``demod_loop`` are the numpy/Python ones in
-``_kernels_py``.  ``run_scenario`` advances its demodulator streams through
+The modem's whole-trace loops, ``slicer_loop`` and ``demod_loop``, live in
+``_kernels_py`` only, and ``modem`` imports them from there.
+``run_scenario`` advances its demodulator streams through
 ``block_stepper()``: the C ``step_block`` in ``_blockkernel.c`` where the
 system ``cc`` can build it, else ``_kernels_py.step_block``, the same loop
-written in Python, which gives the same doubles bit for bit.  One call runs
+written in Python, which gives the same doubles bit for bit.  The streams
+run the one demodulator ``run_scenario`` fixes: the default
+``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``, a reference
+LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default hysteresis.
+One call runs
 the streams across the quarters of a master segment (the intent codes and
 one amplitude row per code sit in the ``BlockContext``) and returns at the
 first slicer output change, flagged in ``event``, or at the segment end; on
@@ -31,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import _kernels_py
-from ._kernels_py import BlockContext, demod_loop, slicer_loop
+from ._kernels_py import BlockContext
 
 __all__ = [
     "BlockContext",
@@ -39,9 +44,7 @@ __all__ = [
     "backend_detail",
     "backend_name",
     "block_stepper",
-    "demod_loop",
     "load_c",
-    "slicer_loop",
 ]
 
 SOURCE = Path(__file__).with_name("_blockkernel.c")

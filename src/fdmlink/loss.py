@@ -86,9 +86,10 @@ class LossModel:
         return branch
 
     def load(self, c_io: float, state: str) -> Network:
-        if state in ("H", "h", "high"):
+        """The pin in logic state ``"H"`` or ``"L"``."""
+        if state == "H":
             return self.h_load(c_io)
-        if state in ("L", "l", "low"):
+        if state == "L":
             return self.l_load(c_io)
         raise ValueError(f"state must be 'H' or 'L', got {state!r}")
 

@@ -43,6 +43,8 @@ L = 0
 
 MIN_SAMPLES_PER_BIT = 50
 MIN_CARRIER_CLOCK_RATIO = 100.0
+# the slicer reference's LPF time constant, in bit periods
+SLICER_TAU_BITS = 20.0
 
 
 class CarrierSeparationWarning(UserWarning):
@@ -144,21 +146,20 @@ class DetectorParams:
 
     Output volts per input dB with a fixed anchor point:
     out = ref_out + slope * 20*log10(env / ref_in), clamped at ``floor``
-    volts of input (default 60 dB below the anchor).  ``input_impedance``
-    is recorded for loading calculations but the detector itself is
-    treated as high-impedance.
+    volts of input (default 60 dB below the anchor).  The detector is
+    treated as high-impedance: it does not load the bus.
     """
 
     slope: float = 0.044
     ref_in: float = 0.010
     ref_out: float = 1.0
     floor: float | None = None
-    input_impedance: float = 2000.0
 
     def __post_init__(self) -> None:
-        if self.slope <= 0.0 or self.ref_in <= 0.0:
+        # written so that NaN fails every check
+        if not (self.slope > 0.0 and self.ref_in > 0.0):
             raise ValueError("slope and ref_in must be positive")
-        if self.floor is not None and self.floor < 0.0:
+        if self.floor is not None and not self.floor >= 0.0:
             raise ValueError("floor must be >= 0")
 
     @property
@@ -175,15 +176,16 @@ class SlicerParams:
     initial_reference: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lpf_time_constant <= 0.0:
+        # written so that NaN fails every check
+        if not self.lpf_time_constant > 0.0:
             raise ValueError("lpf_time_constant must be positive")
-        if self.hysteresis < 0.0:
+        if not self.hysteresis >= 0.0:
             raise ValueError("hysteresis must be >= 0")
 
     @staticmethod
-    def for_bit_rate(bit_rate: float, periods: float = 20.0, **kw) -> "SlicerParams":
-        """Default tuning: LPF constant of ``periods`` bit periods."""
-        return SlicerParams(lpf_time_constant=periods / bit_rate, **kw)
+    def for_bit_rate(bit_rate: float) -> "SlicerParams":
+        """Default tuning: LPF constant of ``SLICER_TAU_BITS`` bit periods."""
+        return SlicerParams(lpf_time_constant=SLICER_TAU_BITS / bit_rate)
 
     def alpha(self, sample_rate: float) -> float:
         return 1.0 - math.exp(-1.0 / (sample_rate * self.lpf_time_constant))
@@ -205,9 +207,10 @@ class ClipParams:
     spike_decay: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.v_f <= 0.0:
+        # written so that NaN fails every check
+        if not self.v_f > 0.0:
             raise ValueError("v_f must be positive")
-        if self.spike_amplitude < 0.0 or self.spike_decay <= 0.0:
+        if not (self.spike_amplitude >= 0.0 and self.spike_decay > 0.0):
             raise ValueError("spike_amplitude >= 0 and spike_decay > 0 required")
 
     def effective_amplitude(self, clip_enabled: bool = True) -> float:
@@ -275,10 +278,10 @@ def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageT
 
 def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
     """Binarize a detector trace; output starts high (bus idle)."""
-    from . import kernels  # on use, so loading a scenario does not import the kernel modules
+    from . import _kernels_py  # on use, so loading a scenario does not import the kernels
 
     ref0 = p.initial_reference if p.initial_reference is not None else float(det.samples[0])
-    levels, _ = kernels.slicer_loop(
+    levels, _ = _kernels_py.slicer_loop(
         det.samples, p.alpha(det.sample_rate), p.hysteresis, ref0, H
     )
     return LogicTimeline(det.sample_rate, levels)
@@ -320,44 +323,39 @@ def inject_latchup_spike(
 
 @dataclass(frozen=True)
 class Demodulator:
-    """Detector + slicer chain, optionally with closed-loop spike feedback.
+    """Detector + slicer chain, with closed-loop spike feedback when ``clip`` is set.
 
-    With ``feedback`` on and a spike model present, each output transition
-    couples a spike back into the detector input within the same sample;
-    a large unclipped spike then holds the output at its previous level
-    indefinitely (latch-up).
+    With a spike model present, each output transition couples a spike back
+    into the detector input within the same sample; a large unclipped spike
+    then holds the output at its previous level indefinitely (latch-up).
+    The output starts high (``H``, the idle bus).
     """
 
     detector: DetectorParams = DetectorParams()
     slicer: SlicerParams = SlicerParams(lpf_time_constant=2e-3)
     clip: ClipParams | None = None
     clip_enabled: bool = True
-    feedback: bool = True
 
-    def run(
-        self, env: EnvelopeTrace, initial_out: int = H
-    ) -> tuple[LogicTimeline, VoltageTrace, VoltageTrace]:
+    def run(self, env: EnvelopeTrace) -> tuple[LogicTimeline, VoltageTrace, VoltageTrace]:
         """Demodulate an envelope; returns (levels, detector, reference)."""
-        from . import kernels  # on use, so loading a scenario does not import the kernel modules
+        from . import _kernels_py  # on use, so loading a scenario does not import the kernels
 
         p = self.detector
         rate = env.sample_rate
         spike_amp = 0.0
         decay_mult = 0.0
         spike_cap = math.inf
-        feedback = False
         if self.clip is not None:
             spike_amp = self.clip.effective_amplitude(self.clip_enabled)
             decay_mult = self.clip.decay_mult(rate)
             if self.clip_enabled:
                 spike_cap = self.clip.v_f
-            feedback = self.feedback
         if self.slicer.initial_reference is not None:
             ref0 = self.slicer.initial_reference
         else:
             x0 = max(float(env.samples[0]), p.floor_volts)
             ref0 = p.ref_out + p.slope * 20.0 * math.log10(x0 / p.ref_in)
-        levels, det, refs = kernels.demod_loop(
+        levels, det, refs = _kernels_py.demod_loop(
             env.samples,
             p.ref_in,
             p.ref_out,
@@ -366,11 +364,11 @@ class Demodulator:
             self.slicer.alpha(rate),
             self.slicer.hysteresis,
             ref0,
-            initial_out,
+            H,
             spike_amp,
             decay_mult,
             spike_cap,
-            feedback,
+            self.clip is not None,
         )
         return (
             LogicTimeline(rate, levels),

@@ -42,6 +42,9 @@ __all__ = [
 RESERVED_ADDRESSES = frozenset(range(0x00, 0x08)) | frozenset(range(0x78, 0x80))
 MAX_CLOCK_HZ = 400_000
 QUARTERS_PER_BIT = 4
+# idle bits the master program starts with, and after each STOP
+LEAD_IN_BITS = 8
+GAP_BITS = 1
 
 
 class ProtocolError(ValueError):
@@ -307,18 +310,13 @@ class MasterEngine:
     time: it yields each intent and receives that quarter's (scl, sda).
     Completed transactions (with observed ACKs and read data) accumulate
     in ``results``; a read's entry is added once the segment holding its
-    data bits has been observed.  One engine instance runs one program,
-    once.
+    data bits has been observed.  The program opens with ``LEAD_IN_BITS``
+    idle bits and idles ``GAP_BITS`` after each STOP; addresses in
+    ``RESERVED_ADDRESSES`` are refused.  One engine instance runs one
+    program, once.
     """
 
-    def __init__(
-        self,
-        transactions: Transaction | Sequence[Transaction],
-        clock_hz: float,
-        reserved: frozenset[int] = RESERVED_ADDRESSES,
-        lead_in_bits: int = 8,
-        gap_bits: int = 1,
-    ):
+    def __init__(self, transactions: Transaction | Sequence[Transaction], clock_hz: float):
         if isinstance(transactions, Transaction):
             transactions = [transactions]
         if not transactions:
@@ -328,22 +326,20 @@ class MasterEngine:
                 f"clock {clock_hz:.4g} Hz outside (0, {MAX_CLOCK_HZ}] (fast mode ceiling)"
             )
         for t in transactions:
-            if t.address in reserved:
+            if t.address in RESERVED_ADDRESSES:
                 raise ProtocolError(f"address {t.address:#04x} is reserved")
         self.transactions = list(transactions)
         self.clock_hz = float(clock_hz)
-        self.lead_in_bits = lead_in_bits
-        self.gap_bits = gap_bits
         self.results: list[Transaction] = []
 
     def quarters_upper_bound(self) -> int:
         """Static bound on program length; aborts only shorten a run."""
-        total = (self.lead_in_bits + 2) * QUARTERS_PER_BIT
+        total = (LEAD_IN_BITS + 2) * QUARTERS_PER_BIT
         for t in self.transactions:
             nbytes = len(t.payload) if t.direction == "write" else t.read_length
             total += 4  # START or repeated START
             total += (1 + nbytes) * 9 * QUARTERS_PER_BIT
-            total += 4 + self.gap_bits * QUARTERS_PER_BIT  # STOP + gap
+            total += 4 + GAP_BITS * QUARTERS_PER_BIT  # STOP + gap
         return total
 
     def _record(self, t: Transaction, acks: list[bool], completed: bool, data: bytes = b"") -> None:
@@ -358,7 +354,7 @@ class MasterEngine:
 
     def segments(self) -> Generator[tuple[tuple[int, int], ...], Sequence[Sequence[int]], None]:
         """The master program: yields segments of intents, receives each one's observations."""
-        seg = list(_IDLE_BIT * self.lead_in_bits)
+        seg = list(_IDLE_BIT * LEAD_IN_BITS)
         # a completed read whose data bits sit in ``seg`` from index ``first``
         read: tuple[Transaction, list[bool], int] | None = None
         stopped = True
@@ -387,7 +383,7 @@ class MasterEngine:
                     seg += _rx_quarters(ack=k < t.read_length - 1)
             stopped = t.stop_after or not completed
             if stopped:
-                seg += _STOP + _IDLE_BIT * self.gap_bits
+                seg += _STOP + _IDLE_BIT * GAP_BITS
             if read is None:
                 self._record(t, acks, completed)
         obs = yield tuple(seg + list(_IDLE_BIT * 2))

@@ -10,18 +10,19 @@ between the pull-up and the total node/feed loading, so any node pulling
 low collapses that carrier for everyone - a wired-AND in amplitude.
 
 Demodulation is a log detector, an IIR reference and a slicer with
-hysteresis (same math as the modem kernels).  Nodes only reflect the
-carriers, so every node sees the same line amplitude: without noise all
-detectors on a line get identical input, and one demodulator stream per
-line serves every node.  With noise each node-line is its own stream.  The
-master's program comes in segments of quarter bits whose intents do not
-depend on each other's observations, and the amplitude of each quarter
-follows from its intents and the slave drives, so
-``kernels.block_stepper()`` (compiled C, or the same arithmetic in Python)
-advances the streams through a segment up to its end or the first slicer
-output change; slave reactions, which close the loop, run between calls.
-Bit errors are counted at quarter-bit midpoints against the ideal
-wired-AND level of the same run.
+hysteresis (same math as the modem kernels), the same for every run: the
+default ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``.
+Nodes only reflect the carriers, so every node sees the same line
+amplitude: without noise all detectors on a line get identical input, and
+one demodulator stream per line serves every node.  With noise each
+node-line is its own stream.  The master's program comes in segments of
+quarter bits whose intents do not depend on each other's observations, and
+the amplitude of each quarter follows from its intents and the slave
+drives, so ``kernels.block_stepper()`` (compiled C, or the same arithmetic
+in Python) advances the streams through a segment up to its end or the
+first slicer output change; slave reactions, which close the loop, run
+between calls.  Bit errors are counted at quarter-bit midpoints against the
+ideal wired-AND level of the same run.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ LINES = ("scl", "sda")
 MIN_SAMPLES_PER_QUARTER = 13
 # a master quarter's (scl, sda) intents as the block kernel's code 2 * scl + sda
 _INTENT_CODE = {(scl, sda): 2 * scl + sda for scl in (H, L) for sda in (H, L)}
+# every node's detector
+_DETECTOR = DetectorParams()
 
 # rough phase velocity on FR4 for the electrical-size check
 _VELOCITY_M_S = 1.5e8
@@ -110,7 +113,7 @@ class CarrierSpec:
     def __post_init__(self) -> None:
         if self.line not in LINES:
             raise TopologyError(f"carrier line must be one of {LINES}, got {self.line!r}")
-        if self.frequency <= 0 or self.amplitude <= 0:
+        if not (self.frequency > 0 and self.amplitude > 0):  # NaN fails too
             raise TopologyError("carrier frequency and amplitude must be positive")
 
     def pullup_z(self, f: float) -> complex:
@@ -264,17 +267,17 @@ def _divided_amplitude(topology: BusTopology, carrier: CarrierSpec, y: complex, 
 
 
 class _AmplitudeTable:
-    """Carrier amplitudes per drive state, filled on demand during one run.
+    """Carrier amplitudes per drive state for one run.
 
     Node admittances are computed once per (node, line, state, carrier), and
     once for all nodes that share a filter design, loss model and ``which``.
-    An entry sums them in ``bus_amplitude``'s order, so it equals
-    ``bus_amplitude`` for the same pin states bit for bit.
+    A call sums them in ``bus_amplitude``'s order, so it equals
+    ``bus_amplitude`` for the same pin states bit for bit.  Nothing is
+    cached here: ``run_scenario`` keeps the rows of each slave-drive tuple.
     """
 
     def __init__(self, topology: BusTopology):
         self.topology = topology
-        self.entries: dict[tuple[tuple[bool, ...], tuple[bool, ...]], tuple[float, ...]] = {}
         # per carrier: (carrier, pull-up impedance, [line][node][pulled] -> admittance, fixed loads)
         self._carriers = []
         for c in topology.carriers:
@@ -298,12 +301,8 @@ class _AmplitudeTable:
             self._carriers.append((c, c.pullup_z(f), loads, _fixed_admittances(topology, c)))
 
     def __call__(self, scl_drives: tuple[bool, ...], sda_drives: tuple[bool, ...]) -> tuple[float, ...]:
-        key = (scl_drives, sda_drives)
-        hit = self.entries.get(key)
-        if hit is None:
-            hit = tuple(self._amplitude(key, j) for j in range(len(self._carriers)))
-            self.entries[key] = hit
-        return hit
+        drives = (scl_drives, sda_drives)
+        return tuple(self._amplitude(drives, j) for j in range(len(self._carriers)))
 
     def _amplitude(self, drives: tuple[tuple[bool, ...], ...], j: int) -> float:
         c, z_p, loads, fixed = self._carriers[j]
@@ -388,9 +387,6 @@ def run_scenario(
     sim_rate: float | None = None,
     noise_rms: float = 0.0,
     seed: int = 0,
-    detector: DetectorParams | None = None,
-    slicer_tau_bits: float = 20.0,
-    hysteresis: float = 0.010,
     trace_sink: dict | None = None,
 ) -> tuple[LinkMetrics, list[Transaction]]:
     """Run an I2C script over the analog link, one master segment at a time.
@@ -400,7 +396,10 @@ def run_scenario(
     quarter-bit midpoints.  Every node sees the same carrier amplitude, so
     each distinct demodulator input is one stream: without noise one
     stream per line fans out to every node, with noise each node-line is
-    its own stream.
+    its own stream.  Every stream is the same demodulator: the default
+    ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock_hz)``, whose
+    reference is a one-pole LPF of ``modem.SLICER_TAU_BITS`` bit periods with
+    the default 10 mV hysteresis.
 
     ``MasterEngine.segments()`` yields the master's quarter intents a
     segment at a time; only the ACK sample of a byte the master sends ends
@@ -435,9 +434,6 @@ def run_scenario(
     for line in LINES:
         topology.line_carrier(line)
         check_carrier_separation(clock_hz, topology.line_carrier(line).frequency)
-    det = detector if detector is not None else DetectorParams()
-    if not det.floor_volts > 0:
-        raise TopologyError(f"detector floor must be > 0 V, got {det.floor_volts!r}")
 
     nodes = topology.nodes
     n_nodes = len(nodes)
@@ -466,14 +462,15 @@ def run_scenario(
     scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
     sda_sources = [None if i == mi else e for i, e in enumerate(engines)]
     tracing = trace_sink is not None
+    slicer = SlicerParams.for_bit_rate(clock_hz)
     ctx = kernels.BlockContext(
         n_groups,
-        floor=det.floor_volts,
-        ref_in=det.ref_in,
-        ref_out=det.ref_out,
-        k=det.slope * 20.0,
-        alpha=SlicerParams(lpf_time_constant=slicer_tau_bits / clock_hz).alpha(sim_rate),
-        hysteresis=hysteresis,
+        floor=_DETECTOR.floor_volts,
+        ref_in=_DETECTOR.ref_in,
+        ref_out=_DETECTOR.ref_out,
+        k=_DETECTOR.slope * 20.0,
+        alpha=slicer.alpha(sim_rate),
+        hysteresis=slicer.hysteresis,
         samples_per_quarter=spq,
         quarters=n_quarters,
         fan_out=n_nodes // n_groups,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_POLE_CAP = 1e9  # finite stand-in for pole-flagged impedances in ratios
+# the least |Z_H|/|Z_L| at f_mod that a lossy design must reach to verify
+MIN_RATIO = 100.0
 
 # relative tolerance for "x_m equals X_IO_H" (the D boundary)
 _D_TOL = 1e-9
@@ -119,19 +122,23 @@ class FilterSpec:
     eseries: str = "E12"
 
     def __post_init__(self) -> None:
-        if self.f_mod <= 0.0 or self.f_stop <= 0.0:
+        # written so that NaN fails every check
+        if not (self.f_mod > 0.0 and self.f_stop > 0.0):
             raise ValueError("carrier frequencies must be positive")
         if self.f_mod == self.f_stop:
             raise ValueError("f_mod and f_stop must differ")
-        if self.c_io <= 0.0:
+        if not self.c_io > 0.0:
             raise ValueError("c_io must be positive")
-        if self.shunt_c < 0.0:
+        if not self.shunt_c >= 0.0:
             raise ValueError("shunt_c must be >= 0")
         if self.xm_inductance is not None and self.xm_capacitance is not None:
             raise ValueError("give x_m as an inductance or a capacitance, not both")
+        # 0 stays: classify() rejects it as configuration (e)
+        if self.xm_inductance is not None and not 0.0 <= self.xm_inductance < math.inf:
+            raise ValueError("xm_inductance must be finite and >= 0")
         if self.xm_capacitance is not None and not self.xm_capacitance > 0.0:
             raise ValueError("xm_capacitance must be positive")
-        if self.eseries not in eseries.ESERIES:
+        if not (isinstance(self.eseries, str) and self.eseries in eseries.ESERIES):
             raise ValueError(f"unknown E-series {self.eseries!r}")
 
     @property
@@ -494,20 +501,20 @@ class VerificationReport:
         return all(self.checks.values())
 
 
-def _capped_abs(z: complex, cap: float = DEFAULT_POLE_CAP) -> float:
-    return cap if is_pole(z) else min(abs(z), cap)
+def _capped_abs(z: complex) -> float:
+    return DEFAULT_POLE_CAP if is_pole(z) else min(abs(z), DEFAULT_POLE_CAP)
 
 
 def verify_design(
     d: FilterDesign,
     loss: LossModel = LOSSLESS,
     which: str = "exact",
-    min_ratio: float = 100.0,
 ) -> VerificationReport:
     """Evaluate the realized design at both carriers and both pin states.
 
     Lossless checks demand the ideal open/short pattern; lossy checks demand
-    the high/low impedance ratio at f_mod to clear ``min_ratio``.  The
+    the high/low impedance ratio at f_mod to clear ``MIN_RATIO`` (100), with
+    pole-flagged values capped at ``DEFAULT_POLE_CAP``.  The
     high-state poles and zeros between half the lower carrier and twice the
     higher one come from :func:`find_poles_zeros` on a 4001-point grid:
     refined roots of the reactance when lossless, prominent extrema of |Z|
@@ -550,7 +557,7 @@ def verify_design(
         checks["open_at_f_stop_h"] = bool(is_pole(zh_fstop))
         checks["open_at_f_stop_l"] = bool(is_pole(zl_fstop))
     else:
-        checks["modulation_ratio_at_f_mod"] = ratio >= min_ratio
+        checks["modulation_ratio_at_f_mod"] = ratio >= MIN_RATIO
     checks["zero_separated_from_poles"] = not risk
 
     return VerificationReport(
@@ -623,19 +630,38 @@ def _checked_spec(**kwargs) -> FilterSpec:
         raise SpecError(str(exc)) from None
 
 
-def design_from_dict(rec: dict) -> FilterDesign:
-    """Re-synthesize a design saved by ``design_to_dict``; bad values raise ``SpecError``."""
+def _saved_number(rec: Mapping, key: str, default: float | None = None, where: str = ""):
+    """``rec[key]`` of a saved design, ``default`` when absent; ``SpecError`` unless a number."""
+    if key not in rec:
+        return default
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"saved design: {where}{key!r} must be a number, got {value!r}")
+    return value
+
+
+def design_from_dict(rec: Mapping) -> FilterDesign:
+    """Re-synthesize a design saved by ``design_to_dict``; bad values raise ``SpecError``.
+
+    Every field is checked where it is read, and the error names its key.
+    """
+    if not isinstance(rec, Mapping):
+        raise SpecError(f"a saved design must be a mapping, got {type(rec).__name__}")
     if rec.get("schema_version") != 1:
         raise SpecError("unsupported design schema_version")
-    xm_l = rec["exact"].get("l_m")
-    xm_c = rec["exact"].get("c_m")
+    for key in ("f_mod_hz", "f_stop_hz", "c_io_f", "exact"):
+        if key not in rec:
+            raise SpecError(f"saved design has no {key!r}")
+    exact = rec["exact"]
+    if not isinstance(exact, Mapping):
+        raise SpecError(f"saved design: 'exact' must be a mapping, got {exact!r}")
     spec = _checked_spec(
-        f_mod=rec["f_mod_hz"],
-        f_stop=rec["f_stop_hz"],
-        c_io=rec["c_io_f"],
-        shunt_c=rec.get("shunt_c_f", 0.0),
-        xm_inductance=xm_l,
-        xm_capacitance=xm_c,
+        f_mod=_saved_number(rec, "f_mod_hz"),
+        f_stop=_saved_number(rec, "f_stop_hz"),
+        c_io=_saved_number(rec, "c_io_f"),
+        shunt_c=_saved_number(rec, "shunt_c_f", 0.0),
+        xm_inductance=_saved_number(exact, "l_m", where="exact "),
+        xm_capacitance=_saved_number(exact, "c_m", where="exact "),
         eseries=rec.get("eseries", "E12"),
     )
     return synthesize(spec)

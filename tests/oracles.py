@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from fdmlink.elements import DegenerateNetworkError, Network
+from fdmlink.protocol import GAP_BITS, LEAD_IN_BITS
 
 OPEN = complex(math.inf, 0.0)
 
@@ -180,10 +181,10 @@ def masked_element_impedance(e, f):
     elif e.kind == "inductor":
         z = e.loss + 1j * w * e.value
     elif e.kind == "capacitor":
-        try:
-            z = -1j / (w * e.value)
-        except ZeroDivisionError:  # scalar w*C == 0: indeterminate, as NaN is for an array
-            raise DegenerateNetworkError("capacitor impedance is indeterminate") from None
+        wc = w * e.value
+        if not wc.all():  # w*C == 0 is indeterminate, at a scalar and in an array
+            raise DegenerateNetworkError("capacitor impedance is indeterminate")
+        z = -1j / wc
         if e.loss > 0.0:
             z = z * e.loss / (z + e.loss)
     elif e.kind == "short":
@@ -309,7 +310,7 @@ def master_quarters(master, results: list):
         yield (L, a)
         return value
 
-    yield from idle(master.lead_in_bits * 4)
+    yield from idle(LEAD_IN_BITS * 4)
     stopped = True
     for t in master.transactions:
         if stopped:
@@ -333,7 +334,7 @@ def master_quarters(master, results: list):
         stop_now = t.stop_after or not completed
         if stop_now:
             yield from fixed(((L, L), (H, L), (H, H), (H, H)))
-            yield from idle(master.gap_bits * 4)
+            yield from idle(GAP_BITS * 4)
         stopped = stop_now
         results.append(
             replace(

@@ -137,11 +137,16 @@ def test_design_imports_no_simulator_module():
         ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: -1pF\n",
          "xm_capacitance must be positive"),
         ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: E7\n", "unknown E-series 'E7'"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: -4.7uH\n",
+         "xm_inductance must be finite and >= 0"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: [E12]\n",
+         "unknown E-series ['E12']"),
         ("sweep", '{"schema_version": 1, "f_mod_hz": 2e7, "f_stop_hz": 2e7, "c_io_f": 8e-12, '
                   '"exact": {"l_m": 4.7e-6}}', "f_mod and f_stop must differ"),
         ("sweep", '{"schema_version": 2}', "unsupported design schema_version"),
     ],
     ids=["design_equal_carriers", "design_negative_xm", "design_unknown_eseries",
+         "design_negative_xm_inductance", "design_eseries_list",
          "sweep_equal_carriers", "sweep_schema_version"],
 )
 def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message):
@@ -154,6 +159,32 @@ def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message)
     assert lines[:-1] == [f"error: {message}"]
     for name in ("simulate", "modem", "protocol", "kernels"):
         assert f"'fdmlink.{name}'" not in lines[-1], lines[-1]
+
+
+_SAVED = '"schema_version": 1, "f_stop_hz": 5e7, "c_io_f": 8e-12'
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{%s, "f_mod_hz": "20MHz", "exact": {"l_m": 4.7e-6}}' % _SAVED,
+         "saved design: 'f_mod_hz' must be a number, got '20MHz'"),
+        ('{%s, "f_mod_hz": 2e7, "exact": 5}' % _SAVED,
+         "saved design: 'exact' must be a mapping, got 5"),
+        ('{%s, "f_mod_hz": 2e7, "exact": {"l_m": "4.7uH"}}' % _SAVED,
+         "saved design: exact 'l_m' must be a number, got '4.7uH'"),
+        ('[{%s, "f_mod_hz": 2e7, "exact": {"l_m": 4.7e-6}}]' % _SAVED,
+         "a saved design must be a mapping, got list"),
+        ('{%s, "f_mod_hz": 2e7}' % _SAVED, "saved design has no 'exact'"),
+    ],
+    ids=["string_f_mod", "exact_not_a_mapping", "string_l_m", "top_level_list", "no_exact"],
+)
+def test_malformed_saved_design_exits_2(runner, tmp_path, doc, message):
+    path = tmp_path / "design.json"
+    path.write_text(doc)
+    r = runner.invoke(main, ["sweep", str(path)])
+    assert r.exit_code == 2, r.exception
+    assert r.output.splitlines() == [f"error: {message}"]  # stdout and stderr together
 
 
 def test_design_writes_json_file(runner, tmp_path):

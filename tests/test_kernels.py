@@ -22,8 +22,6 @@ PACKAGE = Path(fdmlink.__file__).resolve().parent
 def test_backend_name():
     assert kernels.backend_name() == ("python" if shutil.which("cc") is None else "c")
     assert kernels.backend_detail()
-    assert kernels.slicer_loop is _kernels_py.slicer_loop
-    assert kernels.demod_loop is _kernels_py.demod_loop
 
 
 # -- behavioral checks --

@@ -237,6 +237,26 @@ def test_clip_alone_insufficient_for_large_carrier():
     assert out.levels.all()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DetectorParams(slope=math.nan),
+        lambda: DetectorParams(ref_in=math.nan),
+        lambda: DetectorParams(floor=math.nan),
+        lambda: SlicerParams(lpf_time_constant=math.nan),
+        lambda: SlicerParams(lpf_time_constant=1e-3, hysteresis=math.nan),
+        lambda: ClipParams(v_f=math.nan),
+        lambda: ClipParams(spike_amplitude=math.nan),
+        lambda: ClipParams(spike_decay=math.nan),
+    ],
+    ids=["detector_slope", "detector_ref_in", "detector_floor", "slicer_lpf",
+         "slicer_hysteresis", "clip_v_f", "clip_spike_amplitude", "clip_spike_decay"],
+)
+def test_nan_parameters_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         DetectorParams(slope=-0.044)

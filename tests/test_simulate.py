@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fdmlink import kernels
 from fdmlink.analysis import modulation_ratio
 from fdmlink.elements import POLE, inductor, resistor
-from fdmlink.modem import DetectorParams
 from fdmlink.protocol import (
     QUARTERS_PER_BIT,
     MasterEngine,
@@ -127,6 +126,13 @@ def test_carrier_validation():
         CarrierSpec("clk", 20e6, 1.0, resistor(2000.0))
     with pytest.raises(TopologyError):
         CarrierSpec("scl", -20e6, 1.0, resistor(2000.0))
+
+
+@pytest.mark.parametrize("frequency,amplitude", [(math.nan, 1.0), (20e6, math.nan)],
+                         ids=["nan_frequency", "nan_amplitude"])
+def test_carrier_rejects_nan(frequency, amplitude):
+    with pytest.raises(TopologyError):
+        CarrierSpec("scl", frequency, amplitude, resistor(2000.0))
 
 
 def test_harmonic_overlap_warning():
@@ -406,10 +412,9 @@ def test_load_scenario_rejects_bad_run_settings(tmp_path, edit, match):
         ({"seed": 1.5}, "seed"),
         ({"noise_rms": -1e-3}, "noise_rms"),
         ({"noise_rms": math.nan}, "noise_rms"),
-        ({"detector": DetectorParams(floor=0.0)}, "detector floor"),
     ],
     ids=["zero_clock", "nan_clock", "negative_sim_rate", "negative_seed", "float_seed",
-         "negative_noise", "nan_noise", "zero_detector_floor"],
+         "negative_noise", "nan_noise"],
 )
 def test_run_scenario_rejects_bad_run_settings(demo, kwargs, match):
     args = {"clock_hz": demo.clock_hz, **kwargs}

@@ -286,6 +286,27 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"f_mod": math.nan},
+        {"f_stop": math.nan},
+        {"c_io": math.nan},
+        {"shunt_c": math.nan},
+        {"xm_inductance": -4.7e-6},
+        {"xm_inductance": math.nan},
+        {"xm_inductance": math.inf},
+        {"eseries": ["E12"]},
+    ],
+    ids=["nan_f_mod", "nan_f_stop", "nan_c_io", "nan_shunt_c", "negative_xm_inductance",
+         "nan_xm_inductance", "inf_xm_inductance", "eseries_not_a_name"],
+)
+def test_spec_rejects_negative_and_non_finite_values(kwargs):
+    args = {"f_mod": 20e6, "f_stop": 50e6, "c_io": 8e-12, **kwargs}
+    with pytest.raises(ValueError):
+        FilterSpec(**args)
+
+
+@pytest.mark.parametrize(
     "field", ["r_h", "r_l", "l_l", "inductor_q", "q_ref_hz"]
 )
 def test_loss_model_rejects_nan(field):
