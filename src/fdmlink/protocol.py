@@ -4,7 +4,11 @@ Both lines are wired-AND: any driver pulling low wins, releases float high
 through the pull-ups.  The master is the only clock source (no stretching,
 no arbitration); slaves are purely edge-reactive, so the same engines run
 against the ideal bus (fast, quarter-bit event stepping) and against the
-sampled analog link in the end-to-end simulator.
+sampled analog link in the end-to-end simulator.  As on a real bus, a slave
+that has not matched the address ignores the clock until the next START or
+STOP, so both buses hand clock edges only to the slaves that are
+``listening`` and data edges only while SCL is high; every slave still sees
+each START and STOP.
 
 Each bit period is four quarters: data set while SCL is low (q0), SCL high
 (q1, q2 - slaves sample on the rising edge, the master samples mid-high),
@@ -153,6 +157,19 @@ class SlaveEngine:
     ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
     only while SCL is low.  The link simulator relies on this and skips
     rebuilding the bus drives after a rising clock.
+
+    An engine is ``listening`` unless it is idle or backing off from a
+    transfer addressed to another slave (or one the master NACKed).  Both
+    buses rely on two invariants:
+
+    - an engine that is not listening leaves its whole state unchanged on
+      ``on_scl_rise`` and ``on_scl_fall``, and its ``sda_drive`` is False;
+    - it starts listening again only through ``on_sda_edge`` with SCL high
+      (a START).
+
+    So clock edges need to reach only the listening engines, and a bus
+    re-reads which engines listen after a falling clock (an engine may stop)
+    and after a data edge (an engine may start or stop).
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
@@ -169,6 +186,11 @@ class SlaveEngine:
         self._wbuf: list[int] = []
         self._master_acked = False
         self._byte = 0
+
+    @property
+    def listening(self) -> bool:
+        """Whether clock edges can change this engine: it is neither idle nor backing off."""
+        return self._state != self._IDLE and self._state != self._BACKOFF
 
     # -- line events ------------------------------------------------------
 
@@ -422,26 +444,32 @@ def run_ideal_bus(
 ) -> list[tuple[int, int]] | None:
     """Step master and slaves quarter by quarter over an ideal wired-AND bus.
 
-    Returns the resolved (scl, sda) per quarter when ``collect`` is set.
+    Data edges with SCL high (START and STOP) go to every slave, clock edges
+    only to the slaves that are ``listening``; a slave that is not listening
+    does not drive SDA (see :class:`SlaveEngine`).  Returns the resolved
+    (scl, sda) per quarter when ``collect`` is set.
     """
     gen = master.generator()
     quarters: list[tuple[int, int]] | None = [] if collect else None
     scl_prev, sda_prev = H, H
+    listening = [s for s in slaves if s.listening]
     intents = next(gen)
     while True:
         scl_i, sda_i = intents
         scl = L if scl_i == L else H
-        sda = L if sda_i == L or any(s.sda_drive for s in slaves) else H
+        sda = L if sda_i == L or any(s.sda_drive for s in listening) else H
         if scl == H and scl_prev == H and sda != sda_prev:
             for s in slaves:
                 s.on_sda_edge(sda, scl)
+            listening = [s for s in slaves if s.listening]
         elif scl != scl_prev:
             if scl == H:
-                for s in slaves:
+                for s in listening:
                     s.on_scl_rise(sda)
-            else:
-                for s in slaves:
+            elif listening:
+                for s in listening:
                     s.on_scl_fall()
+                listening = [s for s in listening if s.listening]
         if quarters is not None:
             quarters.append((scl, sda))
         scl_prev, sda_prev = scl, sda

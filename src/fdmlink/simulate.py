@@ -409,9 +409,13 @@ def run_scenario(
     quarters.  It records the master's observation and counts bits and eye
     margins at each midpoint, and returns at the segment end or after the
     first sample where an output changes.  Python then fires the slave
-    callbacks in node order and recomputes the amplitude rows only when a
-    slave's ``sda_drive`` changed (``on_scl_rise`` never moves one).  At
-    the segment end the observations go back to the master program.  The
+    callbacks of each group in node order: a clock edge goes only to the
+    slaves that are ``listening`` (``SlaveEngine``), and a data edge goes to
+    every slave of the group while its SCL output is high (a START or STOP)
+    and to none while it is low.  The amplitude rows are recomputed only
+    when the set of nodes whose slave pulls SDA changed (``on_scl_rise``
+    never moves a drive, and a slave that is not listening pulls nothing).
+    At the segment end the observations go back to the master program.  The
     sample budget is checked once per segment, before it runs.  The keying
     depth is taken over the drive states some sample ran under.
     Deterministic for a fixed seed, and the same on both kernel backends.
@@ -439,11 +443,12 @@ def run_scenario(
     n_nodes = len(nodes)
     mi = topology.master_index
     master = MasterEngine(transactions, clock_hz)
+    # the master node drives SDA from its intents, so a slave model on it is never heard
     engines: list[SlaveEngine | None] = [
-        None if n.slave is None else SlaveEngine(dataclasses.replace(
+        None if n.slave is None or ni == mi else SlaveEngine(dataclasses.replace(
             n.slave, registers=dict(n.slave.registers), widths=dict(n.slave.widths)
         ))
-        for n in nodes
+        for ni, n in enumerate(nodes)
     ]
 
     n_quarters = master.quarters_upper_bound()
@@ -458,9 +463,10 @@ def run_scenario(
     members_of = [range(n_nodes)] if noise is None else [(ni,) for ni in range(n_nodes)]
     group_slaves = [[engines[ni] for ni in members if engines[ni] is not None] for members in members_of]
     n_groups = len(members_of)
-    # the master drives from its intents, every other node from its slave engine
+    node_of = {e: ni for ni, e in enumerate(engines) if e is not None}
+    # per group, the engines that clock edges can change (``SlaveEngine.listening``)
+    listening = [[e for e in slaves if e.listening] for slaves in group_slaves]
     scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
-    sda_sources = [None if i == mi else e for i, e in enumerate(engines)]
     tracing = trace_sink is not None
     slicer = SlicerParams.for_bit_rate(clock_hz)
     ctx = kernels.BlockContext(
@@ -485,25 +491,32 @@ def run_scenario(
     table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
-    # per slave-drive tuple: an amplitude row per master intent code, the
-    # table entries behind them, and whether a slave pulls SDA
-    rows_of: dict[tuple[bool, ...], tuple[np.ndarray, list[tuple[float, ...]], bool]] = {}
+    # Keyed by the node indices whose slave pulls SDA, in node order: an
+    # amplitude row per master intent code, and the table entries behind them.
+    # Only listening engines can pull (``SlaveEngine.listening``), so the key
+    # is read from those alone.
+    rows_of: dict[tuple[int, ...], tuple[np.ndarray, list[tuple[float, ...]]]] = {}
     ran: dict[tuple[float, ...], None] = {}  # table entries some sample ran under
 
-    def set_drives(drives: tuple[bool, ...]) -> list[tuple[float, ...]]:
-        hit = rows_of.get(drives)
+    def pulled_nodes() -> tuple[int, ...]:
+        return tuple([node_of[e] for listeners in listening for e in listeners if e.sda_drive])
+
+    def set_drives(pulled: tuple[int, ...]) -> list[tuple[float, ...]]:
+        hit = rows_of.get(pulled)
         if hit is None:
+            sda = [False] * n_nodes
+            for ni in pulled:
+                sda[ni] = True
             entries = []
             for code in range(4):
-                sda = list(drives)
                 sda[mi] = (code & 1) == L
                 # tuple(list), not tuple(genexpr): the latter shrinks an oversized
                 # tuple and strands the freed ones on CPython's free list (~0.2 MB)
                 entries.append(table(scl_drives[code >> 1], tuple(sda)))
             rows = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
-            hit = rows_of[drives] = (rows, entries, True in drives)
+            hit = rows_of[pulled] = (rows, entries)
         ctx.amp[:] = hit[0]
-        ctx.sda_pulled = hit[2]
+        ctx.sda_pulled = bool(pulled)
         return hit[1]
 
     def harvest(entries: list[tuple[float, ...]]) -> None:
@@ -512,8 +525,8 @@ def run_scenario(
                 ran[entries[code]] = None
         ctx.used[:] = 0
 
-    drives = tuple([e.sda_drive if e else False for e in sda_sources])
-    entries = set_drives(drives)
+    pulled = pulled_nodes()
+    entries = set_drives(pulled)
     program = master.segments()
     seg = next(program)
     while True:
@@ -531,28 +544,31 @@ def run_scenario(
                 break
             new = out_arr.tolist()
             stale = False
-            for g, slaves in enumerate(group_slaves):
+            for g, listeners in enumerate(listening):
                 d_scl, d_sda = new[g], new[n_groups + g]
                 if d_scl != outs[g]:
                     if d_scl == H:
                         # samples SDA only, so the drives stand
-                        for eng in slaves:
+                        for eng in listeners:
                             eng.on_scl_rise(d_sda)
-                    else:
-                        for eng in slaves:
+                    elif listeners:
+                        for eng in listeners:
                             eng.on_scl_fall()
+                        listening[g] = [e for e in listeners if e.listening]
                         stale = True
-                elif d_sda != outs[n_groups + g]:
-                    for eng in slaves:
+                elif d_scl == H and d_sda != outs[n_groups + g]:
+                    # START or STOP: every slave of the group hears it
+                    for eng in group_slaves[g]:
                         eng.on_sda_edge(d_sda, d_scl)
+                    listening[g] = [e for e in group_slaves[g] if e.listening]
                     stale = True
             outs = new
             if stale:
-                now = tuple([e.sda_drive if e else False for e in sda_sources])
-                if now != drives:
+                now = pulled_nodes()
+                if now != pulled:
                     harvest(entries)
-                    drives = now
-                    entries = set_drives(drives)
+                    pulled = now
+                    entries = set_drives(pulled)
             if ctx.quarter == q_end:
                 break
         try:
@@ -719,6 +735,9 @@ def load_scenario(path: str | Path) -> Scenario:
     version = raw.get("schema_version", 1)
     if version != 1:
         raise TopologyError(f"{path}: unsupported schema_version {version}")
+    for key in ("clock", "carriers", "nodes", "script"):
+        if key not in raw:
+            raise TopologyError(f"{path}: scenario has no {key!r}")
 
     clock = parse_quantity(str(raw["clock"]), "Hz")
     sim_rate = parse_quantity(str(raw["sim_rate"]), "Hz") if "sim_rate" in raw else 64.0 * clock
@@ -733,6 +752,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise TopologyError(f"{path}: attenuation_db must be a number, got {attenuation_db!r}")
 
     loss_cfg = raw.get("loss", {})
+    if not isinstance(loss_cfg, dict):
+        raise TopologyError(f"{path}: 'loss' must be a mapping, got {loss_cfg!r}")
     if loss_cfg.get("inductor_q") is None and "inductor_q" in loss_cfg:
         loss = LOSSLESS
     elif loss_cfg:

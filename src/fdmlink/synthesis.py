@@ -605,6 +605,9 @@ def spec_from_dict(d: Mapping, eseries: str) -> FilterSpec:
     ``eseries`` applies when the mapping names none; ``xm`` is read as an
     inductance when it parses as henries, else as a capacitance.
     """
+    for key in ("f_mod", "f_stop", "c_io"):
+        if key not in d:
+            raise SpecError(f"spec has no {key!r}")
     spec_kwargs: dict = {
         "f_mod": parse_quantity(str(d["f_mod"]), "Hz"),
         "f_stop": parse_quantity(str(d["f_stop"]), "Hz"),

@@ -345,3 +345,38 @@ def master_quarters(master, results: list):
             )
         )
     yield from idle(8)
+
+
+# -- the earlier ideal bus, every edge to every slave --------------------------
+
+
+def deliver_to_all_bus(master, slaves) -> list[tuple[int, int]]:
+    """``run_ideal_bus`` as it was before edges were routed: every slave gets every edge.
+
+    Returns the resolved (scl, sda) per quarter.
+    """
+    H, L = 1, 0
+    gen = master.generator()
+    quarters = []
+    scl_prev, sda_prev = H, H
+    intents = next(gen)
+    while True:
+        scl_i, sda_i = intents
+        scl = L if scl_i == L else H
+        sda = L if sda_i == L or any(s.sda_drive for s in slaves) else H
+        if scl == H and scl_prev == H and sda != sda_prev:
+            for s in slaves:
+                s.on_sda_edge(sda, scl)
+        elif scl != scl_prev:
+            if scl == H:
+                for s in slaves:
+                    s.on_scl_rise(sda)
+            else:
+                for s in slaves:
+                    s.on_scl_fall()
+        quarters.append((scl, sda))
+        scl_prev, sda_prev = scl, sda
+        try:
+            intents = gen.send((scl, sda))
+        except StopIteration:
+            return quarters

@@ -8,6 +8,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import fdmlink
@@ -144,10 +145,11 @@ def test_design_imports_no_simulator_module():
         ("sweep", '{"schema_version": 1, "f_mod_hz": 2e7, "f_stop_hz": 2e7, "c_io_f": 8e-12, '
                   '"exact": {"l_m": 4.7e-6}}', "f_mod and f_stop must differ"),
         ("sweep", '{"schema_version": 2}', "unsupported design schema_version"),
+        ("design", "f_stop: 50MHz\nc_io: 8pF\n", "spec has no 'f_mod'"),
     ],
     ids=["design_equal_carriers", "design_negative_xm", "design_unknown_eseries",
          "design_negative_xm_inductance", "design_eseries_list",
-         "sweep_equal_carriers", "sweep_schema_version"],
+         "sweep_equal_carriers", "sweep_schema_version", "design_no_f_mod"],
 )
 def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message):
     """One line on stderr, exit 2, and no simulator module loaded to report it."""
@@ -387,6 +389,31 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
     assert r.exit_code == 2
     assert "error:" in _alltext(r) and message in _alltext(r)
     assert isinstance(r.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (("loss", [1]), "'loss' must be a mapping, got [1]"),
+        (("clock", None), "scenario has no 'clock'"),
+        (("carriers", None), "scenario has no 'carriers'"),
+        (("nodes", None), "scenario has no 'nodes'"),
+        (("script", None), "scenario has no 'script'"),
+    ],
+    ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script"],
+)
+def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
+    doc = yaml.safe_load(MINIMAL.format(freq="20MHz"))
+    key, value = edit
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    p = tmp_path / "probe.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    r = runner.invoke(main, ["simulate", str(p)])
+    assert r.exit_code == 2
+    assert r.output.splitlines() == [f"error: {p}: {message}"]  # stdout and stderr together
 
 
 @pytest.mark.parametrize("command", ["simulate", "demo"])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,60 @@ def _drive(gen, feedback):
             quarters.append(gen.send(feedback[len(quarters) - 1]))
     except StopIteration:
         return quarters
+
+
+class _EdgeChecker(SlaveEngine):
+    """A slave engine that checks the ``listening`` invariants on every edge it gets."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.ignored = 0  # clock edges that reached it while it was not listening
+
+    def _edge(self, edge, *args, starts=False):
+        was = self.listening
+        before = copy.deepcopy(vars(self))
+        edge(*args)
+        if not was:
+            assert not before["sda_drive"] and not self.sda_drive
+            if edge.__name__ != "on_sda_edge":
+                assert vars(self) == before
+                self.ignored += 1
+        assert was or not self.listening or starts
+
+    def on_scl_rise(self, sda):
+        self._edge(super().on_scl_rise, sda)
+
+    def on_scl_fall(self):
+        self._edge(super().on_scl_fall)
+
+    def on_sda_edge(self, sda, scl):
+        self._edge(super().on_sda_edge, sda, scl, starts=scl == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scripts, st.integers(min_value=0, max_value=2**31 - 1))
+def test_slaves_that_are_not_listening_ignore_the_clock(script, seed):
+    """The invariants that let both buses skip slaves that are not ``listening``."""
+    from .oracles import deliver_to_all_bus
+
+    rng = np.random.default_rng(seed)
+    regs = {k: int(rng.integers(0, 1 << 16)) for k in range(4)}
+    txs = _script_transactions(script)
+    addrs = list(dict.fromkeys(t.address for t in txs))
+    # a slave nobody addresses, and one of the addresses unanswered so its transfers NACK
+    addrs.append(next(a for a in range(0x08, 0x78) if a not in addrs))
+    models = [SlaveModel(address=a, registers=dict(regs)) for a in addrs[1:]]
+
+    checkers = [_EdgeChecker(copy.deepcopy(m)) for m in models]
+    everyone = MasterEngine(txs, 400e3)
+    quarters = deliver_to_all_bus(everyone, checkers)
+    assert sum(e.ignored for e in checkers) > 0
+
+    listened = MasterEngine(txs, 400e3)
+    engines = [SlaveEngine(copy.deepcopy(m)) for m in models]
+    assert run_ideal_bus(listened, engines, collect=True) == quarters
+    assert listened.results == everyone.results
+    assert [e.model for e in engines] == [e.model for e in checkers]
 
 
 @settings(max_examples=150, deadline=None)

@@ -542,6 +542,28 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
     assert len(segments) == 25
 
 
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
+    """Noiseless demo: slave callbacks go only where they can act (7,808 when every slave got every edge)."""
+    calls = []
+
+    def counted(name):
+        edge = getattr(SlaveEngine, name)
+
+        def call(self, *args):
+            calls.append((name, self.listening))
+            return edge(self, *args)
+
+        return call
+
+    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
+        monkeypatch.setattr(SlaveEngine, name, counted(name))
+    m, _ = demo.run()
+    assert m.error_free
+    assert len(calls) == 2_904
+    assert all(listening for name, listening in calls if name != "on_sda_edge")
+
+
 _ABSENT = range(0x40, 0x48)
 _demo_scripts = st.lists(
     st.tuples(
