@@ -11,7 +11,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "units": ["UnitError", "parse_quantity", "format_quantity"],
+    "units": ["ConfigError", "UnitError", "parse_quantity", "format_quantity"],
     "elements": [
         "DegenerateNetworkError",
         "Network",

@@ -215,6 +215,9 @@ class BlockContext(ctypes.Structure):
             raise ValueError(f"master group {master} outside [0, {groups})")
         if samples_per_quarter < 1 or quarters < 1 or fan_out < 1:
             raise ValueError("samples_per_quarter, quarters and fan_out must be >= 1")
+        # ctypes stores the int64 fields modulo 2**64 without a word
+        if samples_per_quarter * quarters > 2**63 - 1:
+            raise ValueError(f"{quarters} quarters of {samples_per_quarter} samples overflow int64")
         # floor/ref_in > 0 keeps every log10 argument positive (or NaN)
         if not (ref_in > 0 and floor / ref_in > 0):
             raise ValueError(f"need ref_in > 0 and floor/ref_in > 0, got {floor!r}/{ref_in!r}")

@@ -17,35 +17,22 @@ from pathlib import Path
 
 import click
 
-def _design_errors() -> tuple[type[Exception], ...]:
-    """What a bad spec or saved design raises; imports no simulator module."""
-    import yaml
-
-    from .synthesis import InfeasibleConfigError, SpecError, SynthesisError
-    from .units import UnitError
-
-    return (
-        UnitError,
-        SpecError,
-        InfeasibleConfigError,
-        SynthesisError,
-        yaml.YAMLError,
-        KeyError,
-        FileNotFoundError,
-    )
-
-
-def _scenario_errors() -> tuple[type[Exception], ...]:
-    """What a bad scenario raises: the design errors and the link's own."""
-    from .protocol import ProtocolError
-    from .simulate import TopologyError
-
-    return (*_design_errors(), ProtocolError, TopologyError)
+from .units import ConfigError, UnitError, format_quantity, parse_quantity, read_config
 
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+class _Main(click.Group):
+    """Every command's bad input, a ``ConfigError``, exits 2 with one ``error:`` line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            _fail(2, str(exc))
 
 
 def _loss_from_flags(lossless: bool, q: float | None):
@@ -94,13 +81,10 @@ def _spec_from_file(path: str):
 
     from .synthesis import spec_from_dict
 
-    raw = yaml.safe_load(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise click.UsageError(f"{path}: spec must be a mapping")
-    return spec_from_dict(raw, raw.get("eseries", "E12"))
+    return read_config(path, yaml.safe_load, lambda raw: spec_from_dict(raw, "E12"), (yaml.YAMLError,))
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Design and simulate carrier-keyed I2C links over a shared DC line."""
 
@@ -114,22 +98,19 @@ def main() -> None:
 @click.option("--strict", is_flag=True, help="Exit 1 when verification fails.")
 def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | None, strict: bool) -> None:
     """Synthesize a filter from SPECFILE (YAML) and verify it."""
+    spec = _spec_from_file(specfile)
+    from .synthesis import design_to_dict, synthesize, verify_design
+
     try:
-        spec = _spec_from_file(specfile)
-        from .synthesis import design_to_dict, synthesize, verify_design
-        from .units import format_quantity
-
         d = synthesize(spec)
-        loss = _loss_from_flags(lossless, q)
-        report = verify_design(d, loss=loss, which="snapped" if d.snapped else "exact")
-        doc = {
-            "design": design_to_dict(d),
-            "verification": _report_dict(report),
-        }
-    except _design_errors() as exc:
-        _fail(2, str(exc))
-        return
-
+    except ConfigError as exc:  # the design equations reject the file's values together
+        raise type(exc)(f"{specfile}: {exc}") from None
+    loss = _loss_from_flags(lossless, q)
+    report = verify_design(d, loss=loss, which="snapped" if d.snapped else "exact")
+    doc = {
+        "design": design_to_dict(d),
+        "verification": _report_dict(report),
+    }
     payload = json.dumps(doc, indent=2) + "\n"
     if out:
         Path(out).write_text(payload)
@@ -170,27 +151,20 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV output path.")
 def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: float | None, which: str, out: str | None) -> None:
     """Sweep both keying states of a saved design over frequency."""
-    try:
-        from .analysis import sweep as run_sweep
-        from .synthesis import design_from_dict
-        from .units import parse_quantity
+    from .analysis import sweep as run_sweep
+    from .synthesis import design_from_dict
 
-        doc = json.loads(Path(designfile).read_text())
-        d = design_from_dict(doc.get("design", doc) if isinstance(doc, dict) else doc)
-        loss = _loss_from_flags(lossless, q)
-        f_lo = parse_quantity(flo, "Hz")
-        f_hi = parse_quantity(fhi, "Hz")
-        if not f_lo > 0.0:
-            raise click.UsageError(f"--flo must be above 0 Hz, got {flo!r}")
-        if not f_lo < f_hi < math.inf:
-            raise click.UsageError(f"--fhi must be a finite frequency above --flo, got {fhi!r}")
-        if points < 2:
-            raise click.UsageError("--points must be at least 2")
-        result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
-    except (json.JSONDecodeError, *_design_errors()) as exc:
-        _fail(2, str(exc))
-        return
-
+    d = read_config(designfile, json.loads, design_from_dict)
+    loss = _loss_from_flags(lossless, q)
+    f_lo = parse_quantity(flo, "Hz")
+    f_hi = parse_quantity(fhi, "Hz")
+    if not f_lo > 0.0:
+        raise click.UsageError(f"--flo must be above 0 Hz, got {flo!r}")
+    if not f_lo < f_hi < math.inf:
+        raise click.UsageError(f"--fhi must be a finite frequency above --flo, got {fhi!r}")
+    if points < 2:
+        raise click.UsageError("--points must be at least 2")
+    result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
     csv_text = result.to_csv()
     if out:
         Path(out).write_text(csv_text)
@@ -202,8 +176,6 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
 
 
 def _parse_impedance(text: str) -> complex:
-    from .units import UnitError, parse_quantity
-
     try:
         z = complex(parse_quantity(text, "ohm"))
     except UnitError:
@@ -287,18 +259,15 @@ def simulate(scenario: str, out: str | None, seed: int | None, strict: bool, tra
     """Run a scenario file end to end and report link metrics."""
     import warnings
 
-    try:
-        from .simulate import load_scenario
+    from .simulate import load_scenario
 
-        sc = load_scenario(scenario)
-        sink: dict | None = {} if traces else None
+    sc = load_scenario(scenario)
+    sink: dict | None = {} if traces else None
+    try:
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error")
             metrics, _ = sc.run(seed=seed, trace_sink=sink)
-    except _scenario_errors() as exc:
-        _fail(2, str(exc))
-        return
     except Warning as exc:
         _fail(1, f"strict: {exc}")
         return
@@ -334,15 +303,9 @@ def demo(out: str | None, emit_configs: str | None, seed: int | None) -> None:
         click.echo(f"wrote configs to {dest}")
         if out is None:
             return
-    try:
-        from .simulate import load_scenario
+    from .simulate import load_scenario
 
-        sc = load_scenario(Path(str(data / "demo_scenario.yaml")))
-        metrics, _ = sc.run(seed=seed)
-    except _scenario_errors() as exc:
-        _fail(2, str(exc))
-        return
-
+    metrics, _ = load_scenario(Path(str(data / "demo_scenario.yaml"))).run(seed=seed)
     if out:
         Path(out).write_text(metrics.to_json())
         click.echo(f"wrote {out}")

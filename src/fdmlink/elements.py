@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
+
+from .units import ConfigError
 
 __all__ = [
     "POLE",
@@ -96,7 +98,7 @@ class ReactiveElement:
     def __post_init__(self) -> None:
         if self.kind in ("resistor", "inductor", "capacitor"):
             if not (self.value > 0.0 and math.isfinite(self.value)):
-                raise ValueError(f"{self.kind} value must be positive, got {self.value}")
+                raise ConfigError(f"{self.kind} value must be positive, got {self.value}")
         elif self.value:
             raise ValueError(f"{self.kind} carries no value")
         if self.loss < 0.0:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .elements import Network, capacitor, inductor, resistor, short_circuit
+from .units import ConfigError
 
 __all__ = ["DEFAULT_Q", "DEFAULT_R_H", "DEFAULT_R_L", "LossModel", "LOSSLESS"]
 
@@ -40,13 +41,13 @@ class LossModel:
     def __post_init__(self) -> None:
         # written so that NaN fails every check
         if not self.r_h > 0.0:
-            raise ValueError("r_h must be positive")
+            raise ConfigError("r_h must be positive")
         if not (self.r_l >= 0.0 and self.l_l >= 0.0):
-            raise ValueError("r_l and l_l must be >= 0")
+            raise ConfigError("r_l and l_l must be >= 0")
         if self.inductor_q is not None and not self.inductor_q > 0.0:
-            raise ValueError("inductor_q must be positive (or None for lossless)")
+            raise ConfigError("inductor_q must be positive (or None for lossless)")
         if not self.q_ref_hz > 0.0:
-            raise ValueError("q_ref_hz must be positive")
+            raise ConfigError("q_ref_hz must be positive")
 
     @property
     def lossless(self) -> bool:

@@ -25,6 +25,7 @@ from typing import Generator, Iterable, Sequence
 import numpy as np
 
 from .modem import H, L, LogicTimeline
+from .units import ConfigError
 
 __all__ = [
     "RESERVED_ADDRESSES",
@@ -51,7 +52,7 @@ LEAD_IN_BITS = 8
 GAP_BITS = 1
 
 
-class ProtocolError(ValueError):
+class ProtocolError(ConfigError):
     """Invalid transaction, address, or clock for the bus."""
 
 

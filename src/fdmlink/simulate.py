@@ -28,6 +28,7 @@ ideal wired-AND level of the same run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -41,7 +42,8 @@ import yaml
 
 from .analysis import DEFAULT_POLE_CAP
 from .elements import Network, capacitor, inductor, is_pole, resistor, series
-from .loss import LOSSLESS, LossModel
+from .eseries import ESERIES
+from .loss import DEFAULT_Q, DEFAULT_Q_REF_HZ, LOSSLESS, LossModel
 from .modem import (
     H,
     L,
@@ -58,8 +60,8 @@ from .protocol import (
     Transaction,
     parse_script,
 )
-from .synthesis import FilterDesign, FilterSpec, spec_from_dict, synthesize
-from .units import UnitError, parse_quantity
+from .synthesis import FilterDesign, spec_from_dict, synthesize
+from .units import ConfigError, KeyReader, UnitError, parse_quantity, read_config
 
 __all__ = [
     "LINES",
@@ -89,7 +91,7 @@ _DETECTOR = DetectorParams()
 _VELOCITY_M_S = 1.5e8
 
 
-class TopologyError(ValueError):
+class TopologyError(ConfigError):
     """Topology cannot carry the link (missing lines, roles, carriers)."""
 
 
@@ -170,7 +172,7 @@ class BusTopology:
             raise TopologyError("one carrier per line")
         masters = [n for n in self.nodes if n.role == "master"]
         if len(masters) != 1:
-            raise TopologyError(f"exactly one master node required, found {len(masters)}")
+            raise TopologyError(f"exactly one node with role 'master' required, found {len(masters)}")
         if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
             raise TopologyError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db!r}")
         self._check_harmonics()
@@ -453,6 +455,10 @@ def run_scenario(
 
     n_quarters = master.quarters_upper_bound()
     n_alloc = n_quarters * spq
+    if n_alloc > 2**63 - 1:
+        raise TopologyError(
+            f"sim_rate {sim_rate:.4g} Hz at a {clock_hz:.4g} Hz clock asks for more samples than int64 counts"
+        )
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_rms, size=(n_alloc, 2, n_nodes)) if noise_rms > 0 else None
 
@@ -706,7 +712,7 @@ class Scenario:
         )
 
 
-def _element_from_text(text: str) -> Network:
+def _element_from_text(text: object) -> Network:
     for unit, make in (("H", inductor), ("F", capacitor), ("ohm", resistor)):
         try:
             return make(parse_quantity(text, unit))
@@ -715,10 +721,19 @@ def _element_from_text(text: str) -> Network:
     raise UnitError(f"cannot read element {text!r}: expected an H, F, or ohm quantity")
 
 
-def _network_from_list(items: Sequence[str]) -> Network:
-    if not items:
-        raise UnitError("empty element list")
-    return series(*[_element_from_text(str(x)) for x in items])
+def _network_from_list(items: object) -> Network:
+    if not (isinstance(items, list) and items):
+        raise UnitError(f"expected a non-empty list of elements, got {items!r}")
+    return series(*map(_element_from_text, items))
+
+
+def _script(value: object, base: Path) -> list[Transaction]:
+    """A script path relative to ``base``, or a list of script lines."""
+    if isinstance(value, list):
+        return parse_script("\n".join(str(s) for s in value))
+    if isinstance(value, str):
+        return read_config(base / value, str, parse_script)
+    raise ConfigError(f"must be a script path or a list of script lines, got {value!r}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -726,117 +741,76 @@ def load_scenario(path: str | Path) -> Scenario:
 
     All physical values carry unit suffixes (``20MHz``, ``4.7uH``,
     ``2kohm``); the script is a path relative to the scenario file or an
-    inline list of script lines.
+    inline list of script lines.  Every key is checked where it is read and
+    a key the scenario does not have is an error: each problem raises a
+    ``ConfigError`` that names the file and the key path.
     """
     path = Path(path)
-    raw = yaml.safe_load(path.read_text())
-    if not isinstance(raw, dict):
-        raise TopologyError(f"{path}: scenario must be a mapping")
-    version = raw.get("schema_version", 1)
-    if version != 1:
-        raise TopologyError(f"{path}: unsupported schema_version {version}")
-    for key in ("clock", "carriers", "nodes", "script"):
-        if key not in raw:
-            raise TopologyError(f"{path}: scenario has no {key!r}")
+    return read_config(path, yaml.safe_load, lambda raw: _read_scenario(raw, path.parent), (yaml.YAMLError,))
 
-    clock = parse_quantity(str(raw["clock"]), "Hz")
-    sim_rate = parse_quantity(str(raw["sim_rate"]), "Hz") if "sim_rate" in raw else 64.0 * clock
-    seed = raw.get("seed", 0)
-    noise_rms = parse_quantity(str(raw["noise_rms"]), "V") if "noise_rms" in raw else 0.0
-    try:
-        _check_run_settings(clock, sim_rate, noise_rms, seed)
-    except TopologyError as exc:
-        raise TopologyError(f"{path}: {exc}") from None
-    attenuation_db = raw.get("attenuation_db", 0.0)
-    if isinstance(attenuation_db, bool) or not isinstance(attenuation_db, numbers.Real):
-        raise TopologyError(f"{path}: attenuation_db must be a number, got {attenuation_db!r}")
 
-    loss_cfg = raw.get("loss", {})
-    if not isinstance(loss_cfg, dict):
-        raise TopologyError(f"{path}: 'loss' must be a mapping, got {loss_cfg!r}")
-    if loss_cfg.get("inductor_q") is None and "inductor_q" in loss_cfg:
-        loss = LOSSLESS
-    elif loss_cfg:
-        loss = LossModel(
-            inductor_q=float(loss_cfg.get("inductor_q", LossModel().inductor_q)),
-            q_ref_hz=parse_quantity(str(loss_cfg["q_ref"]), "Hz")
-            if "q_ref" in loss_cfg
-            else LossModel().q_ref_hz,
-        )
-    else:
-        loss = LossModel()
-    which = raw.get("which", "snapped")
-    eseries = raw.get("eseries", "E12")
+def _read_scenario(raw: object, base: Path) -> Scenario:
+    r = KeyReader(raw, error=TopologyError)
+    r.choice("schema_version", (1,), 1)
+    clock = r.quantity("clock", "Hz")
+    sim_rate = r.quantity("sim_rate", "Hz", 64.0 * clock)
+    seed = r.integer("seed", 0)
+    noise_rms = r.quantity("noise_rms", "V", 0.0, zero_ok=True)
+    attenuation_db = r.quantity("attenuation_db", "", 0.0, zero_ok=True)
+    lr = r.child("loss", {})
+    # inductor_q: null is the lossless model
+    q = None if lr.get("inductor_q", default=DEFAULT_Q) is None else lr.quantity("inductor_q", "", DEFAULT_Q)
+    loss = lr.build(LossModel, inductor_q=q, q_ref_hz=lr.quantity("q_ref", "Hz", DEFAULT_Q_REF_HZ))
+    lr.done()
+    which = r.choice("which", ("exact", "snapped"), "snapped")
+    eseries = r.choice("eseries", tuple(ESERIES), "E12")
 
-    pullups = raw.get("pullups", {})
+    pr = r.child("pullups", {})
+    pullups = {line: pr.get(line, _network_from_list, None) for line in LINES}
+    pr.done()
     carriers = []
-    for c in raw["carriers"]:
-        line = c["line"]
-        elems = c.get("pullup", pullups.get(line))
-        if elems is None:
-            raise TopologyError(f"no pull-up network given for line {line!r}")
-        carriers.append(
-            CarrierSpec(
-                line=line,
-                frequency=parse_quantity(str(c["frequency"]), "Hz"),
-                amplitude=parse_quantity(str(c["amplitude"]), "V"),
-                pullup=_network_from_list(elems),
-            )
-        )
+    for cr in r.children("carriers"):
+        line = cr.choice("line", LINES)
+        pullup = cr.get("pullup", _network_from_list, pullups[line])
+        if pullup is None:
+            raise cr.error(f"{cr.where('pullup')}: no pull-up network for {line} here or in pullups.{line}")
+        frequency, amplitude = cr.quantity("frequency", "Hz"), cr.quantity("amplitude", "V")
+        carriers.append(cr.build(CarrierSpec, line=line, frequency=frequency, amplitude=amplitude,
+                                 pullup=pullup))
+        cr.done()
+    dc_feed = r.get("dc_feed", _network_from_list, None)
 
-    dc_feed = _network_from_list(raw["dc_feed"]) if "dc_feed" in raw else None
+    design_for = functools.cache(synthesize)  # nodes with one spec share its design
 
-    defaults = {
-        line: spec_from_dict(cfg, eseries)
-        for line, cfg in raw.get("filter_defaults", {}).items()
-    }
-    design_cache: dict[FilterSpec, FilterDesign] = {}
+    def line_filters(fr: KeyReader) -> dict[str, FilterDesign]:
+        readers = {line: fr.child(line) for line in LINES if line in fr.data}
+        fr.done()
+        return {line: lr.build(design_for, spec=spec_from_dict(lr, eseries)) for line, lr in readers.items()}
 
-    def design_for(spec: FilterSpec) -> FilterDesign:
-        if spec not in design_cache:
-            design_cache[spec] = synthesize(spec)
-        return design_cache[spec]
-
+    defaults = line_filters(r.child("filter_defaults", {}))
     nodes = []
-    for ncfg in raw["nodes"]:
-        specs = dict(defaults)
-        for line, fcfg in ncfg.get("filters", {}).items():
-            specs[line] = spec_from_dict(fcfg, eseries)
-        filters = {line: design_for(s) for line, s in specs.items()}
-        slave = None
-        if ncfg.get("role", "slave") == "slave" and "address" in ncfg:
-            regs = {int(k): int(v) for k, v in ncfg.get("registers", {}).items()}
-            widths = {int(k): int(v) for k, v in ncfg.get("widths", {}).items()}
-            slave = SlaveModel(address=int(ncfg["address"]), registers=regs, widths=widths)
-        nodes.append(
-            NodeSpec(
-                name=str(ncfg.get("name", f"node{len(nodes)}")),
-                role=ncfg.get("role", "slave"),
-                filters=filters,
-                loss=loss,
-                which=which,
-                slave=slave,
-            )
-        )
+    for nr in r.children("nodes"):
+        role = nr.choice("role", ("master", "slave"), "slave")
+        name = nr.get("name", str, f"node{len(nodes)}")
+        filters = {**defaults, **line_filters(nr.child("filters", {}))}
+        address = nr.integer("address", None, high=0x7F)
+        registers = _registers(nr.child("registers", {}), low=0)
+        widths = _registers(nr.child("widths", {}), low=1)
+        nr.done()
+        slave = (nr.build(SlaveModel, address=address, registers=registers, widths=widths)
+                 if role == "slave" and address is not None else None)
+        nodes.append(nr.build(NodeSpec, name=name, role=role, filters=filters, loss=loss, which=which,
+                              slave=slave))
 
-    topo = BusTopology(
-        carriers=tuple(carriers),
-        nodes=tuple(nodes),
-        dc_feed=dc_feed,
-        attenuation_db=float(attenuation_db),
-    )
+    topo = r.build(BusTopology, carriers=tuple(carriers), nodes=tuple(nodes), dc_feed=dc_feed,
+                   attenuation_db=attenuation_db)
+    txns = tuple(r.get("script", lambda value: _script(value, base)))
+    r.done()
+    return Scenario(topo, txns, clock_hz=clock, sim_rate=sim_rate, seed=seed, noise_rms=noise_rms)
 
-    script = raw["script"]
-    if isinstance(script, list):
-        txns = parse_script("\n".join(str(s) for s in script))
-    else:
-        txns = parse_script((path.parent / str(script)).read_text())
 
-    return Scenario(
-        topology=topo,
-        transactions=tuple(txns),
-        clock_hz=clock,
-        sim_rate=sim_rate,
-        seed=seed,
-        noise_rms=noise_rms,
-    )
+def _registers(r: KeyReader, low: int) -> dict[int, int]:
+    """Register numbers (a key that is not an integer is unknown) to integers of at least ``low``."""
+    registers = {key: r.integer(key, low=low) for key in r.data if type(key) is int}
+    r.done()
+    return registers

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import eseries
+from .eseries import ESERIES
 from .elements import (
     Network,
     TwoPortZ,
@@ -38,7 +38,7 @@ from .elements import (
     t_network,
 )
 from .loss import LOSSLESS, LossModel
-from .units import UnitError, parse_quantity
+from .units import ConfigError, KeyReader, UnitError
 
 __all__ = [
     "DEFAULT_POLE_CAP",
@@ -70,15 +70,15 @@ _D_TOL = 1e-9
 _SMALL_CAP_F = 10e-12
 
 
-class InfeasibleConfigError(ValueError):
+class InfeasibleConfigError(ConfigError):
     """The x_m choice and frequency order do not form a usable configuration."""
 
 
-class SynthesisError(ValueError):
+class SynthesisError(ConfigError):
     """Synthesis produced an unrealizable element value."""
 
 
-class SpecError(ValueError):
+class SpecError(ConfigError):
     """A spec file, scenario filter or saved design holds values ``FilterSpec`` rejects."""
 
 
@@ -123,23 +123,23 @@ class FilterSpec:
 
     def __post_init__(self) -> None:
         # written so that NaN fails every check
-        if not (self.f_mod > 0.0 and self.f_stop > 0.0):
-            raise ValueError("carrier frequencies must be positive")
+        if not (0.0 < self.f_mod < math.inf and 0.0 < self.f_stop < math.inf):
+            raise SpecError("f_mod and f_stop must be finite and positive")
         if self.f_mod == self.f_stop:
-            raise ValueError("f_mod and f_stop must differ")
-        if not self.c_io > 0.0:
-            raise ValueError("c_io must be positive")
-        if not self.shunt_c >= 0.0:
-            raise ValueError("shunt_c must be >= 0")
+            raise SpecError("f_mod and f_stop must differ")
+        if not 0.0 < self.c_io < math.inf:
+            raise SpecError("c_io must be finite and positive")
+        if not 0.0 <= self.shunt_c < math.inf:
+            raise SpecError("shunt_c must be finite and >= 0")
         if self.xm_inductance is not None and self.xm_capacitance is not None:
-            raise ValueError("give x_m as an inductance or a capacitance, not both")
+            raise SpecError("give x_m as an inductance or a capacitance, not both")
         # 0 stays: classify() rejects it as configuration (e)
         if self.xm_inductance is not None and not 0.0 <= self.xm_inductance < math.inf:
-            raise ValueError("xm_inductance must be finite and >= 0")
-        if self.xm_capacitance is not None and not self.xm_capacitance > 0.0:
-            raise ValueError("xm_capacitance must be positive")
+            raise SpecError("xm_inductance must be finite and >= 0")
+        if self.xm_capacitance is not None and not 0.0 < self.xm_capacitance < math.inf:
+            raise SpecError("xm_capacitance must be positive")
         if not (isinstance(self.eseries, str) and self.eseries in eseries.ESERIES):
-            raise ValueError(f"unknown E-series {self.eseries!r}")
+            raise SpecError(f"unknown E-series {self.eseries!r}")
 
     @property
     def c_total(self) -> float:
@@ -256,7 +256,7 @@ class FilterDesign:
             return dict(self.exact)
         if which == "snapped":
             return dict(self.snapped)
-        raise ValueError("values() takes 'exact' or 'snapped'")
+        raise SpecError(f"which must be 'exact' or 'snapped', got {which!r}")
 
     def branch_networks(
         self, which: str = "exact", loss: LossModel = LOSSLESS
@@ -389,22 +389,28 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
     """Solve the design equations and realize both branches.
 
     Returns exact element values and the E-series snapped set side by side;
-    snapped designs must be re-verified, never assumed ideal.
+    snapped designs must be re-verified, never assumed ideal.  Carriers so far
+    apart that a square overflows raise ``SynthesisError``.
     """
-    if spec.xm_inductance is None and spec.xm_capacitance is None:
-        import dataclasses
+    try:
+        if spec.xm_inductance is None and spec.xm_capacitance is None:
+            import dataclasses
 
-        l_m = default_xm_inductance(spec.f_mod, spec.f_stop, spec.c_total)
-        spec = dataclasses.replace(spec, xm_inductance=l_m)
-    config = classify(spec)
-    x = spec.x_io_h
-    xm = spec.xm_value()
-    if config in (ConfigKind.D1, ConfigKind.D2):
-        x1 = x2 = 0.0
-    else:
-        x2 = x - xm
-        x1 = -(xm / x) * x2
-    exact = _realize(spec, config, x, xm, x1, x2)
+            l_m = default_xm_inductance(spec.f_mod, spec.f_stop, spec.c_total)
+            spec = dataclasses.replace(spec, xm_inductance=l_m)
+        config = classify(spec)
+        x = spec.x_io_h
+        xm = spec.xm_value()
+        if config in (ConfigKind.D1, ConfigKind.D2):
+            x1 = x2 = 0.0
+        else:
+            x2 = x - xm
+            x1 = -(xm / x) * x2
+        exact = _realize(spec, config, x, xm, x1, x2)
+    except OverflowError:
+        raise SynthesisError(
+            f"f_mod {spec.f_mod:.4g} Hz and f_stop {spec.f_stop:.4g} Hz overflow the design equations"
+        ) from None
     snapped = {k: _snap_policy(k, val, spec.eseries) for k, val in exact.items()}
     return FilterDesign(
         spec=spec,
@@ -599,72 +605,52 @@ def design_to_dict(d: FilterDesign) -> dict:
     }
 
 
-def spec_from_dict(d: Mapping, eseries: str) -> FilterSpec:
+def spec_from_dict(d: Mapping | KeyReader, eseries: str) -> FilterSpec:
     """A ``FilterSpec`` from a spec-file or scenario mapping of unit-suffixed values.
 
     ``eseries`` applies when the mapping names none; ``xm`` is read as an
-    inductance when it parses as henries, else as a capacitance.
+    inductance when it parses as henries, else as a capacitance.  Each key is
+    checked where it is read, and a key the spec does not have is an error
+    (``SpecError``, or the error class of a given ``KeyReader``).
     """
-    for key in ("f_mod", "f_stop", "c_io"):
-        if key not in d:
-            raise SpecError(f"spec has no {key!r}")
-    spec_kwargs: dict = {
-        "f_mod": parse_quantity(str(d["f_mod"]), "Hz"),
-        "f_stop": parse_quantity(str(d["f_stop"]), "Hz"),
-        "c_io": parse_quantity(str(d["c_io"]), "F"),
-        "eseries": d.get("eseries", eseries),
-    }
-    if "shunt_c" in d:
-        spec_kwargs["shunt_c"] = parse_quantity(str(d["shunt_c"]), "F")
-    if "xm" in d:
-        text = str(d["xm"])
-        try:
-            spec_kwargs["xm_inductance"] = parse_quantity(text, "H")
-        except UnitError:
-            spec_kwargs["xm_capacitance"] = parse_quantity(text, "F")
-    return _checked_spec(**spec_kwargs)
-
-
-def _checked_spec(**kwargs) -> FilterSpec:
-    """``FilterSpec(**kwargs)``, its rejection raised as ``SpecError``."""
-    try:
-        return FilterSpec(**kwargs)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def _saved_number(rec: Mapping, key: str, default: float | None = None, where: str = ""):
-    """``rec[key]`` of a saved design, ``default`` when absent; ``SpecError`` unless a number."""
-    if key not in rec:
-        return default
-    value = rec[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SpecError(f"saved design: {where}{key!r} must be a number, got {value!r}")
-    return value
+    r = d if isinstance(d, KeyReader) else KeyReader(d, error=SpecError)
+    try:  # 0 H stays: classify() rejects it as configuration (e)
+        xm = {"xm_inductance": r.quantity("xm", "H", None, zero_ok=True)}
+    except UnitError:
+        xm = {"xm_capacitance": r.quantity("xm", "F")}
+    spec = r.build(
+        FilterSpec,
+        f_mod=r.quantity("f_mod", "Hz"),
+        f_stop=r.quantity("f_stop", "Hz"),
+        c_io=r.quantity("c_io", "F"),
+        shunt_c=r.quantity("shunt_c", "F", 0.0, zero_ok=True),
+        eseries=r.choice("eseries", tuple(ESERIES), eseries),
+        **xm,
+    )
+    r.done()
+    return spec
 
 
 def design_from_dict(rec: Mapping) -> FilterDesign:
-    """Re-synthesize a design saved by ``design_to_dict``; bad values raise ``SpecError``.
+    """Re-synthesize a design saved by ``design_to_dict``; bad values raise a ``ConfigError``.
 
-    Every field is checked where it is read, and the error names its key.
+    ``rec`` is the record, or holds it under ``design`` as the output of
+    ``fdmlink design`` does.  Every field it needs is checked where it is
+    read; the derived fields, which synthesis recomputes, are not read.
     """
-    if not isinstance(rec, Mapping):
-        raise SpecError(f"a saved design must be a mapping, got {type(rec).__name__}")
-    if rec.get("schema_version") != 1:
-        raise SpecError("unsupported design schema_version")
-    for key in ("f_mod_hz", "f_stop_hz", "c_io_f", "exact"):
-        if key not in rec:
-            raise SpecError(f"saved design has no {key!r}")
-    exact = rec["exact"]
-    if not isinstance(exact, Mapping):
-        raise SpecError(f"saved design: 'exact' must be a mapping, got {exact!r}")
-    spec = _checked_spec(
-        f_mod=_saved_number(rec, "f_mod_hz"),
-        f_stop=_saved_number(rec, "f_stop_hz"),
-        c_io=_saved_number(rec, "c_io_f"),
-        shunt_c=_saved_number(rec, "shunt_c_f", 0.0),
-        xm_inductance=_saved_number(exact, "l_m", where="exact "),
-        xm_capacitance=_saved_number(exact, "c_m", where="exact "),
-        eseries=rec.get("eseries", "E12"),
+    r = KeyReader(rec, error=SpecError)
+    if "schema_version" not in rec:
+        r = r.child("design")
+    r.choice("schema_version", (1,))
+    exact = r.child("exact")
+    spec = r.build(
+        FilterSpec,
+        f_mod=r.quantity("f_mod_hz", ""),
+        f_stop=r.quantity("f_stop_hz", ""),
+        c_io=r.quantity("c_io_f", ""),
+        shunt_c=r.quantity("shunt_c_f", "", 0.0, zero_ok=True),
+        xm_inductance=exact.quantity("l_m", "", None, zero_ok=True),
+        xm_capacitance=exact.quantity("c_m", "", None),
+        eseries=r.choice("eseries", tuple(ESERIES), "E12"),
     )
-    return synthesize(spec)
+    return r.build(synthesize, spec=spec)

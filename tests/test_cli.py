@@ -136,20 +136,31 @@ def test_design_imports_no_simulator_module():
     [
         ("design", "f_mod: 20MHz\nf_stop: 20MHz\nc_io: 8pF\n", "f_mod and f_stop must differ"),
         ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: -1pF\n",
-         "xm_capacitance must be positive"),
-        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: E7\n", "unknown E-series 'E7'"),
+         "xm: must be finite and above 0, got '-1pF'"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: E7\n",
+         "eseries: must be one of E6, E12, E24, got 'E7'"),
         ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: -4.7uH\n",
-         "xm_inductance must be finite and >= 0"),
+         "xm: must be finite and >= 0, got '-4.7uH'"),
         ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\neseries: [E12]\n",
-         "unknown E-series ['E12']"),
+         "eseries: must be one of E6, E12, E24, got ['E12']"),
         ("sweep", '{"schema_version": 1, "f_mod_hz": 2e7, "f_stop_hz": 2e7, "c_io_f": 8e-12, '
                   '"exact": {"l_m": 4.7e-6}}', "f_mod and f_stop must differ"),
-        ("sweep", '{"schema_version": 2}', "unsupported design schema_version"),
-        ("design", "f_stop: 50MHz\nc_io: 8pF\n", "spec has no 'f_mod'"),
+        ("sweep", '{"schema_version": 2}', "schema_version: must be one of 1, got 2"),
+        ("design", "f_stop: 50MHz\nc_io: 8pF\n", "f_mod: required key is missing"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 1e400F\n", "c_io: '1e400F' is not a finite value"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nshunt_c: 1e400F\n",
+         "shunt_c: '1e400F' is not a finite value"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: 4.7uH\nf_mood: 1MHz\n", "f_mood: unknown key"),
+        ("design", "f_mod: 20MHz\nf_stop: 50MHz\nc_io: 8pF\nxm: true\n",
+         "xm: expected a quantity in F, got True"),
+        ("design", "f_mod: 20MHz\nf_stop: 1e300Hz\nc_io: 8pF\nshunt_c: 10pF\nxm: 4.7uH\n",
+         "f_mod 2e+07 Hz and f_stop 1e+300 Hz overflow the design equations"),
     ],
     ids=["design_equal_carriers", "design_negative_xm", "design_unknown_eseries",
          "design_negative_xm_inductance", "design_eseries_list",
-         "sweep_equal_carriers", "sweep_schema_version", "design_no_f_mod"],
+         "sweep_equal_carriers", "sweep_schema_version", "design_no_f_mod",
+         "design_infinite_c_io", "design_infinite_shunt_c", "design_unknown_key", "design_bool_xm",
+         "design_overflowing_f_stop"],
 )
 def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message):
     """One line on stderr, exit 2, and no simulator module loaded to report it."""
@@ -158,7 +169,7 @@ def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message)
     r = _run_fresh([command, str(path)], "sorted(m for m in sys.modules if m.startswith('fdmlink'))")
     assert r.returncode == 2, r.stderr
     lines = r.stderr.strip().splitlines()
-    assert lines[:-1] == [f"error: {message}"]
+    assert lines[:-1] == [f"error: {path}: {message}"]
     for name in ("simulate", "modem", "protocol", "kernels"):
         assert f"'fdmlink.{name}'" not in lines[-1], lines[-1]
 
@@ -170,23 +181,30 @@ _SAVED = '"schema_version": 1, "f_stop_hz": 5e7, "c_io_f": 8e-12'
     "doc,message",
     [
         ('{%s, "f_mod_hz": "20MHz", "exact": {"l_m": 4.7e-6}}' % _SAVED,
-         "saved design: 'f_mod_hz' must be a number, got '20MHz'"),
-        ('{%s, "f_mod_hz": 2e7, "exact": 5}' % _SAVED,
-         "saved design: 'exact' must be a mapping, got 5"),
+         "f_mod_hz: expected a dimensionless number, got '20MHz'"),
+        ('{%s, "f_mod_hz": 2e7, "exact": 5}' % _SAVED, "exact: must be a mapping, got 5"),
         ('{%s, "f_mod_hz": 2e7, "exact": {"l_m": "4.7uH"}}' % _SAVED,
-         "saved design: exact 'l_m' must be a number, got '4.7uH'"),
+         "exact.l_m: expected a dimensionless number, got '4.7uH'"),
         ('[{%s, "f_mod_hz": 2e7, "exact": {"l_m": 4.7e-6}}]' % _SAVED,
-         "a saved design must be a mapping, got list"),
-        ('{%s, "f_mod_hz": 2e7}' % _SAVED, "saved design has no 'exact'"),
+         "must be a mapping, got [{'schema_version': 1, 'f_stop_hz': 50000000.0, 'c_io_f': 8e-12, "
+         "'f_mod_hz': 20000000.0, 'exact': {'l_m': 4.7e-06}}]"),
+        ('{%s, "f_mod_hz": 2e7}' % _SAVED, "exact: required key is missing"),
+        ('{"schema_version": 1, "f_stop_hz": 5e7, "c_io_f": Infinity, "f_mod_hz": 2e7, "exact": {"l_m": 4.7e-6}}',
+         "c_io_f: must be finite and above 0, got inf"),
+        ('{"schema_version": 1, "f_stop_hz": 1e300, "c_io_f": 8e-12, "shunt_c_f": 1e-11, "f_mod_hz": 2e7, '
+         '"exact": {"l_m": 4.7e-6}}', "f_mod 2e+07 Hz and f_stop 1e+300 Hz overflow the design equations"),
+        ('{%s, "f_mod_hz": 2e7, "exact": {"l_m": true}}' % _SAVED,
+         "exact.l_m: expected a number, got True"),
     ],
-    ids=["string_f_mod", "exact_not_a_mapping", "string_l_m", "top_level_list", "no_exact"],
+    ids=["string_f_mod", "exact_not_a_mapping", "string_l_m", "top_level_list", "no_exact",
+         "infinite_c_io", "overflowing_f_stop", "bool_l_m"],
 )
 def test_malformed_saved_design_exits_2(runner, tmp_path, doc, message):
     path = tmp_path / "design.json"
     path.write_text(doc)
     r = runner.invoke(main, ["sweep", str(path)])
     assert r.exit_code == 2, r.exception
-    assert r.output.splitlines() == [f"error: {message}"]  # stdout and stderr together
+    assert r.output.splitlines() == [f"error: {path}: {message}"]  # stdout and stderr together
 
 
 def test_design_writes_json_file(runner, tmp_path):
@@ -375,10 +393,10 @@ def test_simulate_bad_scenario(runner, tmp_path):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (("clock: 100kHz", "clock: 0Hz"), "clock must be a finite frequency > 0 Hz"),
-        (("clock: 100kHz", "clock: 100kHz\nseed: -1"), "seed must be an integer >= 0"),
-        (("clock: 100kHz", "clock: 100kHz\nnoise_rms: -1mV"), "noise_rms must be a finite voltage >= 0 V"),
-        (("clock: 100kHz", "clock: 100kHz\nattenuation_db: .nan"), "attenuation_db must be finite and >= 0"),
+        (("clock: 100kHz", "clock: 0Hz"), "clock: must be finite and above 0, got '0Hz'"),
+        (("clock: 100kHz", "clock: 100kHz\nseed: -1"), "seed: must be an integer >= 0, got -1"),
+        (("clock: 100kHz", "clock: 100kHz\nnoise_rms: -1mV"), "noise_rms: must be finite and >= 0, got '-1mV'"),
+        (("clock: 100kHz", "clock: 100kHz\nattenuation_db: .nan"), "attenuation_db: must be finite and >= 0, got nan"),
     ],
     ids=["zero_clock", "negative_seed", "negative_noise", "nan_attenuation"],
 )
@@ -394,13 +412,23 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (("loss", [1]), "'loss' must be a mapping, got [1]"),
-        (("clock", None), "scenario has no 'clock'"),
-        (("carriers", None), "scenario has no 'carriers'"),
-        (("nodes", None), "scenario has no 'nodes'"),
-        (("script", None), "scenario has no 'script'"),
+        (("loss", [1]), "loss: must be a mapping, got [1]"),
+        (("clock", None), "clock: required key is missing"),
+        (("carriers", None), "carriers: required key is missing"),
+        (("nodes", None), "nodes: required key is missing"),
+        (("script", None), "script: required key is missing"),
+        (("script", "."), "script: {dir}: Is a directory"),
+        (("noise_rm", "1mV"), "noise_rm: unknown key"),
+        (("filter_defaults", {"sdaa": {}}), "filter_defaults.sdaa: unknown key"),
+        (("which", "abc"), "which: must be one of exact, snapped, got 'abc'"),
+        (("pullups", "abc"), "pullups: must be a mapping, got 'abc'"),
+        (("nodes", [{"name": "m", "role": "master"}, {"address": ".inf"}]),
+         "nodes[1].address: must be an integer from 0 to 127, got '.inf'"),
+        (("nodes", [{"name": "m", "role": "master"}, {"address": 24, "registers": {5: "abc"}}]),
+         "nodes[1].registers.5: must be an integer >= 0, got 'abc'"),
     ],
-    ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script"],
+    ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script", "script_directory",
+         "unknown_key", "unknown_line", "which_abc", "pullups_string", "address_inf", "register_abc"],
 )
 def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
     doc = yaml.safe_load(MINIMAL.format(freq="20MHz"))
@@ -413,6 +441,7 @@ def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
     p.write_text(yaml.safe_dump(doc))
     r = runner.invoke(main, ["simulate", str(p)])
     assert r.exit_code == 2
+    message = message.format(dir=tmp_path)
     assert r.output.splitlines() == [f"error: {p}: {message}"]  # stdout and stderr together
 
 

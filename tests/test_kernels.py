@@ -237,6 +237,14 @@ def test_block_context_rejects_params_the_kernels_would_disagree_on(kwargs):
         _context(**kwargs)
 
 
+@pytest.mark.parametrize("spq,quarters", [(2**63, 1), (1, 2**63), (2**32, 2**32)],
+                         ids=["samples_per_quarter", "quarters", "product"])
+def test_block_context_rejects_sizes_beyond_int64(spq, quarters):
+    # ctypes would store them modulo 2**64: a spq of 2**64 reads 0 and the kernels never end
+    with pytest.raises(ValueError, match="int64"):
+        _context(samples_per_quarter=spq, quarters=quarters)
+
+
 def test_block_context_rejects_misshapen_noise():
     # a row per sample of every quarter, a column per stream
     with pytest.raises(ValueError, match="noise"):

@@ -422,6 +422,12 @@ def test_run_scenario_rejects_bad_run_settings(demo, kwargs, match):
         run_scenario(demo.topology, demo.transactions[:1], **args)
 
 
+@pytest.mark.parametrize("clock_hz,sim_rate", [(100e3, 1e300), (1e-300, 6.4e6)], ids=["sim_rate", "clock"])
+def test_run_scenario_rejects_sample_counts_beyond_int64(demo, clock_hz, sim_rate):
+    with pytest.raises(TopologyError, match="sim_rate .* Hz clock asks for"):
+        run_scenario(demo.topology, demo.transactions[:1], clock_hz, sim_rate=sim_rate)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -3.0])
 def test_topology_rejects_bad_attenuation(value):
     topo = _resistive_topology(0)
