@@ -10,12 +10,31 @@
  * its wired-AND levels; without noise the input is then constant until
  * the next quarter, so each stream's detector value is computed once into
  * det[].  At each quarter midpoint it records the master's observation
- * and counts bits and eye margins.  It returns after the first sample
- * where any output changes (event = 1) or at the end of the segment.
+ * and counts bits and eye margins.
+ *
+ * A sample steps each group's SCL stream, then its SDA stream, and then
+ * decides the group's edge the way an I2C slave front end acts on it.  An
+ * SCL rise is logged if clock edges reach the group (hears[0][g]) and the
+ * run goes on: a slave only samples SDA there and moves neither its drive
+ * nor its listening (SlaveEngine.on_scl_rise), so nothing the kernel reads
+ * changes until Python delivers the rise at the next return.  An SCL fall
+ * is logged and ends the call if clock edges reach the group.  An SDA
+ * change with SCL high and unchanged (START or STOP) is logged and ends
+ * the call if data edges reach the group (hears[1][g]).  An SDA change
+ * while SCL is low, or an edge that reaches nobody, is not logged.  So the
+ * call returns after the first sample with a logged fall or START/STOP
+ * (event = 1) or at the end of the segment, and events[0..n_events) holds
+ * the logged edges in order.  The noiseless demo takes 433 calls this way,
+ * against 1,001 when every slicer output change ended one.  After a logged
+ * rise the group's next SCL change is a fall, which ends the call, so a
+ * group logs at most two edges per call and events[2 * groups] suffices.
  * The struct layout mirrors _kernels_py.BlockContext._fields_.
  */
 #include <math.h>
 #include <stdint.h>
+
+/* An event is 8 * group + 2 * kind + the group's SDA output at that sample. */
+enum { EDGE_RISE, EDGE_FALL, EDGE_DATA };
 
 typedef struct {
     int64_t n_streams;   /* 2 * groups: the SCL stream of each group, then the SDA ones */
@@ -28,13 +47,16 @@ typedef struct {
     int64_t pos;         /* next sample within it */
     int64_t q_end;       /* the segment ends before this quarter */
     int64_t sda_pulled;  /* a node other than the master pulls SDA low */
-    int64_t event;       /* 1 if the last call ended on an output change */
+    int64_t event;       /* 1 if the last call ended on a logged fall or START/STOP */
+    int64_t n_events;    /* edges the last call logged */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
     const double *amp;    /* [4][n_streams] amplitude row per code */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
+    const uint8_t *hears; /* [2][groups] clock edges reach a listening slave, data edges any slave */
     double *ref, *det;    /* [n_streams] */
     uint8_t *out;         /* [n_streams] */
+    int64_t *events;      /* [n_streams] the edges the last call logged */
     uint8_t *obs;         /* [n_quarters][2] the master's (scl, sda) at each midpoint */
     uint8_t *used;        /* [4] codes that ran at least one sample */
     uint8_t *seen_low;    /* [2] each line's wired-AND level has been low */
@@ -94,38 +116,67 @@ static void midpoint(block_ctx *c, const uint8_t wire[2])
     }
 }
 
+/* Step stream s through one sample; 1 if its output changed. */
+static int step_stream(block_ctx *c, const double *amp, int64_t row, int64_t s)
+{
+    const double d = c->noise ? detector(c, amp[s] + c->noise[row + s]) : c->det[s];
+    const double r0 = c->started ? c->ref[s] : d;
+    const double r = r0 + c->alpha * (d - r0);
+    uint8_t o = c->out[s];
+    if (d > r + c->half_h)
+        o = 1;
+    else if (d < r - c->half_h)
+        o = 0;
+    const int moved = o != c->out[s];
+    c->ref[s] = r;
+    c->det[s] = d;
+    c->out[s] = o;
+    if (c->trace_det) {
+        c->trace_det[row + s] = d;
+        c->trace_ref[row + s] = r;
+        c->trace_out[row + s] = o;
+    }
+    return moved;
+}
+
+/* Log group g's edge if a slave of g acts on it; 1 if Python must act before the next sample. */
+static int log_edge(block_ctx *c, int64_t g, int moved)
+{
+    const int64_t ng = c->n_streams / 2;
+    int kind;
+    if (moved & 1) {
+        if (!c->hears[g])
+            return 0;
+        kind = c->out[g] ? EDGE_RISE : EDGE_FALL;
+    } else if (c->out[g] && c->hears[ng + g]) {
+        kind = EDGE_DATA;
+    } else {
+        return 0;
+    }
+    c->events[c->n_events++] = 8 * g + 2 * kind + c->out[ng + g];
+    return kind != EDGE_RISE;
+}
+
 int64_t step_block(block_ctx *c)
 {
-    const int64_t ns = c->n_streams;
+    const int64_t ns = c->n_streams, ng = ns / 2;
     const double *amp;
     uint8_t wire[2];
     int64_t n = 0;
     c->event = 0;
+    c->n_events = 0;
     if (c->quarter >= c->q_end)
         return 0;
     amp = enter_quarter(c, wire);
     for (;;) {
         const int64_t isample = c->quarter * c->spq + c->pos;
         const int64_t row = isample * ns;
-        int changed = 0;
-        for (int64_t s = 0; s < ns; s++) {
-            const double d = c->noise ? detector(c, amp[s] + c->noise[row + s]) : c->det[s];
-            const double r0 = c->started ? c->ref[s] : d;
-            const double r = r0 + c->alpha * (d - r0);
-            uint8_t o = c->out[s];
-            if (d > r + c->half_h)
-                o = 1;
-            else if (d < r - c->half_h)
-                o = 0;
-            changed |= o != c->out[s];
-            c->ref[s] = r;
-            c->det[s] = d;
-            c->out[s] = o;
-            if (c->trace_det) {
-                c->trace_det[row + s] = d;
-                c->trace_ref[row + s] = r;
-                c->trace_out[row + s] = o;
-            }
+        int stop = 0;
+        for (int64_t g = 0; g < ng; g++) {
+            int moved = step_stream(c, amp, row, g);
+            moved |= step_stream(c, amp, row, ng + g) << 1;
+            if (moved)
+                stop |= log_edge(c, g, moved);
         }
         if (c->trace_wire) {
             c->trace_wire[2 * isample] = wire[0];
@@ -139,7 +190,7 @@ int64_t step_block(block_ctx *c)
             c->pos = 0;
             c->quarter++;
         }
-        if (changed) {
+        if (stop) {
             c->event = 1;
             return n;
         }

@@ -6,12 +6,12 @@ recurrences that cannot be vectorized (each output feeds the next state).
 from here, and ``Demodulator.run`` always starts ``demod_loop`` high
 (``out0 = H``) with ``feedback`` on exactly when a spike model is set.
 ``step_block`` advances the demodulator streams of ``run_scenario``
-through one master segment, from one slicer output change to the next,
-and does the quarter-midpoint bookkeeping (the master's observations, bit
-errors and eye margins) on the way.  It is the loop of ``step_block`` in
-``_blockkernel.c`` written in Python, statement for statement: the
-reference the tests hold the C kernel to, and the fallback where that
-cannot be built.  ``fdmlink.kernels`` picks the block stepper's backend.
+through one master segment, from one bus edge a slave must act on to the
+next, logging the edges on the way, and does the quarter-midpoint
+bookkeeping (the master's observations, bit errors and eye margins).  It
+is the loop of ``step_block`` in ``_blockkernel.c`` written in Python,
+statement for statement: the reference the tests hold the C kernel to,
+and the fallback where that cannot be built.  ``fdmlink.kernels`` picks the block stepper's backend.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import ctypes
 import math
 
 import numpy as np
+
+# the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
+EDGE_RISE, EDGE_FALL, EDGE_DATA = range(3)
 
 
 def slicer_loop(
@@ -137,15 +140,19 @@ class BlockContext(ctypes.Structure):
     ``code`` and ``obs`` have a row per quarter, and ``noise`` and the
     ``trace_*`` arrays (or None) a row per sample.
 
-    The caller owns ``code``, ``amp``, ``sda_pulled`` and ``q_end``.  For
-    each master segment it writes the segment's intent codes (2 * scl + sda)
-    into ``code`` from quarter ``quarter`` on and sets ``q_end`` past them,
-    keeping ``q_end`` at most ``quarters`` (the C kernel does not check).
-    Whenever the slave drives change it writes ``amp`` (one amplitude row
-    per code) and ``sda_pulled`` (a node other than the master pulls SDA).
-    The kernels own the rest: the position, the stream state, ``obs``, the
-    ``used`` flags of the codes that ran, ``seen_low``, the bit and eye
-    counters (``bits_checked``, ``bit_errors``, ``eye``) and the traces.
+    The caller owns ``code``, ``amp``, ``sda_pulled``, ``hears`` and
+    ``q_end``.  For each master segment it writes the segment's intent codes
+    (2 * scl + sda) into ``code`` from quarter ``quarter`` on and sets
+    ``q_end`` past them, keeping ``q_end`` at most ``quarters`` (the C
+    kernel does not check).  Whenever the slave drives change it writes
+    ``amp`` (one amplitude row per code) and ``sda_pulled`` (a node other
+    than the master pulls SDA).  ``hears`` is (2, groups): ``hears[0, g]``
+    says clock edges reach a listening slave of group g, ``hears[1, g]``
+    that data edges reach any slave of it; it starts all ones.  The kernels
+    own the rest: the position, the stream state, ``obs``, the ``used``
+    flags of the codes that ran, ``seen_low``, the bit and eye counters
+    (``bits_checked``, ``bit_errors``, ``eye``), the edge log (``events``,
+    of which a call fills the first ``n_events``) and the traces.
     """
 
     _fields_ = [
@@ -160,6 +167,7 @@ class BlockContext(ctypes.Structure):
         ("q_end", ctypes.c_int64),
         ("sda_pulled", ctypes.c_int64),
         ("event", ctypes.c_int64),
+        ("n_events", ctypes.c_int64),
         ("floor", ctypes.c_double),
         ("ref_in", ctypes.c_double),
         ("ref_out", ctypes.c_double),
@@ -169,9 +177,11 @@ class BlockContext(ctypes.Structure):
         ("code_p", ctypes.c_void_p),
         ("amp_p", ctypes.c_void_p),
         ("noise_p", ctypes.c_void_p),
+        ("hears_p", ctypes.c_void_p),
         ("ref_p", ctypes.c_void_p),
         ("det_p", ctypes.c_void_p),
         ("out_p", ctypes.c_void_p),
+        ("events_p", ctypes.c_void_p),
         ("obs_p", ctypes.c_void_p),
         ("used_p", ctypes.c_void_p),
         ("seen_low_p", ctypes.c_void_p),
@@ -243,6 +253,8 @@ class BlockContext(ctypes.Structure):
         self.ref = np.zeros(n_streams)
         self.det = np.zeros(n_streams)
         self.out = np.ones(n_streams, dtype=np.uint8)
+        self.hears = np.ones((2, groups), dtype=np.uint8)
+        self.events = np.zeros(n_streams, dtype=np.int64)
         self.obs = np.ones((quarters, 2), dtype=np.uint8)
         self.used = np.zeros(4, dtype=np.uint8)
         self.seen_low = np.zeros(2, dtype=np.uint8)
@@ -261,9 +273,9 @@ class BlockContext(ctypes.Structure):
             self.trace_wire = np.zeros((n_samples, 2), dtype=np.uint8)
         else:
             self.trace_det = self.trace_ref = self.trace_out = self.trace_wire = None
-        for name in ("code", "amp", "noise", "ref", "det", "out", "obs", "used", "seen_low",
-                     "bits_checked", "bit_errors", "eye", "trace_det", "trace_ref", "trace_out",
-                     "trace_wire"):
+        for name in ("code", "amp", "noise", "hears", "ref", "det", "out", "events", "obs", "used",
+                     "seen_low", "bits_checked", "bit_errors", "eye", "trace_det", "trace_ref",
+                     "trace_out", "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
 
@@ -281,10 +293,22 @@ def step_block(ctx: BlockContext) -> int:
     ``obs[q]``, and for each line with ``seen_low`` set, ``bits_checked``
     grows by fan_out per stream, ``bit_errors`` by fan_out per stream whose
     output differs from the line's level, and ``eye`` takes the least
-    |det - ref|.  The call ends after the first sample where any output
-    changes, setting ``event``, or when ``quarter`` reaches ``q_end``; it
-    takes the next quarter's code only when it goes on into that quarter.
-    With traces on it writes every sample's det/ref/out and wire levels.
+    |det - ref|.
+
+    A sample steps each group's SCL stream, then its SDA stream, and then
+    logs the group's edge in ``events`` if a slave acts on it, as
+    8 * g + 2 * kind + the group's SDA output.  An SCL change is an
+    ``EDGE_RISE`` or ``EDGE_FALL`` and is logged if ``hears[0, g]``; an SDA
+    change with SCL high and unchanged (START or STOP) is an ``EDGE_DATA``
+    and is logged if ``hears[1, g]``.  An SDA change while SCL is low, or an
+    edge that reaches nobody, is not logged.  A rise moves nothing the
+    kernels read, so the call goes on; it ends after the first sample that
+    logs a fall or a data edge, setting ``event``, or when ``quarter``
+    reaches ``q_end``, and ``n_events`` counts what it logged.  After a
+    logged rise the group's next SCL change is a fall, so the log holds at
+    most two edges per group.  The call takes the next quarter's code only
+    when it goes on into that quarter.  With traces on it writes every
+    sample's det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches (``math.log10`` is the C library's log10); like it,
@@ -293,6 +317,7 @@ def step_block(ctx: BlockContext) -> int:
     """
     q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
     ctx.event = 0
+    ctx.n_events = 0
     if q >= q_end:
         return 0
     spq, mid, ng, fan_out = ctx.spq, ctx.mid, ctx.n_streams // 2, ctx.fan_out
@@ -306,12 +331,16 @@ def step_block(ctx: BlockContext) -> int:
 
     ref = ctx.ref.tolist() if ctx.started else None
     out = ctx.out.tolist()
+    hears = ctx.hears.ravel().tolist()
+    events: list[int] = []
+    # per group: (bit, stream) of its SCL and then its SDA stream
+    pairs = [((1, g), (2, ng + g)) for g in range(ng)]
     seen_low = ctx.seen_low.tolist()
     bits_checked, bit_errors, eye = ctx.bits_checked.tolist(), ctx.bit_errors.tolist(), ctx.eye.tolist()
     tracing = ctx.trace_det is not None
     n = 0
-    changed = False
-    while not changed and q < q_end:  # the rest of one quarter per pass
+    stop = False
+    while not stop and q < q_end:  # the rest of one quarter per pass
         code = int(ctx.code[q])
         wire = (code >> 1, 1 if code & 1 and not ctx.sda_pulled else 0)
         for li in (0, 1):
@@ -329,17 +358,31 @@ def step_block(ctx: BlockContext) -> int:
         for det in rows:
             if ref is None:  # the run's first sample starts every reference at its input
                 ref = det[:]
-            for s, d in enumerate(det):
-                r = ref[s]
-                r += alpha * (d - r)
-                ref[s] = r
-                if out[s]:
-                    if d < r - h2:
-                        out[s] = 0
-                        changed = True
-                elif d > r + h2:
-                    out[s] = 1
-                    changed = True
+            for g, pair in enumerate(pairs):
+                moved = 0
+                for bit, s in pair:
+                    d = det[s]
+                    r = ref[s]
+                    r += alpha * (d - r)
+                    ref[s] = r
+                    if out[s]:
+                        if d < r - h2:
+                            out[s] = 0
+                            moved |= bit
+                    elif d > r + h2:
+                        out[s] = 1
+                        moved |= bit
+                if moved:
+                    if moved & 1:
+                        if not hears[g]:
+                            continue
+                        kind = EDGE_RISE if out[g] else EDGE_FALL
+                    elif out[g] and hears[ng + g]:
+                        kind = EDGE_DATA
+                    else:
+                        continue
+                    events.append(8 * g + 2 * kind + out[ng + g])
+                    stop = stop or kind != EDGE_RISE
             if tracing:
                 trace_det += det
                 trace_ref += ref
@@ -358,7 +401,7 @@ def step_block(ctx: BlockContext) -> int:
                         if m < eye[li]:
                             eye[li] = m
             pos += 1
-            if changed:
+            if stop:
                 break
         if tracing:
             block = slice(isample, q * spq + pos)
@@ -372,11 +415,13 @@ def step_block(ctx: BlockContext) -> int:
     ctx.ref[:] = ref
     ctx.det[:] = det
     ctx.out[:] = out
+    ctx.events[:len(events)] = events
+    ctx.n_events = len(events)
     ctx.seen_low[:] = seen_low
     ctx.bits_checked[:] = bits_checked
     ctx.bit_errors[:] = bit_errors
     ctx.eye[:] = eye
     ctx.started = 1
     ctx.quarter, ctx.pos = q, pos
-    ctx.event = 1 if changed else 0
+    ctx.event = 1 if stop else 0
     return n

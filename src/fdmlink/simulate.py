@@ -20,9 +20,10 @@ quarter bits whose intents do not depend on each other's observations, and
 the amplitude of each quarter follows from its intents and the slave
 drives, so ``kernels.block_stepper()`` (compiled C, or the same arithmetic
 in Python) advances the streams through a segment up to its end or the
-first slicer output change; slave reactions, which close the loop, run
-between calls.  Bit errors are counted at quarter-bit midpoints against the
-ideal wired-AND level of the same run.
+first bus edge a slave must act on (an SCL fall, a START or a STOP); slave
+reactions, which close the loop, run between calls.  Bit errors are
+counted at quarter-bit midpoints against the ideal wired-AND level of the
+same run.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .units import ConfigError, KeyReader, UnitError, parse_quantity, read_confi
 
 __all__ = [
     "LINES",
+    "MAX_RUN_SAMPLES",
     "MIN_SAMPLES_PER_QUARTER",
     "TopologyError",
     "HarmonicOverlapWarning",
@@ -82,6 +84,9 @@ __all__ = [
 
 LINES = ("scl", "sda")
 MIN_SAMPLES_PER_QUARTER = 13
+# the most samples a run may ask for (quarters_upper_bound * samples per quarter):
+# 2**24 is over 600 times the demo's, and a noisy demo run of it takes seconds
+MAX_RUN_SAMPLES = 2**24
 # a master quarter's (scl, sda) intents as the block kernel's code 2 * scl + sda
 _INTENT_CODE = {(scl, sda): 2 * scl + sda for scl in (H, L) for sda in (H, L)}
 # every node's detector
@@ -89,6 +94,11 @@ _DETECTOR = DetectorParams()
 
 # rough phase velocity on FR4 for the electrical-size check
 _VELOCITY_M_S = 1.5e8
+# The highest harmonic order the overlap check warns about.  A float ratio
+# near n is only good to about n * 2**-52, so from about 2**33 on only an
+# exact integer is within the check's 1e-6, and from 2**53 on every ratio is
+# an integer; 2**20 keeps the check resolvable with a wide margin.
+_MAX_HARMONIC = 2**20
 
 
 class TopologyError(ConfigError):
@@ -183,9 +193,10 @@ class BusTopology:
         for i in range(len(freqs)):
             for j in range(i + 1, len(freqs)):
                 ratio = freqs[j] / freqs[i]
-                if abs(ratio - round(ratio)) < 1e-6 and round(ratio) >= 2:
+                n = round(ratio)
+                if 2 <= n <= _MAX_HARMONIC and abs(ratio - n) < 1e-6:
                     warnings.warn(
-                        f"carrier {freqs[j]:.4g} Hz is harmonic {round(ratio)} of "
+                        f"carrier {freqs[j]:.4g} Hz is harmonic {n} of "
                         f"{freqs[i]:.4g} Hz; keying sidebands can alias between lines",
                         HarmonicOverlapWarning,
                         stacklevel=3,
@@ -409,17 +420,28 @@ def run_scenario(
     with one amplitude row per code for the current slave drives, and
     ``kernels.block_stepper()`` runs every stream across the segment's
     quarters.  It records the master's observation and counts bits and eye
-    margins at each midpoint, and returns at the segment end or after the
-    first sample where an output changes.  Python then fires the slave
-    callbacks of each group in node order: a clock edge goes only to the
-    slaves that are ``listening`` (``SlaveEngine``), and a data edge goes to
-    every slave of the group while its SCL output is high (a START or STOP)
-    and to none while it is low.  The amplitude rows are recomputed only
-    when the set of nodes whose slave pulls SDA changed (``on_scl_rise``
-    never moves a drive, and a slave that is not listening pulls nothing).
-    At the segment end the observations go back to the master program.  The
-    sample budget is checked once per segment, before it runs.  The keying
-    depth is taken over the drive states some sample ran under.
+    margins at each midpoint.  It returns only where Python must decide:
+    at the segment end, or after the first sample with an SCL fall in a
+    group that has a ``listening`` slave (``SlaveEngine``) or an SDA change
+    under a steady high SCL (a START or STOP) in a group with any slave;
+    the context's ``hears`` mask, refreshed whenever ``listening`` is,
+    says which groups those are.  SCL rises in groups with a listening
+    slave go into the kernel's edge log without a return, since
+    ``on_scl_rise`` moves neither a drive nor ``listening``; SDA changes
+    while SCL is low reach nobody.  After every return Python walks the
+    log in order and fires the callbacks of each edge in node order: clock
+    edges to the listening slaves, data edges to every slave of the group.
+    On the noiseless demo that is 433 kernel calls, against 1,001 when
+    every slicer output change ended one.  The amplitude rows are
+    recomputed only when the set of nodes whose slave pulls SDA changed (a
+    slave that is not listening pulls nothing).  At the segment end the
+    observations go back to the master program.  The sample budget is
+    checked once per segment, before it runs, and its noise rows are drawn
+    then, the same values as one draw up front.  A run may ask for at most
+    ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the samples
+    per quarter); more raise ``TopologyError`` before anything is
+    allocated.  The keying depth is taken over the drive states some
+    sample ran under.
     Deterministic for a fixed seed, and the same on both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
     ``trace_sink`` to capture per-sample detector/reference traces for
@@ -430,7 +452,16 @@ def run_scenario(
     _check_run_settings(clock_hz, sim_rate, noise_rms, seed)
     if sim_rate is None:
         sim_rate = 64.0 * clock_hz
-    spq = round(sim_rate / (QUARTERS_PER_BIT * clock_hz))
+    master = MasterEngine(transactions, clock_hz)
+    n_quarters = master.quarters_upper_bound()
+    per_quarter = sim_rate / (QUARTERS_PER_BIT * clock_hz)
+    # the first test keeps an infinite ratio away from round()
+    if per_quarter > MAX_RUN_SAMPLES or n_quarters * round(per_quarter) > MAX_RUN_SAMPLES:
+        raise TopologyError(
+            f"sim_rate {sim_rate:.4g} Hz at a {clock_hz:.4g} Hz clock asks for more than "
+            f"{MAX_RUN_SAMPLES} samples ({n_quarters} quarter bits of {per_quarter:.4g} samples)"
+        )
+    spq = round(per_quarter)
     if spq < MIN_SAMPLES_PER_QUARTER:
         raise ProtocolError(
             f"sim_rate {sim_rate:.4g} Hz gives {spq} samples per quarter bit at "
@@ -441,10 +472,10 @@ def run_scenario(
         topology.line_carrier(line)
         check_carrier_separation(clock_hz, topology.line_carrier(line).frequency)
 
+    n_alloc = n_quarters * spq
     nodes = topology.nodes
     n_nodes = len(nodes)
     mi = topology.master_index
-    master = MasterEngine(transactions, clock_hz)
     # the master node drives SDA from its intents, so a slave model on it is never heard
     engines: list[SlaveEngine | None] = [
         None if n.slave is None or ni == mi else SlaveEngine(dataclasses.replace(
@@ -453,20 +484,14 @@ def run_scenario(
         for ni, n in enumerate(nodes)
     ]
 
-    n_quarters = master.quarters_upper_bound()
-    n_alloc = n_quarters * spq
-    if n_alloc > 2**63 - 1:
-        raise TopologyError(
-            f"sim_rate {sim_rate:.4g} Hz at a {clock_hz:.4g} Hz clock asks for more samples than int64 counts"
-        )
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_rms, size=(n_alloc, 2, n_nodes)) if noise_rms > 0 else None
+    noisy = noise_rms > 0
 
     # Same input, same state, same floats: without noise one group of streams
     # serves every node, with noise each node reads its own noise column.
     # Stream li * n_groups + g is line li of group g, so a noise row
     # (line, node) flattens onto the streams.
-    members_of = [range(n_nodes)] if noise is None else [(ni,) for ni in range(n_nodes)]
+    members_of = [(ni,) for ni in range(n_nodes)] if noisy else [range(n_nodes)]
     group_slaves = [[engines[ni] for ni in members if engines[ni] is not None] for members in members_of]
     n_groups = len(members_of)
     node_of = {e: ni for ni, e in enumerate(engines) if e is not None}
@@ -486,13 +511,16 @@ def run_scenario(
         samples_per_quarter=spq,
         quarters=n_quarters,
         fan_out=n_nodes // n_groups,
-        master=0 if noise is None else mi,
-        noise=None if noise is None else noise.reshape(n_alloc, 2 * n_nodes),
+        master=mi if noisy else 0,
+        # rows are drawn a segment at a time, just before it runs
+        noise=np.empty((n_alloc, 2 * n_nodes)) if noisy else None,
         traces=tracing,
     )
     step = kernels.block_stepper()
-    out_arr = ctx.out
-    outs = out_arr.tolist()
+    rise, fall = kernels.EDGE_RISE, kernels.EDGE_FALL
+    hears, events = ctx.hears, ctx.events
+    hears[0] = [bool(listeners) for listeners in listening]
+    hears[1] = [bool(slaves) for slaves in group_slaves]
 
     table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
@@ -544,31 +572,31 @@ def run_scenario(
             )
         ctx.code[q0:q_end] = [_INTENT_CODE[i] for i in seg]
         ctx.q_end = q_end
+        if noisy:
+            # the same values as one up-front draw of every row: a Generator's stream is sequential
+            rows = (q_end - q0) * spq
+            ctx.noise[q0 * spq:q_end * spq] = rng.normal(0.0, noise_rms, size=(rows, 2 * n_nodes))
         while True:
             step(ctx)
-            if not ctx.event:
-                break
-            new = out_arr.tolist()
             stale = False
-            for g, listeners in enumerate(listening):
-                d_scl, d_sda = new[g], new[n_groups + g]
-                if d_scl != outs[g]:
-                    if d_scl == H:
-                        # samples SDA only, so the drives stand
-                        for eng in listeners:
-                            eng.on_scl_rise(d_sda)
-                    elif listeners:
-                        for eng in listeners:
-                            eng.on_scl_fall()
-                        listening[g] = [e for e in listeners if e.listening]
-                        stale = True
-                elif d_scl == H and d_sda != outs[n_groups + g]:
+            for e in events[:ctx.n_events].tolist():
+                g, kind, sda = e >> 3, e >> 1 & 3, e & 1
+                if kind == rise:
+                    # samples SDA only, so the drives stand
+                    for eng in listening[g]:
+                        eng.on_scl_rise(sda)
+                    continue
+                if kind == fall:
+                    for eng in listening[g]:
+                        eng.on_scl_fall()
+                    listening[g] = [eng for eng in listening[g] if eng.listening]
+                else:
                     # START or STOP: every slave of the group hears it
                     for eng in group_slaves[g]:
-                        eng.on_sda_edge(d_sda, d_scl)
-                    listening[g] = [e for e in group_slaves[g] if e.listening]
-                    stale = True
-            outs = new
+                        eng.on_sda_edge(sda, H)
+                    listening[g] = [eng for eng in group_slaves[g] if eng.listening]
+                hears[0, g] = bool(listening[g])
+                stale = True
             if stale:
                 now = pulled_nodes()
                 if now != pulled:
@@ -602,7 +630,7 @@ def run_scenario(
             ("out", ctx.trace_out, np.int64),
         )
         for ni, node in enumerate(nodes):
-            g = 0 if noise is None else ni
+            g = ni if noisy else 0
             for li, line in enumerate(LINES):
                 for prefix, arr, dtype in columns:
                     trace[f"{prefix}_{node.name}_{line}"] = arr[:isample, li * n_groups + g].astype(dtype)

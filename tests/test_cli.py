@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 from importlib.resources import files
@@ -451,6 +453,28 @@ def test_negative_seed_flag_rejected(runner, minimal_scenario, command):
     r = runner.invoke(main, args + ["--seed", "-1"])
     assert r.exit_code == 2
     assert "error: seed must be an integer >= 0, got -1" in _alltext(r)
+
+
+def test_simulate_refuses_a_runaway_sample_count(runner, tmp_path):
+    """The demo at 1e12 Hz asks for about 4e9 samples: exit 2 at once, not a run that never ends."""
+    for name in ("demo_scenario.yaml", "demo_script.i2c"):
+        shutil.copy(files("fdmlink").joinpath("data", name), tmp_path / name)
+    p = tmp_path / "demo_scenario.yaml"
+    p.write_text(p.read_text().replace("sim_rate: 6.4MHz", "sim_rate: 1e12Hz"))
+
+    def too_long(signum, frame):
+        raise TimeoutError("fdmlink simulate still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(20)
+    try:
+        r = runner.invoke(main, ["simulate", str(p)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert r.exit_code == 2, r.exception
+    lines = r.output.splitlines()  # stdout and stderr together
+    assert len(lines) == 1 and lines[0].startswith("error: sim_rate 1e+12 Hz at a 1e+05 Hz clock")
 
 
 def test_simulate_missing_file(runner):

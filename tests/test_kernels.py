@@ -75,15 +75,16 @@ AMPLITUDES = st.one_of(
 DRIVES = st.tuples(st.lists(st.lists(AMPLITUDES, min_size=1, max_size=3), min_size=4, max_size=4),
                    st.booleans())
 STATE = ("ref", "det", "out", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye")
-POSITION = ("quarter", "pos", "event", "started")
+POSITION = ("quarter", "pos", "event", "n_events", "started")
 
 
-def _set_drives(ctxs, drives):
+def _set_drives(ctxs, drives, hears):
     rows, pulled = drives
     for ctx in ctxs:
         for code, levels in enumerate(rows):
             ctx.amp[code] = [levels[s % len(levels)] for s in range(ctx.n_streams)]
         ctx.sda_pulled = pulled
+        ctx.hears[:] = hears
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,23 +105,27 @@ def _set_drives(ctxs, drives):
     seed=st.integers(0, 2**32 - 1),
     segments=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=5),
     drives=st.lists(DRIVES, min_size=1, max_size=6),
+    hear_p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
 )
 @example(
     groups=1, spq=16, fan_out=9, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
     ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0,
     segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
-    drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)],
+    drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0,
 )
 def test_c_step_block_matches_python_bit_for_bit(
     groups, spq, fan_out, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
-    hysteresis, seed, segments, drives,
+    hysteresis, seed, segments, drives, hear_p,
 ):
-    """Same returns, position, state, counters and traces, compared as bytes.
+    """Same returns, position, state, counters, edge logs and traces, compared as bytes.
 
-    The segments hold random intent codes.  After every output change the
-    caller moves to the next drive state, as ``run_scenario`` does after
-    slave callbacks, so the kernels resume mid-segment on new amplitude rows;
-    a call at the segment end must return 0 and clear ``event``.
+    The segments hold random intent codes.  After every return on a logged
+    edge the caller moves to the next drive state and draws a new ``hears``
+    mask (each flag set with probability ``hear_p``), as ``run_scenario``
+    does after slave callbacks, so the kernels resume mid-segment on new
+    amplitude rows; a call at the segment end must return 0 and clear
+    ``event``.  A call that ends on ``event`` logged a fall or a data edge;
+    one that ends at the segment end logged only rises.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
@@ -130,7 +135,7 @@ def test_c_step_block_matches_python_bit_for_bit(
                   hysteresis=hysteresis, samples_per_quarter=spq, quarters=quarters,
                   fan_out=fan_out, master=master % groups, noise=noise, traces=traced)
     ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
-    _set_drives(ctxs, drives[0])
+    _set_drives(ctxs, drives[0], rng.random((2, groups)) < hear_p)
     changes = 0
     for seg in segments:
         q_end = c_ctx.quarter + len(seg)
@@ -144,12 +149,16 @@ def test_c_step_block_matches_python_bit_for_bit(
                 assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
             for name in POSITION:
                 assert getattr(c_ctx, name) == getattr(py_ctx, name), name
+            logged = c_ctx.events[:c_ctx.n_events]
+            assert logged.tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
+            rises_only = set((logged >> 1 & 3).tolist()) <= {kernels.EDGE_RISE}
+            assert rises_only != bool(c_ctx.event)
             if not c_ctx.event:
                 assert c_ctx.quarter == q_end and c_ctx.pos == 0
                 break
             assert n >= 1
             changes += 1
-            _set_drives(ctxs, drives[changes % len(drives)])
+            _set_drives(ctxs, drives[changes % len(drives)], rng.random((2, groups)) < hear_p)
     assert c_ctx.quarter == quarters
     if traced:
         for name in ("trace_det", "trace_ref", "trace_out", "trace_wire"):
@@ -174,6 +183,9 @@ def test_step_block_ends_at_the_first_output_change():
     assert step(ctx) == 17
     assert (ctx.event, ctx.quarter, ctx.pos) == (1, 1, 1)
     assert ctx.out.tolist() == [0, 0, 1, 1]
+    # a fall in each group, logged with the group's SDA output
+    fall = 2 * kernels.EDGE_FALL + 1
+    assert ctx.events[:ctx.n_events].tolist() == [fall, 8 + fall]
     assert ctx.obs[0].tolist() == [1, 1]
     assert ctx.seen_low.tolist() == [1, 0]
     assert ctx.bits_checked.tolist() == [0, 0]  # quarter 0's midpoint came before SCL was low
@@ -192,6 +204,28 @@ def test_step_block_ends_at_the_first_output_change():
     assert step(ctx) == 16
     assert ctx.seen_low.tolist() == [1, 1]
     assert ctx.bits_checked.tolist() == [12, 6] and ctx.bit_errors.tolist() == [0, 6]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_step_block_stops_only_on_edges_a_slave_acts_on(backend):
+    """Falls and START/STOPs that reach a group end a call; rises are logged on the way."""
+    step = load_stepper(backend)
+    ctx = _context(groups=2, quarters=5)
+    for code in range(4):  # a 20 dB drop on each line its intent pulls low
+        ctx.amp[code] = [0.3 if code >> 1 else 0.03] * 2 + [0.3 if code & 1 else 0.03] * 2
+    ctx.hears[:] = [[1, 0], [1, 1]]  # clock edges reach group 0 only, data edges both
+    ctx.code[:] = [3, 1, 0, 2, 3]  # idle, SCL falls, SDA falls under SCL low, SCL rises, STOP
+    ctx.q_end = 5
+    rise, fall, data = (2 * kind for kind in (kernels.EDGE_RISE, kernels.EDGE_FALL, kernels.EDGE_DATA))
+    assert step(ctx) == 17
+    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 1, 1)
+    assert ctx.events[:ctx.n_events].tolist() == [fall + 1]
+    # on through the SDA fall (SCL low: nobody acts) and the rise, to the STOP both groups hear
+    assert step(ctx) == 48
+    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 4, 1)
+    assert ctx.events[:ctx.n_events].tolist() == [rise + 0, data + 1, 8 + data + 1]
+    assert step(ctx) == 15
+    assert (ctx.event, ctx.n_events, ctx.quarter) == (0, 0, 5)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])

@@ -140,11 +140,16 @@ def test_harmonic_overlap_warning():
     c2 = CarrierSpec("sda", 40e6, 1.0, resistor(2000.0))
     with pytest.warns(HarmonicOverlapWarning):
         BusTopology(carriers=(c1, c2), nodes=(_override_node("m", "master", 1, 1),))
-    # 20/50 MHz is a 2.5 ratio: fine
-    c3 = CarrierSpec("sda", 50e6, 1.0, resistor(2000.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    c3 = CarrierSpec("sda", 20e6 * 2**20, 1.0, resistor(2000.0))
+    with pytest.warns(HarmonicOverlapWarning, match="harmonic 1048576 of"):
         BusTopology(carriers=(c1, c3), nodes=(_override_node("m", "master", 1, 1),))
+    # 20/50 MHz is a 2.5 ratio: fine.  Past order 2**20 a float ratio near an
+    # integer says nothing (above 2**53 every float is one): no warning for 1e300 Hz
+    for f in (50e6, 20e6 * (2**20 + 1), 20e6 * 2.0**40, 1e300):
+        c4 = CarrierSpec("sda", f, 1.0, resistor(2000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            BusTopology(carriers=(c1, c4), nodes=(_override_node("m", "master", 1, 1),))
 
 
 def test_electrical_size_warning():
@@ -422,10 +427,23 @@ def test_run_scenario_rejects_bad_run_settings(demo, kwargs, match):
         run_scenario(demo.topology, demo.transactions[:1], **args)
 
 
-@pytest.mark.parametrize("clock_hz,sim_rate", [(100e3, 1e300), (1e-300, 6.4e6)], ids=["sim_rate", "clock"])
+@pytest.mark.parametrize("clock_hz,sim_rate", [(100e3, 1e300), (1e-300, 6.4e6), (1e-300, 1e300)],
+                         ids=["sim_rate", "clock", "infinite_ratio"])
 def test_run_scenario_rejects_sample_counts_beyond_int64(demo, clock_hz, sim_rate):
     with pytest.raises(TopologyError, match="sim_rate .* Hz clock asks for"):
         run_scenario(demo.topology, demo.transactions[:1], clock_hz, sim_rate=sim_rate)
+
+
+def test_run_scenario_takes_at_most_max_run_samples(demo, monkeypatch):
+    from fdmlink import simulate
+
+    txns = demo.transactions[:1]
+    budget = MasterEngine(txns, demo.clock_hz).quarters_upper_bound() * 16  # the demo's 6.4 MHz
+    monkeypatch.setattr(simulate, "MAX_RUN_SAMPLES", budget)
+    assert run_scenario(demo.topology, txns, demo.clock_hz, sim_rate=demo.sim_rate)[0].error_free
+    monkeypatch.setattr(simulate, "MAX_RUN_SAMPLES", budget - 1)
+    with pytest.raises(TopologyError, match=f"sim_rate .* Hz clock asks for more than {budget - 1} samples"):
+        run_scenario(demo.topology, txns, demo.clock_hz, sim_rate=demo.sim_rate)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -3.0])
@@ -502,15 +520,17 @@ def test_amplitude_table_equals_bus_amplitude_with_overrides():
 # -- block stepping --
 
 
-def _output_change_samples(sink) -> int:
-    """Samples at which any node's slicer output changes; outputs start high."""
-    outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
-    prev = np.concatenate([np.ones((len(outs), 1), dtype=outs.dtype), outs[:, :-1]], axis=1)
-    return int(np.count_nonzero((outs != prev).any(axis=0)))
+def _stop_samples(sink, node) -> set[int]:
+    """Samples where ``node``'s SCL output falls, or its SDA output changes under a steady high SCL."""
+    scl, sda = (sink[f"out_{node.name}_{line}"] for line in ("scl", "sda"))
+    prev_scl, prev_sda = (np.concatenate([[1], x[:-1]]) for x in (scl, sda))
+    fall = (prev_scl == 1) & (scl == 0)
+    start_stop = (prev_scl == 1) & (scl == 1) & (sda != prev_sda)
+    return set(np.flatnonzero(fall | start_stop).tolist())
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
-    """One kernel call per slicer event or master segment, on either stepper."""
+    """One kernel call per master segment or per SCL fall or START/STOP that reaches a slave."""
     from .conftest import load_stepper
 
     segments = []
@@ -526,26 +546,82 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
             except StopIteration:
                 return
 
+    spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
+    current = []
+    stops: set[int] = set()  # samples whose fall or START/STOP some slave was handed
+
+    def delivered(name):
+        edge = getattr(SlaveEngine, name)
+
+        def call(self, *args):
+            ctx = current[-1]
+            stops.add(ctx.quarter * spq + ctx.pos - 1)  # the call ended just after that sample
+            return edge(self, *args)
+
+        return call
+
     monkeypatch.setattr(MasterEngine, "segments", counted)
-    counts = {}
+    for name in ("on_scl_fall", "on_sda_edge"):
+        monkeypatch.setattr(SlaveEngine, name, delivered(name))
+    counts, stop_counts = {}, {}
     for backend in ("c", "python"):
         fn = load_stepper(backend)
-        calls = []
+        current.clear()
+        stops.clear()
 
         def counting(ctx, fn=fn):
-            calls.append(None)
+            current.append(ctx)
             return fn(ctx)
 
         monkeypatch.setattr(kernels, "block_stepper", lambda counting=counting: counting)
         segments.clear()
         sink: dict = {}
         m, _ = demo.run(trace_sink=sink)
-        counts[backend] = len(calls)
-    spq = round(m.sim_rate / (QUARTERS_PER_BIT * m.clock_hz))
+        counts[backend], stop_counts[backend] = len(current), len(stops)
     assert m.n_samples == 26_496 == sum(segments) * spq
-    assert counts["c"] == counts["python"] == 1_001
-    assert counts["c"] <= len(segments) + _output_change_samples(sink)
+    # 1,001 when every slicer output change ended a call
+    assert counts["c"] == counts["python"] == 433
+    assert stop_counts["c"] == stop_counts["python"]
+    assert counts["c"] <= len(segments) + len(stops)
+    assert stops <= _stop_samples(sink, demo.topology.nodes[demo.topology.master_index])
     assert len(segments) == 25
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkeypatch, stepper):
+    """With noise every node is a group: each logged edge goes to exactly one slave, clock edges to a listening one."""
+    from fdmlink.kernels import EDGE_DATA, EDGE_FALL, EDGE_RISE
+
+    step = kernels.block_stepper()
+    logs = []  # per call: whether it ended on an edge, the edge kinds it logged, the callbacks after it
+
+    def logged(ctx):
+        n = step(ctx)
+        logs.append((ctx.event, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
+        return n
+
+    def counted(name):
+        edge = getattr(SlaveEngine, name)
+
+        def call(self, *args):
+            logs[-1][2].append((name, self.listening))
+            return edge(self, *args)
+
+        return call
+
+    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
+        monkeypatch.setattr(SlaveEngine, name, counted(name))
+    monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
+    sink: dict = {}
+    demo.run(seed=1, noise_rms=10e-6, trace_sink=sink)
+    kind_of = {"on_scl_rise": EDGE_RISE, "on_scl_fall": EDGE_FALL, "on_sda_edge": EDGE_DATA}
+    for event, kinds, calls in logs:
+        assert sorted(kinds) == sorted(kind_of[name] for name, _ in calls)
+        assert all(listening for name, listening in calls if name != "on_sda_edge")
+        assert bool(event) == any(kind != EDGE_RISE for kind in kinds)
+    # ending a call on every sample where some slicer output changes takes over twice as many
+    outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
+    assert len(logs) < np.count_nonzero((np.diff(outs, axis=1) != 0).any(axis=0)) / 2
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
