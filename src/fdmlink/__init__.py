@@ -83,6 +83,7 @@ _EXPORTS = {
         "ProtocolError",
         "RESERVED_ADDRESSES",
         "SlaveEngine",
+        "SlaveGroup",
         "SlaveModel",
         "Transaction",
         "master_run",

@@ -9,19 +9,19 @@ written in Python, which gives the same doubles bit for bit.  The streams
 run the one demodulator ``run_scenario`` fixes: the default
 ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``, a reference
 LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default hysteresis.
-One call runs
-the streams across the quarters of a master segment (the intent codes and
-one amplitude row per code sit in the ``BlockContext``) and stops only
-where Python must decide something: after an SCL fall or a START/STOP (an
-SDA change under a steady high SCL) that reaches a slave, flagged in
-``event``, or at the segment end.  SCL rises that reach a listening slave
-are logged in ``events`` on the way and delivered at the next return; SDA
-changes while SCL is low, and edges that reach no slave, are skipped.  On
-the noiseless demo that is 433 calls where stopping at every slicer output
-change took 1,001.  On the way a call also records the master's midpoint
-observations, the bit and eye counters and, when asked, the traces.  Both compute a stream's detector
-value once per quarter when there is no noise, since the input is then
-constant over the quarter; with noise they compute it every sample.
+One call runs the streams across the quarters of a master segment (the
+intent codes and one amplitude row per code sit in the ``BlockContext``)
+and stops only where Python must decide something: at the segment end, or
+after an SCL fall or a START/STOP that some group's slaves take, flagged in
+``event``.  Which slaves take which edge is ``protocol.SlaveGroup``'s rule;
+the context's ``hears`` mask carries it per group.  SCL rises the group
+takes are logged in ``events`` on the way and delivered at the next return;
+other edges are skipped.  On the noiseless demo that is 433 calls where
+stopping at every slicer output change took 1,001.  On the way a call also
+records the master's midpoint observations, the bit and eye counters and,
+when asked, the traces.  Both compute a stream's detector value once per
+quarter when there is no noise, since the input is then constant over the
+quarter; with noise they compute it every sample.
 Nothing is compiled or loaded at import; the first ``block_stepper()`` call
 compiles the source once into a cache keyed by its hash (the package's
 ``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or ``~/.cache/fdmlink``)

@@ -4,11 +4,9 @@ Both lines are wired-AND: any driver pulling low wins, releases float high
 through the pull-ups.  The master is the only clock source (no stretching,
 no arbitration); slaves are purely edge-reactive, so the same engines run
 against the ideal bus (fast, quarter-bit event stepping) and against the
-sampled analog link in the end-to-end simulator.  As on a real bus, a slave
-that has not matched the address ignores the clock until the next START or
-STOP, so both buses hand clock edges only to the slaves that are
-``listening`` and data edges only while SCL is high; every slave still sees
-each START and STOP.
+sampled analog link in the end-to-end simulator.  On both, a
+:class:`SlaveGroup` hands the bus edges to the slaves; its docstring states
+the delivery rule.
 
 Each bit period is four quarters: data set while SCL is low (q0), SCL high
 (q1, q2 - slaves sample on the rising edge, the master samples mid-high),
@@ -36,6 +34,7 @@ __all__ = [
     "Transaction",
     "SlaveModel",
     "SlaveEngine",
+    "SlaveGroup",
     "MasterEngine",
     "run_ideal_bus",
     "master_run",
@@ -50,6 +49,8 @@ QUARTERS_PER_BIT = 4
 # idle bits the master program starts with, and after each STOP
 LEAD_IN_BITS = 8
 GAP_BITS = 1
+# the kinds of bus edge a SlaveGroup delivers, as the block kernel logs them (``kernels.EDGE_*``)
+EDGE_RISE, EDGE_FALL, EDGE_DATA = range(3)
 
 
 class ProtocolError(ConfigError):
@@ -156,21 +157,16 @@ class SlaveEngine:
 
     Only ``on_scl_fall`` and ``on_sda_edge`` move ``sda_drive``;
     ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
-    only while SCL is low.  The link simulator relies on this and skips
-    rebuilding the bus drives after a rising clock.
+    only while SCL is low.
 
     An engine is ``listening`` unless it is idle or backing off from a
-    transfer addressed to another slave (or one the master NACKed).  Both
-    buses rely on two invariants:
+    transfer addressed to another slave (or one the master NACKed).  Two
+    invariants hold, and :class:`SlaveGroup`'s delivery rule rests on them:
 
     - an engine that is not listening leaves its whole state unchanged on
       ``on_scl_rise`` and ``on_scl_fall``, and its ``sda_drive`` is False;
     - it starts listening again only through ``on_sda_edge`` with SCL high
       (a START).
-
-    So clock edges need to reach only the listening engines, and a bus
-    re-reads which engines listen after a falling clock (an engine may stop)
-    and after a data edge (an engine may start or stop).
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
@@ -178,6 +174,8 @@ class SlaveEngine:
     def __init__(self, model: SlaveModel):
         self.model = model
         self.sda_drive = False
+        # whether clock edges can change the engine (it is neither idle nor backing off), kept with _state
+        self.listening = False
         self._state = self._IDLE
         self._shift = 0
         self._nbits = 0
@@ -187,11 +185,6 @@ class SlaveEngine:
         self._wbuf: list[int] = []
         self._master_acked = False
         self._byte = 0
-
-    @property
-    def listening(self) -> bool:
-        """Whether clock edges can change this engine: it is neither idle nor backing off."""
-        return self._state != self._IDLE and self._state != self._BACKOFF
 
     # -- line events ------------------------------------------------------
 
@@ -226,6 +219,7 @@ class SlaveEngine:
                     self._wbuf = []
                 else:
                     self._state = self._BACKOFF
+                    self.listening = False
         elif s == self._ACK_ADDR:
             self.sda_drive = False
             if self._rw:
@@ -255,6 +249,7 @@ class SlaveEngine:
                 self._enter_rdata()
             else:
                 self._state = self._BACKOFF
+                self.listening = False
                 self.sda_drive = False
 
     # -- internals --------------------------------------------------------
@@ -262,6 +257,7 @@ class SlaveEngine:
     def _start(self) -> None:
         self._flush_write()
         self._state = self._ADDR
+        self.listening = True
         self._shift = 0
         self._nbits = 0
         self.sda_drive = False
@@ -269,6 +265,7 @@ class SlaveEngine:
     def _stop(self) -> None:
         self._flush_write()
         self._state = self._IDLE
+        self.listening = False
         self.sda_drive = False
 
     def _enter_rdata(self) -> None:
@@ -292,6 +289,54 @@ class SlaveEngine:
         # a partial register word at STOP/START is discarded
         self._wbuf = []
         self._wcount = 0
+
+
+class SlaveGroup:
+    """The slave engines that hear one bus, and the one rule that hands them its edges.
+
+    A bus edge is the code ``2 * kind + sda``: an SCL rise (``EDGE_RISE``),
+    an SCL fall (``EDGE_FALL``) or an SDA change under a steady high SCL, a
+    START or a STOP (``EDGE_DATA``), with the SDA level the slaves see.  An
+    SDA change while SCL is low is no edge and reaches no slave.  As on a
+    real bus, a slave that has not matched the address ignores the clock
+    until the next START or STOP, and :class:`SlaveEngine`'s invariants let
+    ``edge`` skip it.  So, in engine order:
+
+    - clock edges go only to the engines in ``listening``;
+    - data edges go to every engine;
+    - ``listening`` is re-read after a fall (an engine may stop) and after
+      a data edge (an engine may start or stop), never after a rise.
+
+    ``pulling`` holds the engines that pull SDA low, in engine order.  It
+    is re-read with ``listening``, since only a fall or a data edge moves a
+    drive and an engine that is not listening pulls nothing.  The ideal bus
+    (:func:`run_ideal_bus`) runs one group; the analog link
+    (``simulate.run_scenario``) runs one per stream group.
+    """
+
+    def __init__(self, engines: Iterable[SlaveEngine]):
+        self.engines = list(engines)
+        self.listening = [e for e in self.engines if e.listening]
+        self.pulling = tuple([e for e in self.listening if e.sda_drive])
+
+    def edge(self, code: int) -> bool:
+        """Deliver the bus edge ``code``; returns whether ``listening`` and ``pulling`` were re-read."""
+        kind, sda = code >> 1, code & 1
+        if kind == EDGE_RISE:
+            for e in self.listening:
+                e.on_scl_rise(sda)
+            return False
+        if kind == EDGE_FALL:
+            heard = self.listening
+            for e in heard:
+                e.on_scl_fall()
+        else:
+            heard = self.engines
+            for e in heard:
+                e.on_sda_edge(sda, H)
+        self.listening = listening = [e for e in heard if e.listening]
+        self.pulling = tuple([e for e in listening if e.sda_drive])
+        return True
 
 
 # fixed quarter sequences of the master, as (scl, sda) intents
@@ -324,19 +369,20 @@ class MasterEngine:
 
     ``segments()`` is the master program.  It yields segments, each a tuple
     of (scl_intent, sda_intent) pairs, one per quarter bit, and receives
-    back the resolved (scl, sda) the master observed at the midpoint of
-    each of them, in order.  A segment ends only after a quarter whose
-    observation changes later intents: the quarter that samples the ACK of
-    a byte the master sends.  Read bits only fill ``results``, so the bytes
-    of a read, its STOP or repeated START and the next address byte run as
-    one segment.  ``generator()`` is the same program one quarter at a
-    time: it yields each intent and receives that quarter's (scl, sda).
-    Completed transactions (with observed ACKs and read data) accumulate
-    in ``results``; a read's entry is added once the segment holding its
-    data bits has been observed.  The program opens with ``LEAD_IN_BITS``
-    idle bits and idles ``GAP_BITS`` after each STOP; addresses in
-    ``RESERVED_ADDRESSES`` are refused.  One engine instance runs one
-    program, once.
+    back the resolved (scl, sda) the master observed at the midpoint of each
+    of them, in order.  A segment ends only after a quarter whose
+    observation changes later intents: the quarter that samples the ACK of a
+    byte the master sends.  Read bits only fill ``results``, so the bytes of
+    a read, its STOP or repeated START and the next address byte run as one
+    segment.  ``generator()`` is the same program one quarter at a time: it
+    yields each intent and receives that quarter's (scl, sda).  Both buses
+    drive ``segments()``; ``generator()`` is kept only for
+    ``fdmbench/layers.py`` and ``tests/oracles.py``.  Completed transactions
+    (with observed ACKs and read data) accumulate in ``results``; a read's
+    entry is added once the segment holding its data bits has been
+    observed.  The program opens with ``LEAD_IN_BITS`` idle bits and idles
+    ``GAP_BITS`` after each STOP; addresses in ``RESERVED_ADDRESSES`` are
+    refused.  One engine instance runs one program, once.
     """
 
     def __init__(self, transactions: Transaction | Sequence[Transaction], clock_hz: float):
@@ -445,40 +491,31 @@ def run_ideal_bus(
 ) -> list[tuple[int, int]] | None:
     """Step master and slaves quarter by quarter over an ideal wired-AND bus.
 
-    Data edges with SCL high (START and STOP) go to every slave, clock edges
-    only to the slaves that are ``listening``; a slave that is not listening
-    does not drive SDA (see :class:`SlaveEngine`).  Returns the resolved
-    (scl, sda) per quarter when ``collect`` is set.
+    The master's ``segments()`` program runs a segment at a time, and one
+    :class:`SlaveGroup` hands the bus edges to the slaves.  Returns the
+    resolved (scl, sda) per quarter when ``collect`` is set.
     """
-    gen = master.generator()
-    quarters: list[tuple[int, int]] | None = [] if collect else None
+    group = SlaveGroup(slaves)
+    quarters: list[tuple[int, int]] = []
     scl_prev, sda_prev = H, H
-    listening = [s for s in slaves if s.listening]
-    intents = next(gen)
+    program = master.segments()
+    seg = next(program)
     while True:
-        scl_i, sda_i = intents
-        scl = L if scl_i == L else H
-        sda = L if sda_i == L or any(s.sda_drive for s in listening) else H
-        if scl == H and scl_prev == H and sda != sda_prev:
-            for s in slaves:
-                s.on_sda_edge(sda, scl)
-            listening = [s for s in slaves if s.listening]
-        elif scl != scl_prev:
-            if scl == H:
-                for s in listening:
-                    s.on_scl_rise(sda)
-            elif listening:
-                for s in listening:
-                    s.on_scl_fall()
-                listening = [s for s in listening if s.listening]
-        if quarters is not None:
-            quarters.append((scl, sda))
-        scl_prev, sda_prev = scl, sda
+        obs = []
+        for scl, sda_i in seg:
+            sda = L if sda_i == L or group.pulling else H
+            if scl != scl_prev:
+                group.edge(2 * (EDGE_RISE if scl == H else EDGE_FALL) + sda)
+            elif scl == H and sda != sda_prev:
+                group.edge(2 * EDGE_DATA + sda)
+            obs.append((scl, sda))
+            scl_prev, sda_prev = scl, sda
+        if collect:
+            quarters += obs
         try:
-            intents = gen.send((scl, sda))
+            seg = program.send(obs)
         except StopIteration:
-            break
-    return quarters
+            return quarters if collect else None
 
 
 def master_run(

@@ -57,6 +57,7 @@ from .protocol import (
     MasterEngine,
     ProtocolError,
     SlaveEngine,
+    SlaveGroup,
     SlaveModel,
     Transaction,
     parse_script,
@@ -165,7 +166,11 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class BusTopology:
-    """Everything hanging on the shared line."""
+    """Everything hanging on the shared line.
+
+    Node names are unique, since they name the trace columns, and so are the
+    addresses of the slave models that answer (those not on the master).
+    """
 
     carriers: tuple[CarrierSpec, ...]
     nodes: tuple[NodeSpec, ...]
@@ -183,6 +188,17 @@ class BusTopology:
         masters = [n for n in self.nodes if n.role == "master"]
         if len(masters) != 1:
             raise TopologyError(f"exactly one node with role 'master' required, found {len(masters)}")
+        first: dict[tuple[str, str], int] = {}
+        for i, node in enumerate(self.nodes):
+            keys = [("the name", repr(node.name))]
+            if node.slave is not None and node.role != "master":
+                keys.append(("the slave address", f"{node.slave.address:#04x}"))
+            for key in keys:
+                j = first.setdefault(key, i)
+                if j != i:
+                    raise TopologyError(
+                        f"nodes[{j}] {self.nodes[j].name!r} and nodes[{i}] {node.name!r} share {key[0]} {key[1]}"
+                    )
         if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
             raise TopologyError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db!r}")
         self._check_harmonics()
@@ -420,29 +436,26 @@ def run_scenario(
     with one amplitude row per code for the current slave drives, and
     ``kernels.block_stepper()`` runs every stream across the segment's
     quarters.  It records the master's observation and counts bits and eye
-    margins at each midpoint.  It returns only where Python must decide:
-    at the segment end, or after the first sample with an SCL fall in a
-    group that has a ``listening`` slave (``SlaveEngine``) or an SDA change
-    under a steady high SCL (a START or STOP) in a group with any slave;
-    the context's ``hears`` mask, refreshed whenever ``listening`` is,
-    says which groups those are.  SCL rises in groups with a listening
-    slave go into the kernel's edge log without a return, since
-    ``on_scl_rise`` moves neither a drive nor ``listening``; SDA changes
-    while SCL is low reach nobody.  After every return Python walks the
-    log in order and fires the callbacks of each edge in node order: clock
-    edges to the listening slaves, data edges to every slave of the group.
-    On the noiseless demo that is 433 kernel calls, against 1,001 when
-    every slicer output change ended one.  The amplitude rows are
-    recomputed only when the set of nodes whose slave pulls SDA changed (a
-    slave that is not listening pulls nothing).  At the segment end the
-    observations go back to the master program.  The sample budget is
-    checked once per segment, before it runs, and its noise rows are drawn
-    then, the same values as one draw up front.  A run may ask for at most
-    ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the samples
-    per quarter); more raise ``TopologyError`` before anything is
-    allocated.  The keying depth is taken over the drive states some
-    sample ran under.
-    Deterministic for a fixed seed, and the same on both kernel backends.
+    margins at each midpoint.  Each stream group's slaves form one
+    ``protocol.SlaveGroup``, which delivers the bus edges by its rule.  The
+    kernel returns only where Python must decide: at the segment end, or
+    after the first sample with an SCL fall in a group that has a listening
+    slave or a START or STOP in a group with any slave; the context's
+    ``hears`` mask, refreshed after every fall and data edge, says which
+    groups those are.  SCL rises in groups with a listening slave go into
+    the kernel's edge log without a return, since they move neither a drive
+    nor ``listening``.  After every return each logged edge goes, in order,
+    to its group.  On the noiseless demo that is 433 kernel calls, against
+    1,001 when every slicer output change ended one.  The amplitude rows
+    are recomputed only when some group's ``pulling`` engines changed.  At
+    the segment end the observations go back to the master program.  The
+    sample budget is checked once per segment, before it runs, and its
+    noise rows are drawn then, the same values as one draw up front.  A run
+    may ask for at most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound``
+    times the samples per quarter); more raise ``TopologyError`` before
+    anything is allocated.  The keying depth is taken over the drive states
+    some sample ran under.  Deterministic for a fixed seed, and the same on
+    both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
     ``trace_sink`` to capture per-sample detector/reference traces for
     every node.
@@ -469,7 +482,6 @@ def run_scenario(
         )
     sim_rate = QUARTERS_PER_BIT * clock_hz * spq
     for line in LINES:
-        topology.line_carrier(line)
         check_carrier_separation(clock_hz, topology.line_carrier(line).frequency)
 
     n_alloc = n_quarters * spq
@@ -492,11 +504,9 @@ def run_scenario(
     # Stream li * n_groups + g is line li of group g, so a noise row
     # (line, node) flattens onto the streams.
     members_of = [(ni,) for ni in range(n_nodes)] if noisy else [range(n_nodes)]
-    group_slaves = [[engines[ni] for ni in members if engines[ni] is not None] for members in members_of]
-    n_groups = len(members_of)
+    groups = [SlaveGroup(engines[ni] for ni in members if engines[ni] is not None) for members in members_of]
+    n_groups = len(groups)
     node_of = {e: ni for ni, e in enumerate(engines) if e is not None}
-    # per group, the engines that clock edges can change (``SlaveEngine.listening``)
-    listening = [[e for e in slaves if e.listening] for slaves in group_slaves]
     scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
     tracing = trace_sink is not None
     slicer = SlicerParams.for_bit_rate(clock_hz)
@@ -517,30 +527,25 @@ def run_scenario(
         traces=tracing,
     )
     step = kernels.block_stepper()
-    rise, fall = kernels.EDGE_RISE, kernels.EDGE_FALL
     hears, events = ctx.hears, ctx.events
-    hears[0] = [bool(listeners) for listeners in listening]
-    hears[1] = [bool(slaves) for slaves in group_slaves]
+    hears[0] = [bool(group.listening) for group in groups]
+    hears[1] = [bool(group.engines) for group in groups]
 
     table = _AmplitudeTable(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
-    # Keyed by the node indices whose slave pulls SDA, in node order: an
-    # amplitude row per master intent code, and the table entries behind them.
-    # Only listening engines can pull (``SlaveEngine.listening``), so the key
-    # is read from those alone.
-    rows_of: dict[tuple[int, ...], tuple[np.ndarray, list[tuple[float, ...]]]] = {}
+    # Keyed by each group's ``pulling`` engines: an amplitude row per master
+    # intent code, and the table entries behind them.
+    rows_of: dict[tuple[tuple[SlaveEngine, ...], ...], tuple[np.ndarray, list[tuple[float, ...]]]] = {}
     ran: dict[tuple[float, ...], None] = {}  # table entries some sample ran under
 
-    def pulled_nodes() -> tuple[int, ...]:
-        return tuple([node_of[e] for listeners in listening for e in listeners if e.sda_drive])
-
-    def set_drives(pulled: tuple[int, ...]) -> list[tuple[float, ...]]:
+    def set_drives(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> list[tuple[float, ...]]:
         hit = rows_of.get(pulled)
         if hit is None:
             sda = [False] * n_nodes
-            for ni in pulled:
-                sda[ni] = True
+            for pulling in pulled:
+                for e in pulling:
+                    sda[node_of[e]] = True
             entries = []
             for code in range(4):
                 sda[mi] = (code & 1) == L
@@ -550,7 +555,7 @@ def run_scenario(
             rows = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
             hit = rows_of[pulled] = (rows, entries)
         ctx.amp[:] = hit[0]
-        ctx.sda_pulled = bool(pulled)
+        ctx.sda_pulled = any(pulled)
         return hit[1]
 
     def harvest(entries: list[tuple[float, ...]]) -> None:
@@ -559,7 +564,8 @@ def run_scenario(
                 ran[entries[code]] = None
         ctx.used[:] = 0
 
-    pulled = pulled_nodes()
+    pulling = [group.pulling for group in groups]  # each group's, refreshed after its falls and data edges
+    pulled = tuple(pulling)
     entries = set_drives(pulled)
     program = master.segments()
     seg = next(program)
@@ -578,31 +584,16 @@ def run_scenario(
             ctx.noise[q0 * spq:q_end * spq] = rng.normal(0.0, noise_rms, size=(rows, 2 * n_nodes))
         while True:
             step(ctx)
-            stale = False
             for e in events[:ctx.n_events].tolist():
-                g, kind, sda = e >> 3, e >> 1 & 3, e & 1
-                if kind == rise:
-                    # samples SDA only, so the drives stand
-                    for eng in listening[g]:
-                        eng.on_scl_rise(sda)
-                    continue
-                if kind == fall:
-                    for eng in listening[g]:
-                        eng.on_scl_fall()
-                    listening[g] = [eng for eng in listening[g] if eng.listening]
-                else:
-                    # START or STOP: every slave of the group hears it
-                    for eng in group_slaves[g]:
-                        eng.on_sda_edge(sda, H)
-                    listening[g] = [eng for eng in group_slaves[g] if eng.listening]
-                hears[0, g] = bool(listening[g])
-                stale = True
-            if stale:
-                now = pulled_nodes()
-                if now != pulled:
-                    harvest(entries)
-                    pulled = now
-                    entries = set_drives(pulled)
+                group = groups[e >> 3]
+                if group.edge(e & 7):  # a fall or a data edge: the group re-read its lists
+                    hears[0, e >> 3] = bool(group.listening)
+                    pulling[e >> 3] = group.pulling
+            now = tuple(pulling)
+            if now != pulled:
+                harvest(entries)
+                pulled = now
+                entries = set_drives(pulled)
             if ctx.quarter == q_end:
                 break
         try:
@@ -672,24 +663,9 @@ def sweep_node_count(
     rows = []
     for n in n_range:
         nodes = (master,) + tuple(
-            NodeSpec(
-                name=f"{template.name}_{k}",
-                role="slave",
-                filters=template.filters,
-                loss=template.loss,
-                which=template.which,
-                slave=None,
-                zin_override=template.zin_override,
-            )
-            for k in range(n)
+            dataclasses.replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n)
         )
-        topo = BusTopology(
-            carriers=topology.carriers,
-            nodes=nodes,
-            dc_feed=topology.dc_feed,
-            attenuation_db=topology.attenuation_db,
-            pole_cap=topology.pole_cap,
-        )
+        topo = dataclasses.replace(topology, nodes=nodes, sheet_dimension_m=None)
         total = len(nodes)
         row: dict = {"n": n}
         ok = True

@@ -428,9 +428,14 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
          "nodes[1].address: must be an integer from 0 to 127, got '.inf'"),
         (("nodes", [{"name": "m", "role": "master"}, {"address": 24, "registers": {5: "abc"}}]),
          "nodes[1].registers.5: must be an integer >= 0, got 'abc'"),
+        (("nodes", [{"name": "m", "role": "master"}, {"name": "a", "address": 24}, {"name": "b", "address": 24}]),
+         "nodes[1] 'a' and nodes[2] 'b' share the slave address 0x18"),
+        (("nodes", [{"name": "m", "role": "master"}, {"name": "s", "address": 24}, {"name": "s", "address": 25}]),
+         "nodes[1] 's' and nodes[2] 's' share the name 's'"),
     ],
     ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script", "script_directory",
-         "unknown_key", "unknown_line", "which_abc", "pullups_string", "address_inf", "register_abc"],
+         "unknown_key", "unknown_line", "which_abc", "pullups_string", "address_inf", "register_abc",
+         "duplicate_address", "duplicate_name"],
 )
 def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
     doc = yaml.safe_load(MINIMAL.format(freq="20MHz"))

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import json
@@ -19,6 +20,7 @@ from fdmlink.protocol import (
     MasterEngine,
     ProtocolError,
     SlaveEngine,
+    SlaveModel,
     Transaction,
     run_ideal_bus,
 )
@@ -112,6 +114,22 @@ def test_exactly_one_master():
                 _override_node("b", "master", 1, 1),
             ),
         )
+
+
+def test_node_names_and_slave_addresses_are_unique():
+    carrier = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
+    master = _override_node("m", "master", 1, 1)
+
+    def slave(name, address):
+        return dataclasses.replace(_override_node(name, "slave", 1, 1), slave=SlaveModel(address))
+
+    with pytest.raises(TopologyError, match=r"^nodes\[1\] 'a' and nodes\[3\] 'a' share the name 'a'$"):
+        BusTopology(carriers=(carrier,), nodes=(master, slave("a", 0x18), slave("b", 0x19), slave("a", 0x1A)))
+    with pytest.raises(TopologyError, match=r"^nodes\[1\] 'a' and nodes\[3\] 'c' share the slave address 0x18$"):
+        BusTopology(carriers=(carrier,), nodes=(master, slave("a", 0x18), slave("b", 0x19), slave("c", 0x18)))
+    # a slave model on the master is never heard, so its address is free
+    heard_never = dataclasses.replace(master, slave=SlaveModel(0x18))
+    BusTopology(carriers=(carrier,), nodes=(heard_never, slave("a", 0x18)))
 
 
 def test_one_carrier_per_line():
@@ -624,6 +642,14 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
     assert len(logs) < np.count_nonzero((np.diff(outs, axis=1) != 0).any(axis=0)) / 2
 
 
+def test_slave_groups_take_the_kernel_edge_codes():
+    """``run_scenario`` hands each logged event's low bits to a ``SlaveGroup`` as its edge code."""
+    from fdmlink import protocol
+
+    assert (protocol.EDGE_RISE, protocol.EDGE_FALL, protocol.EDGE_DATA) == (
+        kernels.EDGE_RISE, kernels.EDGE_FALL, kernels.EDGE_DATA)
+
+
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
     """Noiseless demo: slave callbacks go only where they can act (7,808 when every slave got every edge)."""
@@ -663,7 +689,10 @@ _demo_scripts = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(script=_demo_scripts, regs=st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8))
 def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
-    """Writes, reads, NACKed addresses and repeated STARTs, on both block steppers."""
+    """Writes, reads, NACKed addresses and repeated STARTs, on both block steppers.
+
+    Each engine also gets the same callbacks, in the same order, as on the ideal bus.
+    """
     from .conftest import load_stepper
 
     txns = [
@@ -678,14 +707,31 @@ def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
         for i, n in enumerate(demo.topology.nodes)
     )
     topo = dataclasses.replace(demo.topology, nodes=nodes)
-    ideal = MasterEngine(txns, demo.clock_hz)
-    run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
-    for backend in ("c", "python"):
-        fn = load_stepper(backend)
-        with mock.patch.object(kernels, "block_stepper", lambda: fn):
-            metrics, decoded = run_scenario(topo, txns, demo.clock_hz, sim_rate=demo.sim_rate)
-        assert decoded == ideal.results, backend
-        assert metrics.bit_errors == {"scl": 0, "sda": 0}
+    calls: dict[int, list] = {}  # per slave address, the engine's callbacks in order
+
+    def recorded(name):
+        edge = getattr(SlaveEngine, name)
+
+        def call(self, *args):
+            calls.setdefault(self.model.address, []).append((name, args))
+            return edge(self, *args)
+
+        return call
+
+    with contextlib.ExitStack() as patches:
+        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
+            patches.enter_context(mock.patch.object(SlaveEngine, name, recorded(name)))
+        ideal = MasterEngine(txns, demo.clock_hz)
+        run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
+        ideal_calls = dict(calls)
+        for backend in ("c", "python"):
+            fn = load_stepper(backend)
+            calls.clear()
+            with mock.patch.object(kernels, "block_stepper", lambda: fn):
+                metrics, decoded = run_scenario(topo, txns, demo.clock_hz, sim_rate=demo.sim_rate)
+            assert decoded == ideal.results, backend
+            assert metrics.bit_errors == {"scl": 0, "sda": 0}
+            assert calls == ideal_calls, backend
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
