@@ -159,14 +159,24 @@ class SlaveEngine:
     ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
     only while SCL is low.
 
+    ``on_address(byte)`` takes a whole address byte at once: the address
+    state's fall calls it once eight bits are in, and a
+    :class:`SlaveGroup` calls it in place of the byte's clock edges.
+
     An engine is ``listening`` unless it is idle or backing off from a
-    transfer addressed to another slave (or one the master NACKed).  Two
+    transfer addressed to another slave (or one the master NACKed).  Three
     invariants hold, and :class:`SlaveGroup`'s delivery rule rests on them:
 
     - an engine that is not listening leaves its whole state unchanged on
       ``on_scl_rise`` and ``on_scl_fall``, and its ``sda_drive`` is False;
     - it starts listening again only through ``on_sda_edge`` with SCL high
-      (a START).
+      (a START);
+    - a START resets the whole address state, which drives nothing, and
+      the next START or STOP resets it again.  So after ``on_address`` an
+      engine differs from one that shifted the byte in only in its spent
+      address register, which nothing reads, and an engine left in the
+      address state until the next START or STOP acts as one that backed
+      off.
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
@@ -206,20 +216,26 @@ class SlaveEngine:
         elif s == self._ACK_RDATA:
             self._master_acked = sda == L
 
+    def on_address(self, byte: int) -> None:
+        """Take the address byte (address and R/W bit) clocked in since the START, on its eighth fall.
+
+        The engine acknowledges an address of its own and backs off from any other.
+        """
+        if (byte >> 1) == self.model.address:
+            self._rw = byte & 1
+            self._state = self._ACK_ADDR
+            self.sda_drive = True
+            self._rk = 0
+            self._wcount = 0
+            self._wbuf = []
+        else:
+            self._back_off()
+
     def on_scl_fall(self) -> None:
         s = self._state
         if s == self._ADDR:
             if self._nbits == 8:
-                if (self._shift >> 1) == self.model.address:
-                    self._rw = self._shift & 1
-                    self._state = self._ACK_ADDR
-                    self.sda_drive = True
-                    self._rk = 0
-                    self._wcount = 0
-                    self._wbuf = []
-                else:
-                    self._state = self._BACKOFF
-                    self.listening = False
+                self.on_address(self._shift)
         elif s == self._ACK_ADDR:
             self.sda_drive = False
             if self._rw:
@@ -248,9 +264,7 @@ class SlaveEngine:
             if self._master_acked:
                 self._enter_rdata()
             else:
-                self._state = self._BACKOFF
-                self.listening = False
-                self.sda_drive = False
+                self._back_off()
 
     # -- internals --------------------------------------------------------
 
@@ -265,6 +279,12 @@ class SlaveEngine:
     def _stop(self) -> None:
         self._flush_write()
         self._state = self._IDLE
+        self.listening = False
+        self.sda_drive = False
+
+    def _back_off(self) -> None:
+        # ignore the clock until the next START or STOP
+        self._state = self._BACKOFF
         self.listening = False
         self.sda_drive = False
 
@@ -302,11 +322,21 @@ class SlaveGroup:
     until the next START or STOP, and :class:`SlaveEngine`'s invariants let
     ``edge`` skip it.  So, in engine order:
 
-    - clock edges go only to the engines in ``listening``;
     - data edges go to every engine;
-    - ``listening`` is re-read after a fall (an engine may stop) and after
-      a data edge (an engine may start or stop), never after a rise.
+    - after a START, the group clocks the address byte into one shift
+      register of its own: the START has reset every engine to the same
+      empty address state, so each would shift the same bits.  The rises
+      and falls of that byte reach no engine.  On its eighth fall only the
+      engine with that address gets ``on_address``; every other one drops
+      out until the next START or STOP, as it would back off alone;
+    - other clock edges go only to the engines in ``listening``;
+    - ``listening`` is re-read after a fall that reaches an engine or ends
+      the address byte (an engine may stop) and after a data edge (an
+      engine may start or stop), never after a rise or a fall between the
+      START and the address byte's eighth fall.
 
+    During the address byte ``listening`` holds every engine.  Addresses
+    are distinct, else the engines of one address would all answer it.
     ``pulling`` holds the engines that pull SDA low, in engine order.  It
     is re-read with ``listening``, since only a fall or a data edge moves a
     drive and an engine that is not listening pulls nothing.  The ideal bus
@@ -316,24 +346,46 @@ class SlaveGroup:
 
     def __init__(self, engines: Iterable[SlaveEngine]):
         self.engines = list(engines)
+        self._by_address: dict[int, SlaveEngine] = {}
+        for e in self.engines:
+            if self._by_address.setdefault(e.model.address, e) is not e:
+                raise ProtocolError(f"two slave engines share the address {e.model.address:#04x}")
         self.listening = [e for e in self.engines if e.listening]
         self.pulling = tuple([e for e in self.listening if e.sda_drive])
+        # the address byte's shift register, and its bits so far; -1 outside an address byte
+        self._shift = 0
+        self._nbits = -1
 
     def edge(self, code: int) -> bool:
         """Deliver the bus edge ``code``; returns whether ``listening`` and ``pulling`` were re-read."""
         kind, sda = code >> 1, code & 1
         if kind == EDGE_RISE:
-            for e in self.listening:
-                e.on_scl_rise(sda)
+            if self._nbits >= 0:
+                self._shift = (self._shift << 1) | sda
+                self._nbits += 1
+            else:
+                for e in self.listening:
+                    e.on_scl_rise(sda)
             return False
         if kind == EDGE_FALL:
-            heard = self.listening
-            for e in heard:
-                e.on_scl_fall()
+            if self._nbits < 0:
+                heard = self.listening
+                for e in heard:
+                    e.on_scl_fall()
+            elif self._nbits < 8:
+                return False
+            else:
+                self._nbits = -1
+                matched = self._by_address.get(self._shift >> 1)
+                heard = [] if matched is None else [matched]
+                for e in heard:
+                    e.on_address(self._shift)
         else:
             heard = self.engines
             for e in heard:
                 e.on_sda_edge(sda, H)
+            self._shift = 0
+            self._nbits = 0 if sda == L else -1  # a START opens an address byte
         self.listening = listening = [e for e in heard if e.listening]
         self.pulling = tuple([e for e in listening if e.sda_drive])
         return True

@@ -54,6 +54,7 @@ from .modem import (
 )
 from .protocol import (
     QUARTERS_PER_BIT,
+    RESERVED_ADDRESSES,
     MasterEngine,
     ProtocolError,
     SlaveEngine,
@@ -170,6 +171,8 @@ class BusTopology:
 
     Node names are unique, since they name the trace columns, and so are the
     addresses of the slave models that answer (those not on the master).
+    Those addresses are also outside ``RESERVED_ADDRESSES``, which the master
+    never sends.
     """
 
     carriers: tuple[CarrierSpec, ...]
@@ -192,6 +195,11 @@ class BusTopology:
         for i, node in enumerate(self.nodes):
             keys = [("the name", repr(node.name))]
             if node.slave is not None and node.role != "master":
+                if node.slave.address in RESERVED_ADDRESSES:
+                    raise TopologyError(
+                        f"nodes[{i}] {node.name!r} has the reserved slave address {node.slave.address:#04x}, "
+                        "which the master never sends"
+                    )
                 keys.append(("the slave address", f"{node.slave.address:#04x}"))
             for key in keys:
                 j = first.setdefault(key, i)
@@ -586,7 +594,7 @@ def run_scenario(
             step(ctx)
             for e in events[:ctx.n_events].tolist():
                 group = groups[e >> 3]
-                if group.edge(e & 7):  # a fall or a data edge: the group re-read its lists
+                if group.edge(e & 7):  # the group re-read its lists
                     hears[0, e >> 3] = bool(group.listening)
                     pulling[e >> 3] = group.pulling
             now = tuple(pulling)

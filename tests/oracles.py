@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from fdmlink.elements import DegenerateNetworkError, Network
-from fdmlink.protocol import GAP_BITS, LEAD_IN_BITS
+from fdmlink.protocol import EDGE_FALL, EDGE_RISE, GAP_BITS, LEAD_IN_BITS
 
 OPEN = complex(math.inf, 0.0)
 
@@ -380,3 +380,18 @@ def deliver_to_all_bus(master, slaves) -> list[tuple[int, int]]:
             intents = gen.send((scl, sda))
         except StopIteration:
             return quarters
+
+
+def deliver_to_each(slaves, code: int) -> None:
+    """``SlaveGroup.edge`` before it routed edges: every slave gets the bus edge ``code``, one by one.
+
+    ``code`` is ``2 * kind + sda``, as the group takes it.
+    """
+    kind, sda = code >> 1, code & 1
+    for s in slaves:
+        if kind == EDGE_RISE:
+            s.on_scl_rise(sda)
+        elif kind == EDGE_FALL:
+            s.on_scl_fall()
+        else:
+            s.on_sda_edge(sda, 1)

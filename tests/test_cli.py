@@ -432,10 +432,12 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
          "nodes[1] 'a' and nodes[2] 'b' share the slave address 0x18"),
         (("nodes", [{"name": "m", "role": "master"}, {"name": "s", "address": 24}, {"name": "s", "address": 25}]),
          "nodes[1] 's' and nodes[2] 's' share the name 's'"),
+        (("nodes", [{"name": "m", "role": "master"}, {"name": "a", "address": 24}, {"name": "b", "address": 0x78}]),
+         "nodes[2] 'b' has the reserved slave address 0x78, which the master never sends"),
     ],
     ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script", "script_directory",
          "unknown_key", "unknown_line", "which_abc", "pullups_string", "address_inf", "register_abc",
-         "duplicate_address", "duplicate_name"],
+         "duplicate_address", "duplicate_name", "reserved_address"],
 )
 def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
     doc = yaml.safe_load(MINIMAL.format(freq="20MHz"))

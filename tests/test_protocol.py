@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmlink.protocol import (
+    EDGE_DATA,
+    EDGE_FALL,
+    EDGE_RISE,
     MAX_CLOCK_HZ,
     RESERVED_ADDRESSES,
     MasterEngine,
     ProtocolError,
     SlaveEngine,
+    SlaveGroup,
     SlaveModel,
     Transaction,
     master_run,
@@ -56,6 +60,14 @@ def test_master_rejects_reserved_and_bad_clock():
 
 def _temp_slave(addr=0x18, value=0x0190):
     return SlaveModel(address=addr, registers={0x05: value}, widths={0x05: 2})
+
+
+def test_slave_group_refuses_a_shared_address():
+    """Two slaves at one address would both answer it; one address receiver per group tells only one."""
+    with pytest.raises(ProtocolError, match="share the address 0x18"):
+        SlaveGroup([SlaveEngine(_temp_slave(0x18)), SlaveEngine(_temp_slave(0x19)), SlaveEngine(_temp_slave(0x18))])
+    with pytest.raises(ProtocolError, match="share the address 0x18"):
+        master_run(Transaction.read(0x18, 2), 100e3, [_temp_slave(), _temp_slave()])
 
 
 def test_write_then_read_round_trip():
@@ -355,6 +367,114 @@ def test_slaves_that_are_not_listening_ignore_the_clock(script, seed):
     assert run_ideal_bus(listened, engines, collect=True) == quarters
     assert listened.results == everyone.results
     assert [e.model for e in engines] == [e.model for e in checkers]
+
+
+_regs = st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_bus_matches_every_slave_taking_every_edge(data):
+    """1-20 slaves at distinct addresses, repeated STARTs and absent addresses: the group's bus equals the oracle's."""
+    from .oracles import deliver_to_all_bus
+
+    addrs = data.draw(st.lists(_addr, min_size=1, max_size=20, unique=True), label="addresses")
+    script = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(["write", "read"]),
+            st.one_of(st.sampled_from(addrs), _addr),  # the second mostly names no slave
+            st.lists(_byte, min_size=1, max_size=4),
+            st.integers(min_value=1, max_value=4),
+            st.booleans(),  # False chains a repeated START
+        ),
+        min_size=1,
+        max_size=6,
+    ), label="script")
+    models = [SlaveModel(address=a, registers=dict(enumerate(data.draw(_regs)))) for a in addrs]
+    txs = _script_transactions(script)
+
+    everyone = MasterEngine(txs, 400e3)
+    oracle = [SlaveEngine(copy.deepcopy(m)) for m in models]
+    quarters = deliver_to_all_bus(everyone, oracle)
+    grouped = MasterEngine(txs, 400e3)
+    engines = [SlaveEngine(copy.deepcopy(m)) for m in models]
+    assert run_ideal_bus(grouped, engines, collect=True) == quarters
+    assert grouped.results == everyone.results
+    assert [e.model for e in engines] == [e.model for e in oracle]
+
+
+def _edge_ops(addrs):
+    """Bus moves of the master: whole STARTs, STOPs, address and data bytes, and single line changes."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("start")),
+            st.tuples(st.just("stop")),
+            st.tuples(st.just("byte"), st.tuples(st.one_of(st.sampled_from(addrs), st.integers(0, 0x7F)),
+                                                  st.integers(0, 1)).map(lambda a: (a[0] << 1) | a[1])),
+            st.tuples(st.just("byte"), _byte),
+            st.tuples(st.just("scl")),  # a lone clock edge
+            st.tuples(st.just("sda"), st.integers(0, 1)),  # under a high SCL, a START or STOP anywhere
+        ),
+        max_size=30,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_edges_match_every_slave_taking_every_edge(data):
+    """Edge by edge: the group's shared address receiver drives SDA as every slave shifting the address would."""
+    from .oracles import deliver_to_each
+
+    addrs = data.draw(st.lists(st.integers(0, 0x7F), min_size=1, max_size=20, unique=True), label="addresses")
+    models = [SlaveModel(address=a, registers=dict(enumerate(data.draw(_regs)))) for a in addrs]
+    group = SlaveGroup(SlaveEngine(copy.deepcopy(m)) for m in models)
+    oracle = [SlaveEngine(copy.deepcopy(m)) for m in models]
+    scl, master_sda = 1, 1
+
+    def bus_sda():
+        return 0 if master_sda == 0 or any(e.sda_drive for e in oracle) else 1
+
+    def deliver(code):
+        group.edge(code)
+        deliver_to_each(oracle, code)
+        drives = [e.sda_drive for e in oracle]
+        assert [e.sda_drive for e in group.engines] == drives
+        assert group.pulling == tuple(e for e, d in zip(group.engines, drives) if d)
+
+    def clock():
+        nonlocal scl
+        scl ^= 1
+        deliver(2 * (EDGE_RISE if scl else EDGE_FALL) + bus_sda())
+
+    def set_sda(v):
+        nonlocal master_sda
+        before = bus_sda()
+        master_sda = v
+        if scl and bus_sda() != before:
+            deliver(2 * EDGE_DATA + bus_sda())
+
+    def bit(v):
+        if scl:
+            clock()
+        set_sda(v)
+        clock()
+
+    for op in data.draw(_edge_ops(addrs), label="ops"):
+        if op[0] == "start":
+            bit(1)
+            set_sda(0)
+        elif op[0] == "stop":
+            bit(0)
+            set_sda(1)
+        elif op[0] == "byte":
+            for i in range(7, -1, -1):
+                bit((op[1] >> i) & 1)
+            bit(1)  # the ACK slot, released by the master
+        elif op[0] == "scl":
+            clock()
+        else:
+            set_sda(op[1])
+    assert [e.model for e in group.engines] == [e.model for e in oracle]
 
 
 @settings(max_examples=150, deadline=None)

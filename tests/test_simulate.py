@@ -20,6 +20,7 @@ from fdmlink.protocol import (
     MasterEngine,
     ProtocolError,
     SlaveEngine,
+    SlaveGroup,
     SlaveModel,
     Transaction,
     run_ideal_bus,
@@ -548,7 +549,9 @@ def _stop_samples(sink, node) -> set[int]:
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
-    """One kernel call per master segment or per SCL fall or START/STOP that reaches a slave."""
+    """One kernel call per master segment or per SCL fall or START/STOP that reaches a slave group."""
+    from fdmlink.kernels import EDGE_RISE
+
     from .conftest import load_stepper
 
     segments = []
@@ -566,21 +569,17 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
 
     spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
     current = []
-    stops: set[int] = set()  # samples whose fall or START/STOP some slave was handed
+    stops: set[int] = set()  # samples whose fall or START/STOP some slave group was handed
+    edge = SlaveGroup.edge
 
-    def delivered(name):
-        edge = getattr(SlaveEngine, name)
-
-        def call(self, *args):
+    def delivered(self, code):
+        if code >> 1 != EDGE_RISE:
             ctx = current[-1]
             stops.add(ctx.quarter * spq + ctx.pos - 1)  # the call ended just after that sample
-            return edge(self, *args)
-
-        return call
+        return edge(self, code)
 
     monkeypatch.setattr(MasterEngine, "segments", counted)
-    for name in ("on_scl_fall", "on_sda_edge"):
-        monkeypatch.setattr(SlaveEngine, name, delivered(name))
+    monkeypatch.setattr(SlaveGroup, "edge", delivered)
     counts, stop_counts = {}, {}
     for backend in ("c", "python"):
         fn = load_stepper(backend)
@@ -607,35 +606,31 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkeypatch, stepper):
-    """With noise every node is a group: each logged edge goes to exactly one slave, clock edges to a listening one."""
-    from fdmlink.kernels import EDGE_DATA, EDGE_FALL, EDGE_RISE
+    """With noise every node is a group: each logged edge goes to a one-slave group, clock edges to a listening one."""
+    from fdmlink.kernels import EDGE_DATA, EDGE_RISE
 
     step = kernels.block_stepper()
-    logs = []  # per call: whether it ended on an edge, the edge kinds it logged, the callbacks after it
+    logs = []  # per call: whether it ended on an edge, the edge kinds it logged, the group edges after it
 
     def logged(ctx):
         n = step(ctx)
         logs.append((ctx.event, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
         return n
 
-    def counted(name):
-        edge = getattr(SlaveEngine, name)
+    edge = SlaveGroup.edge
 
-        def call(self, *args):
-            logs[-1][2].append((name, self.listening))
-            return edge(self, *args)
+    def delivered(self, code):
+        logs[-1][2].append((code >> 1, len(self.engines), bool(self.listening)))
+        return edge(self, code)
 
-        return call
-
-    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
-        monkeypatch.setattr(SlaveEngine, name, counted(name))
+    monkeypatch.setattr(SlaveGroup, "edge", delivered)
     monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
     sink: dict = {}
     demo.run(seed=1, noise_rms=10e-6, trace_sink=sink)
-    kind_of = {"on_scl_rise": EDGE_RISE, "on_scl_fall": EDGE_FALL, "on_sda_edge": EDGE_DATA}
     for event, kinds, calls in logs:
-        assert sorted(kinds) == sorted(kind_of[name] for name, _ in calls)
-        assert all(listening for name, listening in calls if name != "on_sda_edge")
+        assert sorted(kinds) == sorted(kind for kind, _, _ in calls)
+        assert all(n_engines == 1 for _, n_engines, _ in calls)
+        assert all(listening for kind, _, listening in calls if kind != EDGE_DATA)
         assert bool(event) == any(kind != EDGE_RISE for kind in kinds)
     # ending a call on every sample where some slicer output changes takes over twice as many
     outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
@@ -652,7 +647,10 @@ def test_slave_groups_take_the_kernel_edge_codes():
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
-    """Noiseless demo: slave callbacks go only where they can act (7,808 when every slave got every edge)."""
+    """Noiseless demo: slave callbacks go only where they can act.
+
+    7,808 when every slave got every edge, 2,904 when each slave shifted the address bits itself.
+    """
     calls = []
 
     def counted(name):
@@ -664,11 +662,11 @@ def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
 
         return call
 
-    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
+    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address"):
         monkeypatch.setattr(SlaveEngine, name, counted(name))
     m, _ = demo.run()
     assert m.error_free
-    assert len(calls) == 2_904
+    assert len(calls) == 744
     assert all(listening for name, listening in calls if name != "on_sda_edge")
 
 
@@ -719,7 +717,7 @@ def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
         return call
 
     with contextlib.ExitStack() as patches:
-        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge"):
+        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address"):
             patches.enter_context(mock.patch.object(SlaveEngine, name, recorded(name)))
         ideal = MasterEngine(txns, demo.clock_hz)
         run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
