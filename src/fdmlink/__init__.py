@@ -88,7 +88,6 @@ _EXPORTS = {
         "Transaction",
         "master_run",
         "parse_script",
-        "resolve_bus",
         "run_ideal_bus",
     ],
     "simulate": [

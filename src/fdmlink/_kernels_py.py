@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 # the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
-EDGE_RISE, EDGE_FALL, EDGE_DATA = range(3)
+from .protocol import EDGE_DATA, EDGE_FALL, EDGE_RISE
 
 
 def slicer_loop(

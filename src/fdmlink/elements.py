@@ -43,7 +43,6 @@ __all__ = [
     "series",
     "parallel",
     "element_impedance",
-    "combine",
     "TwoPortZ",
     "t_network",
     "input_impedance",
@@ -208,6 +207,7 @@ class Network:
         return parallel(self, other)
 
     def impedance(self, f) -> complex | np.ndarray:
+        """Evaluate the network at ``f`` (Hz, scalar or array); pole flags propagate as values."""
         z = self._eval(*_omega(f))
         if np.isnan(z).any():
             raise DegenerateNetworkError("network evaluates to an indeterminate form")
@@ -268,11 +268,6 @@ def parallel(*nets: Network) -> Network:
     if len(nets) == 1:
         return nets[0]
     return Network("parallel", children=_flatten("parallel", nets))
-
-
-def combine(net: Network, f) -> complex | np.ndarray:
-    """Evaluate a composed network at ``f``; pole flags propagate as values."""
-    return net.impedance(f)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Loss models for I/O pins and inductors.
 
-The logical-high pin is a small capacitance shunted by a large parallel
-resistance; the logical-low pin is the turned-on open-drain transistor, a
-small series resistance with optional parasitic inductance.  Inductor loss
-is a constant series resistance derived from a quality factor at a stated
-reference frequency; capacitors are treated as ideal, their loss being
-negligible against the inductors at the frequencies of interest.
+The logical-high pin is a small capacitance shunted by a fixed large
+parallel resistance, ``DEFAULT_R_H``; the logical-low pin is the turned-on
+open-drain transistor, a fixed small series resistance, ``DEFAULT_R_L``,
+with no parasitic inductance.  Inductor loss is a constant series
+resistance derived from a quality factor at a stated reference frequency;
+capacitors are treated as ideal, their loss being negligible against the
+inductors at the frequencies of interest.
 """
 
 from __future__ import annotations
@@ -26,24 +27,19 @@ DEFAULT_Q_REF_HZ = 25e6
 
 @dataclass(frozen=True)
 class LossModel:
-    """Per-state pin parasitics plus inductor quality factor.
+    """Inductor quality factor, with the fixed pin parasitics.
 
-    ``inductor_q = None`` is the lossless sentinel: pins become an ideal
-    capacitance (high) and an ideal short (low), and inductors are ideal.
+    The pins are ``DEFAULT_R_H`` across ``c_io`` (high) and ``DEFAULT_R_L``
+    (low).  ``inductor_q = None`` is the lossless sentinel: pins become an
+    ideal capacitance (high) and an ideal short (low), and inductors are
+    ideal.
     """
 
-    r_h: float = DEFAULT_R_H
-    r_l: float = DEFAULT_R_L
-    l_l: float = 0.0
     inductor_q: float | None = DEFAULT_Q
     q_ref_hz: float = DEFAULT_Q_REF_HZ
 
     def __post_init__(self) -> None:
         # written so that NaN fails every check
-        if not self.r_h > 0.0:
-            raise ConfigError("r_h must be positive")
-        if not (self.r_l >= 0.0 and self.l_l >= 0.0):
-            raise ConfigError("r_l and l_l must be >= 0")
         if self.inductor_q is not None and not self.inductor_q > 0.0:
             raise ConfigError("inductor_q must be positive (or None for lossless)")
         if not self.q_ref_hz > 0.0:
@@ -69,22 +65,13 @@ class LossModel:
         c = capacitor(c_io)
         if self.lossless:
             return c
-        return c | resistor(self.r_h)
+        return c | resistor(DEFAULT_R_H)
 
     def l_load(self, c_io: float) -> Network:
         """Pin impedance in the logical-low (transistor on) state."""
         if self.lossless:
             return short_circuit()
-        branch: Network
-        if self.r_l > 0.0 and self.l_l > 0.0:
-            branch = resistor(self.r_l) + inductor(self.l_l)
-        elif self.l_l > 0.0:
-            branch = inductor(self.l_l)
-        elif self.r_l > 0.0:
-            branch = resistor(self.r_l)
-        else:
-            branch = short_circuit()
-        return branch
+        return resistor(DEFAULT_R_L)
 
     def load(self, c_io: float, state: str) -> Network:
         """The pin in logic state ``"H"`` or ``"L"``."""

@@ -95,10 +95,6 @@ class LogicTimeline:
     def __len__(self) -> int:
         return int(self.levels.size)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
     def transitions(self) -> np.ndarray:
         """Indices where the level changes from the previous sample."""
         return np.nonzero(np.diff(self.levels.astype(np.int8)) != 0)[0] + 1
@@ -173,7 +169,6 @@ class SlicerParams:
 
     lpf_time_constant: float
     hysteresis: float = 0.010
-    initial_reference: float | None = None
 
     def __post_init__(self) -> None:
         # written so that NaN fails every check
@@ -277,12 +272,11 @@ def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageT
 
 
 def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
-    """Binarize a detector trace; output starts high (bus idle)."""
+    """Binarize a detector trace; output starts high (bus idle), the reference at ``det[0]``."""
     from . import _kernels_py  # on use, so loading a scenario does not import the kernels
 
-    ref0 = p.initial_reference if p.initial_reference is not None else float(det.samples[0])
     levels, _ = _kernels_py.slicer_loop(
-        det.samples, p.alpha(det.sample_rate), p.hysteresis, ref0, H
+        det.samples, p.alpha(det.sample_rate), p.hysteresis, float(det.samples[0]), H
     )
     return LogicTimeline(det.sample_rate, levels)
 
@@ -328,7 +322,8 @@ class Demodulator:
     With a spike model present, each output transition couples a spike back
     into the detector input within the same sample; a large unclipped spike
     then holds the output at its previous level indefinitely (latch-up).
-    The output starts high (``H``, the idle bus).
+    The output starts high (``H``, the idle bus) and the reference at the
+    detector value of the first envelope sample.
     """
 
     detector: DetectorParams = DetectorParams()
@@ -350,11 +345,8 @@ class Demodulator:
             decay_mult = self.clip.decay_mult(rate)
             if self.clip_enabled:
                 spike_cap = self.clip.v_f
-        if self.slicer.initial_reference is not None:
-            ref0 = self.slicer.initial_reference
-        else:
-            x0 = max(float(env.samples[0]), p.floor_volts)
-            ref0 = p.ref_out + p.slope * 20.0 * math.log10(x0 / p.ref_in)
+        x0 = max(float(env.samples[0]), p.floor_volts)
+        ref0 = p.ref_out + p.slope * 20.0 * math.log10(x0 / p.ref_in)
         levels, det, refs = _kernels_py.demod_loop(
             env.samples,
             p.ref_in,

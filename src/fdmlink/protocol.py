@@ -29,8 +29,8 @@ __all__ = [
     "RESERVED_ADDRESSES",
     "MAX_CLOCK_HZ",
     "QUARTERS_PER_BIT",
+    "SAMPLES_PER_BIT",
     "ProtocolError",
-    "resolve_bus",
     "Transaction",
     "SlaveModel",
     "SlaveEngine",
@@ -46,20 +46,20 @@ __all__ = [
 RESERVED_ADDRESSES = frozenset(range(0x00, 0x08)) | frozenset(range(0x78, 0x80))
 MAX_CLOCK_HZ = 400_000
 QUARTERS_PER_BIT = 4
+# the samples per bit of master_run's timelines, and of a link run unless its sim_rate says otherwise
+SAMPLES_PER_BIT = 64
+# register bytes of a slave register that SlaveModel.widths does not name
+DEFAULT_REGISTER_WIDTH = 2
 # idle bits the master program starts with, and after each STOP
 LEAD_IN_BITS = 8
 GAP_BITS = 1
-# the kinds of bus edge a SlaveGroup delivers, as the block kernel logs them (``kernels.EDGE_*``)
+# the kinds of bus edge a SlaveGroup delivers, with the codes the block kernels log them by
+# (``_kernels_py`` imports these; the enum in ``_blockkernel.c`` repeats them)
 EDGE_RISE, EDGE_FALL, EDGE_DATA = range(3)
 
 
 class ProtocolError(ConfigError):
     """Invalid transaction, address, or clock for the bus."""
-
-
-def resolve_bus(drivers: Iterable[bool]) -> int:
-    """Wired-AND line level: L if any driver pulls low, else H."""
-    return L if any(drivers) else H
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,21 @@ class SlaveModel:
     A write sets the pointer register with its first byte; following bytes
     fill the addressed register MSB-first.  Reads stream the register at
     the current pointer MSB-first, wrapping within the register so long
-    reads repeat it.  Register width defaults to 16 bits, configurable per
-    register.
+    reads repeat it.  A register is ``DEFAULT_REGISTER_WIDTH`` bytes (16 bits)
+    wide unless ``widths`` names it.
     """
 
     address: int
     registers: dict[int, int] = field(default_factory=dict)
     pointer: int = 0
     widths: dict[int, int] = field(default_factory=dict)
-    default_width: int = 2
 
     def __post_init__(self) -> None:
         if not 0 <= self.address <= 0x7F:
             raise ProtocolError(f"slave address {self.address:#x} is not 7-bit")
 
     def width(self, reg: int) -> int:
-        return self.widths.get(reg, self.default_width)
+        return self.widths.get(reg, DEFAULT_REGISTER_WIDTH)
 
     def read_stream_byte(self, k: int) -> int:
         w = self.width(self.pointer)
@@ -442,7 +441,7 @@ class MasterEngine:
             transactions = [transactions]
         if not transactions:
             raise ProtocolError("no transactions to run")
-        if clock_hz <= 0 or clock_hz > MAX_CLOCK_HZ:
+        if not 0 < clock_hz <= MAX_CLOCK_HZ:  # NaN fails too
             raise ProtocolError(
                 f"clock {clock_hz:.4g} Hz outside (0, {MAX_CLOCK_HZ}] (fast mode ceiling)"
             )
@@ -574,20 +573,17 @@ def master_run(
     transactions: Transaction | Sequence[Transaction],
     clock_hz: float,
     slaves: Sequence[SlaveModel] = (),
-    sample_rate: float | None = None,
 ) -> tuple[LogicTimeline, LogicTimeline, list[Transaction]]:
     """Run transactions over the ideal bus and expand sampled timelines.
 
-    The effective sample rate is rounded to a whole number of samples per
-    quarter bit, at least 50 per bit.
+    The timelines have ``SAMPLES_PER_BIT`` samples per bit, a whole number
+    per quarter bit.
     """
     master = MasterEngine(transactions, clock_hz)
     engines = [SlaveEngine(m) for m in slaves]
     quarters = run_ideal_bus(master, engines, collect=True)
     assert quarters is not None
-    if sample_rate is None:
-        sample_rate = 64.0 * clock_hz
-    spq = max(13, round(sample_rate / (QUARTERS_PER_BIT * clock_hz)))
+    spq = SAMPLES_PER_BIT // QUARTERS_PER_BIT
     rate_eff = QUARTERS_PER_BIT * clock_hz * spq
     arr = np.asarray(quarters, dtype=np.uint8)
     scl = LogicTimeline(rate_eff, np.repeat(arr[:, 0], spq))

@@ -55,6 +55,7 @@ from .modem import (
 from .protocol import (
     QUARTERS_PER_BIT,
     RESERVED_ADDRESSES,
+    SAMPLES_PER_BIT,
     MasterEngine,
     ProtocolError,
     SlaveEngine,
@@ -72,7 +73,6 @@ __all__ = [
     "MIN_SAMPLES_PER_QUARTER",
     "TopologyError",
     "HarmonicOverlapWarning",
-    "ElectricalSizeWarning",
     "CarrierSpec",
     "NodeSpec",
     "BusTopology",
@@ -93,9 +93,6 @@ MAX_RUN_SAMPLES = 2**24
 _INTENT_CODE = {(scl, sda): 2 * scl + sda for scl in (H, L) for sda in (H, L)}
 # every node's detector
 _DETECTOR = DetectorParams()
-
-# rough phase velocity on FR4 for the electrical-size check
-_VELOCITY_M_S = 1.5e8
 # The highest harmonic order the overlap check warns about.  A float ratio
 # near n is only good to about n * 2**-52, so from about 2**33 on only an
 # exact integer is within the check's 1e-6, and from 2**53 on every ratio is
@@ -109,10 +106,6 @@ class TopologyError(ConfigError):
 
 class HarmonicOverlapWarning(UserWarning):
     """One carrier sits on an integer harmonic of the other."""
-
-
-class ElectricalSizeWarning(UserWarning):
-    """Sheet dimension is no longer small against the carrier wavelength."""
 
 
 @dataclass(frozen=True)
@@ -138,9 +131,9 @@ class CarrierSpec:
 class NodeSpec:
     """One bus node: a filter per line plus an optional slave register file.
 
-    ``zin_override`` maps (line, state) to a fixed input impedance and
-    bypasses the filter model entirely; lines without a filter or override
-    do not load the bus.  Exactly one node carries role ``master``.
+    A node loads the bus at ``filters[line].input_impedance(f, state,
+    which=, loss=)``; lines without a filter do not load it.  Exactly one
+    node carries role ``master``.
     """
 
     name: str
@@ -149,7 +142,6 @@ class NodeSpec:
     loss: LossModel = LOSSLESS
     which: str = "exact"
     slave: SlaveModel | None = None
-    zin_override: Mapping[tuple[str, str], complex] | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ("master", "slave"):
@@ -157,8 +149,6 @@ class NodeSpec:
 
     def input_impedance(self, f: float, line: str, state: str) -> complex | None:
         """Node loading on the bus at f, or None if this line is unfiltered."""
-        if self.zin_override is not None and (line, state) in self.zin_override:
-            return self.zin_override[(line, state)]
         design = self.filters.get(line)
         if design is None:
             return None
@@ -172,7 +162,9 @@ class BusTopology:
     Node names are unique, since they name the trace columns, and so are the
     addresses of the slave models that answer (those not on the master).
     Those addresses are also outside ``RESERVED_ADDRESSES``, which the master
-    never sends.
+    never sends.  The line is one lumped node: the sheet must be small
+    against a twentieth of the wavelength at the highest carrier, which
+    nothing here checks.
     """
 
     carriers: tuple[CarrierSpec, ...]
@@ -180,7 +172,6 @@ class BusTopology:
     dc_feed: Network | None = None
     attenuation_db: float = 0.0
     pole_cap: float = DEFAULT_POLE_CAP
-    sheet_dimension_m: float | None = None
 
     def __post_init__(self) -> None:
         if not self.carriers:
@@ -210,7 +201,6 @@ class BusTopology:
         if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
             raise TopologyError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db!r}")
         self._check_harmonics()
-        self._check_size()
 
     def _check_harmonics(self) -> None:
         freqs = sorted(c.frequency for c in self.carriers)
@@ -225,19 +215,6 @@ class BusTopology:
                         HarmonicOverlapWarning,
                         stacklevel=3,
                     )
-
-    def _check_size(self) -> None:
-        if self.sheet_dimension_m is None:
-            return
-        f_max = max(c.frequency for c in self.carriers)
-        lam = _VELOCITY_M_S / f_max
-        if self.sheet_dimension_m > lam / 20.0:
-            warnings.warn(
-                f"sheet dimension {self.sheet_dimension_m:.3g} m exceeds lambda/20 "
-                f"({lam / 20.0:.3g} m) at {f_max:.4g} Hz; lumped analysis degrades",
-                ElectricalSizeWarning,
-                stacklevel=3,
-            )
 
     @property
     def master_index(self) -> int:
@@ -323,11 +300,8 @@ class _AmplitudeTable:
             loads = []
             for line in LINES:
                 row = []
-                for ni, node in enumerate(topology.nodes):
-                    if node.zin_override is None:
-                        key = (line, id(node.filters.get(line)), node.loss, node.which)
-                    else:
-                        key = (line, ni)
+                for node in topology.nodes:
+                    key = (line, id(node.filters.get(line)), node.loss, node.which)
                     if key not in shared:
                         shared[key] = tuple(
                             None if z is None else _cap_admittance(z, topology.pole_cap)
@@ -472,7 +446,7 @@ def run_scenario(
 
     _check_run_settings(clock_hz, sim_rate, noise_rms, seed)
     if sim_rate is None:
-        sim_rate = 64.0 * clock_hz
+        sim_rate = SAMPLES_PER_BIT * clock_hz
     master = MasterEngine(transactions, clock_hz)
     n_quarters = master.quarters_upper_bound()
     per_quarter = sim_rate / (QUARTERS_PER_BIT * clock_hz)
@@ -673,7 +647,7 @@ def sweep_node_count(
         nodes = (master,) + tuple(
             dataclasses.replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n)
         )
-        topo = dataclasses.replace(topology, nodes=nodes, sheet_dimension_m=None)
+        topo = dataclasses.replace(topology, nodes=nodes)
         total = len(nodes)
         row: dict = {"n": n}
         ok = True
@@ -765,7 +739,7 @@ def _read_scenario(raw: object, base: Path) -> Scenario:
     r = KeyReader(raw, error=TopologyError)
     r.choice("schema_version", (1,), 1)
     clock = r.quantity("clock", "Hz")
-    sim_rate = r.quantity("sim_rate", "Hz", 64.0 * clock)
+    sim_rate = r.quantity("sim_rate", "Hz", SAMPLES_PER_BIT * clock)
     seed = r.integer("seed", 0)
     noise_rms = r.quantity("noise_rms", "V", 0.0, zero_ok=True)
     attenuation_db = r.quantity("attenuation_db", "", 0.0, zero_ok=True)

@@ -35,6 +35,7 @@ _PREFIXES = {
 _UNITS = ("Hz", "H", "F", "ohm", "Ohm", "V", "s", "dB", "A", "W")
 
 _CANONICAL = {"Ohm": "ohm"}
+FORMAT_DIGITS = 4  # the decimals format_quantity keeps
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _PATTERN = re.compile(
@@ -202,13 +203,12 @@ def _check(value: Any, ok: bool, what: str) -> Any:
     return value
 
 
-def format_quantity(value: float, unit: str, digits: int = 4) -> str:
-    """Format ``value`` with an engineering prefix, e.g. ``1.33uH``."""
+def format_quantity(value: float, unit: str) -> str:
+    """Format ``value`` with an engineering prefix and ``FORMAT_DIGITS`` decimals, e.g. ``1.33uH``."""
     if unit == "" or unit == "dB" or value == 0.0 or not math.isfinite(value):
-        return f"{round(value, digits):g}{unit}"
+        return f"{round(value, FORMAT_DIGITS):g}{unit}"
     exp3 = min(3, max(-4, math.floor(math.log10(abs(value)) / 3)))
     for pfx, scale in _PREFIXES.items():
-        if pfx in ("µ", "") or scale != 10.0 ** (3 * exp3):
-            continue
-        return f"{round(value / scale, digits):g}{pfx}{unit}"
-    return f"{round(value, digits):g}{unit}"
+        if pfx != "µ" and scale == 10.0 ** (3 * exp3):
+            return f"{round(value / scale, FORMAT_DIGITS):g}{pfx}{unit}"
+    return f"{round(value, FORMAT_DIGITS):g}{unit}"

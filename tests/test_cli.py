@@ -133,6 +133,18 @@ def test_design_imports_no_simulator_module():
         assert f"'fdmlink.{name}'" not in loaded, loaded
 
 
+def test_loading_a_scenario_imports_no_kernel_module(tmp_path):
+    # the kernels load on a scenario's first run, not with the simulator
+    path = tmp_path / "one_line.yaml"
+    path.write_text("clock: 100kHz\n")
+    r = _run_fresh(["simulate", str(path)], "sorted(m for m in sys.modules if m.startswith('fdmlink'))")
+    assert r.returncode == 2, r.stderr
+    loaded = r.stderr.strip().splitlines()[-1]
+    assert "'fdmlink.simulate'" in loaded, loaded
+    for name in ("kernels", "_kernels_py"):
+        assert f"'fdmlink.{name}'" not in loaded, loaded
+
+
 @pytest.mark.parametrize(
     "command,spec,message",
     [

@@ -12,7 +12,6 @@ from fdmlink.elements import (
     Network,
     ReactiveElement,
     capacitor,
-    combine,
     element_impedance,
     find_poles_zeros,
     inductor,
@@ -34,31 +33,31 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_element_spot_values():
-    assert combine(inductor(4.7e-6), 20e6) == pytest.approx(590.6194188748811j, rel=1e-12)
-    assert combine(capacitor(8e-12), 20e6) == pytest.approx(-994.7183943243458j, rel=1e-12)
-    assert combine(resistor(50.0), 1e6) == 50.0 + 0j
+    assert inductor(4.7e-6).impedance(20e6) == pytest.approx(590.6194188748811j, rel=1e-12)
+    assert capacitor(8e-12).impedance(20e6) == pytest.approx(-994.7183943243458j, rel=1e-12)
+    assert resistor(50.0).impedance(1e6) == 50.0 + 0j
 
 
 def test_loss_placement():
     # inductor loss is a series resistance, capacitor loss a parallel one
-    z_l = combine(inductor(4.7e-6, loss=18.5), 20e6)
+    z_l = inductor(4.7e-6, loss=18.5).impedance(20e6)
     assert z_l.real == pytest.approx(18.5)
     assert z_l.imag == pytest.approx(590.6194188748811, rel=1e-12)
-    zc = combine(capacitor(8e-12), 20e6)
-    z_c = combine(capacitor(8e-12, loss=10e3), 20e6)
+    zc = capacitor(8e-12).impedance(20e6)
+    z_c = capacitor(8e-12, loss=10e3).impedance(20e6)
     expect = zc * 10e3 / (zc + 10e3)
     assert z_c == pytest.approx(expect, rel=1e-12)
 
 
 def test_open_and_short():
-    assert combine(short_circuit(), 1e6) == 0j
-    assert is_pole(combine(open_circuit(), 1e6))
+    assert short_circuit().impedance(1e6) == 0j
+    assert is_pole(open_circuit().impedance(1e6))
     # open in series dominates; open in parallel vanishes
-    assert is_pole(combine(inductor(1e-6) + open_circuit(), 1e6))
-    z = combine(inductor(1e-6) | open_circuit(), 1e6)
-    assert z == pytest.approx(combine(inductor(1e-6), 1e6), rel=1e-12)
+    assert is_pole((inductor(1e-6) + open_circuit()).impedance(1e6))
+    z = (inductor(1e-6) | open_circuit()).impedance(1e6)
+    assert z == pytest.approx(inductor(1e-6).impedance(1e6), rel=1e-12)
     # short in parallel wins
-    assert combine(inductor(1e-6) | short_circuit(), 1e6) == 0j
+    assert (inductor(1e-6) | short_circuit()).impedance(1e6) == 0j
 
 
 def test_scalar_matches_array_eval():
@@ -141,7 +140,7 @@ def test_prominent_peaks_match_scipy(design_a, design_b, rng):
 
 def test_degenerate_parallel_short_open():
     # short || open is 0 by the short-wins rule, not indeterminate
-    assert combine(short_circuit() | open_circuit(), 1e6) == 0j
+    assert (short_circuit() | open_circuit()).impedance(1e6) == 0j
 
 
 @pytest.mark.parametrize("f", [1e-320, np.array([1e6, 1e-320])], ids=["scalar", "array"])
@@ -202,16 +201,16 @@ def test_network_matches_bruteforce(net, f):
 @settings(max_examples=100, deadline=None)
 @given(_leaf, _leaf, _leaf, _freq)
 def test_series_parallel_algebra(a, b, c, f):
-    za = combine(series(a, b, c), f)
-    zb = combine(series(series(a, b), c), f)
-    zc = combine(series(a, series(b, c)), f)
+    za = series(a, b, c).impedance(f)
+    zb = series(series(a, b), c).impedance(f)
+    zc = series(a, series(b, c)).impedance(f)
     assert za == pytest.approx(zb, rel=1e-12) and za == pytest.approx(zc, rel=1e-12)
-    ya = combine(parallel(a, b, c), f)
-    yb = combine(parallel(parallel(a, b), c), f)
+    ya = parallel(a, b, c).impedance(f)
+    yb = parallel(parallel(a, b), c).impedance(f)
     assert ya == pytest.approx(yb, rel=1e-9)
     # commutativity
-    assert combine(series(a, b), f) == pytest.approx(combine(series(b, a), f), rel=1e-12)
-    assert combine(parallel(a, b), f) == pytest.approx(combine(parallel(b, a), f), rel=1e-12)
+    assert series(a, b).impedance(f) == pytest.approx(series(b, a).impedance(f), rel=1e-12)
+    assert parallel(a, b).impedance(f) == pytest.approx(parallel(b, a).impedance(f), rel=1e-12)
 
 
 # -- bit-for-bit equivalence with the masked evaluator --
@@ -377,7 +376,7 @@ def test_input_impedance_pole_flag():
         _branch_for_reactance(50.0, f),
         _branch_for_reactance(200.0, f),
     )
-    z22 = combine(two_port.x2 + two_port.xm, f)
+    z22 = (two_port.x2 + two_port.xm).impedance(f)
     zin = input_impedance(two_port, -z22, f)
     assert is_pole(zin)
 
@@ -390,6 +389,6 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ReactiveElement("inductor", 1e-6, loss=-1.0)
     with pytest.raises(ValueError):
-        combine(inductor(1e-6), -5.0)
+        inductor(1e-6).impedance(-5.0)
     with pytest.raises(ValueError):
-        combine(inductor(1e-6), 0.0)
+        inductor(1e-6).impedance(0.0)

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -19,17 +20,9 @@ from fdmlink.protocol import (
     Transaction,
     master_run,
     parse_script,
-    resolve_bus,
     run_ideal_bus,
     script_line,
 )
-
-
-def test_resolve_bus_is_wired_and():
-    # arguments are pull-low flags, not levels
-    assert resolve_bus([False, False]) == 1
-    assert resolve_bus([False, True]) == 0
-    assert resolve_bus([]) == 1  # nobody pulls, pull-up wins
 
 
 def test_reserved_addresses():
@@ -56,6 +49,13 @@ def test_master_rejects_reserved_and_bad_clock():
         MasterEngine(Transaction.write(0x18, [0]), MAX_CLOCK_HZ * 2)
     with pytest.raises(ProtocolError):
         MasterEngine([], 100e3)
+
+
+def test_nan_clock_is_refused():
+    with pytest.raises(ProtocolError, match="clock"):
+        MasterEngine(Transaction.write(0x18, [0]), math.nan)
+    with pytest.raises(ProtocolError, match="clock"):
+        master_run(Transaction.write(0x18, [0]), math.nan, [_temp_slave()])
 
 
 def _temp_slave(addr=0x18, value=0x0190):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmlink import kernels
-from fdmlink.analysis import modulation_ratio
+from fdmlink.analysis import DEFAULT_POLE_CAP, modulation_ratio
 from fdmlink.elements import POLE, inductor, resistor
 from fdmlink.protocol import (
     QUARTERS_PER_BIT,
@@ -26,9 +26,9 @@ from fdmlink.protocol import (
     run_ideal_bus,
 )
 from fdmlink.simulate import (
+    LINES,
     BusTopology,
     CarrierSpec,
-    ElectricalSizeWarning,
     HarmonicOverlapWarning,
     NodeSpec,
     Scenario,
@@ -44,18 +44,26 @@ from fdmlink.units import UnitError
 DEMO = str(files("fdmlink").joinpath("data/demo_scenario.yaml"))
 
 
-def _override_node(name, role, zh, zl):
-    return NodeSpec(
-        name=name,
-        role=role,
-        zin_override={("scl", "H"): zh, ("scl", "L"): zl},
-    )
+@dataclasses.dataclass(frozen=True)
+class _FixedZ:
+    """A stand-in filter design: one input impedance per pin state, at every frequency."""
+
+    zh: complex
+    zl: complex
+
+    def input_impedance(self, f, state, which="exact", loss=None):
+        return self.zh if state == "H" else self.zl
+
+
+def _fixed_node(name, role, zh, zl):
+    """A node that loads only SCL, at ``zh`` released and ``zl`` pulled."""
+    return NodeSpec(name=name, role=role, filters={"scl": _FixedZ(zh, zl)})
 
 
 def _resistive_topology(n_slaves, zh=9000 + 0j, zl=30 + 0j, zp_ohm=2000.0):
     carrier = CarrierSpec("scl", 20e6, 1.0, resistor(zp_ohm))
-    nodes = [_override_node("m", "master", zh, zl)]
-    nodes += [_override_node(f"s{k}", "slave", zh, zl) for k in range(n_slaves)]
+    nodes = [_fixed_node("m", "master", zh, zl)]
+    nodes += [_fixed_node(f"s{k}", "slave", zh, zl) for k in range(n_slaves)]
     return BusTopology(carriers=(carrier,), nodes=tuple(nodes))
 
 
@@ -79,12 +87,12 @@ def test_bus_amplitude_is_parallel_divider():
 
 def test_pole_override_loads_nothing():
     carrier = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
-    base = BusTopology(carriers=(carrier,), nodes=(_override_node("m", "master", 9000 + 0j, 30 + 0j),))
+    base = BusTopology(carriers=(carrier,), nodes=(_fixed_node("m", "master", 9000 + 0j, 30 + 0j),))
     with_pole = BusTopology(
         carriers=(carrier,),
         nodes=(
-            _override_node("m", "master", 9000 + 0j, 30 + 0j),
-            _override_node("s", "slave", POLE, POLE),
+            _fixed_node("m", "master", 9000 + 0j, 30 + 0j),
+            _fixed_node("s", "slave", POLE, POLE),
         ),
     )
     a = bus_amplitude(base, {"scl": ("H",)}, 0)
@@ -106,23 +114,23 @@ def test_attenuation_scales_amplitude():
 def test_exactly_one_master():
     carrier = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
     with pytest.raises(TopologyError, match="master"):
-        BusTopology(carriers=(carrier,), nodes=(_override_node("a", "slave", 1, 1),))
+        BusTopology(carriers=(carrier,), nodes=(_fixed_node("a", "slave", 1, 1),))
     with pytest.raises(TopologyError, match="master"):
         BusTopology(
             carriers=(carrier,),
             nodes=(
-                _override_node("a", "master", 1, 1),
-                _override_node("b", "master", 1, 1),
+                _fixed_node("a", "master", 1, 1),
+                _fixed_node("b", "master", 1, 1),
             ),
         )
 
 
 def test_node_names_and_slave_addresses_are_unique():
     carrier = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
-    master = _override_node("m", "master", 1, 1)
+    master = _fixed_node("m", "master", 1, 1)
 
     def slave(name, address):
-        return dataclasses.replace(_override_node(name, "slave", 1, 1), slave=SlaveModel(address))
+        return dataclasses.replace(_fixed_node(name, "slave", 1, 1), slave=SlaveModel(address))
 
     with pytest.raises(TopologyError, match=r"^nodes\[1\] 'a' and nodes\[3\] 'a' share the name 'a'$"):
         BusTopology(carriers=(carrier,), nodes=(master, slave("a", 0x18), slave("b", 0x19), slave("a", 0x1A)))
@@ -137,7 +145,7 @@ def test_one_carrier_per_line():
     c1 = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
     c2 = CarrierSpec("scl", 50e6, 1.0, resistor(2000.0))
     with pytest.raises(TopologyError, match="one carrier per line"):
-        BusTopology(carriers=(c1, c2), nodes=(_override_node("m", "master", 1, 1),))
+        BusTopology(carriers=(c1, c2), nodes=(_fixed_node("m", "master", 1, 1),))
 
 
 def test_carrier_validation():
@@ -158,35 +166,17 @@ def test_harmonic_overlap_warning():
     c1 = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
     c2 = CarrierSpec("sda", 40e6, 1.0, resistor(2000.0))
     with pytest.warns(HarmonicOverlapWarning):
-        BusTopology(carriers=(c1, c2), nodes=(_override_node("m", "master", 1, 1),))
+        BusTopology(carriers=(c1, c2), nodes=(_fixed_node("m", "master", 1, 1),))
     c3 = CarrierSpec("sda", 20e6 * 2**20, 1.0, resistor(2000.0))
     with pytest.warns(HarmonicOverlapWarning, match="harmonic 1048576 of"):
-        BusTopology(carriers=(c1, c3), nodes=(_override_node("m", "master", 1, 1),))
+        BusTopology(carriers=(c1, c3), nodes=(_fixed_node("m", "master", 1, 1),))
     # 20/50 MHz is a 2.5 ratio: fine.  Past order 2**20 a float ratio near an
     # integer says nothing (above 2**53 every float is one): no warning for 1e300 Hz
     for f in (50e6, 20e6 * (2**20 + 1), 20e6 * 2.0**40, 1e300):
         c4 = CarrierSpec("sda", f, 1.0, resistor(2000.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            BusTopology(carriers=(c1, c4), nodes=(_override_node("m", "master", 1, 1),))
-
-
-def test_electrical_size_warning():
-    c1 = CarrierSpec("scl", 50e6, 1.0, resistor(2000.0))
-    # lambda at 50 MHz on FR-4 is 3 m; lambda/20 = 0.15 m
-    with pytest.warns(ElectricalSizeWarning):
-        BusTopology(
-            carriers=(c1,),
-            nodes=(_override_node("m", "master", 1, 1),),
-            sheet_dimension_m=0.5,
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        BusTopology(
-            carriers=(c1,),
-            nodes=(_override_node("m", "master", 1, 1),),
-            sheet_dimension_m=0.1,
-        )
+            BusTopology(carriers=(c1, c4), nodes=(_fixed_node("m", "master", 1, 1),))
 
 
 # -- the packaged reference scenario --
@@ -528,12 +518,43 @@ def test_amplitude_table_equals_bus_amplitude(demo):
 
 
 def test_amplitude_table_equals_bus_amplitude_with_overrides():
-    # override nodes load scl only, so their sda entries are skipped
+    # fixed-impedance nodes load scl only, so their sda entries are skipped
     topo = _resistive_topology(3)
     sda = CarrierSpec("sda", 50e6, 1.0, resistor(2000.0))
     _assert_table_matches_bus_amplitude(
         BusTopology(carriers=topo.carriers + (sda,), nodes=topo.nodes, dc_feed=inductor(47e-6))
     )
+
+
+# the admittance rule's edges (a short, a pole, exactly and just below the cap) and passive loads
+_NODE_Z = st.one_of(
+    st.sampled_from([
+        0j, POLE, complex(DEFAULT_POLE_CAP), complex(0.0, -DEFAULT_POLE_CAP),
+        complex(np.nextafter(DEFAULT_POLE_CAP, 0.0)),
+    ]),
+    st.builds(complex, st.floats(0.0, 1e5), st.floats(-1e5, 1e5)).filter(lambda z: abs(z) >= 1e-3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_amplitude_table_equals_bus_amplitude_on_fixed_loads(data):
+    lines = data.draw(st.sampled_from([("scl",), ("sda",), LINES]))
+    carriers = tuple(CarrierSpec(line, f, 1.0, resistor(2000.0)) for line, f in zip(lines, (20e6, 50e6)))
+    n = data.draw(st.integers(1, 12))
+    mi = data.draw(st.integers(0, n - 1))
+    nodes = []
+    for k in range(n):
+        # a node without a filter on a line does not load it
+        filters = {line: _FixedZ(data.draw(_NODE_Z), data.draw(_NODE_Z)) for line in lines if data.draw(st.booleans())}
+        nodes.append(NodeSpec(name=f"n{k}", role="master" if k == mi else "slave", filters=filters))
+    dc_feed = data.draw(st.sampled_from([None, inductor(47e-6)]))
+    topo = BusTopology(carriers=carriers, nodes=tuple(nodes), dc_feed=dc_feed)
+    drives = [tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in LINES]
+    # bus_amplitude takes the pin states of the carried lines only
+    pins = {line: tuple("L" if d else "H" for d in dr) for line, dr in zip(LINES, drives) if line in lines}
+    want = tuple(bus_amplitude(topo, pins, j) for j in range(len(carriers)))
+    assert _AmplitudeTable(topo)(*drives) == want
 
 
 # -- block stepping --
@@ -635,14 +656,6 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
     # ending a call on every sample where some slicer output changes takes over twice as many
     outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
     assert len(logs) < np.count_nonzero((np.diff(outs, axis=1) != 0).any(axis=0)) / 2
-
-
-def test_slave_groups_take_the_kernel_edge_codes():
-    """``run_scenario`` hands each logged event's low bits to a ``SlaveGroup`` as its edge code."""
-    from fdmlink import protocol
-
-    assert (protocol.EDGE_RISE, protocol.EDGE_FALL, protocol.EDGE_DATA) == (
-        kernels.EDGE_RISE, kernels.EDGE_FALL, kernels.EDGE_DATA)
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)

@@ -306,9 +306,7 @@ def test_spec_rejects_negative_and_non_finite_values(kwargs):
         FilterSpec(**args)
 
 
-@pytest.mark.parametrize(
-    "field", ["r_h", "r_l", "l_l", "inductor_q", "q_ref_hz"]
-)
+@pytest.mark.parametrize("field", ["inductor_q", "q_ref_hz"])
 def test_loss_model_rejects_nan(field):
     with pytest.raises(ValueError):
         LossModel(**{field: math.nan})
