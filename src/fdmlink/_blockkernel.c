@@ -1,34 +1,11 @@
 /* Block stepper of run_scenario: log detector, IIR reference and slicer,
  * run across the quarter bits of one master segment.
  *
- * _kernels_py.step_block documents the contract and is this loop written
- * in Python, statement for statement: the same recurrence and the same
- * floating-point operations in the same order.  Build with
- * -ffp-contract=off and without -ffast-math so every double matches.
- * The kernel owns the position (quarter, pos).  At the start of a quarter,
- * and on entry, it takes that quarter's intent code, its amplitude row and
- * its wired-AND levels; without noise the input is then constant until
- * the next quarter, so each stream's detector value is computed once into
- * det[].  At each quarter midpoint it records the master's observation
- * and counts bits and eye margins.
- *
- * A sample steps each group's SCL stream, then its SDA stream, and then
- * decides the group's edge the way an I2C slave front end acts on it.  An
- * SCL rise is logged if clock edges reach the group (hears[0][g]) and the
- * run goes on: a slave only samples SDA there and moves neither its drive
- * nor its listening (SlaveEngine.on_scl_rise), so nothing the kernel reads
- * changes until Python delivers the rise at the next return.  An SCL fall
- * is logged and ends the call if clock edges reach the group.  An SDA
- * change with SCL high and unchanged (START or STOP) is logged and ends
- * the call if data edges reach the group (hears[1][g]).  An SDA change
- * while SCL is low, or an edge that reaches nobody, is not logged.  So the
- * call returns after the first sample with a logged fall or START/STOP
- * (event = 1) or at the end of the segment, and events[0..n_events) holds
- * the logged edges in order.  The noiseless demo takes 433 calls this way,
- * against 1,001 when every slicer output change ended one.  After a logged
- * rise the group's next SCL change is a fall, which ends the call, so a
- * group logs at most two edges per call and events[2 * groups] suffices.
- * The struct layout mirrors _kernels_py.BlockContext._fields_.
+ * _kernels_py.BlockContext and _kernels_py.step_block state the contract;
+ * step_block there is this loop written in Python, statement for
+ * statement: the same recurrence and the same floating-point operations in
+ * the same order.  Build with -ffp-contract=off and without -ffast-math so
+ * every double matches.  The struct layout mirrors BlockContext._fields_.
  */
 #include <math.h>
 #include <stdint.h>
@@ -39,15 +16,11 @@ enum { EDGE_RISE, EDGE_FALL, EDGE_DATA };
 typedef struct {
     int64_t n_streams;   /* 2 * groups: the SCL stream of each group, then the SDA ones */
     int64_t spq;         /* samples per quarter */
-    int64_t mid;         /* midpoint sample within a quarter */
-    int64_t fan_out;     /* nodes each stream stands for */
     int64_t master;      /* the master's group */
-    int64_t started;     /* 0 until the first sample has seeded every reference */
     int64_t quarter;     /* current quarter, counted from the run's start */
     int64_t pos;         /* next sample within it */
     int64_t q_end;       /* the segment ends before this quarter */
     int64_t sda_pulled;  /* a node other than the master pulls SDA low */
-    int64_t event;       /* 1 if the last call ended on a logged fall or START/STOP */
     int64_t n_events;    /* edges the last call logged */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
@@ -60,7 +33,7 @@ typedef struct {
     uint8_t *obs;         /* [n_quarters][2] the master's (scl, sda) at each midpoint */
     uint8_t *used;        /* [4] codes that ran at least one sample */
     uint8_t *seen_low;    /* [2] each line's wired-AND level has been low */
-    int64_t *bits_checked, *bit_errors;  /* [2] */
+    int64_t *bits_checked, *bit_errors;  /* [2] per stream */
     double *eye;                         /* [2] least |det - ref| at a counted midpoint */
     double *trace_det, *trace_ref;       /* [n_quarters * spq][n_streams] or NULL */
     uint8_t *trace_out;                  /* [n_quarters * spq][n_streams] or NULL */
@@ -105,11 +78,11 @@ static void midpoint(block_ctx *c, const uint8_t wire[2])
     for (int li = 0; li < 2; li++) {
         if (!c->seen_low[li])
             continue;
-        c->bits_checked[li] += c->fan_out * ng;
+        c->bits_checked[li] += ng;
         for (int64_t s = li * ng; s < (li + 1) * ng; s++) {
             const double m = fabs(c->det[s] - c->ref[s]);
             if (c->out[s] != wire[li])
-                c->bit_errors[li] += c->fan_out;
+                c->bit_errors[li]++;
             if (m < c->eye[li])
                 c->eye[li] = m;
         }
@@ -120,8 +93,8 @@ static void midpoint(block_ctx *c, const uint8_t wire[2])
 static int step_stream(block_ctx *c, const double *amp, int64_t row, int64_t s)
 {
     const double d = c->noise ? detector(c, amp[s] + c->noise[row + s]) : c->det[s];
-    const double r0 = c->started ? c->ref[s] : d;
-    const double r = r0 + c->alpha * (d - r0);
+    double r = c->ref[s];
+    r += c->alpha * (d - r);
     uint8_t o = c->out[s];
     if (d > r + c->half_h)
         o = 1;
@@ -159,11 +132,10 @@ static int log_edge(block_ctx *c, int64_t g, int moved)
 
 int64_t step_block(block_ctx *c)
 {
-    const int64_t ns = c->n_streams, ng = ns / 2;
+    const int64_t ns = c->n_streams, ng = ns / 2, mid = c->spq / 2;
     const double *amp;
     uint8_t wire[2];
     int64_t n = 0;
-    c->event = 0;
     c->n_events = 0;
     if (c->quarter >= c->q_end)
         return 0;
@@ -182,18 +154,15 @@ int64_t step_block(block_ctx *c)
             c->trace_wire[2 * isample] = wire[0];
             c->trace_wire[2 * isample + 1] = wire[1];
         }
-        c->started = 1;
         n++;
-        if (c->pos == c->mid)
+        if (c->pos == mid)
             midpoint(c, wire);
         if (++c->pos == c->spq) {
             c->pos = 0;
             c->quarter++;
         }
-        if (stop) {
-            c->event = 1;
+        if (stop)
             return n;
-        }
         if (c->pos == 0) {
             if (c->quarter == c->q_end)
                 return n;

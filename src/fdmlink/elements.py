@@ -87,7 +87,7 @@ class ReactiveElement:
     """A single R, L, C, open or short.
 
     ``loss`` is a series resistance for inductors and a parallel resistance
-    for the other kinds (0 means ideal).
+    for capacitors and opens (0 means ideal); a resistor or a short takes none.
     """
 
     kind: Kind
@@ -102,6 +102,8 @@ class ReactiveElement:
             raise ValueError(f"{self.kind} carries no value")
         if self.loss < 0.0:
             raise ValueError("loss resistance must be >= 0")
+        if self.loss and self.kind in ("resistor", "short"):
+            raise ValueError(f"a {self.kind} takes no loss resistance, got {self.loss!r}")
 
     def impedance(self, f) -> complex | np.ndarray:
         return element_impedance(self, f)
@@ -224,8 +226,8 @@ class Network:
         return _parallel_z(zs, w.shape)
 
 
-def resistor(ohms: float, loss: float = 0.0) -> Network:
-    return Network.of(ReactiveElement("resistor", ohms, loss))
+def resistor(ohms: float) -> Network:
+    return Network.of(ReactiveElement("resistor", ohms))
 
 
 def inductor(henries: float, loss: float = 0.0) -> Network:

@@ -5,23 +5,9 @@ The modem's whole-trace loops, ``slicer_loop`` and ``demod_loop``, live in
 ``run_scenario`` advances its demodulator streams through
 ``block_stepper()``: the C ``step_block`` in ``_blockkernel.c`` where the
 system ``cc`` can build it, else ``_kernels_py.step_block``, the same loop
-written in Python, which gives the same doubles bit for bit.  The streams
-run the one demodulator ``run_scenario`` fixes: the default
-``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``, a reference
-LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default hysteresis.
-One call runs the streams across the quarters of a master segment (the
-intent codes and one amplitude row per code sit in the ``BlockContext``)
-and stops only where Python must decide something: at the segment end, or
-after an SCL fall or a START/STOP that some group's slaves take, flagged in
-``event``.  Which slaves take which edge is ``protocol.SlaveGroup``'s rule;
-the context's ``hears`` mask carries it per group.  SCL rises the group
-takes are logged in ``events`` on the way and delivered at the next return;
-other edges are skipped.  On the noiseless demo that is 433 calls where
-stopping at every slicer output change took 1,001.  On the way a call also
-records the master's midpoint observations, the bit and eye counters and,
-when asked, the traces.  Both compute a stream's detector value once per
-quarter when there is no noise, since the input is then constant over the
-quarter; with noise they compute it every sample.
+written in Python, which gives the same doubles bit for bit.  The
+docstrings of ``BlockContext`` and ``_kernels_py.step_block`` state the
+contract both keep.
 Nothing is compiled or loaded at import; the first ``block_stepper()`` call
 compiles the source once into a cache keyed by its hash (the package's
 ``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or ``~/.cache/fdmlink``)

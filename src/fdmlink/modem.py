@@ -33,6 +33,7 @@ __all__ = [
     "Demodulator",
     "modulate",
     "detect",
+    "initial_reference",
     "slice_levels",
     "inject_latchup_spike",
     "check_carrier_separation",
@@ -265,10 +266,25 @@ def modulate(
 
 
 def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageTrace:
-    """Logarithmic envelope detector (vectorized, memoryless)."""
+    """Logarithmic envelope detector (vectorized, memoryless), for display only.
+
+    ``np.log10`` is not bit-equal to the C library's log10 of the exact
+    paths (the kernels and ``initial_reference``), so none of them calls it.
+    """
     x = np.maximum(env.samples, p.floor_volts)
     out = p.ref_out + p.slope * 20.0 * np.log10(x / p.ref_in)
     return VoltageTrace(env.sample_rate, out)
+
+
+def initial_reference(p: DetectorParams, first: list[float]) -> list[float]:
+    """Each slicer's reference before its first sample: the detector value of that sample's envelope.
+
+    The one rule for ``Demodulator.run`` and every stream of
+    ``run_scenario``, computed by the block kernels' scalar detector.
+    """
+    from . import _kernels_py  # on use, so loading a scenario does not import the kernels
+
+    return _kernels_py.detector(first, p.floor_volts, p.ref_in, p.ref_out, 20.0 * p.slope)
 
 
 def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
@@ -322,8 +338,8 @@ class Demodulator:
     With a spike model present, each output transition couples a spike back
     into the detector input within the same sample; a large unclipped spike
     then holds the output at its previous level indefinitely (latch-up).
-    The output starts high (``H``, the idle bus) and the reference at the
-    detector value of the first envelope sample.
+    The output starts high (``H``, the idle bus) and the reference at
+    ``initial_reference`` of the first envelope sample.
     """
 
     detector: DetectorParams = DetectorParams()
@@ -345,8 +361,7 @@ class Demodulator:
             decay_mult = self.clip.decay_mult(rate)
             if self.clip_enabled:
                 spike_cap = self.clip.v_f
-        x0 = max(float(env.samples[0]), p.floor_volts)
-        ref0 = p.ref_out + p.slope * 20.0 * math.log10(x0 / p.ref_in)
+        (ref0,) = initial_reference(p, [float(env.samples[0])])
         levels, det, refs = _kernels_py.demod_loop(
             env.samples,
             p.ref_in,

@@ -127,6 +127,9 @@ class SlaveModel:
     def __post_init__(self) -> None:
         if not 0 <= self.address <= 0x7F:
             raise ProtocolError(f"slave address {self.address:#x} is not 7-bit")
+        for reg, width in self.widths.items():
+            if width < 1:
+                raise ProtocolError(f"register {reg} of slave {self.address:#04x} is {width} bytes wide, need >= 1")
 
     def width(self, reg: int) -> int:
         return self.widths.get(reg, DEFAULT_REGISTER_WIDTH)

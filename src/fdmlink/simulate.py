@@ -51,6 +51,7 @@ from .modem import (
     DetectorParams,
     SlicerParams,
     check_carrier_separation,
+    initial_reference,
 )
 from .protocol import (
     QUARTERS_PER_BIT,
@@ -406,31 +407,26 @@ def run_scenario(
     engines as the ideal bus; the master samples its demodulated lines at
     quarter-bit midpoints.  Every node sees the same carrier amplitude, so
     each distinct demodulator input is one stream: without noise one
-    stream per line fans out to every node, with noise each node-line is
-    its own stream.  Every stream is the same demodulator: the default
-    ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock_hz)``, whose
-    reference is a one-pole LPF of ``modem.SLICER_TAU_BITS`` bit periods with
-    the default 10 mV hysteresis.
+    stream per line fans out to every node, and its bit counts are scaled
+    by the node count; with noise each node-line is its own stream.  Every
+    stream is the same demodulator: the default ``DetectorParams()`` and
+    ``SlicerParams.for_bit_rate(clock_hz)``, whose reference is a one-pole
+    LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default 10 mV
+    hysteresis, started at ``modem.initial_reference`` of the first sample.
 
     ``MasterEngine.segments()`` yields the master's quarter intents a
     segment at a time; only the ACK sample of a byte the master sends ends
     a segment early.  The segment's intent codes go to the kernel context
     with one amplitude row per code for the current slave drives, and
     ``kernels.block_stepper()`` runs every stream across the segment's
-    quarters.  It records the master's observation and counts bits and eye
-    margins at each midpoint.  Each stream group's slaves form one
-    ``protocol.SlaveGroup``, which delivers the bus edges by its rule.  The
-    kernel returns only where Python must decide: at the segment end, or
-    after the first sample with an SCL fall in a group that has a listening
-    slave or a START or STOP in a group with any slave; the context's
-    ``hears`` mask, refreshed after every fall and data edge, says which
-    groups those are.  SCL rises in groups with a listening slave go into
-    the kernel's edge log without a return, since they move neither a drive
-    nor ``listening``.  After every return each logged edge goes, in order,
-    to its group.  On the noiseless demo that is 433 kernel calls, against
-    1,001 when every slicer output change ended one.  The amplitude rows
-    are recomputed only when some group's ``pulling`` engines changed.  At
-    the segment end the observations go back to the master program.  The
+    quarters, returning at the segment end or at a bus edge that some
+    group's slaves must act on (``_kernels_py.step_block`` states the
+    contract).  Each stream group's slaves form one ``protocol.SlaveGroup``,
+    which delivers the bus edges by its rule; after every return each
+    logged edge goes, in order, to its group, and the context's ``hears``
+    mask follows the group's ``listening`` list.  The amplitude rows are
+    recomputed only when some group's ``pulling`` engines changed.  At the
+    segment end the observations go back to the master program.  The
     sample budget is checked once per segment, before it runs, and its
     noise rows are drawn then, the same values as one draw up front.  A run
     may ask for at most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound``
@@ -497,12 +493,11 @@ def run_scenario(
         floor=_DETECTOR.floor_volts,
         ref_in=_DETECTOR.ref_in,
         ref_out=_DETECTOR.ref_out,
-        k=_DETECTOR.slope * 20.0,
+        k=20.0 * _DETECTOR.slope,
         alpha=slicer.alpha(sim_rate),
         hysteresis=slicer.hysteresis,
         samples_per_quarter=spq,
         quarters=n_quarters,
-        fan_out=n_nodes // n_groups,
         master=mi if noisy else 0,
         # rows are drawn a segment at a time, just before it runs
         noise=np.empty((n_alloc, 2 * n_nodes)) if noisy else None,
@@ -564,6 +559,9 @@ def run_scenario(
             # the same values as one up-front draw of every row: a Generator's stream is sequential
             rows = (q_end - q0) * spq
             ctx.noise[q0 * spq:q_end * spq] = rng.normal(0.0, noise_rms, size=(rows, 2 * n_nodes))
+        if q0 == 0:
+            first = ctx.amp[ctx.code[0]] + ctx.noise[0] if noisy else ctx.amp[ctx.code[0]]
+            ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
         while True:
             step(ctx)
             for e in events[:ctx.n_events].tolist():
@@ -610,9 +608,10 @@ def run_scenario(
         trace_sink.update(trace)
 
     results = master.results
+    nodes_per_stream = n_nodes // n_groups
     metrics = LinkMetrics(
-        bit_errors=dict(zip(LINES, ctx.bit_errors.tolist())),
-        bits_checked=dict(zip(LINES, ctx.bits_checked.tolist())),
+        bit_errors=dict(zip(LINES, (ctx.bit_errors * nodes_per_stream).tolist())),
+        bits_checked=dict(zip(LINES, (ctx.bits_checked * nodes_per_stream).tolist())),
         eye_margin_v={line: (v if math.isfinite(v) else 0.0) for line, v in zip(LINES, ctx.eye.tolist())},
         depth_db=depth,
         transactions_attempted=len(transactions),

@@ -43,7 +43,7 @@ def element_z(kind: str, value: float, loss: float, f: float) -> complex:
         return complex(loss) if loss > 0.0 else OPEN
     else:
         raise ValueError(kind)
-    if loss > 0.0 and kind != "resistor":
+    if loss > 0.0:
         z = z * loss / (z + loss)
     return z
 

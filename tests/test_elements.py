@@ -381,6 +381,16 @@ def test_input_impedance_pole_flag():
     assert is_pole(zin)
 
 
+@pytest.mark.parametrize("kind,value", [("resistor", 100.0), ("short", 0.0)])
+def test_resistor_and_short_refuse_a_loss(kind, value):
+    """Their impedance has no place for a loss resistance, so one is refused rather than ignored."""
+    with pytest.raises(ValueError, match=f"a {kind} takes no loss"):
+        ReactiveElement(kind, value, loss=5.0)
+    assert ReactiveElement(kind, value).impedance(1e6) == complex(value)
+    with pytest.raises(TypeError):
+        resistor(100.0, loss=5.0)
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         inductor(-1e-6)

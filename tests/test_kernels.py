@@ -75,7 +75,18 @@ AMPLITUDES = st.one_of(
 DRIVES = st.tuples(st.lists(st.lists(AMPLITUDES, min_size=1, max_size=3), min_size=4, max_size=4),
                    st.booleans())
 STATE = ("ref", "det", "out", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye")
-POSITION = ("quarter", "pos", "event", "n_events", "started")
+POSITION = ("quarter", "pos", "n_events")
+
+
+def _stopped(ctx):
+    """Whether the last call ended on an edge: it logged a fall or a data edge."""
+    kinds = ctx.events[:ctx.n_events] >> 1 & 3
+    return bool((kinds != kernels.EDGE_RISE).any())
+
+
+def _seed(ctx, first):
+    """Start every reference at the detector value of ``first``, as ``run_scenario`` does."""
+    ctx.ref[:] = _kernels_py.detector(first.tolist(), ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
 
 
 def _set_drives(ctxs, drives, hears):
@@ -91,7 +102,7 @@ def _set_drives(ctxs, drives, hears):
 @given(
     groups=st.integers(1, 20),
     spq=st.integers(1, 20),
-    fan_out=st.integers(1, 5),
+    ref0=st.one_of(st.none(), st.lists(st.floats(), min_size=1, max_size=3)),
     master=st.integers(0, 19),
     noisy=st.booleans(),
     noise_rms=st.sampled_from([1e-6, 1e-3, 0.3]),
@@ -108,24 +119,26 @@ def _set_drives(ctxs, drives, hears):
     hear_p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
 )
 @example(
-    groups=1, spq=16, fan_out=9, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
+    groups=1, spq=16, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
     ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0,
     segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
     drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0,
 )
 def test_c_step_block_matches_python_bit_for_bit(
-    groups, spq, fan_out, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
+    groups, spq, ref0, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
     hysteresis, seed, segments, drives, hear_p,
 ):
     """Same returns, position, state, counters, edge logs and traces, compared as bytes.
 
-    The segments hold random intent codes.  After every return on a logged
-    edge the caller moves to the next drive state and draws a new ``hears``
-    mask (each flag set with probability ``hear_p``), as ``run_scenario``
-    does after slave callbacks, so the kernels resume mid-segment on new
-    amplitude rows; a call at the segment end must return 0 and clear
-    ``event``.  A call that ends on ``event`` logged a fall or a data edge;
-    one that ends at the segment end logged only rises.
+    The references start at the detector value of the first input
+    (``ref0`` None, as in ``run_scenario``) or at drawn values, NaN and
+    infinities included, that the streams take in turn.  The segments hold
+    random intent codes.  After every return on a logged fall or data edge
+    the caller moves to the next drive state and draws a new ``hears`` mask
+    (each flag set with probability ``hear_p``), as ``run_scenario`` does
+    after slave callbacks, so the kernels resume mid-segment on new
+    amplitude rows; a call at the segment end must return 0 and log
+    nothing.  A call that logged only rises ran to the segment end.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
@@ -133,9 +146,15 @@ def test_c_step_block_matches_python_bit_for_bit(
     noise = rng.normal(0.0, noise_rms, size=(quarters * spq, 2 * groups)) if noisy else None
     params = dict(floor=floor, ref_in=ref_in, ref_out=ref_out, k=k, alpha=alpha,
                   hysteresis=hysteresis, samples_per_quarter=spq, quarters=quarters,
-                  fan_out=fan_out, master=master % groups, noise=noise, traces=traced)
+                  master=master % groups, noise=noise, traces=traced)
     ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
     _set_drives(ctxs, drives[0], rng.random((2, groups)) < hear_p)
+    first = c_ctx.amp[segments[0][0]] + noise[0] if noisy else c_ctx.amp[segments[0][0]]
+    for ctx in ctxs:
+        if ref0 is None:
+            _seed(ctx, first)
+        else:
+            ctx.ref[:] = [ref0[s % len(ref0)] for s in range(ctx.n_streams)]
     changes = 0
     for seg in segments:
         q_end = c_ctx.quarter + len(seg)
@@ -149,11 +168,8 @@ def test_c_step_block_matches_python_bit_for_bit(
                 assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
             for name in POSITION:
                 assert getattr(c_ctx, name) == getattr(py_ctx, name), name
-            logged = c_ctx.events[:c_ctx.n_events]
-            assert logged.tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
-            rises_only = set((logged >> 1 & 3).tolist()) <= {kernels.EDGE_RISE}
-            assert rises_only != bool(c_ctx.event)
-            if not c_ctx.event:
+            assert c_ctx.events[:c_ctx.n_events].tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
+            if not _stopped(c_ctx):
                 assert c_ctx.quarter == q_end and c_ctx.pos == 0
                 break
             assert n >= 1
@@ -172,16 +188,17 @@ def _context(groups=2, quarters=4, **kwargs):
 
 
 def test_step_block_ends_at_the_first_output_change():
-    """Runs across quarters to the first output change, counting bits at the midpoints on the way."""
+    """Runs across quarters to the first output change, counting bits per stream at the midpoints."""
     step = _kernels_py.step_block
-    ctx = _context(groups=2, fan_out=3, master=1)
+    ctx = _context(groups=2, master=1)
     ctx.amp[:] = 0.3
     ctx.amp[1, :2] = 0.03  # code 1 = (L, H): the master pulls SCL, a 20 dB drop
     ctx.code[:2] = [3, 1]
     ctx.q_end = 2
+    _seed(ctx, ctx.amp[3])
     # quarter 0 settles high; the drop flips both SCL streams on quarter 1's first sample
     assert step(ctx) == 17
-    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 1, 1)
+    assert (ctx.quarter, ctx.pos) == (1, 1)
     assert ctx.out.tolist() == [0, 0, 1, 1]
     # a fall in each group, logged with the group's SDA output
     fall = 2 * kernels.EDGE_FALL + 1
@@ -190,11 +207,11 @@ def test_step_block_ends_at_the_first_output_change():
     assert ctx.seen_low.tolist() == [1, 0]
     assert ctx.bits_checked.tolist() == [0, 0]  # quarter 0's midpoint came before SCL was low
     assert ctx.used.tolist() == [0, 1, 0, 1]
-    # on to the segment end: quarter 1's midpoint sees SCL low on both groups of 3 nodes
+    # on to the segment end: quarter 1's midpoint sees SCL low on both groups' streams
     assert step(ctx) == 15
-    assert (ctx.event, ctx.quarter, ctx.pos) == (0, 2, 0)
+    assert (ctx.n_events, ctx.quarter, ctx.pos) == (0, 2, 0)
     assert ctx.obs[1].tolist() == [0, 1]
-    assert ctx.bits_checked.tolist() == [6, 0]
+    assert ctx.bits_checked.tolist() == [2, 0]
     assert ctx.bit_errors.tolist() == [0, 0]
     assert 0 < ctx.eye[0] < math.inf and ctx.eye[1] == math.inf
     # a slave pulling SDA makes SDA's level low while the amplitudes keep both SDA streams high
@@ -203,7 +220,7 @@ def test_step_block_ends_at_the_first_output_change():
     ctx.q_end = 3
     assert step(ctx) == 16
     assert ctx.seen_low.tolist() == [1, 1]
-    assert ctx.bits_checked.tolist() == [12, 6] and ctx.bit_errors.tolist() == [0, 6]
+    assert ctx.bits_checked.tolist() == [4, 2] and ctx.bit_errors.tolist() == [0, 2]
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -216,35 +233,37 @@ def test_step_block_stops_only_on_edges_a_slave_acts_on(backend):
     ctx.hears[:] = [[1, 0], [1, 1]]  # clock edges reach group 0 only, data edges both
     ctx.code[:] = [3, 1, 0, 2, 3]  # idle, SCL falls, SDA falls under SCL low, SCL rises, STOP
     ctx.q_end = 5
+    _seed(ctx, ctx.amp[3])
     rise, fall, data = (2 * kind for kind in (kernels.EDGE_RISE, kernels.EDGE_FALL, kernels.EDGE_DATA))
     assert step(ctx) == 17
-    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 1, 1)
+    assert (ctx.quarter, ctx.pos) == (1, 1)
     assert ctx.events[:ctx.n_events].tolist() == [fall + 1]
     # on through the SDA fall (SCL low: nobody acts) and the rise, to the STOP both groups hear
     assert step(ctx) == 48
-    assert (ctx.event, ctx.quarter, ctx.pos) == (1, 4, 1)
+    assert (ctx.quarter, ctx.pos) == (4, 1)
     assert ctx.events[:ctx.n_events].tolist() == [rise + 0, data + 1, 8 + data + 1]
     assert step(ctx) == 15
-    assert (ctx.event, ctx.n_events, ctx.quarter) == (0, 0, 5)
+    assert (ctx.n_events, ctx.quarter) == (0, 5)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["constant", "noisy"])
 def test_empty_block_changes_nothing(backend, noisy):
-    """A call with ``quarter == q_end`` returns 0, clears ``event`` and leaves every array as it was."""
+    """A call with ``quarter == q_end`` returns 0, clears ``n_events`` and leaves every array as it was."""
     step = load_stepper(backend)
     noise = np.full((32, 6), 1e-3) if noisy else None
     ctx = _context(groups=3, quarters=2, noise=noise)
     ctx.amp[:] = 0.3
     ctx.code[0] = 3
     ctx.q_end = 1
+    _seed(ctx, ctx.amp[3] + noise[0] if noisy else ctx.amp[3])
     assert step(ctx) == 16
     before = {name: getattr(ctx, name).tobytes() for name in STATE}
     ctx.amp[:] = 0.03  # a new level that a non-empty call would act on
-    ctx.event = 1
+    ctx.n_events = 1
     assert step(ctx) == 0
     assert {name: getattr(ctx, name).tobytes() for name in STATE} == before
-    assert (ctx.event, ctx.quarter, ctx.pos) == (0, 1, 0)
+    assert (ctx.n_events, ctx.quarter, ctx.pos) == (0, 1, 0)
 
 
 def test_block_kernel_compiles_without_warnings(tmp_path):

@@ -62,6 +62,13 @@ def _temp_slave(addr=0x18, value=0x0190):
     return SlaveModel(address=addr, registers={0x05: value}, widths={0x05: 2})
 
 
+@pytest.mark.parametrize("width", [0, -2])
+def test_slave_model_refuses_a_register_under_one_byte(width):
+    """A width below 1 is refused where the model is built, naming the register, not in a read."""
+    with pytest.raises(ProtocolError, match="register 5 of slave 0x18"):
+        SlaveModel(0x18, registers={5: 7}, widths={5: width})
+
+
 def test_slave_group_refuses_a_shared_address():
     """Two slaves at one address would both answer it; one address receiver per group tells only one."""
     with pytest.raises(ProtocolError, match="share the address 0x18"):

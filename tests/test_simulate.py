@@ -492,6 +492,26 @@ def test_noisy_nodes_have_their_own_traces(demo):
     assert any(differs)
 
 
+def test_noisy_traces_match_across_steppers_and_start_each_reference_at_its_detector(demo, monkeypatch):
+    """Seed 1 at 200 uV: both steppers trace the same bytes, and sample 0 of every ref column is its det."""
+    from .conftest import load_stepper
+
+    sinks = {}
+    for backend in ("c", "python"):
+        fn = load_stepper(backend)
+        monkeypatch.setattr(kernels, "block_stepper", lambda fn=fn: fn)
+        sinks[backend] = {}
+        demo.run(seed=1, noise_rms=200e-6, trace_sink=sinks[backend])
+    c, py = sinks["c"], sinks["python"]
+    assert c.keys() == py.keys()
+    for name in c:
+        assert (c[name].dtype, c[name].tobytes()) == (py[name].dtype, py[name].tobytes()), name
+    refs = [name for name in c if name.startswith("ref_")]
+    assert len(refs) == 2 * len(demo.topology.nodes)
+    for name in refs:
+        assert c[name][0] == c["det_" + name[len("ref_"):]][0], name
+
+
 def _drive_states(n_nodes, mi):
     """All released, each node pulling each line alone, the master pulling both."""
     none = (False,) * n_nodes
@@ -631,11 +651,12 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
     from fdmlink.kernels import EDGE_DATA, EDGE_RISE
 
     step = kernels.block_stepper()
-    logs = []  # per call: whether it ended on an edge, the edge kinds it logged, the group edges after it
+    logs = []  # per call: whether it ran to the segment end, the edge kinds it logged, the group edges after it
 
     def logged(ctx):
         n = step(ctx)
-        logs.append((ctx.event, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
+        at_end = (ctx.quarter, ctx.pos) == (ctx.q_end, 0)
+        logs.append((at_end, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
         return n
 
     edge = SlaveGroup.edge
@@ -648,11 +669,12 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
     monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
     sink: dict = {}
     demo.run(seed=1, noise_rms=10e-6, trace_sink=sink)
-    for event, kinds, calls in logs:
+    for at_end, kinds, calls in logs:
         assert sorted(kinds) == sorted(kind for kind, _, _ in calls)
         assert all(n_engines == 1 for _, n_engines, _ in calls)
         assert all(listening for kind, _, listening in calls if kind != EDGE_DATA)
-        assert bool(event) == any(kind != EDGE_RISE for kind in kinds)
+        # a call stops early only on a fall or a data edge
+        assert at_end or any(kind != EDGE_RISE for kind in kinds)
     # ending a call on every sample where some slicer output changes takes over twice as many
     outs = np.array([v for k, v in sink.items() if k.startswith("out_")])
     assert len(logs) < np.count_nonzero((np.diff(outs, axis=1) != 0).any(axis=0)) / 2
