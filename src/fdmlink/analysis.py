@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import POLE_CLAMP, find_poles_zeros, input_impedance, is_pole
+from .elements import POLE_CLAMP, find_poles_zeros, is_pole
 from .loss import LOSSLESS, LossModel
 from .synthesis import DEFAULT_POLE_CAP, FilterDesign
 
@@ -93,8 +93,9 @@ def sweep(
 ) -> SweepResult:
     """Input impedance of a design at ``points`` log-spaced frequencies, both pin states.
 
-    The markers come from :func:`find_poles_zeros` on a log grid of at least
-    2001 points, told whether ``loss`` is lossless.
+    Both come from ``FilterDesign.zin_functions``.  The markers come from
+    :func:`find_poles_zeros` on a log grid of at least 2001 points, told
+    whether ``loss`` is lossless.
     """
     if not f_lo < f_hi:
         raise ValueError("need f_lo < f_hi")
@@ -117,21 +118,11 @@ def sweep(
                 break
     fs = np.sort(fs)
 
-    tp = d.two_port(which, loss)
-    h_net = loss.load(d.c_total, "H")
-    l_net = loss.load(d.c_total, "L")
-    z_h = input_impedance(tp, h_net.impedance(fs), fs)
-    z_l = input_impedance(tp, l_net.impedance(fs), fs)
-
+    zin_h, zin_l = d.zin_functions(which, loss)
+    z_h, z_l = zin_h(fs), zin_l(fs)  # the grid before the markers: a bad design raises here first
     grid = max(points, 2001)
-    mk_h = find_poles_zeros(
-        lambda fa: input_impedance(tp, h_net.impedance(fa), fa),
-        f_lo, f_hi, grid=grid, lossless=loss.lossless,
-    )
-    mk_l = find_poles_zeros(
-        lambda fa: input_impedance(tp, l_net.impedance(fa), fa),
-        f_lo, f_hi, grid=grid, lossless=loss.lossless,
-    )
+    mk_h = find_poles_zeros(zin_h, f_lo, f_hi, grid=grid, lossless=loss.lossless)
+    mk_l = find_poles_zeros(zin_l, f_lo, f_hi, grid=grid, lossless=loss.lossless)
     return SweepResult(fs, np.asarray(z_h), np.asarray(z_l), tuple(mk_h), tuple(mk_l))
 
 

@@ -63,6 +63,20 @@ def check_carrier_separation(clock_hz: float, carrier_hz: float) -> None:
         )
 
 
+def _trace_samples(sample_rate: float, samples, dtype: type, what: str) -> np.ndarray:
+    """A trace's samples as a contiguous array of ``dtype``, after the checks every trace shares.
+
+    The sample rate is finite and positive, and the samples form a
+    nonempty 1-D array.
+    """
+    if not 0.0 < sample_rate < math.inf:  # NaN fails too
+        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate!r}")
+    arr = np.ascontiguousarray(samples, dtype=dtype)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty 1-D sequence")
+    return arr
+
+
 @dataclass(frozen=True)
 class LogicTimeline:
     """Sampled digital waveform (values in {0, 1})."""
@@ -71,11 +85,7 @@ class LogicTimeline:
     levels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        arr = np.ascontiguousarray(self.levels, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("levels must be a nonempty 1-D sequence")
+        arr = _trace_samples(self.sample_rate, self.levels, np.uint8, "levels")
         if np.any(arr > 1):
             raise ValueError("levels must be 0 (L) or 1 (H)")
         object.__setattr__(self, "levels", arr)
@@ -109,11 +119,7 @@ class EnvelopeTrace:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        arr = np.ascontiguousarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must be a nonempty 1-D sequence")
+        arr = _trace_samples(self.sample_rate, self.samples, np.float64, "samples")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("envelope samples must be finite and >= 0")
         object.__setattr__(self, "samples", arr)
@@ -130,8 +136,7 @@ class VoltageTrace:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _trace_samples(self.sample_rate, self.samples, np.float64, "samples"))
 
     def __len__(self) -> int:
         return int(self.samples.size)

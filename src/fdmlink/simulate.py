@@ -244,56 +244,41 @@ def bus_amplitude(
 ) -> float:
     """Carrier amplitude on the line for a given set of node pin states.
 
-    ``states`` maps each line name to one 'H'/'L' pin state per node; every
-    filter on the bus loads every carrier (off-line filters sit in their
-    stopband and contribute next to nothing).
+    ``states`` maps each line name to one 'H'/'L' pin state per node; a line
+    left out is released at every node.  Every filter on the bus loads every
+    carrier (off-line filters sit in their stopband and contribute next to
+    nothing).  The loads are summed by ``_AmplitudeTable``, built here for
+    this one call.
     """
-    c = topology.carriers[carrier_index]
-    f = c.frequency
-    y = 0j
-    for line in states:
+    n = len(topology.nodes)
+    drives = dict.fromkeys(LINES, (False,) * n)
+    for line, pins in states.items():
         topology.line_carrier(line)  # validates the line name
-        for node, st in zip(topology.nodes, states[line]):
-            z = node.input_impedance(f, line, st)
-            if z is not None:
-                y += _cap_admittance(z, topology.pole_cap)
-    for a in _fixed_admittances(topology, c):
-        y += a
-    return _divided_amplitude(topology, c, y, c.pullup_z(f))
-
-
-def _fixed_admittances(topology: BusTopology, carrier: CarrierSpec) -> list[complex]:
-    """Loads at the carrier besides the nodes: the dc feed, then the other pull-ups."""
-    f = carrier.frequency
-    ys = []
-    if topology.dc_feed is not None:
-        ys.append(_cap_admittance(complex(topology.dc_feed.impedance(f)), topology.pole_cap))
-    for other in topology.carriers:
-        if other is not carrier:
-            ys.append(_cap_admittance(other.pullup_z(f), topology.pole_cap))
-    return ys
-
-
-def _divided_amplitude(topology: BusTopology, carrier: CarrierSpec, y: complex, z_p: complex) -> float:
-    """Carrier amplitude across total load admittance ``y`` behind pull-up ``z_p``."""
-    z_total = 1.0 / y if y != 0 else complex(topology.pole_cap, 0.0)
-    amp = carrier.amplitude * abs(z_total / (z_p + z_total))
-    return amp * 10.0 ** (-topology.attenuation_db / 20.0)
+        pins = tuple(pins)
+        if len(pins) != n or not set(pins) <= {"H", "L"}:
+            raise TopologyError(f"states[{line!r}] needs one 'H' or 'L' per node, {n} in all, got {pins!r}")
+        drives[line] = tuple(pin == "L" for pin in pins)
+    return _AmplitudeTable(topology)(*drives.values())[carrier_index]
 
 
 class _AmplitudeTable:
-    """Carrier amplitudes per drive state for one run.
+    """Carrier amplitudes per drive state: the one place bus loads are summed.
 
-    Node admittances are computed once per (node, line, state, carrier), and
-    once for all nodes that share a filter design, loss model and ``which``.
-    A call sums them in ``bus_amplitude``'s order, so it equals
-    ``bus_amplitude`` for the same pin states bit for bit.  Nothing is
-    cached here: ``run_scenario`` keeps the rows of each slave-drive tuple.
+    The line at each carrier is one divider: the source behind its pull-up
+    against, in parallel, every node's filter in the pin state its drive
+    gives, the dc feed and the other carriers' pull-ups.  Node admittances
+    are computed once per (node, line, state, carrier), and once for all
+    nodes that share a filter design, loss model and ``which``.  A call adds
+    them line by line in node order, then the dc feed and the other
+    pull-ups.  ``bus_amplitude``, ``sweep_node_count`` and ``run_scenario``
+    all read their amplitudes here.  Nothing is cached: ``run_scenario``
+    keeps the rows of each slave-drive tuple.
     """
 
     def __init__(self, topology: BusTopology):
-        self.topology = topology
-        # per carrier: (carrier, pull-up impedance, [line][node][pulled] -> admittance, fixed loads)
+        cap = self._cap = topology.pole_cap
+        self._scale = 10.0 ** (-topology.attenuation_db / 20.0)
+        # per carrier: (source amplitude, pull-up impedance, [line][node][pulled] -> admittance, fixed loads)
         self._carriers = []
         for c in topology.carriers:
             f = c.frequency
@@ -305,19 +290,21 @@ class _AmplitudeTable:
                     key = (line, id(node.filters.get(line)), node.loss, node.which)
                     if key not in shared:
                         shared[key] = tuple(
-                            None if z is None else _cap_admittance(z, topology.pole_cap)
+                            None if z is None else _cap_admittance(z, cap)
                             for z in (node.input_impedance(f, line, st) for st in ("H", "L"))
                         )
                     row.append(shared[key])
                 loads.append(row)
-            self._carriers.append((c, c.pullup_z(f), loads, _fixed_admittances(topology, c)))
+            fixed = [] if topology.dc_feed is None else [complex(topology.dc_feed.impedance(f))]
+            fixed += [other.pullup_z(f) for other in topology.carriers if other is not c]
+            self._carriers.append((c.amplitude, c.pullup_z(f), loads, [_cap_admittance(z, cap) for z in fixed]))
 
     def __call__(self, scl_drives: tuple[bool, ...], sda_drives: tuple[bool, ...]) -> tuple[float, ...]:
         drives = (scl_drives, sda_drives)
         return tuple(self._amplitude(drives, j) for j in range(len(self._carriers)))
 
     def _amplitude(self, drives: tuple[tuple[bool, ...], ...], j: int) -> float:
-        c, z_p, loads, fixed = self._carriers[j]
+        amplitude, z_p, loads, fixed = self._carriers[j]
         y = 0j
         for row, line_drives in zip(loads, drives):
             for adm, pulled in zip(row, line_drives):
@@ -326,7 +313,8 @@ class _AmplitudeTable:
                     y += a
         for a in fixed:
             y += a
-        return _divided_amplitude(self.topology, c, y, z_p)
+        z_total = 1.0 / y if y != 0 else complex(self._cap, 0.0)
+        return amplitude * abs(z_total / (z_p + z_total)) * self._scale
 
 
 @dataclass(frozen=True)
@@ -634,31 +622,30 @@ def sweep_node_count(
     """Replicate the first slave node to n slaves and report keying depth.
 
     Depth per line is the all-released amplitude over the amplitude with
-    one node pulling that line low, in dB.  A row passes when every line
+    one node pulling that line low, in dB; both come from one
+    ``_AmplitudeTable`` per node count.  A row passes when every line
     clears ``min_depth_db``.
     """
     template = next((n for n in topology.nodes if n.role == "slave"), None)
     if template is None:
         raise TopologyError("need a slave node to replicate")
+    if not all(n >= 1 for n in n_range):
+        raise TopologyError(f"node counts must be at least 1, got {list(n_range)}")
     master = topology.nodes[topology.master_index]
     rows = []
     for n in n_range:
         nodes = (master,) + tuple(
             dataclasses.replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n)
         )
-        topo = dataclasses.replace(topology, nodes=nodes)
-        total = len(nodes)
+        table = _AmplitudeTable(dataclasses.replace(topology, nodes=nodes))
+        released = (False,) * len(nodes)
+        last_pulls = released[:-1] + (True,)
+        high = table(released, released)
         row: dict = {"n": n}
         ok = True
-        for j, c in enumerate(topo.carriers):
-            all_h = {line: ("H",) * total for line in LINES}
-            one_l = {
-                line: tuple("L" if (line == c.line and i == total - 1) else "H" for i in range(total))
-                for line in LINES
-            }
-            vh = bus_amplitude(topo, all_h, j)
-            vl = bus_amplitude(topo, one_l, j)
-            d = 20.0 * math.log10(vh / vl) if vl > 0 else math.inf
+        for j, c in enumerate(topology.carriers):
+            vl = table(*(last_pulls if line == c.line else released for line in LINES))[j]
+            d = 20.0 * math.log10(high[j] / vl) if vl > 0 else math.inf
             row[f"depth_db_{c.line}"] = d
             ok = ok and d >= min_depth_db
         row["ok"] = ok

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import eseries
 from .eseries import ESERIES
@@ -301,11 +301,27 @@ class FilterDesign:
         key = (f, state, which, loss) if type(f) is float else None
         z = self._zin.get(key)
         if z is None:
-            tp = self.two_port(which, loss)
-            z = input_impedance(tp, loss.load(self.c_total, state).impedance(f), f)
+            zin_h, zin_l = self.zin_functions(which, loss)
+            if state not in ("H", "L"):
+                raise ValueError(f"state must be 'H' or 'L', got {state!r}")
+            z = (zin_h if state == "H" else zin_l)(f)
             if key is not None:
                 self._zin[key] = z
         return z
+
+    def zin_functions(self, which: str = "exact", loss: LossModel = LOSSLESS) -> tuple[Callable, Callable]:
+        """The bus-side input impedance ``f -> Zin`` with the pin high, and with it low.
+
+        The one place the two-port meets a pin-state load: the two-port and
+        both loads are built once, here, and each function evaluates them at
+        scalar or array ``f``.
+        """
+        tp = self.two_port(which, loss)
+
+        def zin(load: Network) -> Callable:
+            return lambda f: input_impedance(tp, load.impedance(f), f)
+
+        return zin(loss.load(self.c_total, "H")), zin(loss.load(self.c_total, "L"))
 
 
 def _realize(
@@ -526,18 +542,10 @@ def verify_design(
     refined roots of the reactance when lossless, prominent extrema of |Z|
     when lossy.  The design is flagged if a zero drifts within 5% of either
     pole (a close zero cancels the pole it was meant to separate from).
-    No scipy module is imported.
+    The impedances come from ``FilterDesign.zin_functions``.  No scipy
+    module is imported.
     """
-    tp = d.two_port(which, loss)
-    h_load = loss.load(d.c_total, "H")
-    l_load = loss.load(d.c_total, "L")
-
-    def h_zin(f):
-        return input_impedance(tp, h_load.impedance(f), f)
-
-    def l_zin(f):
-        return input_impedance(tp, l_load.impedance(f), f)
-
+    h_zin, l_zin = d.zin_functions(which, loss)
     zh_fmod = h_zin(d.f_mod)
     zl_fmod = l_zin(d.f_mod)
     zh_fstop = h_zin(d.f_stop)

@@ -4,9 +4,10 @@ Everything here is deliberately naive: scalar complex arithmetic, nodal
 analysis solved exactly in rational arithmetic (``fractions.Fraction``, so
 an ill-conditioned system near series resonance loses no digits), no shared
 code with the package beyond reading its data structures.  Slow is fine;
-different is the point.  The exception is the masked network evaluator at
-the end: a frozen copy of the package's earlier vectorised code, kept so the
-current evaluator can be held to the same floats bit for bit.
+different is the point.  The exceptions are the frozen copies at the end
+of the package's earlier code (the masked network evaluator, the per-quarter
+master, the ideal bus that told every slave every edge, and the bus-load
+sums), kept so the current code can be held to the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -395,3 +396,68 @@ def deliver_to_each(slaves, code: int) -> None:
             s.on_scl_fall()
         else:
             s.on_sda_edge(sda, 1)
+
+
+# -- the earlier bus-load sums -------------------------------------------------
+#
+# simulate.bus_amplitude and sweep_node_count as they stood before the
+# amplitude table became the one place bus loads are summed, copied verbatim
+# apart from inlining their helpers.  The table must match them bit for bit.
+
+
+def _cap_admittance(z: complex, cap: float) -> complex:
+    if _is_open(z) or abs(z) >= cap:
+        return 0j
+    if z == 0:
+        return complex(cap, 0.0)
+    return 1.0 / z
+
+
+def bus_amplitude(topology, states, carrier_index: int) -> float:
+    """The line amplitude of one carrier; ``states`` maps each line it lists to one 'H'/'L' per node."""
+    c = topology.carriers[carrier_index]
+    f = c.frequency
+    y = 0j
+    for line in states:
+        topology.line_carrier(line)
+        for node, st in zip(topology.nodes, states[line]):
+            z = node.input_impedance(f, line, st)
+            if z is not None:
+                y += _cap_admittance(z, topology.pole_cap)
+    if topology.dc_feed is not None:
+        y += _cap_admittance(complex(topology.dc_feed.impedance(f)), topology.pole_cap)
+    for other in topology.carriers:
+        if other is not c:
+            y += _cap_admittance(other.pullup_z(f), topology.pole_cap)
+    z_p = c.pullup_z(f)
+    z_total = 1.0 / y if y != 0 else complex(topology.pole_cap, 0.0)
+    amp = c.amplitude * abs(z_total / (z_p + z_total))
+    return amp * 10.0 ** (-topology.attenuation_db / 20.0)
+
+
+def sweep_node_count(topology, n_range, min_depth_db: float = 6.0) -> list[dict]:
+    """Keying depth per line with the first slave replicated to n, from :func:`bus_amplitude` above."""
+    template = next(n for n in topology.nodes if n.role == "slave")
+    master = topology.nodes[topology.master_index]
+    lines = ("scl", "sda")
+    rows = []
+    for n in n_range:
+        nodes = (master,) + tuple(replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n))
+        topo = replace(topology, nodes=nodes)
+        total = len(nodes)
+        row: dict = {"n": n}
+        ok = True
+        for j, c in enumerate(topo.carriers):
+            all_h = {line: ("H",) * total for line in lines}
+            one_l = {
+                line: tuple("L" if (line == c.line and i == total - 1) else "H" for i in range(total))
+                for line in lines
+            }
+            vh = bus_amplitude(topo, all_h, j)
+            vl = bus_amplitude(topo, one_l, j)
+            d = 20.0 * math.log10(vh / vl) if vl > 0 else math.inf
+            row[f"depth_db_{c.line}"] = d
+            ok = ok and d >= min_depth_db
+        row["ok"] = ok
+        rows.append(row)
+    return rows

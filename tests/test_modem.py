@@ -14,6 +14,7 @@ from fdmlink.modem import (
     EnvelopeTrace,
     LogicTimeline,
     SlicerParams,
+    VoltageTrace,
     check_carrier_separation,
     detect,
     inject_latchup_spike,
@@ -255,6 +256,26 @@ def test_clip_alone_insufficient_for_large_carrier():
 def test_nan_parameters_are_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("make", [LogicTimeline, EnvelopeTrace, VoltageTrace])
+@pytest.mark.parametrize(
+    "rate,samples",
+    [
+        (math.nan, [1, 1]),
+        (math.inf, [1, 1]),
+        (-math.inf, [1, 1]),
+        (0.0, [1, 1]),
+        (-RATE, [1, 1]),
+        (RATE, []),
+        (RATE, [[1, 1], [1, 1]]),
+    ],
+    ids=["nan_rate", "inf_rate", "neg_inf_rate", "zero_rate", "negative_rate", "empty", "two_d"],
+)
+def test_traces_share_one_rate_and_shape_check(make, rate, samples):
+    # else slice_levels and Demodulator.run divide by the rate or read sample 0
+    with pytest.raises(ValueError, match="sample_rate must be finite|nonempty 1-D"):
+        make(rate, np.array(samples))
 
 
 def test_validation_errors():

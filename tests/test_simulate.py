@@ -41,6 +41,8 @@ from fdmlink.simulate import (
 )
 from fdmlink.units import UnitError
 
+from . import oracles
+
 DEMO = str(files("fdmlink").joinpath("data/demo_scenario.yaml"))
 
 
@@ -98,6 +100,32 @@ def test_pole_override_loads_nothing():
     a = bus_amplitude(base, {"scl": ("H",)}, 0)
     b = bus_amplitude(with_pole, {"scl": ("H", "H")}, 0)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "states,bad",
+    [
+        ({"scl": ("H",)}, "scl"),
+        ({"scl": ("H",) * 9, "sda": ("H",) * 10}, "sda"),
+        ({"scl": ("H",) * 8 + ("X",)}, "scl"),
+        ({"scl": ("H",) * 8 + ("h",)}, "scl"),
+    ],
+    ids=["short", "long", "unknown_state", "lowercase_state"],
+)
+def test_bus_amplitude_needs_one_pin_state_per_node(demo, states, bad):
+    with pytest.raises(TopologyError, match=rf"states\['{bad}'\].*9 in all"):
+        bus_amplitude(demo.topology, states, 0)
+
+
+def test_bus_amplitude_releases_a_line_left_out(demo):
+    # the demo's sda filters load the scl carrier too: without them it would read 6.06 mV
+    topo = demo.topology
+    released = ("H",) * len(topo.nodes)
+    for j in range(len(topo.carriers)):
+        both = bus_amplitude(topo, {"scl": released, "sda": released}, j)
+        assert bus_amplitude(topo, {"scl": released}, j) == both
+        assert bus_amplitude(topo, {}, j) == both
+    assert bus_amplitude(topo, {"scl": released}, 0) == pytest.approx(1.27e-3, rel=1e-2)
 
 
 def test_attenuation_scales_amplitude():
@@ -339,6 +367,13 @@ def test_sweep_node_count_needs_a_slave():
         sweep_node_count(topo, [1, 2])
 
 
+@pytest.mark.parametrize("n_range", [[0], [-3], [1, 2, 0]])
+def test_sweep_node_count_refuses_fewer_than_one_slave(demo, n_range):
+    # n = 0 would report the master's own keying depth as a row
+    with pytest.raises(TopologyError, match="at least 1"):
+        sweep_node_count(demo.topology, n_range)
+
+
 # -- loader error paths --
 
 
@@ -522,28 +557,35 @@ def _drive_states(n_nodes, mi):
     return states
 
 
-def _assert_table_matches_bus_amplitude(topo):
+def _assert_table_matches_oracle(topo):
+    """The table and ``bus_amplitude`` both equal the earlier sum, for both lines' pin states."""
     table = _AmplitudeTable(topo)
     for scl, sda in _drive_states(len(topo.nodes), topo.master_index):
         pins = {
             "scl": tuple("L" if d else "H" for d in scl),
             "sda": tuple("L" if d else "H" for d in sda),
         }
-        want = tuple(bus_amplitude(topo, pins, j) for j in range(len(topo.carriers)))
+        want = tuple(oracles.bus_amplitude(topo, pins, j) for j in range(len(topo.carriers)))
         assert table(scl, sda) == want
+        assert tuple(bus_amplitude(topo, pins, j) for j in range(len(topo.carriers))) == want
 
 
 def test_amplitude_table_equals_bus_amplitude(demo):
-    _assert_table_matches_bus_amplitude(demo.topology)
+    _assert_table_matches_oracle(demo.topology)
 
 
 def test_amplitude_table_equals_bus_amplitude_with_overrides():
     # fixed-impedance nodes load scl only, so their sda entries are skipped
     topo = _resistive_topology(3)
     sda = CarrierSpec("sda", 50e6, 1.0, resistor(2000.0))
-    _assert_table_matches_bus_amplitude(
+    _assert_table_matches_oracle(
         BusTopology(carriers=topo.carriers + (sda,), nodes=topo.nodes, dc_feed=inductor(47e-6))
     )
+
+
+def test_sweep_node_count_equals_oracle(demo):
+    ns = range(1, 130)
+    assert sweep_node_count(demo.topology, ns) == oracles.sweep_node_count(demo.topology, ns)
 
 
 # the admittance rule's edges (a short, a pole, exactly and just below the cap) and passive loads
@@ -573,8 +615,9 @@ def test_amplitude_table_equals_bus_amplitude_on_fixed_loads(data):
     drives = [tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in LINES]
     # bus_amplitude takes the pin states of the carried lines only
     pins = {line: tuple("L" if d else "H" for d in dr) for line, dr in zip(LINES, drives) if line in lines}
-    want = tuple(bus_amplitude(topo, pins, j) for j in range(len(carriers)))
+    want = tuple(oracles.bus_amplitude(topo, pins, j) for j in range(len(carriers)))
     assert _AmplitudeTable(topo)(*drives) == want
+    assert tuple(bus_amplitude(topo, pins, j) for j in range(len(carriers))) == want
 
 
 # -- block stepping --

@@ -324,3 +324,8 @@ def test_input_impedance_remembers_scalar_frequencies_only(design_a, q40):
     # equality and repr ignore what a design remembers
     assert d == cold and repr(d) == repr(cold)
     assert cold.input_impedance(20e6, "H", which="snapped", loss=q40) == z
+
+
+def test_input_impedance_names_a_bad_pin_state(design_a):
+    with pytest.raises(ValueError, match="state must be 'H' or 'L', got 'X'"):
+        synthesize(design_a.spec).input_impedance(20e6, "X")
