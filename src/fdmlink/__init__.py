@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "units": ["ConfigError", "UnitError", "parse_quantity", "format_quantity"],
     "elements": [
+        "DEFAULT_POLE_CAP",
         "DegenerateNetworkError",
         "Network",
         "POLE",
@@ -35,7 +36,6 @@ _EXPORTS = {
     "loss": ["DEFAULT_Q", "DEFAULT_R_H", "DEFAULT_R_L", "LOSSLESS", "LossModel"],
     "synthesis": [
         "ConfigKind",
-        "DEFAULT_POLE_CAP",
         "FilterDesign",
         "FilterSpec",
         "InfeasibleConfigError",

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import POLE_CLAMP, find_poles_zeros, is_pole
+from .elements import DEFAULT_POLE_CAP, POLE_CLAMP, find_poles_zeros, is_open, is_pole
 from .loss import LOSSLESS, LossModel
-from .synthesis import DEFAULT_POLE_CAP, FilterDesign
+from .synthesis import FilterDesign
 
 __all__ = [
     "SweepResult",
@@ -34,13 +34,12 @@ __all__ = [
 N_LIMIT = 100_000
 
 
-def _capped(z: complex) -> complex:
-    """Replace a pole-flagged impedance by one of magnitude ``DEFAULT_POLE_CAP``."""
-    if is_pole(z):
+def _finite(z) -> complex:
+    """``z``, or for an open (``elements.is_open``) magnitude ``DEFAULT_POLE_CAP`` with z's phase."""
+    z = complex(z)
+    if is_open(z):
         mag = abs(z)
-        if not math.isfinite(mag) or mag == 0.0:
-            return complex(DEFAULT_POLE_CAP, 0.0)
-        return z * (DEFAULT_POLE_CAP / mag)
+        return z * (DEFAULT_POLE_CAP / mag) if math.isfinite(mag) else complex(DEFAULT_POLE_CAP, 0.0)
     return z
 
 
@@ -55,11 +54,9 @@ class SweepResult:
     markers_l: tuple[tuple[float, str], ...] = ()
 
     def ratio_at(self, f: float) -> float:
-        """|z_h|/|z_l| at the grid point nearest ``f``, poles capped at ``DEFAULT_POLE_CAP``."""
+        """|z_h|/|z_l| at the grid point nearest ``f``, an open (``elements.is_open``) at ``DEFAULT_POLE_CAP``."""
         i = int(np.argmin(np.abs(self.frequencies - f)))
-        zh = _capped(complex(self.z_h[i]))
-        zl = _capped(complex(self.z_l[i]))
-        return abs(zh) / max(abs(zl), 1e-30)
+        return multinode_ratio(self.z_h[i], self.z_l[i], 1)
 
     def to_csv(self) -> str:
         """CSV with header; pole rows carry the sentinel magnitude and marker."""
@@ -134,8 +131,7 @@ def modulation_ratio(z_h: complex, z_l: complex, z_p: complex) -> float:
     """
     if z_p == 0:
         return 1.0
-    zh = _capped(complex(z_h))
-    zl = _capped(complex(z_l))
+    zh, zl = _finite(z_h), _finite(z_l)
     num = abs(zh / (z_p + zh))
     den = abs(zl / (z_p + zl))
     if den == 0.0:
@@ -151,8 +147,7 @@ def multinode_ratio(z_h: complex, z_l: complex, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zh = _capped(complex(z_h))
-    zl = _capped(complex(z_l))
+    zh, zl = _finite(z_h), _finite(z_l)
     if n == 1:
         return abs(zh) / max(abs(zl), 1e-30)
     z_high_all = zh / n
@@ -169,8 +164,7 @@ def multinode_approx(z_h: complex, z_l: complex, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zh = _capped(complex(z_h))
-    zl = _capped(complex(z_l))
+    zh, zl = _finite(z_h), _finite(z_l)
     if zl == 0:
         return math.inf
     return abs(1.0 + zh / (n * zl))

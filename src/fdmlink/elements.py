@@ -3,7 +3,10 @@
 Frequencies are plain Hz at every interface; angular frequency is internal.
 Poles (ideal opens, resonance singularities) are ordinary values, not
 exceptions: evaluation returns complex infinity and :func:`is_pole` also
-treats any magnitude at or above ``POLE_CLAMP`` as a pole.
+treats any magnitude at or above ``POLE_CLAMP`` as a pole.  Every ratio and
+bus sum reads opens by one rule, :func:`is_open`: pole-flagged, or |z| at or
+above a cap (``DEFAULT_POLE_CAP`` unless a bus sets its own).  A ratio puts
+magnitude cap in an open's place; a bus sum adds zero admittance for it.
 
 Each public evaluation (:meth:`Network.impedance`,
 :func:`element_impedance`, :func:`input_impedance`) checks its frequencies
@@ -32,7 +35,9 @@ __all__ = [
     "POLE_CLAMP",
     "EPS_POLE",
     "DegenerateNetworkError",
+    "DEFAULT_POLE_CAP",
     "is_pole",
+    "is_open",
     "ReactiveElement",
     "Network",
     "resistor",
@@ -52,6 +57,7 @@ __all__ = [
 POLE_CLAMP = 1e12  # ohms; |Z| at or above this is reported as a pole
 EPS_POLE = 1e-12  # relative threshold for the input-impedance denominator
 POLE = complex(np.inf, 0.0)
+DEFAULT_POLE_CAP = 1e9  # ohms; |Z| at or above this counts as open (see is_open)
 
 # cap on the lossless pole/zero refinement's iterations; brackets of random
 # designs converge in eight or fewer, so the cap only guards against a stall
@@ -67,6 +73,11 @@ def is_pole(z) -> bool | np.ndarray:
     arr = np.asarray(z)
     out = ~np.isfinite(arr) | (np.abs(arr) >= POLE_CLAMP)
     return out if out.ndim else bool(out)
+
+
+def is_open(z: complex, cap: float = DEFAULT_POLE_CAP) -> bool:
+    """True when a scalar impedance counts as an open: pole-flagged, or |z| >= ``cap``."""
+    return is_pole(z) or abs(z) >= cap
 
 
 def _omega(f) -> tuple[np.ndarray, float]:
@@ -332,7 +343,9 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     # an open-ish denominator decouples port 2 entirely
     den_open = ~np.isfinite(den) | (np.abs(den) >= POLE_CLAMP)
     out = np.where(den_open, z11, out)
-    zm2 = np.abs(zm) ** 2
+    # zm (no NaN) is pole-flagged where |zm| >= POLE_CLAMP: clamped, |zm|^2 cannot
+    # overflow, and EPS_POLE * POLE_CLAMP**2 >= POLE_CLAMP > |den| still gives POLE
+    zm2 = np.minimum(np.abs(zm), POLE_CLAMP) ** 2
     out = np.where(~den_open & (np.abs(den) < EPS_POLE * zm2), POLE, out)
     out = np.where(~np.isfinite(z11), POLE, out)
     if np.isnan(out).any():

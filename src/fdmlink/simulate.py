@@ -41,8 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import DEFAULT_POLE_CAP
-from .elements import Network, capacitor, inductor, is_pole, resistor, series
+from .elements import DEFAULT_POLE_CAP, Network, capacitor, inductor, is_open, resistor, series
 from .eseries import ESERIES
 from .loss import DEFAULT_Q, DEFAULT_Q_REF_HZ, LOSSLESS, LossModel
 from .modem import (
@@ -201,6 +200,8 @@ class BusTopology:
                     )
         if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
             raise TopologyError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db!r}")
+        if not (math.isfinite(self.pole_cap) and self.pole_cap > 0):
+            raise TopologyError(f"pole_cap must be finite and > 0, got {self.pole_cap!r}")
         self._check_harmonics()
 
     def _check_harmonics(self) -> None:
@@ -226,15 +227,6 @@ class BusTopology:
             if c.line == line:
                 return c
         raise TopologyError(f"no carrier drives line {line!r}")
-
-
-def _cap_admittance(z: complex, cap: float) -> complex:
-    """Admittance of a node load; stopband poles contribute nothing."""
-    if is_pole(z) or abs(z) >= cap:
-        return 0j
-    if z == 0:
-        return complex(cap, 0.0)
-    return 1.0 / z
 
 
 def bus_amplitude(
@@ -268,15 +260,21 @@ class _AmplitudeTable:
     against, in parallel, every node's filter in the pin state its drive
     gives, the dc feed and the other carriers' pull-ups.  Node admittances
     are computed once per (node, line, state, carrier), and once for all
-    nodes that share a filter design, loss model and ``which``.  A call adds
-    them line by line in node order, then the dc feed and the other
-    pull-ups.  ``bus_amplitude``, ``sweep_node_count`` and ``run_scenario``
-    all read their amplitudes here.  Nothing is cached: ``run_scenario``
-    keeps the rows of each slave-drive tuple.
+    nodes that share a filter design, loss model and ``which``.  A load open
+    by ``elements.is_open`` at the topology's ``pole_cap`` adds zero
+    admittance, and a short adds ``pole_cap``.  A call adds them line by
+    line in node order, then the dc feed and the other pull-ups.
+    ``bus_amplitude``, ``sweep_node_count`` and ``run_scenario`` all read
+    their amplitudes here.  Nothing is cached: ``run_scenario`` keeps the
+    rows of each slave-drive tuple.
     """
 
     def __init__(self, topology: BusTopology):
         cap = self._cap = topology.pole_cap
+
+        def admittance(z: complex) -> complex:
+            return 0j if is_open(z, cap) else complex(cap, 0.0) if z == 0 else 1.0 / z
+
         self._scale = 10.0 ** (-topology.attenuation_db / 20.0)
         # per carrier: (source amplitude, pull-up impedance, [line][node][pulled] -> admittance, fixed loads)
         self._carriers = []
@@ -290,14 +288,14 @@ class _AmplitudeTable:
                     key = (line, id(node.filters.get(line)), node.loss, node.which)
                     if key not in shared:
                         shared[key] = tuple(
-                            None if z is None else _cap_admittance(z, cap)
+                            None if z is None else admittance(z)
                             for z in (node.input_impedance(f, line, st) for st in ("H", "L"))
                         )
                     row.append(shared[key])
                 loads.append(row)
             fixed = [] if topology.dc_feed is None else [complex(topology.dc_feed.impedance(f))]
             fixed += [other.pullup_z(f) for other in topology.carriers if other is not c]
-            self._carriers.append((c.amplitude, c.pullup_z(f), loads, [_cap_admittance(z, cap) for z in fixed]))
+            self._carriers.append((c.amplitude, c.pullup_z(f), loads, [admittance(z) for z in fixed]))
 
     def __call__(self, scl_drives: tuple[bool, ...], sda_drives: tuple[bool, ...]) -> tuple[float, ...]:
         drives = (scl_drives, sda_drives)

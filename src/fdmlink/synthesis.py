@@ -27,12 +27,14 @@ from typing import Callable, Mapping
 from . import eseries
 from .eseries import ESERIES
 from .elements import (
+    DEFAULT_POLE_CAP,
     Network,
     TwoPortZ,
     capacitor,
     find_poles_zeros,
     inductor,
     input_impedance,
+    is_open,
     is_pole,
     short_circuit,
     t_network,
@@ -41,7 +43,6 @@ from .loss import LOSSLESS, LossModel
 from .units import ConfigError, KeyReader, UnitError
 
 __all__ = [
-    "DEFAULT_POLE_CAP",
     "ConfigKind",
     "FilterSpec",
     "FilterDesign",
@@ -58,7 +59,6 @@ __all__ = [
     "spec_from_dict",
 ]
 
-DEFAULT_POLE_CAP = 1e9  # finite stand-in for pole-flagged impedances in ratios
 # the least |Z_H|/|Z_L| at f_mod that a lossy design must reach to verify
 MIN_RATIO = 100.0
 
@@ -523,10 +523,6 @@ class VerificationReport:
         return all(self.checks.values())
 
 
-def _capped_abs(z: complex) -> float:
-    return DEFAULT_POLE_CAP if is_pole(z) else min(abs(z), DEFAULT_POLE_CAP)
-
-
 def verify_design(
     d: FilterDesign,
     loss: LossModel = LOSSLESS,
@@ -536,7 +532,7 @@ def verify_design(
 
     Lossless checks demand the ideal open/short pattern; lossy checks demand
     the high/low impedance ratio at f_mod to clear ``MIN_RATIO`` (100), with
-    pole-flagged values capped at ``DEFAULT_POLE_CAP``.  The
+    an open (``elements.is_open``) read as exactly ``DEFAULT_POLE_CAP``.  The
     high-state poles and zeros between half the lower carrier and twice the
     higher one come from :func:`find_poles_zeros` on a 4001-point grid:
     refined roots of the reactance when lossless, prominent extrema of |Z|
@@ -550,7 +546,8 @@ def verify_design(
     zl_fmod = l_zin(d.f_mod)
     zh_fstop = h_zin(d.f_stop)
     zl_fstop = l_zin(d.f_stop)
-    ratio = _capped_abs(zh_fmod) / max(_capped_abs(zl_fmod), 1e-30)
+    zh_mag, zl_mag = (DEFAULT_POLE_CAP if is_open(z) else abs(z) for z in (zh_fmod, zl_fmod))
+    ratio = zh_mag / max(zl_mag, 1e-30)
 
     f_lo = 0.5 * min(d.f_mod, d.f_stop)
     f_hi = 2.0 * max(d.f_mod, d.f_stop)

@@ -57,6 +57,19 @@ def test_pole_input_is_capped_not_infinite():
     assert r == pytest.approx(2030.0 / 30.0, rel=1e-5)  # cap at 1e9 ohm, not inf
 
 
+@pytest.mark.parametrize("z_l", [30.0, 30.0 - 4j])
+def test_finite_load_above_the_cap_reads_as_a_pole(z_l):
+    """A released 5e11 ohm, above DEFAULT_POLE_CAP but below POLE_CLAMP, is an open just as POLE is."""
+    assert modulation_ratio(5e11, z_l, 2e3 + 50j) == modulation_ratio(POLE, z_l, 2e3 + 50j)
+    for n in (1, 2, 8, 64):
+        assert multinode_ratio(5e11, z_l, n) == multinode_ratio(POLE, z_l, n)
+        assert multinode_approx(5e11, z_l, n) == multinode_approx(POLE, z_l, n)
+    for z_p in (None, 2e3 + 50j):
+        finite, pole = budget(5e11, z_l, z_p).to_dict(), budget(POLE, z_l, z_p).to_dict()
+        assert finite.pop("z_h_ohm") == [5e11, 0.0] and pole.pop("z_h_ohm") == [math.inf, 0.0]
+        assert finite == pole
+
+
 # -- multi-node scaling --
 
 

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .test_simulate import MINIMAL
 
 SPEC_A = str(files("fdmlink").joinpath("data/filter_a.yaml"))
 DEMO = str(files("fdmlink").joinpath("data/demo_scenario.yaml"))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -494,6 +496,27 @@ def test_simulate_refuses_a_runaway_sample_count(runner, tmp_path):
     assert r.exit_code == 2, r.exception
     lines = r.output.splitlines()  # stdout and stderr together
     assert len(lines) == 1 and lines[0].startswith("error: sim_rate 1e+12 Hz at a 1e+05 Hz clock")
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_simulate_at_a_1e300hz_carrier_warns_nothing(runner, tmp_path, stepper):
+    """The demo with its SCL carrier at 1e300 Hz fails the link with no numpy overflow warning.
+
+    ``simulate`` turns any warning it catches into exit 1 and no metrics, so
+    the run goes with every warning an error and must still write the
+    metrics recorded before the shunt-arm square stopped overflowing.
+    """
+    for name in ("demo_scenario.yaml", "demo_script.i2c"):
+        shutil.copy(files("fdmlink").joinpath("data", name), tmp_path / name)
+    p = tmp_path / "demo_scenario.yaml"
+    p.write_text(p.read_text().replace("frequency: 20MHz", "frequency: 1e300Hz", 1))
+    out = tmp_path / "metrics.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = runner.invoke(main, ["simulate", str(p), "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    assert r.stdout.splitlines()[-1] == "transactions: 0/16 completed"
+    assert out.read_text() == (DATA / "demo_scl_1e300hz.json").read_text()
 
 
 def test_simulate_missing_file(runner):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdmlink.elements import (
     POLE,
+    POLE_CLAMP,
     DegenerateNetworkError,
     Network,
     ReactiveElement,
@@ -379,6 +380,23 @@ def test_input_impedance_pole_flag():
     z22 = (two_port.x2 + two_port.xm).impedance(f)
     zin = input_impedance(two_port, -z22, f)
     assert is_pole(zin)
+
+
+# (shunt arm, denominator z_load + z22): the largest |den| that is not open, and two overflows of |zm|^2
+@pytest.mark.parametrize(
+    "arm,den",
+    [(resistor(POLE_CLAMP), np.nextafter(POLE_CLAMP, 0.0)), (resistor(1e200), 0.0), (inductor(1.0), 0.0)],
+    ids=["clamp", "1e200", "L"],
+)
+@pytest.mark.parametrize("f", [1e300, np.array([1e300, 1e300])], ids=["scalar", "array"])
+def test_input_impedance_pole_flagged_shunt_arm_does_not_overflow(arm, den, f):
+    """A shunt arm at or above POLE_CLAMP is the ideal open, decided without squaring |zm| into an overflow."""
+    two_port = t_network(short_circuit(), short_circuit(), arm)
+    z22 = arm.impedance(1e300)
+    assert den - z22 + z22 == den
+    with np.errstate(over="raise"):
+        zin = input_impedance(two_port, den - z22, f)
+    assert np.array_equal(zin, np.full(np.shape(f), POLE))
 
 
 @pytest.mark.parametrize("kind,value", [("resistor", 100.0), ("short", 0.0)])

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmlink import kernels
-from fdmlink.analysis import DEFAULT_POLE_CAP, modulation_ratio
-from fdmlink.elements import POLE, inductor, resistor
+from fdmlink.analysis import modulation_ratio
+from fdmlink.elements import DEFAULT_POLE_CAP, POLE, inductor, resistor
 from fdmlink.protocol import (
     QUARTERS_PER_BIT,
     MasterEngine,
@@ -174,6 +174,13 @@ def test_one_carrier_per_line():
     c2 = CarrierSpec("scl", 50e6, 1.0, resistor(2000.0))
     with pytest.raises(TopologyError, match="one carrier per line"):
         BusTopology(carriers=(c1, c2), nodes=(_fixed_node("m", "master", 1, 1),))
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+def test_pole_cap_must_be_finite_and_positive(cap):
+    carrier = CarrierSpec("scl", 20e6, 1.0, resistor(2000.0))
+    with pytest.raises(TopologyError, match=f"^pole_cap must be finite and > 0, got {cap!r}$"):
+        BusTopology(carriers=(carrier,), nodes=(_fixed_node("m", "master", 1, 1),), pole_cap=cap)
 
 
 def test_carrier_validation():
