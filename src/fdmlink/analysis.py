@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DEFAULT_POLE_CAP, POLE_CLAMP, find_poles_zeros, is_open, is_pole
+from .elements import DEFAULT_POLE_CAP, POLE_CLAMP, is_open, is_pole
 from .loss import LOSSLESS, LossModel
 from .synthesis import FilterDesign
 
@@ -45,13 +45,11 @@ def _finite(z) -> complex:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """|Zin| versus frequency for both pin states, with pole/zero markers."""
+    """Zin versus frequency for both pin states; ``to_csv`` marks pole-flagged rows."""
 
     frequencies: np.ndarray
     z_h: np.ndarray
     z_l: np.ndarray
-    markers_h: tuple[tuple[float, str], ...] = ()
-    markers_l: tuple[tuple[float, str], ...] = ()
 
     def ratio_at(self, f: float) -> float:
         """|z_h|/|z_l| at the grid point nearest ``f``, an open (``elements.is_open``) at ``DEFAULT_POLE_CAP``."""
@@ -90,9 +88,9 @@ def sweep(
 ) -> SweepResult:
     """Input impedance of a design at ``points`` log-spaced frequencies, both pin states.
 
-    Both come from ``FilterDesign.zin_functions``.  The markers come from
-    :func:`find_poles_zeros` on a log grid of at least 2001 points, told
-    whether ``loss`` is lossless.
+    Both come from ``FilterDesign.zin_functions``; the carriers are pulled
+    onto the grid.  Poles and zeros are not located here:
+    ``synthesis.verify_design`` reports the high-state ones.
     """
     if not f_lo < f_hi:
         raise ValueError("need f_lo < f_hi")
@@ -116,11 +114,7 @@ def sweep(
     fs = np.sort(fs)
 
     zin_h, zin_l = d.zin_functions(which, loss)
-    z_h, z_l = zin_h(fs), zin_l(fs)  # the grid before the markers: a bad design raises here first
-    grid = max(points, 2001)
-    mk_h = find_poles_zeros(zin_h, f_lo, f_hi, grid=grid, lossless=loss.lossless)
-    mk_l = find_poles_zeros(zin_l, f_lo, f_hi, grid=grid, lossless=loss.lossless)
-    return SweepResult(fs, np.asarray(z_h), np.asarray(z_l), tuple(mk_h), tuple(mk_l))
+    return SweepResult(fs, np.asarray(zin_h(fs)), np.asarray(zin_l(fs)))
 
 
 def modulation_ratio(z_h: complex, z_l: complex, z_p: complex) -> float:

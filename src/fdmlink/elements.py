@@ -18,6 +18,11 @@ same arithmetic with masks, so the masks cost nothing on ordinary values and
 the result is the same float either way.  A capacitor whose w*C underflows
 to 0 is indeterminate: its evaluation raises ``DegenerateNetworkError``
 before it divides, for a scalar frequency and an array alike.
+
+A network is also a rational function N(s)/D(s) (:meth:`Network.rational`),
+and a lossless one has its poles and zeros on the jw axis, where
+:func:`lossless_poles_zeros` takes them from polynomial roots instead of a
+frequency grid.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "TwoPortZ",
     "t_network",
     "input_impedance",
+    "lossless_poles_zeros",
     "find_poles_zeros",
 ]
 
@@ -62,6 +68,13 @@ DEFAULT_POLE_CAP = 1e9  # ohms; |Z| at or above this counts as open (see is_open
 # cap on the lossless pole/zero refinement's iterations; brackets of random
 # designs converge in eight or fewer, so the cap only guards against a stall
 _REFINE_MAX_ITER = 60
+
+# relative spread, in (f/f_ref)^2, within which a computed root counts as real
+# and a root of N meets a root of D.  A k-fold root splits by about
+# eps**(1/k) (1.5e-8 for two, 6e-6 for three).  verify_design's band spans a
+# factor of at least 4, so a 4001-point scan cell there is at least 7e-4 wide
+# in f^2: a pole and a zero this close share a cell, and a scan sees neither
+_ROOT_RTOL = 1e-5
 
 
 class DegenerateNetworkError(ArithmeticError):
@@ -152,6 +165,38 @@ def _element_z(e: ReactiveElement, w: np.ndarray, w_lo: float) -> np.ndarray:
     return np.asarray(z)
 
 
+def _element_rational(e: ReactiveElement, w0: float) -> tuple[list[float], list[float]]:
+    """(N, D) of one element in powers of u = s/w0, lowest power first."""
+    r = float(e.loss)
+    if e.kind == "resistor":
+        return [float(e.value)], [1.0]
+    if e.kind == "inductor":
+        return [r, w0 * e.value], [1.0]
+    if e.kind == "capacitor":
+        return ([r], [1.0, w0 * e.value * r]) if r > 0.0 else ([1.0], [0.0, w0 * e.value])
+    if e.kind == "short":
+        return [0.0], [1.0]
+    if e.kind == "open":
+        return ([r], [1.0]) if r > 0.0 else ([1.0], [0.0])
+    raise ValueError(f"unknown element kind {e.kind!r}")  # pragma: no cover - kinds are closed
+
+
+def _padd(a: list[float], b: list[float]) -> list[float]:
+    """Sum of two polynomials, lowest power first."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+
+def _pmul(a: list[float], b: list[float]) -> list[float]:
+    """Product of two polynomials, lowest power first."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _series_z(zs: list, shape: tuple) -> np.ndarray:
     """Series rule: impedances add, and an open (non-finite) child opens the sum."""
     total = np.zeros(shape, dtype=complex)
@@ -235,6 +280,41 @@ class Network:
         if self.op == "series":
             return _series_z(zs, w.shape)
         return _parallel_z(zs, w.shape)
+
+    def rational(self, f_ref: float) -> tuple[list[float], list[float]]:
+        """Z = N(u)/D(u) with u = s/(2*pi*f_ref): (N, D) as float lists, lowest power first.
+
+        Leaves are the element impedances: R; r + u*wL for an inductor with
+        ESR r; 1/(u*wC) for a capacitor, R/(1 + u*wCR) with parallel loss R;
+        0 for a short; 1/0 for an ideal open and R/1 for a lossy one (w =
+        2*pi*f_ref).  Series nodes add N1/D1 + N2/D2 and parallel nodes
+        combine N1*N2/(N1*D2 + N2*D1), each by polynomial sums and products,
+        so a factor shared by N and D is kept, not cancelled.  After each
+        node N and D are divided by the power of two that brings their
+        largest coefficient into [0.5, 1), which rounds nothing.
+        """
+        if self.op == "leaf":
+            assert self.element is not None
+            return _element_rational(self.element, 2.0 * math.pi * f_ref)
+        kids = [c.rational(f_ref) for c in self.children]
+        # as in evaluation, an open child opens a series node and a short
+        # child shorts a parallel one; the products would give 0/0
+        if self.op == "series" and not all(any(d) for _, d in kids):
+            return [1.0], [0.0]
+        if self.op == "parallel" and not all(any(n) for n, _ in kids):
+            return [0.0], [1.0]
+        num, den = kids[0]
+        for n2, d2 in kids[1:]:
+            cross = _padd(_pmul(num, d2), _pmul(n2, den))
+            if self.op == "series":
+                num, den = cross, _pmul(den, d2)
+            else:
+                num, den = _pmul(num, n2), cross
+            # a common power of two leaves N/D, and every root, unchanged and
+            # keeps products of many element values in range
+            e = math.frexp(max(map(abs, num + den)))[1]
+            num, den = [math.ldexp(v, -e) for v in num], [math.ldexp(v, -e) for v in den]
+        return num, den
 
 
 def resistor(ohms: float) -> Network:
@@ -353,6 +433,97 @@ def input_impedance(z: TwoPortZ, z_load, f) -> complex | np.ndarray:
     return out if np.ndim(f) else complex(out[()])
 
 
+def _poly_roots(p: list[float]) -> list[complex]:
+    """Roots of sum(p[i] * x**i), with p[0] and p[-1] non-zero.
+
+    Up to a quadratic by the closed forms; above that by ``np.roots``
+    (companion-matrix eigenvalues), whose first call faults in about 1 MB of
+    LAPACK code.  The pin-state network of every T-filter configuration is
+    at most quadratic in x, in N and in D.
+    """
+    if len(p) <= 2:
+        return [complex(-p[0] / p[1])] if len(p) == 2 else []
+    if len(p) == 3:
+        c, b, a = p
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re, im = -b / (2.0 * a), math.sqrt(-disc) / (2.0 * a)
+            return [complex(re, im), complex(re, -im)]
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [complex(q / a), complex(c / q)]
+    return list(np.roots(p[::-1]))
+
+
+def _parity_roots(c: list[float]) -> tuple[int | None, list[float]]:
+    """(k, roots): ``c`` in u is u^k * P(u^2), and its roots x > 0 with u^2 = -x.
+
+    k is 0 or 1 (None for the zero polynomial, which has no roots).  The
+    roots of ``c`` on the imaginary u axis are the positive real roots of
+    the polynomial P(-x) (:func:`_poly_roots`), and each is polished by up to
+    two Newton steps on P(-x), evaluated by Horner's rule.  A step longer
+    than ``_ROOT_RTOL`` relative is not taken: the root is already closer
+    than that, and such a step is Newton on rounding noise at a multiple
+    root.  ``ValueError`` when ``c`` has both even and odd powers.
+    """
+    nz = [i for i, v in enumerate(c) if v]
+    if not nz:
+        return None, []
+    k = nz[0] % 2
+    if any(i % 2 != k for i in nz):
+        raise ValueError("network is not lossless: its impedance is neither odd nor even in s")
+    # from the lowest non-zero power: roots at x = 0 are below every band
+    p = [v if i % 2 == 0 else -v for i, v in enumerate(c[nz[0] : nz[-1] + 1 : 2])]
+    out = []
+    for r in _poly_roots(p):
+        x = float(r.real)
+        if not (x > 0.0 and abs(r.imag) <= _ROOT_RTOL * x):
+            continue
+        for _ in range(2):
+            v = dv = 0.0
+            for a in reversed(p):
+                dv = dv * x + v
+                v = v * x + a
+            if not abs(v) < _ROOT_RTOL * x * abs(dv):
+                break
+            x -= v / dv
+        out.append(x)
+    return k, out
+
+
+def lossless_poles_zeros(net: Network, f_lo: float, f_hi: float) -> list[tuple[float, str]]:
+    """Poles and zeros of a lossless one-port on [f_lo, f_hi], from its rational form.
+
+    Same result form as :func:`find_poles_zeros`: ``[(frequency,
+    "pole"|"zero"), ...]`` sorted by frequency.  By Foster's reactance
+    theorem the impedance of an LC one-port is odd in s, so of N/D (from
+    :meth:`Network.rational`, with f_ref the band's geometric centre) one is
+    even and the other odd, and every pole and zero is a root on the jw
+    axis: a positive real root of a real polynomial in x = (f/f_ref)^2 (see
+    :func:`_parity_roots`).  A root of N within ``_ROOT_RTOL`` of a root of D
+    is a factor they share; the two cancel and neither is reported, as the
+    grid scan sees no sign change there.  ``ValueError`` when the network
+    has a resistive part.
+    """
+    if not (0.0 < f_lo < f_hi < math.inf):
+        raise ValueError("need 0 < f_lo < f_hi < inf")
+    f_ref = math.sqrt(f_lo) * math.sqrt(f_hi)
+    num, den = net.rational(f_ref)
+    k_num, zeros = _parity_roots(num)
+    k_den, poles = _parity_roots(den)
+    if k_num == k_den:
+        raise ValueError("network is not lossless: its impedance is not odd in s")
+    for x in list(zeros):
+        p = next((p for p in poles if abs(x - p) <= _ROOT_RTOL * p), None)
+        if p is not None:
+            zeros.remove(x)
+            poles.remove(p)
+    x_lo, x_hi = (f_lo / f_ref) ** 2, (f_hi / f_ref) ** 2
+    found = [(f_ref * math.sqrt(x), "zero") for x in zeros if x_lo <= x <= x_hi]
+    found += [(f_ref * math.sqrt(x), "pole") for x in poles if x_lo <= x <= x_hi]
+    found.sort(key=lambda t: t[0])
+    return found
+
+
 def _reactance_root_fn(z: np.ndarray, pole: np.ndarray) -> np.ndarray:
     """X for zero brackets, -1/X for pole brackets; a pole-flagged value is 0.
 
@@ -452,9 +623,12 @@ def find_poles_zeros(
     *,
     lossless: bool,
 ) -> list[tuple[float, str]]:
-    """Locate impedance poles and zeros of ``net_fn`` on [f_lo, f_hi].
+    """Locate impedance poles and zeros of ``net_fn`` on [f_lo, f_hi] by a grid scan.
 
-    ``net_fn`` maps an array of frequencies (Hz) to impedances.  The scan
+    ``net_fn`` maps an array of frequencies (Hz) to impedances, so any
+    callable can be scanned.  ``verify_design`` scans lossy designs here; it
+    takes lossless roots exactly from :func:`lossless_poles_zeros`, and the
+    lossless scan below is the reference the tests hold that to.  The scan
     grid is log-spaced.  The caller says whether the network is lossless
     (purely reactive), as ``LossModel.lossless`` does; nothing is guessed
     from the values.  For lossless one-ports the classification is exact.

@@ -36,6 +36,7 @@ from .elements import (
     input_impedance,
     is_open,
     is_pole,
+    lossless_poles_zeros,
     short_circuit,
     t_network,
 )
@@ -309,19 +310,33 @@ class FilterDesign:
                 self._zin[key] = z
         return z
 
+    def _loaded_two_port(self, which: str, loss: LossModel) -> tuple[TwoPortZ, Network, Network]:
+        """The two-port with the pin load high and low: the one place they are put together."""
+        return self.two_port(which, loss), loss.load(self.c_total, "H"), loss.load(self.c_total, "L")
+
     def zin_functions(self, which: str = "exact", loss: LossModel = LOSSLESS) -> tuple[Callable, Callable]:
         """The bus-side input impedance ``f -> Zin`` with the pin high, and with it low.
 
-        The one place the two-port meets a pin-state load: the two-port and
-        both loads are built once, here, and each function evaluates them at
-        scalar or array ``f``.
+        The two-port and both loads are built once, by the one helper that
+        also builds :meth:`h_state_network`, and each function evaluates
+        them at scalar or array ``f``.
         """
-        tp = self.two_port(which, loss)
+        tp, load_h, load_l = self._loaded_two_port(which, loss)
 
         def zin(load: Network) -> Callable:
             return lambda f: input_impedance(tp, load.impedance(f), f)
 
-        return zin(loss.load(self.c_total, "H")), zin(loss.load(self.c_total, "L"))
+        return zin(load_h), zin(load_l)
+
+    def h_state_network(self, which: str = "exact", loss: LossModel = LOSSLESS) -> Network:
+        """The bus-side one-port with the pin high: x1 + (xm | (x2 + load)).
+
+        Algebraically the same impedance as ``input_impedance``'s
+        z11 - zm^2/(z_load + z22); as a ``Network`` it has a rational form
+        (:meth:`Network.rational`).
+        """
+        tp, load_h, _ = self._loaded_two_port(which, loss)
+        return tp.x1 + (tp.xm | (tp.x2 + load_h))
 
 
 def _realize(
@@ -534,12 +549,13 @@ def verify_design(
     the high/low impedance ratio at f_mod to clear ``MIN_RATIO`` (100), with
     an open (``elements.is_open``) read as exactly ``DEFAULT_POLE_CAP``.  The
     high-state poles and zeros between half the lower carrier and twice the
-    higher one come from :func:`find_poles_zeros` on a 4001-point grid:
-    refined roots of the reactance when lossless, prominent extrema of |Z|
-    when lossy.  The design is flagged if a zero drifts within 5% of either
-    pole (a close zero cancels the pole it was meant to separate from).
-    The impedances come from ``FilterDesign.zin_functions``.  No scipy
-    module is imported.
+    higher one are, when lossless, the exact roots of the rational impedance
+    of ``FilterDesign.h_state_network`` (:func:`lossless_poles_zeros`), and
+    when lossy the prominent extrema of |Z| on a 4001-point grid
+    (:func:`find_poles_zeros`).  The design is flagged if a zero lies within
+    5% of any pole (a close zero cancels the pole it was meant to separate
+    from).  The carrier impedances come from ``FilterDesign.zin_functions``.
+    No scipy module is imported.
     """
     h_zin, l_zin = d.zin_functions(which, loss)
     zh_fmod = h_zin(d.f_mod)
@@ -551,7 +567,10 @@ def verify_design(
 
     f_lo = 0.5 * min(d.f_mod, d.f_stop)
     f_hi = 2.0 * max(d.f_mod, d.f_stop)
-    pz = find_poles_zeros(h_zin, f_lo, f_hi, grid=4001, lossless=loss.lossless)
+    if loss.lossless:
+        pz = lossless_poles_zeros(d.h_state_network(which, loss), f_lo, f_hi)
+    else:
+        pz = find_poles_zeros(h_zin, f_lo, f_hi, grid=4001, lossless=False)
     poles = tuple(f for f, kind in pz if kind == "pole")
     zeros = tuple(f for f, kind in pz if kind == "zero")
 

@@ -209,7 +209,6 @@ def test_sweep_lossless_marks_poles(design_a):
     # sentinel magnitude appears on the marked rows
     marked = [r for r in text.strip().split("\n")[2:] if r.endswith("pole_h")]
     assert marked and all(f"{1e12:.10g}" in r for r in marked)
-    assert res.markers_h  # located poles/zeros travel with the result
 
 
 def test_sweep_ratio_at_matches_verify(design_a, q40):

@@ -123,6 +123,16 @@ def test_design_does_not_import_scipy(case, tmp_path):
     assert r.stderr.strip().splitlines()[-1] == "False"
 
 
+def test_lossless_design_imports_neither_numpy_polynomial_nor_scipy():
+    # the lossless roots come from np.roots on plain float lists: numpy.polynomial
+    # would add about 4 ms to every cold start
+    probe = "[m for m in ('numpy.polynomial', 'scipy') if m in sys.modules]"
+    r = _run_fresh(["design", SPEC_A, "--lossless", "--format", "json"], probe)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verification"]["h_state_poles_hz"]
+    assert r.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_design_imports_no_simulator_module():
     # spec files are read by synthesis.spec_from_dict, so `fdmlink design`
     # loads neither the simulator nor the modules only it needs

@@ -18,6 +18,7 @@ from fdmlink.elements import (
     inductor,
     input_impedance,
     is_pole,
+    lossless_poles_zeros,
     open_circuit,
     parallel,
     resistor,
@@ -26,7 +27,8 @@ from fdmlink.elements import (
     t_network,
     _prominent_peaks,
 )
-from fdmlink.loss import LossModel
+from fdmlink.loss import LOSSLESS, LossModel
+from fdmlink.synthesis import FilterSpec, synthesize, verify_design
 
 from . import oracles
 
@@ -327,6 +329,155 @@ def test_input_impedance_matches_masked_oracle(case):
         z_load = 0.0
     mine = _outcome(input_impedance, t_network(x1, x2, xm), z_load, f)
     assert mine == _outcome(oracles.masked_input_impedance, x1, x2, xm, z_load, f)
+
+
+# -- the rational form, and the exact lossless roots against the grid scan --
+
+_any_leaf = st.one_of(
+    st.builds(inductor, _l_value, _loss),
+    st.builds(capacitor, st.floats(min_value=1e-13, max_value=1e-7), _loss),
+    st.builds(resistor, st.floats(min_value=1e-1, max_value=1e5)),
+    st.just(open_circuit()),
+    st.just(short_circuit()),
+    st.floats(min_value=1e-2, max_value=1e6).map(lambda r: Network.of(ReactiveElement("open", loss=r))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _any_leaf,
+        lambda kids: st.tuples(st.booleans(), st.lists(kids, min_size=2, max_size=3)).map(
+            lambda t: series(*t[1]) if t[0] else parallel(*t[1])
+        ),
+        max_leaves=8,
+    ),
+    _freq,
+    st.floats(min_value=1e-2, max_value=1e2),
+)
+@example(net=inductor(1e-3) | (open_circuit() + open_circuit()), f=1e4, f_over_ref=1.0)
+@example(net=inductor(1e-3) + (short_circuit() | short_circuit()), f=1e4, f_over_ref=1.0)
+def test_rational_form_evaluates_to_the_impedance(net, f, f_over_ref):
+    """N(u)/D(u) at u = j*f/f_ref is Z(f), for lossy and lossless leaves, opens and shorts."""
+    num, den = net.rational(f / f_over_ref)
+    assert all(type(c) is float for c in num + den)
+    u = 1j * f_over_ref
+    n, d = np.polyval(num[::-1], u), np.polyval(den[::-1], u)
+    ref = net.impedance(f)
+    if is_pole(ref):
+        assert d == 0 or abs(n / d) >= 1e9
+    else:
+        assert abs(n / d - ref) <= 1e-9 * abs(ref) + 1e-12
+
+
+@st.composite
+def _t_filter_specs(draw):
+    """A feasible T-filter spec, drawn as the design benchmark draws one (1 in 5 with the default x_m)."""
+    f_mod = draw(st.floats(1e6, 80e6))
+    ratio = draw(st.floats(1.3, 6.0))
+    c_io = draw(st.floats(2e-12, 30e-12))
+    stop_above = draw(st.booleans())
+    f_stop = f_mod * ratio if stop_above else f_mod / ratio
+    if draw(st.integers(0, 4)) == 4:
+        return FilterSpec(f_mod, f_stop, c_io)
+    factor = draw(st.floats(0.1, 8.0))
+    x = 1.0 / (TWO_PI * f_mod * c_io)
+    xm = x * (1.05 + factor) if stop_above else x * min(0.95, 0.1 + factor / 10.0)
+    return FilterSpec(f_mod, f_stop, c_io, xm_inductance=xm / (TWO_PI * f_mod))
+
+
+# snapped l_1/c_1 put the x1 pole 2.7e-4 below the shunt-loop pole, with a zero
+# between them: all three inside two cells of the scan, which sees one pole
+_CLOSE_PAIR_SPEC = FilterSpec(
+    44993193.69016168, 253667617.1888784, 7.485683581947303e-12, xm_inductance=5.945421821556693e-06
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_t_filter_specs(), which=st.sampled_from(["exact", "snapped"]))
+@example(spec=_CLOSE_PAIR_SPEC, which="snapped")
+# snapped, l_1 | c_1 and the shunt loop both resonate at 1.073 MHz: a factor
+# D has twice and N once, so one pole, where Newton on D alone wanders off
+@example(
+    spec=FilterSpec(1e6, 5179687.5, 2e-12, xm_inductance=0.025963553308349055), which="snapped"
+)
+# the f_stop pole's flagged band is 3.2e-6 wide, and the scan stops at its edge
+@example(spec=FilterSpec(1e6, 5041015.625, 2e-12, xm_inductance=0.06395899717422572), which="exact")
+def test_lossless_roots_match_the_grid_scan(spec, which):
+    """Each root the 4001-point scan finds is an exact root; the rest are pole-zero pairs inside one cell.
+
+    A zero matches within 1e-9 and a pole within 1e-6, relative.  The scan
+    stops at the first pole-flagged value it meets, so a pole also matches
+    when Zin is pole-flagged all the way from the scan's value to the exact
+    one: at 1 MHz with a 2 pF pin that band is several 1e-6 wide.
+    """
+    d = synthesize(spec)
+    f_lo, f_hi = 0.5 * min(d.f_mod, d.f_stop), 2.0 * max(d.f_mod, d.f_stop)
+    grid = 4001
+    zin_h, _ = d.zin_functions(which, LOSSLESS)
+    scan = find_poles_zeros(zin_h, f_lo, f_hi, grid=grid, lossless=True)
+    left = lossless_poles_zeros(d.h_state_network(which, LOSSLESS), f_lo, f_hi)
+
+    def matches(f: float, kind: str, root: tuple[float, str]) -> bool:
+        if root[1] != kind:
+            return False
+        if kind == "zero":
+            return abs(root[0] - f) <= 1e-9 * f
+        return abs(root[0] - f) <= 1e-6 * f or bool(is_pole(zin_h(np.linspace(f, root[0], 9))).all())
+
+    for f, kind in scan:
+        hit = next((r for r in left if matches(f, kind, r)), None)
+        assert hit is not None, (f, kind, left)
+        left.remove(hit)
+    cell = (f_hi / f_lo) ** (1.0 / (grid - 1))
+    assert len(left) % 2 == 0, left
+    for (fa, ka), (fb, kb) in zip(left[::2], left[1::2]):
+        assert ka != kb and fb < fa * cell, left
+
+
+def test_close_pole_zero_pair_sets_cancellation_risk():
+    # the scan found one pole here, and no risk
+    d = synthesize(_CLOSE_PAIR_SPEC)
+    rep = verify_design(d, LOSSLESS, "snapped")
+    assert rep.h_poles == pytest.approx((45.9441e6, 45.9566e6), rel=1e-5)
+    assert rep.h_zeros == pytest.approx((45.9526e6,), rel=1e-5)
+    assert rep.cancellation_risk and not rep.checks["zero_separated_from_poles"]
+
+
+_L, _C = 1e-6, 100e-12
+
+
+def _series_lc(scale: float = 1.0) -> Network:
+    return series(inductor(_L * scale), capacitor(_C / scale))
+
+
+# a factor shared twice comes back to rounding; three times, split by eps**(1/3)
+@pytest.mark.parametrize(
+    "net,kind,rel",
+    [
+        (parallel(_series_lc(), _series_lc()), "zero", 1e-12),
+        (parallel(_series_lc(), _series_lc(2.0)), "zero", 1e-12),
+        (series(parallel(inductor(_L), capacitor(_C)), parallel(inductor(_L), capacitor(_C))), "pole", 1e-12),
+        (parallel(_series_lc(), _series_lc(), _series_lc()), "zero", 1e-5),
+    ],
+    ids=["same_branches", "same_resonance", "series_resonators", "three_branches"],
+)
+def test_factor_shared_by_numerator_and_denominator_cancels(net, kind, rel):
+    """Resonances at one frequency are one root of Z, as the scan sees it, not pole-zero pairs."""
+    f_res = 1.0 / (TWO_PI * math.sqrt(_L * _C))
+    band = (f_res / 10, f_res * 10)
+    found = lossless_poles_zeros(net, *band)
+    assert [k for _, k in found] == [kind]
+    assert found[0][0] == pytest.approx(f_res, rel=rel)
+    assert [k for _, k in find_poles_zeros(net.impedance, *band, lossless=True)] == [kind]
+
+
+@pytest.mark.parametrize(
+    "net", [resistor(50.0), inductor(1e-6, loss=1.0) | capacitor(1e-12)], ids=["resistor", "esr"]
+)
+def test_lossless_roots_refuse_a_lossy_network(net):
+    with pytest.raises(ValueError, match="not lossless"):
+        lossless_poles_zeros(net, 1e6, 1e9)
 
 
 def _branch_for_reactance(x: float, f: float) -> Network:

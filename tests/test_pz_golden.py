@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from fdmlink.cli import _spec_from_file
+from fdmlink.elements import is_pole
 from fdmlink.loss import LOSSLESS
 from fdmlink.synthesis import FilterSpec, default_xm_inductance, synthesize, verify_design
 
@@ -109,6 +110,18 @@ def test_lossless_poles_zeros_match_golden():
             )
         if not ok:
             bad.append((rec["spec"], rec, got))
+    assert not bad, bad[:3]
+
+
+def test_lossless_roots_are_poles_and_zeros_of_the_input_impedance():
+    """At each reported lossless root the evaluated Zin is pole-flagged, or within 1e-6 ohm of zero."""
+    doc = json.loads(GOLDEN.read_text())
+    bad = []
+    for rec in doc["designs"]:
+        d = synthesize(FilterSpec(**rec["spec"]))
+        rep = verify_design(d, loss=LOSSLESS, which="exact")
+        bad += [(rec["spec"], f) for f in rep.h_poles if not is_pole(d.input_impedance(f, "H"))]
+        bad += [(rec["spec"], f) for f in rep.h_zeros if not abs(d.input_impedance(f, "H")) <= 1e-6]
     assert not bad, bad[:3]
 
 
