@@ -39,6 +39,7 @@ _EXPORTS = {
         "FilterDesign",
         "FilterSpec",
         "InfeasibleConfigError",
+        "ReactanceRangeError",
         "SpecError",
         "SynthesisError",
         "VerificationReport",

@@ -2,10 +2,12 @@
  * run across the quarter bits of one master segment.
  *
  * _kernels_py.BlockContext and _kernels_py.step_block state the contract;
- * step_block there is this loop written in Python, statement for
+ * step_block there is run_block here written in Python, statement for
  * statement: the same recurrence and the same floating-point operations in
  * the same order.  Build with -ffp-contract=off and without -ffast-math so
  * every double matches.  The struct layout mirrors BlockContext._fields_.
+ * The exported step_block runs run_block on a local copy of the struct, as
+ * the Python one runs it on local variables.
  */
 #include <math.h>
 #include <stdint.h>
@@ -130,7 +132,7 @@ static int log_edge(block_ctx *c, int64_t g, int moved)
     return kind != EDGE_RISE;
 }
 
-int64_t step_block(block_ctx *c)
+static int64_t run_block(block_ctx *c)
 {
     const int64_t ns = c->n_streams, ng = ns / 2, mid = c->spq / 2;
     const double *amp;
@@ -169,4 +171,18 @@ int64_t step_block(block_ctx *c)
             amp = enter_quarter(c, wire);
         }
     }
+}
+
+/* run_block on a local copy of *ctx: a store through one of its uint8_t or
+ * double pointers may alias a field of *ctx, but not of the copy, so the
+ * loop need not reload the fields after every store.  The loop changes no
+ * scalar field but these three. */
+int64_t step_block(block_ctx *ctx)
+{
+    block_ctx c = *ctx;
+    const int64_t n = run_block(&c);
+    ctx->quarter = c.quarter;
+    ctx->pos = c.pos;
+    ctx->n_events = c.n_events;
+    return n;
 }

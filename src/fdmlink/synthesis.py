@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -49,6 +50,7 @@ __all__ = [
     "FilterDesign",
     "VerificationReport",
     "InfeasibleConfigError",
+    "ReactanceRangeError",
     "SpecError",
     "SynthesisError",
     "classify",
@@ -62,6 +64,14 @@ __all__ = [
 
 # the least |Z_H|/|Z_L| at f_mod that a lossy design must reach to verify
 MIN_RATIO = 100.0
+
+# the reactances a design may have, at f_mod and across verify_design's band:
+# their squares are normal floats, as the input impedance's zm^2 must be
+_X_MIN = math.sqrt(sys.float_info.min)
+_X_MAX = math.sqrt(sys.float_info.max)
+# the range of w*v for an element value v: the reactance wL of an inductor, or
+# the reciprocal wC of a capacitor's
+_WV_RANGE = {"l": (_X_MIN, _X_MAX), "c": (1.0 / _X_MAX, 1.0 / _X_MIN)}
 
 # relative tolerance for "x_m equals X_IO_H" (the D boundary)
 _D_TOL = 1e-9
@@ -81,6 +91,10 @@ class SynthesisError(ConfigError):
 
 class SpecError(ConfigError):
     """A spec file, scenario filter or saved design holds values ``FilterSpec`` rejects."""
+
+
+class ReactanceRangeError(SynthesisError):
+    """A reactance of the design would not square to a normal float, so it cannot be evaluated."""
 
 
 class ConfigKind(enum.Enum):
@@ -132,6 +146,12 @@ class FilterSpec:
             raise SpecError("c_io must be finite and positive")
         if not 0.0 <= self.shunt_c < math.inf:
             raise SpecError("shunt_c must be finite and >= 0")
+        wc = 2.0 * math.pi * self.f_mod * self.c_total  # x_io_h is 1 / wc
+        if not (wc > 0.0 and _X_MIN <= 1.0 / wc <= _X_MAX):
+            raise ReactanceRangeError(
+                f"the pin reactance 1/(2*pi*f_mod*c_total) at f_mod {self.f_mod:.4g} Hz and "
+                f"c_total {self.c_total:.4g} F is outside [{_X_MIN:.2g}, {_X_MAX:.2g}] ohm"
+            )
         if self.xm_inductance is not None and self.xm_capacitance is not None:
             raise SpecError("give x_m as an inductance or a capacitance, not both")
         # 0 stays: classify() rejects it as configuration (e)
@@ -399,6 +419,26 @@ def _realize(
     return v
 
 
+def _check_reactances(spec: FilterSpec, *value_sets: dict[str, float]) -> None:
+    """``ReactanceRangeError`` unless each element's reactance squares to a normal float across the band.
+
+    The band is ``verify_design``'s, half the lower carrier to twice the
+    higher; the elements are the pin capacitance and each value set's
+    inductors (``l_*``) and capacitors (``c_*``).  A reactance is monotonic
+    in frequency, so the band edges bound it.
+    """
+    w_lo = math.pi * min(spec.f_mod, spec.f_stop)  # 2*pi times half the lower carrier
+    w_hi = 4.0 * math.pi * max(spec.f_mod, spec.f_stop)  # and times twice the higher
+    for values in ({"c_total": spec.c_total}, *value_sets):
+        for name, v in values.items():
+            lo, hi = _WV_RANGE[name[0]]
+            if not (lo <= w_lo * v and w_hi * v <= hi):
+                raise ReactanceRangeError(
+                    f"{name} = {v:.4g} has a reactance outside [{_X_MIN:.2g}, {_X_MAX:.2g}] ohm "
+                    f"between {w_lo / (2.0 * math.pi):.4g} and {w_hi / (2.0 * math.pi):.4g} Hz"
+                )
+
+
 def _dcb_branches(exact: dict[str, float]) -> tuple[str, ...]:
     """Branches needing a DC block so all three ports are DC-isolated."""
     x1_conducts = "c_ser" not in exact  # the L1 path conducts unless capped
@@ -421,7 +461,9 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
 
     Returns exact element values and the E-series snapped set side by side;
     snapped designs must be re-verified, never assumed ideal.  Carriers so far
-    apart that a square overflows raise ``SynthesisError``.
+    apart that a term of the design equations overflows or underflows, and
+    element values whose reactances ``verify_design`` could not evaluate
+    (``ReactanceRangeError``), raise ``SynthesisError``.
     """
     try:
         if spec.xm_inductance is None and spec.xm_capacitance is None:
@@ -438,11 +480,16 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
             x2 = x - xm
             x1 = -(xm / x) * x2
         exact = _realize(spec, config, x, xm, x1, x2)
+        snapped = {k: _snap_policy(k, val, spec.eseries) for k, val in exact.items()}
+        _check_reactances(spec, exact, snapped)
     except OverflowError:
         raise SynthesisError(
             f"f_mod {spec.f_mod:.4g} Hz and f_stop {spec.f_stop:.4g} Hz overflow the design equations"
         ) from None
-    snapped = {k: _snap_policy(k, val, spec.eseries) for k, val in exact.items()}
+    except ZeroDivisionError:  # every divisor is a product of positive values: it underflowed
+        raise SynthesisError(
+            f"f_mod {spec.f_mod:.4g} Hz and f_stop {spec.f_stop:.4g} Hz underflow the design equations"
+        ) from None
     return FilterDesign(
         spec=spec,
         config=config,

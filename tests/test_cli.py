@@ -200,6 +200,18 @@ def test_spec_that_filter_spec_rejects_exits_2(tmp_path, command, spec, message)
         assert f"'fdmlink.{name}'" not in lines[-1], lines[-1]
 
 
+def test_spec_at_the_float_limits_exits_2_without_a_traceback(tmp_path):
+    """At f_mod 1e-262 Hz and c_io 1e-230 F, w*C underflows to 0 and the pin reactance has no value: one error line."""
+    path = tmp_path / "spec.yaml"
+    path.write_text("f_mod: 1e-262Hz\nf_stop: 5e-263Hz\nc_io: 1e-230F\n")
+    r = _run_fresh(["design", str(path)], "'exiting'")
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 2 and lines[-1] == "exiting", r.stderr
+    assert lines[0].startswith(f"error: {path}: the pin reactance 1/(2*pi*f_mod*c_total) at f_mod 1e-262 Hz")
+
+
 _SAVED = '"schema_version": 1, "f_stop_hz": 5e7, "c_io_f": 8e-12'
 
 

@@ -10,6 +10,7 @@ change::
 """
 
 import hashlib
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -62,12 +63,30 @@ def test_demo_trace_csv_matches_golden(tmp_path, stepper):
     assert _trace_csv_sha256(tmp_path) == TRACE_DIGEST.read_text().strip()
 
 
+# the demo at noise near the float limit, recorded with the earlier ``rng.normal``
+# draw, which prints no overflow warning: seed 4 at 1e308 V and, in-process, at 5e-324 V
+HUGE_NOISE_RUN = ("demo_seed4_noise1e308V.json", 4, 1e308)
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_noise_at_the_float_limits_matches_the_normal_draw_and_warns_nothing(stepper):
+    """1e308 V gives the recorded metrics; 5e-324 V moves no sample, so only ``noise_rms_v`` differs from 0 V."""
+    name, seed, _ = HUGE_NOISE_RUN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _metrics_json(seed, 1e308) == (DATA / name).read_text()
+        tiny, _ = load_scenario(DEMO).run(seed=seed, noise_rms=5e-324)
+        quiet, _ = load_scenario(DEMO).run(seed=seed)
+    assert {**tiny.to_dict(), "noise_rms_v": 0.0} == quiet.to_dict()
+    assert tiny.to_dict()["noise_rms_v"] == 5e-324
+
+
 if __name__ == "__main__":
     import tempfile
 
     DATA.mkdir(exist_ok=True)
-    for name, seed, noise_rms in RUNS:
+    for name, seed, noise_rms in RUNS + (HUGE_NOISE_RUN,):
         (DATA / name).write_text(_metrics_json(seed, noise_rms))
     with tempfile.TemporaryDirectory() as tmp:
         TRACE_DIGEST.write_text(_trace_csv_sha256(Path(tmp)) + "\n")
-    print(f"recorded {len(RUNS)} metrics files and the trace digest in {DATA}")
+    print(f"recorded {len(RUNS) + 1} metrics files and the trace digest in {DATA}")

@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import json
 import math
 import warnings
+import weakref
 from importlib.resources import files
 from unittest import mock
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from fdmlink import kernels
 from fdmlink.analysis import modulation_ratio
 from fdmlink.elements import DEFAULT_POLE_CAP, POLE, inductor, resistor
+from fdmlink.loss import LOSSLESS
 from fdmlink.protocol import (
     QUARTERS_PER_BIT,
     MasterEngine,
@@ -625,6 +628,85 @@ def test_amplitude_table_equals_bus_amplitude_on_fixed_loads(data):
     want = tuple(oracles.bus_amplitude(topo, pins, j) for j in range(len(carriers)))
     assert _AmplitudeTable(topo)(*drives) == want
     assert tuple(bus_amplitude(topo, pins, j) for j in range(len(carriers))) == want
+
+
+# -- one table per electrical topology --
+
+
+def _one_change(topo, change):
+    """``topo`` with one carrier's amplitude, one slave's ``which`` or loss, or the dc feed changed."""
+    if change == "carrier_amplitude":
+        c0 = dataclasses.replace(topo.carriers[0], amplitude=1.5 * topo.carriers[0].amplitude)
+        return dataclasses.replace(topo, carriers=(c0,) + topo.carriers[1:])
+    if change == "dc_feed":
+        return dataclasses.replace(topo, dc_feed=inductor(22e-6))
+    k = next(i for i, n in enumerate(topo.nodes) if n.role == "slave")
+    node = topo.nodes[k]
+    node = dataclasses.replace(node, **({"which": "exact"} if change == "which" else {"loss": LOSSLESS}))
+    assert node != topo.nodes[k]
+    return dataclasses.replace(topo, nodes=topo.nodes[:k] + (node,) + topo.nodes[k + 1:])
+
+
+def _cold_table(topo) -> _AmplitudeTable:
+    _AmplitudeTable._last = None
+    return _AmplitudeTable.for_topology(topo)
+
+
+@pytest.mark.parametrize("change", ["carrier_amplitude", "which", "loss", "dc_feed"])
+def test_a_topology_one_electrical_field_away_gets_its_own_amplitudes(demo, change):
+    """The kept table of the demo is not handed to a topology that differs from it in one field."""
+    base, other = demo.topology, _one_change(demo.topology, change)
+    states = _drive_states(len(base.nodes), base.master_index)
+    want = [_cold_table(other)(*st) for st in states]
+    assert want != [_cold_table(base)(*st) for st in states]
+    assert [_AmplitudeTable.for_topology(other)(*st) for st in states] == want
+
+
+def test_a_new_topology_with_the_same_electrical_parts_shares_the_table(demo):
+    """As a benchmark op builds it: new slave models and nodes, the same carriers and designs."""
+    topo = demo.topology
+    table = _AmplitudeTable.for_topology(topo)
+    nodes = tuple(
+        dataclasses.replace(n, slave=None if n.slave is None else SlaveModel(n.slave.address, {0: 1}))
+        for n in topo.nodes
+    )
+    same = BusTopology(carriers=topo.carriers, nodes=nodes, dc_feed=topo.dc_feed)
+    assert _AmplitudeTable.for_topology(same) is table
+    assert _AmplitudeTable.for_topology(dataclasses.replace(topo, attenuation_db=1.0)) is not table
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+@pytest.mark.parametrize("noise_rms", [0.0, 200e-6])
+def test_runs_on_alternating_topologies_match_cold_runs(demo, stepper, noise_rms):
+    """Topologies A, B, A in a row give the metrics JSON of each run with no table kept."""
+    a, b = demo.topology, _one_change(demo.topology, "which")
+
+    def run(topo):
+        metrics, _ = run_scenario(
+            topo, demo.transactions, demo.clock_hz, sim_rate=demo.sim_rate, noise_rms=noise_rms, seed=1
+        )
+        return metrics.to_json()
+
+    cold = []
+    for topo in (a, b):
+        _AmplitudeTable._last = None
+        cold.append(run(topo))
+    assert cold[0] != cold[1]
+    assert [run(a), run(b), run(a)] == [cold[0], cold[1], cold[0]]
+
+
+def test_runs_on_many_topologies_keep_only_the_last_table(demo):
+    """After runs on 20 topologies, the first topology and the carrier its key held are freed."""
+    c0, rest = demo.topology.carriers[0], demo.topology.carriers[1:]
+    carriers = [(dataclasses.replace(c0, amplitude=c0.amplitude * (1.0 + k / 100)),) + rest for k in range(20)]
+    topos = [dataclasses.replace(demo.topology, carriers=c) for c in carriers]
+    del carriers
+    first, first_carrier = weakref.ref(topos[0]), weakref.ref(topos[0].carriers[0])
+    for topo in topos:
+        run_scenario(topo, demo.transactions[:1], demo.clock_hz, sim_rate=demo.sim_rate)
+    del topos, topo
+    gc.collect()
+    assert first() is None and first_carrier() is None
 
 
 # -- block stepping --

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fdmlink.synthesis import (
     synthesize,
     verify_design,
 )
+from fdmlink.units import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -329,3 +331,38 @@ def test_input_impedance_remembers_scalar_frequencies_only(design_a, q40):
 def test_input_impedance_names_a_bad_pin_state(design_a):
     with pytest.raises(ValueError, match="state must be 'H' or 'L', got 'X'"):
         synthesize(design_a.spec).input_impedance(20e6, "X")
+
+
+def test_specs_across_the_float_range_end_in_a_design_or_a_config_error():
+    """3,000 seeded specs, f_mod 1e-300..1e300 Hz and c_io 1e-300..1e10 F.
+
+    ``synthesize``, lossless ``verify_design`` and lossy ``verify_design``
+    either return or raise a ``ConfigError``, with no warning.  f_stop is a
+    factor 1e-2..1e2 from f_mod in half the specs and anywhere in the range
+    in the other half; x_m is an inductance, a capacitance or the default.
+    """
+    rng = np.random.default_rng(20261019)
+    lossy = LossModel()
+    verified = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            f_mod = 10.0 ** rng.uniform(-300, 300)
+            near = rng.random() < 0.5
+            f_stop = f_mod * 10.0 ** rng.uniform(-2, 2) if near else 10.0 ** rng.uniform(-300, 300)
+            kwargs = {}
+            pick = rng.random()
+            if pick < 0.4:
+                kwargs["xm_inductance"] = 10.0 ** rng.uniform(-300, 300)
+            elif pick < 0.6:
+                kwargs["xm_capacitance"] = 10.0 ** rng.uniform(-300, 300)
+            if rng.random() < 0.3:
+                kwargs["shunt_c"] = 10.0 ** rng.uniform(-300, 10)
+            try:
+                d = synthesize(FilterSpec(f_mod, f_stop, 10.0 ** rng.uniform(-300, 10), **kwargs))
+                verify_design(d, loss=LOSSLESS, which="exact")
+                verify_design(d, loss=lossy, which="snapped")
+            except ConfigError:
+                continue
+            verified += 1
+    assert verified >= 200  # 240 reach both verify_design paths
