@@ -66,7 +66,7 @@ def _report_dict(r) -> dict:
         "zin_l_at_f_mod": _complex_dict(r.zin_l_fmod),
         "zin_h_at_f_stop": _complex_dict(r.zin_h_fstop),
         "zin_l_at_f_stop": _complex_dict(r.zin_l_fstop),
-        "ratio_at_f_mod": None if r.ratio_fmod is None else float(r.ratio_fmod),
+        "ratio_at_f_mod": float(r.ratio_fmod),
         "h_state_poles_hz": list(r.h_poles),
         "h_state_zeros_hz": list(r.h_zeros),
         "zero_pole_separation": r.zero_pole_separation,
@@ -106,7 +106,7 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
     except ConfigError as exc:  # the design equations reject the file's values together
         raise type(exc)(f"{specfile}: {exc}") from None
     loss = _loss_from_flags(lossless, q)
-    report = verify_design(d, loss=loss, which="snapped" if d.snapped else "exact")
+    report = verify_design(d, loss=loss, which="snapped")
     doc = {
         "design": design_to_dict(d),
         "verification": _report_dict(report),
@@ -127,8 +127,7 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
         for name, value in d.values("snapped").items():
             click.echo(f"  {name:6s} {format_quantity(value, unit_for(name))}")
         click.echo(f"dc blockers: {', '.join(d.dcb) if d.dcb else 'none'}")
-        if report.ratio_fmod is not None:
-            click.echo(f"keying impedance ratio at f_mod: {report.ratio_fmod:.4g}")
+        click.echo(f"keying impedance ratio at f_mod: {report.ratio_fmod:.4g}")
         click.echo("checks:")
         for name, ok in report.checks.items():
             click.echo(f"  {name:32s} {'PASS' if ok else 'FAIL'}")

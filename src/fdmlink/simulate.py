@@ -237,11 +237,16 @@ def bus_amplitude(
     """Carrier amplitude on the line for a given set of node pin states.
 
     ``states`` maps each line name to one 'H'/'L' pin state per node; a line
-    left out is released at every node.  Every filter on the bus loads every
-    carrier (off-line filters sit in their stopband and contribute next to
-    nothing).  The loads are summed by ``_AmplitudeTable``, built here for
-    this one call.
+    left out is released at every node.  ``carrier_index`` is an integer
+    (not a bool) in ``range(len(topology.carriers))``.  Every filter on the
+    bus loads every carrier (off-line filters sit in their stopband and
+    contribute next to nothing).  The loads are summed by the table
+    ``_AmplitudeTable.for_topology`` keeps, so repeated calls, and calls
+    after a run on the same electrical topology, build no bus model.
     """
+    nc = len(topology.carriers)
+    if isinstance(carrier_index, bool) or not (isinstance(carrier_index, numbers.Integral) and 0 <= carrier_index < nc):
+        raise TopologyError(f"carrier_index must be an integer in range({nc}), got {carrier_index!r}")
     n = len(topology.nodes)
     drives = dict.fromkeys(LINES, (False,) * n)
     for line, pins in states.items():
@@ -250,7 +255,7 @@ def bus_amplitude(
         if len(pins) != n or not set(pins) <= {"H", "L"}:
             raise TopologyError(f"states[{line!r}] needs one 'H' or 'L' per node, {n} in all, got {pins!r}")
         drives[line] = tuple(pin == "L" for pin in pins)
-    return _AmplitudeTable(topology)(*drives.values())[carrier_index]
+    return _AmplitudeTable.for_topology(topology)(*drives.values())[carrier_index]
 
 
 class _AmplitudeTable:
@@ -265,9 +270,11 @@ class _AmplitudeTable:
     admittance, and a short adds ``pole_cap``.  A call adds them line by
     line in node order, then the dc feed and the other pull-ups, and the
     table remembers the amplitudes of every drive state it was called with.
-    ``bus_amplitude``, ``sweep_node_count`` and ``run_scenario`` all read
-    their amplitudes here; ``run_scenario`` takes its table from
-    ``for_topology``, the other two build their own.
+    A drive tuple shorter than the node list sums that prefix of the nodes
+    in node order, exactly as a table of those nodes alone; only
+    ``sweep_node_count``, which builds one table per call, relies on that.
+    This is the one cache of filter impedances and bus amplitudes:
+    ``run_scenario`` and ``bus_amplitude`` share the table ``for_topology`` keeps.
     """
 
     # the table ``for_topology`` built last
@@ -280,9 +287,9 @@ class _AmplitudeTable:
         Each carrier (line, frequency, amplitude, pull-up), the dc feed, the
         attenuation and the pole cap, by value; and per node, in order, the
         identity of its filter design on each line, with its loss model and
-        ``which`` by value.  Designs go by identity because a design
-        remembers the impedances evaluated on it; the table keeps them, so no
-        id in its key is reused while it lives.
+        ``which`` by value.  Designs go by identity because ``FilterDesign``
+        is unhashable (its element values are dicts); the table keeps them, so
+        no id in its key is reused while it lives.
         """
         return (
             topology.carriers,
@@ -296,10 +303,10 @@ class _AmplitudeTable:
     def for_topology(cls, topology: BusTopology) -> _AmplitudeTable:
         """The table this built last, if its key is ``topology``'s, else a new one.
 
-        Only that one table is kept.  Runs on one electrical topology, even
-        through new ``BusTopology`` objects with new slave models, share its
-        admittances and remembered amplitudes.  Threads that race to replace
-        it still each get a table of their own topology.
+        Only that one table is kept.  Runs and ``bus_amplitude`` calls on one
+        electrical topology, even through new ``BusTopology`` objects, share
+        its admittances and remembered amplitudes.  Threads that race to
+        replace it still each get a table of their own topology.
         """
         table = cls._last
         if table is None or table.key != cls.electrical(topology):
@@ -672,23 +679,27 @@ def sweep_node_count(
     """Replicate the first slave node to n slaves and report keying depth.
 
     Depth per line is the all-released amplitude over the amplitude with
-    one node pulling that line low, in dB; both come from one
-    ``_AmplitudeTable`` per node count.  A row passes when every line
-    clears ``min_depth_db``.
+    one node pulling that line low, in dB.  One ``_AmplitudeTable`` of the
+    master and ``max(n_range)`` copies of the slave serves every count: n
+    reads the first n + 1 nodes, the same sum an n-slave table makes.  A
+    row passes when every line clears ``min_depth_db``.  Each count is an
+    integer (not a bool) of at least 1.
     """
     template = next((n for n in topology.nodes if n.role == "slave"), None)
     if template is None:
         raise TopologyError("need a slave node to replicate")
-    if not all(n >= 1 for n in n_range):
-        raise TopologyError(f"node counts must be at least 1, got {list(n_range)}")
+    for n in n_range:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise TopologyError(f"node counts must be integers of at least 1, got {n!r}")
     master = topology.nodes[topology.master_index]
+    n_max = max(n_range, default=0)
+    nodes = (master,) + tuple(
+        dataclasses.replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n_max)
+    )
+    table = _AmplitudeTable(dataclasses.replace(topology, nodes=nodes))
     rows = []
     for n in n_range:
-        nodes = (master,) + tuple(
-            dataclasses.replace(template, name=f"{template.name}_{k}", slave=None) for k in range(n)
-        )
-        table = _AmplitudeTable(dataclasses.replace(topology, nodes=nodes))
-        released = (False,) * len(nodes)
+        released = (False,) * (n + 1)
         last_pulls = released[:-1] + (True,)
         high = table(released, released)
         row: dict = {"n": n}

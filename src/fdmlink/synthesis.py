@@ -244,8 +244,9 @@ class FilterDesign:
     be DC-isolated; DCBs are chosen large enough to be transparent at the
     carriers and are excluded from impedance evaluation.
 
-    A scalar ``input_impedance`` result is remembered per design (``_zin``),
-    which equality and ``repr`` ignore.
+    A design remembers nothing it evaluates: every ``input_impedance`` call
+    evaluates, and the simulator keeps carrier impedances in its bus model
+    (``simulate._AmplitudeTable``).
     """
 
     spec: FilterSpec
@@ -258,7 +259,6 @@ class FilterDesign:
     exact: dict[str, float]
     snapped: dict[str, float]
     dcb: tuple[str, ...]
-    _zin: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def f_mod(self) -> float:
@@ -313,22 +313,11 @@ class FilterDesign:
         which: str = "exact",
         loss: LossModel = LOSSLESS,
     ):
-        """Bus-side input impedance with the pin in logic state 'H' or 'L'.
-
-        For a Python float ``f`` the first result is stored and returned
-        again, so a simulator run on an existing design evaluates nothing;
-        array ``f`` is computed every time.
-        """
-        key = (f, state, which, loss) if type(f) is float else None
-        z = self._zin.get(key)
-        if z is None:
-            zin_h, zin_l = self.zin_functions(which, loss)
-            if state not in ("H", "L"):
-                raise ValueError(f"state must be 'H' or 'L', got {state!r}")
-            z = (zin_h if state == "H" else zin_l)(f)
-            if key is not None:
-                self._zin[key] = z
-        return z
+        """Bus-side input impedance with the pin in logic state 'H' or 'L', at scalar or array ``f``."""
+        if state not in ("H", "L"):
+            raise ValueError(f"state must be 'H' or 'L', got {state!r}")
+        zin_h, zin_l = self.zin_functions(which, loss)
+        return (zin_h if state == "H" else zin_l)(f)
 
     def _loaded_two_port(self, which: str, loss: LossModel) -> tuple[TwoPortZ, Network, Network]:
         """The two-port with the pin load high and low: the one place they are put together."""
@@ -604,11 +593,11 @@ def verify_design(
     from).  The carrier impedances come from ``FilterDesign.zin_functions``.
     No scipy module is imported.
     """
-    h_zin, l_zin = d.zin_functions(which, loss)
-    zh_fmod = h_zin(d.f_mod)
-    zl_fmod = l_zin(d.f_mod)
-    zh_fstop = h_zin(d.f_stop)
-    zl_fstop = l_zin(d.f_stop)
+    zin_h, zin_l = d.zin_functions(which, loss)
+    zh_fmod = zin_h(d.f_mod)
+    zl_fmod = zin_l(d.f_mod)
+    zh_fstop = zin_h(d.f_stop)
+    zl_fstop = zin_l(d.f_stop)
     zh_mag, zl_mag = (DEFAULT_POLE_CAP if is_open(z) else abs(z) for z in (zh_fmod, zl_fmod))
     ratio = zh_mag / max(zl_mag, 1e-30)
 
@@ -617,7 +606,7 @@ def verify_design(
     if loss.lossless:
         pz = lossless_poles_zeros(d.h_state_network(which, loss), f_lo, f_hi)
     else:
-        pz = find_poles_zeros(h_zin, f_lo, f_hi, grid=4001, lossless=False)
+        pz = find_poles_zeros(zin_h, f_lo, f_hi, grid=4001, lossless=False)
     poles = tuple(f for f, kind in pz if kind == "pole")
     zeros = tuple(f for f, kind in pz if kind == "zero")
 

@@ -402,7 +402,10 @@ def deliver_to_each(slaves, code: int) -> None:
 #
 # simulate.bus_amplitude and sweep_node_count as they stood before the
 # amplitude table became the one place bus loads are summed, copied verbatim
-# apart from inlining their helpers.  The table must match them bit for bit.
+# apart from inlining their helpers and evaluating each node filter once per
+# pin state and call (designs keep no impedances, and the 1..129-node sweep
+# would evaluate each about 130 times a call).  The sum and its order are
+# unchanged.  The table must match them bit for bit.
 
 
 def _cap_admittance(z: complex, cap: float) -> complex:
@@ -418,10 +421,14 @@ def bus_amplitude(topology, states, carrier_index: int) -> float:
     c = topology.carriers[carrier_index]
     f = c.frequency
     y = 0j
+    zin: dict = {}  # (design id, loss, which, state) -> its impedance at f
     for line in states:
         topology.line_carrier(line)
         for node, st in zip(topology.nodes, states[line]):
-            z = node.input_impedance(f, line, st)
+            key = (id(node.filters.get(line)), node.loss, node.which, st)
+            if key not in zin:
+                zin[key] = node.input_impedance(f, line, st)
+            z = zin[key]
             if z is not None:
                 y += _cap_admittance(z, topology.pole_cap)
     if topology.dc_feed is not None:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import warnings
 import weakref
 from importlib.resources import files
@@ -343,14 +344,58 @@ def test_run_leaves_topology_slave_models_unchanged(demo):
 
 @pytest.mark.parametrize("seed,noise_rms", [(0, 0.0), (1, 200e-6)])
 def test_warm_designs_give_the_same_metrics_as_fresh_ones(seed, noise_rms):
-    """Remembered carrier impedances reproduce the metrics JSON byte for byte."""
+    """A run on the kept table reproduces the metrics JSON of a fresh scenario byte for byte."""
     warm = load_scenario(DEMO)
     warm.run(seed=seed, noise_rms=noise_rms)
-    designs = {id(d): d for n in warm.topology.nodes for d in n.filters.values()}.values()
-    assert all(d._zin for d in designs)
     fresh, _ = load_scenario(DEMO).run(seed=seed, noise_rms=noise_rms)
     again, _ = warm.run(seed=seed, noise_rms=noise_rms)
     assert again.to_json() == fresh.to_json()
+
+
+def test_evaluating_a_design_leaves_it_unchanged():
+    """A design keeps no evaluation state: its fields are as before a scalar evaluation and a run."""
+    sc = load_scenario(DEMO)
+    designs = list({id(d): d for n in sc.topology.nodes for d in n.filters.values()}.values())
+    before = [copy.deepcopy(vars(d)) for d in designs]
+    designs[0].input_impedance(designs[0].f_mod, "H")
+    sc.run()
+    assert [vars(d) for d in designs] == before
+
+
+def _count_tables(monkeypatch) -> list:
+    """Record the topology of every ``_AmplitudeTable`` built from here on."""
+    built = []
+    init = _AmplitudeTable.__init__
+
+    def counted(self, topology):
+        built.append(topology)
+        init(self, topology)
+
+    monkeypatch.setattr(_AmplitudeTable, "__init__", counted)
+    return built
+
+
+def test_bus_amplitude_after_a_run_builds_no_table(monkeypatch):
+    """The run's kept table serves ``bus_amplitude`` on the same topology, with a fresh table's values."""
+    sc = load_scenario(DEMO)
+    topo = sc.topology
+    sc.run()
+    n = len(topo.nodes)
+    pulled = {"scl": ("H",) * (n - 1) + ("L",), "sda": ("L",) + ("H",) * (n - 1)}
+    built = _count_tables(monkeypatch)
+    got = [bus_amplitude(topo, states, np.int64(j)) for states in ({}, pulled) for j in range(len(topo.carriers))]
+    assert built == []
+    fresh = _AmplitudeTable(topo)
+    want = [fresh((False,) * n, (False,) * n), fresh(*(tuple(p == "L" for p in pulled[line]) for line in LINES))]
+    assert got == [a for amps in want for a in amps]
+
+
+@pytest.mark.parametrize(
+    "carrier_index", [-1, True, 2, 1.0, np.bool_(False)], ids=["negative", "bool", "past_end", "float", "numpy_bool"]
+)
+def test_bus_amplitude_refuses_a_bad_carrier_index(demo, carrier_index):
+    with pytest.raises(TopologyError, match=rf"carrier_index .* range\(2\), got {re.escape(repr(carrier_index))}$"):
+        bus_amplitude(demo.topology, {}, carrier_index)
 
 
 def test_sim_rate_floor_enforced(demo):
@@ -382,6 +427,25 @@ def test_sweep_node_count_refuses_fewer_than_one_slave(demo, n_range):
     # n = 0 would report the master's own keying depth as a row
     with pytest.raises(TopologyError, match="at least 1"):
         sweep_node_count(demo.topology, n_range)
+
+
+@pytest.mark.parametrize(
+    "n_range,bad",
+    [([True], "True"), ([2.5], "2.5"), ([4, False], "False"), ([1, 2.0], "2.0")],
+    ids=["true", "fraction", "false_after_a_count", "integral_float"],
+)
+def test_sweep_node_count_refuses_a_count_that_is_not_an_integer(demo, n_range, bad):
+    with pytest.raises(TopologyError, match=rf"integers of at least 1, got {bad}$"):
+        sweep_node_count(demo.topology, n_range)
+
+
+def test_sweep_node_count_builds_one_table(demo, monkeypatch):
+    """One table of the master and max(n_range) slaves serves every count, in any order and repeated."""
+    ns = [16, 1, 16, 3]
+    built = _count_tables(monkeypatch)
+    rows = sweep_node_count(demo.topology, np.array(ns))
+    assert [len(topo.nodes) for topo in built] == [17]
+    assert rows == oracles.sweep_node_count(demo.topology, ns)
 
 
 # -- loader error paths --

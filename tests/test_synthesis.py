@@ -314,20 +314,6 @@ def test_loss_model_rejects_nan(field):
         LossModel(**{field: math.nan})
 
 
-def test_input_impedance_remembers_scalar_frequencies_only(design_a, q40):
-    d = synthesize(design_a.spec)
-    z = d.input_impedance(20e6, "H", which="snapped", loss=q40)
-    assert d.input_impedance(20e6, "H", which="snapped", loss=q40) is z
-    assert list(d._zin) == [(20e6, "H", "snapped", q40)]
-    d.input_impedance(np.array([20e6, 50e6]), "H", which="snapped", loss=q40)
-    d.input_impedance(np.float64(50e6), "L", loss=q40)  # a numpy scalar is not a Python float
-    assert len(d._zin) == 1
-    cold = synthesize(design_a.spec)
-    # equality and repr ignore what a design remembers
-    assert d == cold and repr(d) == repr(cold)
-    assert cold.input_impedance(20e6, "H", which="snapped", loss=q40) == z
-
-
 def test_input_impedance_names_a_bad_pin_state(design_a):
     with pytest.raises(ValueError, match="state must be 'H' or 'L', got 'X'"):
         synthesize(design_a.spec).input_impedance(20e6, "X")
