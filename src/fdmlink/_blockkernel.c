@@ -7,7 +7,10 @@
  * the same order.  Build with -ffp-contract=off and without -ffast-math so
  * every double matches.  The struct layout mirrors BlockContext._fields_.
  * The exported step_block runs run_block on a local copy of the struct, as
- * the Python one runs it on local variables.
+ * the Python one runs it on local variables.  Each drive state of the slaves
+ * owns its amp rows and used flags; the caller switches states between calls
+ * by re-pointing amp and used, and the kernel reads them only through the
+ * struct.
  */
 #include <math.h>
 #include <stdint.h>
@@ -26,14 +29,14 @@ typedef struct {
     int64_t n_events;    /* edges the last call logged */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
-    const double *amp;    /* [4][n_streams] amplitude row per code */
+    const double *amp;    /* [4][n_streams] amplitude row per code, of the current drive state */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
     const uint8_t *hears; /* [2][groups] clock edges reach a listening slave, data edges any slave */
     double *ref, *det;    /* [n_streams] */
     uint8_t *out;         /* [n_streams] */
     int64_t *events;      /* [n_streams] the edges the last call logged */
-    uint8_t *obs;         /* [n_quarters][2] the master's (scl, sda) at each midpoint */
-    uint8_t *used;        /* [4] codes that ran at least one sample */
+    uint8_t *obs;         /* [n_quarters] the master's outputs 2 * scl + sda at each midpoint */
+    uint8_t *used;        /* [4] codes that ran at least one sample, of the current drive state */
     uint8_t *seen_low;    /* [2] each line's wired-AND level has been low */
     int64_t *bits_checked, *bit_errors;  /* [2] per stream */
     double *eye;                         /* [2] least |det - ref| at a counted midpoint */
@@ -75,8 +78,7 @@ static const double *enter_quarter(block_ctx *c, uint8_t wire[2])
 static void midpoint(block_ctx *c, const uint8_t wire[2])
 {
     const int64_t ng = c->n_streams / 2;
-    c->obs[2 * c->quarter] = c->out[c->master];
-    c->obs[2 * c->quarter + 1] = c->out[ng + c->master];
+    c->obs[c->quarter] = (uint8_t)(2 * c->out[c->master] + c->out[ng + c->master]);
     for (int li = 0; li < 2; li++) {
         if (!c->seen_low[li])
             continue;

@@ -145,26 +145,32 @@ class BlockContext(ctypes.Structure):
     same name without the ``_p`` suffix.  There are ``2 * groups`` streams,
     the SCL stream of each group and then the SDA ones; every stream starts
     with its output high.  The run is ``quarters`` quarter bits long, so
-    ``code`` and ``obs`` have a row per quarter, and ``noise`` and the
+    ``code`` and ``obs`` hold one code per quarter, and ``noise`` and the
     ``trace_*`` arrays (or None) a row per sample.
 
-    The caller owns ``code``, ``amp``, ``sda_pulled``, ``hears`` and
-    ``q_end``, and sets each stream's initial slicer reference in ``ref``
-    before the first call (``run_scenario`` takes ``modem.initial_reference``
-    of the first sample's input).  For each master segment it writes the
-    segment's intent codes (2 * scl + sda) into ``code`` from quarter
-    ``quarter`` on and sets ``q_end`` past them, keeping ``q_end`` at most
-    ``quarters`` (the C kernel does not check).  Whenever the slave drives
-    change it writes ``amp`` (one amplitude row per code) and
-    ``sda_pulled`` (a node other than the master pulls SDA).  ``hears`` is
-    (2, groups): ``hears[0, g]`` says clock edges reach a listening slave of
-    group g, ``hears[1, g]`` that data edges reach any slave of it; it
-    starts all ones.  The kernels own the rest: the position, the stream
-    state (``ref``, ``det``, ``out``) from then on, ``obs``, the ``used``
-    flags of the codes that ran, ``seen_low``, the bit and eye counters
-    (``bits_checked`` and ``bit_errors`` count streams, not nodes, and
-    ``eye``), the edge log (``events``, of which a call fills the first
-    ``n_events``) and the traces.
+    The caller owns ``code``, ``amp``, ``used``, ``sda_pulled``, ``hears``
+    and ``q_end``, and sets each stream's initial slicer reference in
+    ``ref`` before the first call (``run_scenario`` takes
+    ``modem.initial_reference`` of the first sample's input).  For each
+    master segment it writes the segment's intent codes (2 * scl + sda)
+    into ``code`` from quarter ``quarter`` on and sets ``q_end`` past them,
+    keeping ``q_end`` at most ``quarters`` (the C kernel does not check).
+    The slaves' drives select a drive state: an ``amp`` of one amplitude
+    row per code, (4, 2 * groups) float64, and ``used`` flags, 4 uint8, and
+    ``sda_pulled`` (a node other than the master pulls SDA).  Whenever the
+    drives change, the caller points ``amp`` and ``used`` at the new
+    state's arrays, and ``amp_p`` and ``used_p`` at their data, and sets
+    ``sda_pulled``; nothing is copied, and a state the run comes back to
+    keeps its flags.  The arrays this object allocates serve as the first
+    state.  ``hears`` is (2, groups): ``hears[0, g]`` says clock edges reach
+    a listening slave of group g, ``hears[1, g]`` that data edges reach any
+    slave of it; it starts all ones.  The kernels own the rest: the
+    position, the stream state (``ref``, ``det``, ``out``) from then on,
+    ``obs`` (the master's outputs 2 * scl + sda at each quarter's
+    midpoint), the flags in ``used`` of the codes that ran, ``seen_low``,
+    the bit and eye counters (``bits_checked`` and ``bit_errors`` count
+    streams, not nodes, and ``eye``), the edge log (``events``, of which a
+    call fills the first ``n_events``) and the traces.
     """
 
     _fields_ = [
@@ -259,7 +265,7 @@ class BlockContext(ctypes.Structure):
         self.out = np.ones(n_streams, dtype=np.uint8)
         self.hears = np.ones((2, groups), dtype=np.uint8)
         self.events = np.zeros(n_streams, dtype=np.int64)
-        self.obs = np.ones((quarters, 2), dtype=np.uint8)
+        self.obs = np.full(quarters, 3, dtype=np.uint8)
         self.used = np.zeros(4, dtype=np.uint8)
         self.seen_low = np.zeros(2, dtype=np.uint8)
         self.bits_checked = np.zeros(2, dtype=np.int64)
@@ -294,7 +300,7 @@ def step_block(ctx: BlockContext) -> int:
     of the quarter are SCL = c >> 1 and SDA = c & 1 unless ``sda_pulled``;
     a line's ``seen_low`` is set once its level is low, and ``used[c]`` once
     a sample runs under c.  At each quarter midpoint (pos = spq // 2) the
-    master's outputs go to ``obs[q]``, and for each line with ``seen_low``
+    master's outputs go to ``obs[q]`` as 2 * scl + sda, and for each line with ``seen_low``
     set, ``bits_checked`` grows by the line's stream count, ``bit_errors``
     by one per stream whose output differs from the line's level, and
     ``eye`` takes the least |det - ref|.
@@ -390,7 +396,7 @@ def step_block(ctx: BlockContext) -> int:
                 trace_out += out
             n += 1
             if pos == mid:
-                ctx.obs[q] = (out[mscl], out[msda])
+                ctx.obs[q] = 2 * out[mscl] + out[msda]
                 for li in (0, 1):
                     if not seen_low[li]:
                         continue

@@ -17,7 +17,8 @@ with a repeated START instead of STOP+START.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from typing import Generator, Iterable, Sequence
 
 import numpy as np
@@ -81,17 +82,28 @@ class Transaction:
     completed: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("address", "read_length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ProtocolError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.address <= 0x7F:
             raise ProtocolError(f"address {self.address:#x} is not 7-bit")
         if self.direction not in ("write", "read"):
             raise ProtocolError(f"direction must be 'write' or 'read', got {self.direction!r}")
         if self.direction == "read" and self.read_length < 1 and not self.completed:
             raise ProtocolError("read transactions need read_length >= 1")
-        object.__setattr__(self, "payload", bytes(self.payload))
+        try:
+            # item by item: bytes() of an integer is that many zero bytes, and of a buffer of
+            # wider items (a numpy int64 array) its raw memory
+            payload = self.payload if type(self.payload) is bytes else bytes(list(self.payload))
+        except (TypeError, ValueError):
+            raise ProtocolError(f"payload must be bytes or integers in 0..255, got {self.payload!r}") from None
+        object.__setattr__(self, "payload", payload)
 
     @staticmethod
     def write(address: int, payload: bytes, stop_after: bool = True) -> "Transaction":
-        return Transaction(address, "write", bytes(payload), stop_after=stop_after)
+        return Transaction(address, "write", payload, stop_after=stop_after)
 
     @staticmethod
     def read(address: int, length: int, stop_after: bool = True) -> "Transaction":
@@ -393,50 +405,50 @@ class SlaveGroup:
         return True
 
 
-# fixed quarter sequences of the master, as (scl, sda) intents
-_IDLE_BIT = ((H, H),) * QUARTERS_PER_BIT
-_START = ((H, H), (H, L), (L, L))  # SDA falls while SCL high
-_RESTART = ((L, H), (H, H), (H, L), (L, L))
-_STOP = ((L, L), (H, L), (H, H), (H, H))  # SDA rises while SCL high
-_ACK_TAIL = ((L, H),)  # the quarter that closes an ACK slot after it is sampled
-_READ_BIT = ((L, H), (H, H), (H, H), (L, H))  # sampled in its third quarter
-_TX_BIT = tuple(((L, v), (H, v), (H, v), (L, v)) for v in (L, H))  # indexed by the bit sent
+# The master's quarters as the block kernels' codes, 2 * scl_intent + sda_intent: (H, H) is 3,
+# (H, L) 2, (L, H) 1 and (L, L) 0.  The fixed sequences:
+_IDLE_BIT = bytes((3, 3, 3, 3))
+_START = bytes((3, 2, 0))  # SDA falls while SCL high
+_RESTART = bytes((1, 3, 2, 0))
+_STOP = bytes((0, 2, 3, 3))  # SDA rises while SCL high
+_ACK_TAIL = bytes((1,))  # the quarter that closes an ACK slot after it is sampled
+_TX_BIT = (bytes((0, 2, 2, 0)), bytes((1, 3, 3, 1)))  # indexed by the bit sent
+_TX_NIBBLE = tuple([b"".join(_TX_BIT[(n >> bit) & 1] for bit in (3, 2, 1, 0)) for n in range(16)])
+_ACK_SLOT = bytes((1, 3, 3))  # SDA released up to the quarter that samples the ACK
+# a byte clocked in with SDA released (each bit sampled in its third quarter), then the ACK
+# slot: ACKed, or NACKed as the last byte of a read
+_RX_ACKED = _TX_BIT[1] * 8 + _TX_BIT[0]
+_RX_LAST = _TX_BIT[1] * 9
 _QUARTERS_PER_BYTE = 9 * QUARTERS_PER_BIT
 
 
-def _tx_quarters(byte: int) -> tuple[tuple[int, int], ...]:
+def _tx_quarters(byte: int) -> bytes:
     """Clock out ``byte`` MSB first, then release SDA up to the quarter that samples the ACK."""
-    q: tuple[tuple[int, int], ...] = ()
-    for bit in range(7, -1, -1):
-        q += _TX_BIT[(byte >> bit) & 1]
-    return q + ((L, H), (H, H), (H, H))
-
-
-def _rx_quarters(ack: bool) -> tuple[tuple[int, int], ...]:
-    """Clock in one byte with SDA released, then drive the ACK slot (ACK or NACK)."""
-    a = L if ack else H
-    return _READ_BIT * 8 + ((L, a), (H, a), (H, a), (L, a))
+    return _TX_NIBBLE[byte >> 4] + _TX_NIBBLE[byte & 15] + _ACK_SLOT
 
 
 class MasterEngine:
     """Clock-owning side: compiles transactions into quarter-bit intents.
 
-    ``segments()`` is the master program.  It yields segments, each a tuple
-    of (scl_intent, sda_intent) pairs, one per quarter bit, and receives
-    back the resolved (scl, sda) the master observed at the midpoint of each
+    ``segments()`` is the master program.  It yields segments, each a
+    ``bytes`` of intent codes ``2 * scl_intent + sda_intent``, one per
+    quarter bit, and receives back a ``bytes`` of the codes ``2 * scl +
+    sda`` of the resolved lines the master observed at the midpoint of each
     of them, in order.  A segment ends only after a quarter whose
-    observation changes later intents: the quarter that samples the ACK of a
-    byte the master sends.  Read bits only fill ``results``, so the bytes of
-    a read, its STOP or repeated START and the next address byte run as one
-    segment.  ``generator()`` is the same program one quarter at a time: it
-    yields each intent and receives that quarter's (scl, sda).  Both buses
-    drive ``segments()``; ``generator()`` is kept only for
-    ``fdmbench/layers.py`` and ``tests/oracles.py``.  Completed transactions
-    (with observed ACKs and read data) accumulate in ``results``; a read's
-    entry is added once the segment holding its data bits has been
-    observed.  The program opens with ``LEAD_IN_BITS`` idle bits and idles
-    ``GAP_BITS`` after each STOP; addresses in ``RESERVED_ADDRESSES`` are
-    refused.  One engine instance runs one program, once.
+    observation changes later intents: the quarter that samples the ACK of
+    a byte the master sends.  Read bits only fill ``results``, so the bytes
+    of a read, its STOP or repeated START and the next address byte run as
+    one segment.  ``generator()`` is the same program one quarter at a
+    time: it yields each intent as an (scl, sda) pair and receives that
+    quarter's (scl, sda).  Both buses drive ``segments()``; ``generator()``
+    is kept only for ``fdmbench/layers.py`` and ``tests/oracles.py``.
+    Completed transactions (with observed ACKs and read data) accumulate in
+    ``results``; a read's entry is added once the segment holding its data
+    bits has been observed.  The program opens with ``LEAD_IN_BITS`` idle
+    bits and idles ``GAP_BITS`` after each STOP; addresses in
+    ``RESERVED_ADDRESSES`` are refused.  One engine instance runs one
+    program, once: a second ``segments()`` or ``generator()`` raises
+    ``ProtocolError``.
     """
 
     def __init__(self, transactions: Transaction | Sequence[Transaction], clock_hz: float):
@@ -454,6 +466,7 @@ class MasterEngine:
         self.transactions = list(transactions)
         self.clock_hz = float(clock_hz)
         self.results: list[Transaction] = []
+        self._started = False
 
     def quarters_upper_bound(self) -> int:
         """Static bound on program length; aborts only shorten a run."""
@@ -466,74 +479,76 @@ class MasterEngine:
         return total
 
     def _record(self, t: Transaction, acks: list[bool], completed: bool, data: bytes = b"") -> None:
+        payload = data if t.direction == "read" else t.payload
         self.results.append(
-            replace(
-                t,
-                payload=data if t.direction == "read" else t.payload,
-                acks=tuple(acks),
-                completed=completed,
-            )
+            Transaction(t.address, t.direction, payload, t.read_length, t.stop_after, tuple(acks), completed)
         )
 
-    def segments(self) -> Generator[tuple[tuple[int, int], ...], Sequence[Sequence[int]], None]:
-        """The master program: yields segments of intents, receives each one's observations."""
-        seg = list(_IDLE_BIT * LEAD_IN_BITS)
+    def segments(self) -> Generator[bytes, bytes, None]:
+        """The master program: yields segments of intent codes, receives each one's observed codes."""
+        if self._started:
+            raise ProtocolError("this MasterEngine has run its program; make a new one")
+        self._started = True
+        return self._program()
+
+    def _program(self) -> Generator[bytes, bytes, None]:
+        seg = _IDLE_BIT * LEAD_IN_BITS
         # a completed read whose data bits sit in ``seg`` from index ``first``
         read: tuple[Transaction, list[bool], int] | None = None
         stopped = True
         for t in self.transactions:
             seg += _START if stopped else _RESTART
-            seg += _tx_quarters((t.address << 1) | (1 if t.direction == "read" else 0))
-            obs = yield tuple(seg)
+            obs = yield seg + _tx_quarters((t.address << 1) | (t.direction == "read"))
             if read is not None:
                 self._finish_read(read, obs)
                 read = None
-            seg = list(_ACK_TAIL)
-            acks = [obs[-1][1] == L]
+            seg = _ACK_TAIL
+            acks = [not obs[-1] & 1]
             completed = acks[0]
             if completed and t.direction == "write":
                 for b in t.payload:
-                    seg += _tx_quarters(b)
-                    obs = yield tuple(seg)
-                    seg = list(_ACK_TAIL)
-                    acks.append(obs[-1][1] == L)
+                    obs = yield seg + _tx_quarters(b)
+                    acks.append(not obs[-1] & 1)
                     if not acks[-1]:
                         completed = False
                         break
             elif completed:
                 read = (t, acks, len(seg))
-                for k in range(t.read_length):
-                    seg += _rx_quarters(ack=k < t.read_length - 1)
+                seg += _RX_ACKED * (t.read_length - 1) + _RX_LAST
             stopped = t.stop_after or not completed
             if stopped:
                 seg += _STOP + _IDLE_BIT * GAP_BITS
             if read is None:
                 self._record(t, acks, completed)
-        obs = yield tuple(seg + list(_IDLE_BIT * 2))
+        obs = yield seg + _IDLE_BIT * 2
         if read is not None:
             self._finish_read(read, obs)
 
-    def _finish_read(self, read: tuple[Transaction, list[bool], int], obs: Sequence[Sequence[int]]) -> None:
+    def _finish_read(self, read: tuple[Transaction, list[bool], int], obs: bytes) -> None:
         t, acks, first = read
         data = bytearray()
         for k in range(t.read_length):
             base = first + k * _QUARTERS_PER_BYTE + 2
             value = 0
             for i in range(8):
-                value = (value << 1) | (1 if obs[base + i * QUARTERS_PER_BIT][1] else 0)
+                value = (value << 1) | (obs[base + i * QUARTERS_PER_BIT] & 1)
             data.append(value)
         self._record(t, acks, True, bytes(data))
 
     def generator(self) -> Generator[tuple[int, int], tuple[int, int], None]:
         """``segments()`` one quarter at a time: yields each intent, receives its (scl, sda)."""
-        program = self.segments()
+        return self._quarters(self.segments())
+
+    @staticmethod
+    def _quarters(program: Generator[bytes, bytes, None]) -> Generator[tuple[int, int], tuple[int, int], None]:
         seg = next(program)
         while True:
-            obs = []
-            for intent in seg:
-                obs.append((yield intent))
+            obs = bytearray()
+            for code in seg:
+                scl, sda = yield code >> 1, code & 1
+                obs.append(2 * scl + sda)
             try:
-                seg = program.send(obs)
+                seg = program.send(bytes(obs))
             except StopIteration:
                 return
 
@@ -551,23 +566,25 @@ def run_ideal_bus(
     """
     group = SlaveGroup(slaves)
     quarters: list[tuple[int, int]] = []
-    scl_prev, sda_prev = H, H
+    prev = 2 * H + H
     program = master.segments()
     seg = next(program)
     while True:
-        obs = []
-        for scl, sda_i in seg:
-            sda = L if sda_i == L or group.pulling else H
-            if scl != scl_prev:
-                group.edge(2 * (EDGE_RISE if scl == H else EDGE_FALL) + sda)
-            elif scl == H and sda != sda_prev:
-                group.edge(2 * EDGE_DATA + sda)
-            obs.append((scl, sda))
-            scl_prev, sda_prev = scl, sda
+        obs = bytearray()
+        for code in seg:
+            if group.pulling:
+                code &= 2  # a slave holds SDA low
+            scl = code >> 1
+            if scl != prev >> 1:
+                group.edge(2 * (EDGE_RISE if scl == H else EDGE_FALL) + (code & 1))
+            elif scl == H and code != prev:
+                group.edge(2 * EDGE_DATA + (code & 1))
+            obs.append(code)
+            prev = code
         if collect:
-            quarters += obs
+            quarters += [(code >> 1, code & 1) for code in obs]
         try:
-            seg = program.send(obs)
+            seg = program.send(bytes(obs))
         except StopIteration:
             return quarters if collect else None
 

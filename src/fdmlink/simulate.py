@@ -89,8 +89,6 @@ MIN_SAMPLES_PER_QUARTER = 13
 # the most samples a run may ask for (quarters_upper_bound * samples per quarter):
 # 2**24 is over 600 times the demo's, and a noisy demo run of it takes seconds
 MAX_RUN_SAMPLES = 2**24
-# a master quarter's (scl, sda) intents as the block kernel's code 2 * scl + sda
-_INTENT_CODE = {(scl, sda): 2 * scl + sda for scl in (H, L) for sda in (H, L)}
 # every node's detector
 _DETECTOR = DetectorParams()
 # The highest harmonic order the overlap check warns about.  A float ratio
@@ -451,10 +449,10 @@ def run_scenario(
     LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default 10 mV
     hysteresis, started at ``modem.initial_reference`` of the first sample.
 
-    ``MasterEngine.segments()`` yields the master's quarter intents a
-    segment at a time; only the ACK sample of a byte the master sends ends
-    a segment early.  The segment's intent codes go to the kernel context
-    with one amplitude row per code for the current slave drives, and
+    ``MasterEngine.segments()`` yields the master's quarters a segment at
+    a time, as ``bytes`` of the kernel's intent codes ``2 * scl + sda``,
+    which are copied into the kernel context as they are; only the ACK
+    sample of a byte the master sends ends a segment early.
     ``kernels.block_stepper()`` runs every stream across the segment's
     quarters, returning at the segment end or at a bus edge that some
     group's slaves must act on (``_kernels_py.step_block`` states the
@@ -464,17 +462,20 @@ def run_scenario(
     mask follows the group's ``listening`` list.  The amplitudes come from
     ``_AmplitudeTable.for_topology``, which keeps the last table built and
     hands it to the next run on the same electrical topology, so repeated
-    runs build no bus model and recompute no drive state.  The amplitude
-    rows are rebuilt only when some group's ``pulling`` engines changed.  At
-    the segment end the observations go back to the master program.  The
-    sample budget is checked once per segment, before it runs, and its
-    noise rows are drawn then, straight into the context's buffer, the same
-    values as one ``rng.normal(0, noise_rms)`` draw up front.  A run
-    may ask for at most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound``
-    times the samples per quarter); more raise ``TopologyError`` before
-    anything is allocated.  The keying depth is taken over the drive states
-    some sample ran under.  Deterministic for a fixed seed, and the same on
-    both kernel backends.
+    runs build no bus model and recompute no drive state.  A drive state,
+    the ``pulling`` engines of every group, gets its arrays on its first
+    visit: an amplitude row per intent code and ``used`` flags.  When some
+    group's ``pulling`` engines change, the context is pointed at the new
+    state's arrays and nothing is copied.  At the segment end the master's
+    observed codes go back to the master program as ``bytes``.  The sample
+    budget is checked once per segment, before it runs, and its noise rows
+    are drawn then, straight into the context's buffer, the same values as
+    one ``rng.normal(0, noise_rms)`` draw up front.  A run may ask for at
+    most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the
+    samples per quarter); more raise ``TopologyError`` before anything is
+    allocated.  The keying depth is taken over the drive states some sample
+    ran under, read from every state's ``used`` flags once the run ends.
+    Deterministic for a fixed seed, and the same on both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
     ``trace_sink`` to capture per-sample detector/reference traces for
     every node.
@@ -552,14 +553,14 @@ def run_scenario(
     table = _AmplitudeTable.for_topology(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
-    # Keyed by each group's ``pulling`` engines: an amplitude row per master
-    # intent code, and the table entries behind them.
-    rows_of: dict[tuple[tuple[SlaveEngine, ...], ...], tuple[np.ndarray, list[tuple[float, ...]]]] = {}
-    ran: dict[tuple[float, ...], None] = {}  # table entries some sample ran under
+    # Keyed by each group's ``pulling`` engines: the context fields of that drive state (its
+    # amplitude row per master intent code, its ``used`` flags, their addresses and
+    # ``sda_pulled``), and the table entries behind the rows.
+    states: dict[tuple[tuple[SlaveEngine, ...], ...], tuple[tuple, list[tuple[float, ...]]]] = {}
 
-    def set_drives(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> list[tuple[float, ...]]:
-        hit = rows_of.get(pulled)
-        if hit is None:
+    def set_drives(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> None:
+        state = states.get(pulled)
+        if state is None:
             sda = [False] * n_nodes
             for pulling in pulled:
                 for e in pulling:
@@ -570,21 +571,14 @@ def run_scenario(
                 # tuple(list), not tuple(genexpr): the latter shrinks an oversized
                 # tuple and strands the freed ones on CPython's free list (~0.2 MB)
                 entries.append(table(scl_drives[code >> 1], tuple(sda)))
-            rows = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
-            hit = rows_of[pulled] = (rows, entries)
-        ctx.amp[:] = hit[0]
-        ctx.sda_pulled = any(pulled)
-        return hit[1]
-
-    def harvest(entries: list[tuple[float, ...]]) -> None:
-        for code, was_used in enumerate(ctx.used.tolist()):
-            if was_used:
-                ran[entries[code]] = None
-        ctx.used[:] = 0
+            amp = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
+            used = np.zeros(4, dtype=np.uint8)
+            fields = (amp, amp.ctypes.data, used, used.ctypes.data, int(any(pulled)))
+            state = states[pulled] = (fields, entries)
+        ctx.amp, ctx.amp_p, ctx.used, ctx.used_p, ctx.sda_pulled = state[0]
 
     pulling = [group.pulling for group in groups]  # each group's, refreshed after its falls and data edges
-    pulled = tuple(pulling)
-    entries = set_drives(pulled)
+    set_drives(tuple(pulling))
     program = master.segments()
     seg = next(program)
     while True:
@@ -594,7 +588,7 @@ def run_scenario(
                 f"run outgrew its {n_alloc}-sample budget at sample {q0 * spq}: "
                 "MasterEngine.quarters_upper_bound undercounts the script"
             )
-        ctx.code[q0:q_end] = [_INTENT_CODE[i] for i in seg]
+        ctx.code[q0:q_end] = np.frombuffer(seg, dtype=np.uint8)
         ctx.q_end = q_end
         if noisy:
             # the same values as one up-front draw of every row: a Generator's stream is
@@ -609,23 +603,25 @@ def run_scenario(
             ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
         while True:
             step(ctx)
+            moved = False  # some group's pulling engines changed
             for e in events[:ctx.n_events].tolist():
                 group = groups[e >> 3]
                 if group.edge(e & 7):  # the group re-read its lists
                     hears[0, e >> 3] = bool(group.listening)
-                    pulling[e >> 3] = group.pulling
-            now = tuple(pulling)
-            if now != pulled:
-                harvest(entries)
-                pulled = now
-                entries = set_drives(pulled)
+                    if group.pulling != pulling[e >> 3]:
+                        pulling[e >> 3] = group.pulling
+                        moved = True
+            if moved:
+                set_drives(tuple(pulling))
             if ctx.quarter == q_end:
                 break
         try:
-            seg = program.send(ctx.obs[q0:q_end].tolist())
+            seg = program.send(ctx.obs[q0:q_end].tobytes())
         except StopIteration:
             break
-    harvest(entries)
+    # the table entries some sample ran under
+    ran = [entries[code] for (_, _, used, _, _), entries in states.values()
+           for code in np.flatnonzero(used).tolist()]
     isample = ctx.quarter * spq
 
     depth = {}

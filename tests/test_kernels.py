@@ -89,11 +89,18 @@ def _seed(ctx, first):
     ctx.ref[:] = _kernels_py.detector(first.tolist(), ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
 
 
-def _set_drives(ctxs, drives, hears):
-    rows, pulled = drives
-    for ctx in ctxs:
-        for code, levels in enumerate(rows):
-            ctx.amp[code] = [levels[s % len(levels)] for s in range(ctx.n_streams)]
+def _set_drives(ctxs, states, i, drive, hears):
+    """Point each context at the arrays of drive state ``i``, made on its first visit, as ``run_scenario`` does.
+
+    ``states`` maps (context index, drive state index) to that state's ``amp`` and ``used``.
+    """
+    rows, pulled = drive
+    for k, ctx in enumerate(ctxs):
+        if (k, i) not in states:
+            amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
+            states[k, i] = (amp, np.zeros(4, dtype=np.uint8))
+        ctx.amp, ctx.used = states[k, i]
+        ctx.amp_p, ctx.used_p = ctx.amp.ctypes.data, ctx.used.ctypes.data
         ctx.sda_pulled = pulled
         ctx.hears[:] = hears
 
@@ -134,11 +141,14 @@ def test_c_step_block_matches_python_bit_for_bit(
     (``ref0`` None, as in ``run_scenario``) or at drawn values, NaN and
     infinities included, that the streams take in turn.  The segments hold
     random intent codes.  After every return on a logged fall or data edge
-    the caller moves to the next drive state and draws a new ``hears`` mask
+    the caller moves to the next drive state, re-pointing ``amp`` and
+    ``used`` at that state's own arrays, and draws a new ``hears`` mask
     (each flag set with probability ``hear_p``), as ``run_scenario`` does
     after slave callbacks, so the kernels resume mid-segment on new
-    amplitude rows; a call at the segment end must return 0 and log
-    nothing.  A call that logged only rises ran to the segment end.
+    amplitude rows; drive states repeat, so a state's ``used`` flags carry
+    over from its last visit, and every state's flags are compared at the
+    end.  A call at the segment end must return 0 and log nothing.  A call
+    that logged only rises ran to the segment end.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
@@ -148,7 +158,8 @@ def test_c_step_block_matches_python_bit_for_bit(
                   hysteresis=hysteresis, samples_per_quarter=spq, quarters=quarters,
                   master=master % groups, noise=noise, traces=traced)
     ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
-    _set_drives(ctxs, drives[0], rng.random((2, groups)) < hear_p)
+    states = {}
+    _set_drives(ctxs, states, 0, drives[0], rng.random((2, groups)) < hear_p)
     first = c_ctx.amp[segments[0][0]] + noise[0] if noisy else c_ctx.amp[segments[0][0]]
     for ctx in ctxs:
         if ref0 is None:
@@ -174,8 +185,12 @@ def test_c_step_block_matches_python_bit_for_bit(
                 break
             assert n >= 1
             changes += 1
-            _set_drives(ctxs, drives[changes % len(drives)], rng.random((2, groups)) < hear_p)
+            i = changes % len(drives)
+            _set_drives(ctxs, states, i, drives[i], rng.random((2, groups)) < hear_p)
     assert c_ctx.quarter == quarters
+    for (k, i), (_, used) in states.items():
+        if k == 0:
+            assert used.tobytes() == states[1, i][1].tobytes(), f"used of drive state {i}"
     if traced:
         for name in ("trace_det", "trace_ref", "trace_out", "trace_wire"):
             assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
@@ -203,14 +218,14 @@ def test_step_block_ends_at_the_first_output_change():
     # a fall in each group, logged with the group's SDA output
     fall = 2 * kernels.EDGE_FALL + 1
     assert ctx.events[:ctx.n_events].tolist() == [fall, 8 + fall]
-    assert ctx.obs[0].tolist() == [1, 1]
+    assert ctx.obs[0] == 3  # the master's outputs as 2 * scl + sda
     assert ctx.seen_low.tolist() == [1, 0]
     assert ctx.bits_checked.tolist() == [0, 0]  # quarter 0's midpoint came before SCL was low
     assert ctx.used.tolist() == [0, 1, 0, 1]
     # on to the segment end: quarter 1's midpoint sees SCL low on both groups' streams
     assert step(ctx) == 15
     assert (ctx.n_events, ctx.quarter, ctx.pos) == (0, 2, 0)
-    assert ctx.obs[1].tolist() == [0, 1]
+    assert ctx.obs[1] == 1
     assert ctx.bits_checked.tolist() == [2, 0]
     assert ctx.bit_errors.tolist() == [0, 0]
     assert 0 < ctx.eye[0] < math.inf and ctx.eye[1] == math.inf

@@ -42,6 +42,42 @@ def test_transaction_validation():
     assert t.to_dict()["address"] == 0x18
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda: Transaction.read(0x20, 2.5), "read_length"),
+    (lambda: Transaction.read(0x20, True), "read_length"),
+    (lambda: Transaction.write(32.5, b"\x01"), "address"),
+    (lambda: Transaction.write(True, b"\x01"), "address"),
+    (lambda: Transaction("32", "write", b"\x01"), "address"),
+    (lambda: Transaction.write(0x20, [0x01, 256]), "payload"),
+    (lambda: Transaction.write(0x20, [-1]), "payload"),
+    (lambda: Transaction.write(0x20, [1.0]), "payload"),
+    (lambda: Transaction(0x20, "write", 3), "payload"),  # bytes(3) would be three zero bytes
+], ids=["read_length_float", "read_length_bool", "address_float", "address_bool", "address_str",
+        "payload_256", "payload_negative", "payload_float", "payload_int"])
+def test_transaction_rejects_field_values_that_are_not_integers_in_range(make, field):
+    with pytest.raises(ProtocolError, match=field):
+        make()
+
+
+def test_transaction_takes_numpy_integers_as_ints():
+    t = Transaction.read(np.int64(0x20), np.uint8(2))
+    assert type(t.address) is int and type(t.read_length) is int
+    assert t == Transaction.read(0x20, 2)
+    # one byte per value, not the array's raw int64 memory
+    assert Transaction.write(0x20, np.array([1, 2])).payload == b"\x01\x02"
+
+
+def test_master_runs_its_program_once():
+    """A second program on one engine raises instead of appending a second set of results."""
+    master = MasterEngine(Transaction.write(0x18, [0x05]), 100e3)
+    run_ideal_bus(master, [SlaveEngine(_temp_slave())])
+    assert len(master.results) == 1
+    for again in (lambda: run_ideal_bus(master, [SlaveEngine(_temp_slave())]), master.segments, master.generator):
+        with pytest.raises(ProtocolError, match="has run its program"):
+            again()
+    assert len(master.results) == 1
+
+
 def test_master_rejects_reserved_and_bad_clock():
     with pytest.raises(ProtocolError, match="reserved"):
         MasterEngine(Transaction.write(0x03, [0]), 100e3)
@@ -494,25 +530,33 @@ def test_segments_flatten_to_the_per_quarter_program(script, seed, p_low):
     rng = np.random.default_rng(seed)
     bound = MasterEngine(txs, 400e3).quarters_upper_bound()
     feedback = [tuple(int(v) for v in row) for row in (rng.random((bound, 2)) >= p_low)]
+    codes = bytes(2 * scl + sda for scl, sda in feedback)
 
     seg_master = MasterEngine(txs, 400e3)
     program = seg_master.segments()
     segs = [next(program)]
-    flat = list(segs[0])
+    flat = segs[0]
     try:
         while True:
-            segs.append(program.send(feedback[len(flat) - len(segs[-1]):len(flat)]))
+            segs.append(program.send(codes[len(flat) - len(segs[-1]):len(flat)]))
             flat += segs[-1]
     except StopIteration:
         pass
+    assert all(type(s) is bytes for s in segs)
+    intents = _decode(flat)
 
     gen_master = MasterEngine(txs, 400e3)
     ref_results: list = []
-    assert _drive(gen_master.generator(), feedback) == flat
-    assert _drive(master_quarters(gen_master, ref_results), feedback) == flat
+    assert _drive(gen_master.generator(), feedback) == intents
+    assert _drive(master_quarters(gen_master, ref_results), feedback) == intents
     assert seg_master.results == gen_master.results == ref_results
     assert len(seg_master.results) == len(txs)
     assert len(flat) <= seg_master.quarters_upper_bound()
     # only the ACK sample of a byte the master sends ends a segment early
-    assert all(s[-1] == (1, 1) and s[-3:-1] == ((0, 1), (1, 1)) for s in segs[:-1])
+    assert all(_decode(s[-1:]) == [(1, 1)] and _decode(s[-3:-1]) == [(0, 1), (1, 1)] for s in segs[:-1])
     assert len(segs) <= 1 + sum(1 + (len(d) if k == "write" else 0) for k, _, d, _, _ in script)
+
+
+def _decode(codes: bytes) -> list[tuple[int, int]]:
+    """Quarter codes ``2 * scl + sda`` as (scl, sda) pairs."""
+    return [(c >> 1, c & 1) for c in codes]
