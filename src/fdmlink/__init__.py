@@ -30,9 +30,8 @@ _EXPORTS = {
         "resistor",
         "series",
         "short_circuit",
-        "t_network",
     ],
-    "eseries": ["ESERIES", "snap_ceil", "snap_eseries", "snap_floor"],
+    "eseries": ["ESERIES", "snap_eseries", "snap_floor"],
     "loss": ["DEFAULT_Q", "DEFAULT_R_H", "DEFAULT_R_L", "LOSSLESS", "LossModel"],
     "synthesis": [
         "ConfigKind",
@@ -73,8 +72,6 @@ _EXPORTS = {
         "SlicerParams",
         "VoltageTrace",
         "check_carrier_separation",
-        "detect",
-        "inject_latchup_spike",
         "modulate",
         "slice_levels",
     ],

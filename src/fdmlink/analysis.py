@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DEFAULT_POLE_CAP, POLE_CLAMP, is_open, is_pole
+from .elements import DEFAULT_POLE_CAP, POLE_CLAMP, check_band, is_open, is_pole
 from .loss import LOSSLESS, LossModel
 from .synthesis import FilterDesign
 
@@ -41,6 +42,12 @@ def _finite(z) -> complex:
         mag = abs(z)
         return z * (DEFAULT_POLE_CAP / mag) if math.isfinite(mag) else complex(DEFAULT_POLE_CAP, 0.0)
     return z
+
+
+def _check_node_count(n) -> None:
+    """``ValueError`` unless ``n`` is an integer (not a bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,10 @@ def sweep(
 
     Both come from ``FilterDesign.zin_functions``; the carriers are pulled
     onto the grid.  Poles and zeros are not located here:
-    ``synthesis.verify_design`` reports the high-state ones.
+    ``synthesis.verify_design`` reports the high-state ones.  ``ValueError``
+    unless 0 < f_lo < f_hi < inf.
     """
-    if not f_lo < f_hi:
-        raise ValueError("need f_lo < f_hi")
+    check_band(f_lo, f_hi)
     if points < 2:
         raise ValueError("points must be >= 2")
     fs = np.geomspace(f_lo, f_hi, points)
@@ -139,8 +146,7 @@ def multinode_ratio(z_h: complex, z_l: complex, n: int) -> float:
     The idle nodes load the line with z_h/ (n-1) in parallel with the one
     modulating node, so the ratio is |z_h/n| / |z_l || z_h/(n-1)|.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_node_count(n)
     zh, zl = _finite(z_h), _finite(z_l)
     if n == 1:
         return abs(zh) / max(abs(zl), 1e-30)
@@ -156,8 +162,7 @@ def multinode_approx(z_h: complex, z_l: complex, n: int) -> float:
     A shorted pulled state (``z_l == 0``) makes the approximation diverge:
     the result is ``math.inf``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_node_count(n)
     zh, zl = _finite(z_h), _finite(z_l)
     if zl == 0:
         return math.inf
@@ -166,8 +171,8 @@ def multinode_approx(z_h: complex, z_l: complex, n: int) -> float:
 
 def n_max(z_h: complex, z_l: complex, min_depth_db: float) -> int:
     """Largest node count up to ``N_LIMIT`` keeping 20*log10(multinode_ratio) >= the floor."""
-    if min_depth_db <= 0.0:
-        raise ValueError("min_depth_db must be positive")
+    if not min_depth_db > 0.0:  # NaN fails too
+        raise ValueError(f"min_depth_db must be positive, got {min_depth_db!r}")
     if 20.0 * math.log10(max(multinode_ratio(z_h, z_l, 1), 1e-30)) < min_depth_db:
         return 0
     lo, hi = 1, 1
@@ -225,7 +230,11 @@ def budget(
     n_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
     min_depth_db: float = 6.0,
 ) -> BudgetResult:
-    """Assemble the full modulation budget for a node impedance pair."""
+    """Assemble the full modulation budget for a node impedance pair.
+
+    Each of ``n_values`` is an integer (not a bool) of at least 1, and
+    ``min_depth_db`` is positive; ``ValueError`` otherwise.
+    """
     if z_p is not None:
         single = modulation_ratio(z_h, z_l, z_p)
     else:
@@ -235,7 +244,7 @@ def budget(
         z_l=complex(z_l),
         z_p=None if z_p is None else complex(z_p),
         ratio_single=single,
-        n_values=tuple(n_values),
+        n_values=tuple(int(n) for n in n_values),
         ratio_n=tuple(multinode_ratio(z_h, z_l, n) for n in n_values),
         approx_n=tuple(multinode_approx(z_h, z_l, n) for n in n_values),
         min_depth_db=min_depth_db,

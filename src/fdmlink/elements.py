@@ -54,8 +54,8 @@ __all__ = [
     "parallel",
     "element_impedance",
     "TwoPortZ",
-    "t_network",
     "input_impedance",
+    "check_band",
     "lossless_poles_zeros",
     "find_poles_zeros",
 ]
@@ -381,11 +381,6 @@ class TwoPortZ:
     xm: Network
 
 
-def t_network(x1: Network, x2: Network, xm: Network) -> TwoPortZ:
-    """Two-port of a T: series branch x1, shunt xm, series branch x2."""
-    return TwoPortZ(x1, x2, xm)
-
-
 def _series_kids(net: Network) -> tuple[Network, ...]:
     """The one-ports :func:`series` flattens ``net`` into."""
     return net.children if net.op == "series" else (net,)
@@ -490,6 +485,12 @@ def _parity_roots(c: list[float]) -> tuple[int | None, list[float]]:
     return k, out
 
 
+def check_band(f_lo: float, f_hi: float) -> None:
+    """``ValueError`` unless 0 < f_lo < f_hi < inf; NaN fails too."""
+    if not (0.0 < f_lo < f_hi < math.inf):
+        raise ValueError("need 0 < f_lo < f_hi < inf")
+
+
 def lossless_poles_zeros(net: Network, f_lo: float, f_hi: float) -> list[tuple[float, str]]:
     """Poles and zeros of a lossless one-port on [f_lo, f_hi], from its rational form.
 
@@ -504,8 +505,7 @@ def lossless_poles_zeros(net: Network, f_lo: float, f_hi: float) -> list[tuple[f
     grid scan sees no sign change there.  ``ValueError`` when the network
     has a resistive part.
     """
-    if not (0.0 < f_lo < f_hi < math.inf):
-        raise ValueError("need 0 < f_lo < f_hi < inf")
+    check_band(f_lo, f_hi)
     f_ref = math.sqrt(f_lo) * math.sqrt(f_hi)
     num, den = net.rational(f_ref)
     k_num, zeros = _parity_roots(num)
@@ -649,10 +649,9 @@ def find_poles_zeros(
     sample (mirrored for minima).  A flat extremum reports its midpoint; one
     that runs to either end of the grid is not reported.  Returns
     ``[(frequency, "pole"|"zero"), ...]`` sorted by frequency; no crossings
-    means an empty list.
+    means an empty list.  ``ValueError`` unless 0 < f_lo < f_hi < inf.
     """
-    if not (f_lo < f_hi):
-        raise ValueError("need f_lo < f_hi")
+    check_band(f_lo, f_hi)
     if grid < 100:
         raise ValueError("grid must be at least 100 points")
     fs = np.geomspace(f_lo, f_hi, grid)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ESERIES", "snap_eseries", "snap_floor", "snap_ceil"]
+__all__ = ["ESERIES", "snap_eseries", "snap_floor"]
 
 ESERIES: dict[str, tuple[float, ...]] = {
     "E6": (1.0, 1.5, 2.2, 3.3, 4.7, 6.8),
@@ -49,9 +49,3 @@ def snap_floor(value: float, series: str = "E12") -> float:
     """Largest series member not exceeding ``value``."""
     below = [c for c in _candidates(value, series) if c <= value * (1.0 + 1e-12)]
     return max(below)
-
-
-def snap_ceil(value: float, series: str = "E12") -> float:
-    """Smallest series member not below ``value``."""
-    above = [c for c in _candidates(value, series) if c >= value * (1.0 - 1e-12)]
-    return min(above)

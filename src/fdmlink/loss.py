@@ -58,27 +58,15 @@ class LossModel:
     def make_inductor(self, henries: float) -> Network:
         return inductor(henries, loss=self.inductor_esr(henries))
 
-    def h_load(self, c_io: float) -> Network:
-        """Pin impedance in the logical-high (transistor off) state."""
-        if c_io <= 0.0:
-            raise ValueError("c_io must be positive")
-        c = capacitor(c_io)
-        if self.lossless:
-            return c
-        return c | resistor(DEFAULT_R_H)
-
-    def l_load(self, c_io: float) -> Network:
-        """Pin impedance in the logical-low (transistor on) state."""
-        if self.lossless:
-            return short_circuit()
-        return resistor(DEFAULT_R_L)
-
     def load(self, c_io: float, state: str) -> Network:
-        """The pin in logic state ``"H"`` or ``"L"``."""
+        """The pin in logic state ``"H"`` (transistor off) or ``"L"`` (transistor on)."""
         if state == "H":
-            return self.h_load(c_io)
+            if c_io <= 0.0:
+                raise ValueError("c_io must be positive")
+            c = capacitor(c_io)
+            return c if self.lossless else c | resistor(DEFAULT_R_H)
         if state == "L":
-            return self.l_load(c_io)
+            return short_circuit() if self.lossless else resistor(DEFAULT_R_L)
         raise ValueError(f"state must be 'H' or 'L', got {state!r}")
 
 

@@ -6,7 +6,8 @@ an open-drain pin toggling its filter between high and low input impedance
 shifts the carrier amplitude on the line (ASK), a logarithmic detector maps
 the envelope to a voltage, and a data slicer with a self-tuning reference
 recovers logic levels.  The latch-up fault of a spiking detector input and
-its diode-clip mitigation are modeled explicitly.
+its diode-clip mitigation are modeled explicitly, by one closed-loop spike
+model in ``Demodulator``.
 
 Logic levels are integers: H = 1, L = 0.  Decoding is defined relative to
 the bus idle-high initial condition (slicer output starts high).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,10 +34,8 @@ __all__ = [
     "ClipParams",
     "Demodulator",
     "modulate",
-    "detect",
     "initial_reference",
     "slice_levels",
-    "inject_latchup_spike",
     "check_carrier_separation",
 ]
 
@@ -144,44 +144,31 @@ class VoltageTrace:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Logarithmic RF detector transfer curve.
+    """Logarithmic RF detector transfer curve, the same for every run.
 
     Output volts per input dB with a fixed anchor point:
-    out = ref_out + slope * 20*log10(env / ref_in), clamped at ``floor``
-    volts of input (default 60 dB below the anchor).  The detector is
+    out = ref_out + slope * 20*log10(env / ref_in), clamped at
+    ``floor_volts`` of input (60 dB below the anchor).  The detector is
     treated as high-impedance: it does not load the bus.
     """
 
-    slope: float = 0.044
-    ref_in: float = 0.010
-    ref_out: float = 1.0
-    floor: float | None = None
-
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not (self.slope > 0.0 and self.ref_in > 0.0):
-            raise ValueError("slope and ref_in must be positive")
-        if self.floor is not None and not self.floor >= 0.0:
-            raise ValueError("floor must be >= 0")
-
-    @property
-    def floor_volts(self) -> float:
-        return self.floor if self.floor is not None else self.ref_in * 1e-3
+    slope: ClassVar[float] = 0.044
+    ref_in: ClassVar[float] = 0.010
+    ref_out: ClassVar[float] = 1.0
+    floor_volts: ClassVar[float] = ref_in * 1e-3
 
 
 @dataclass(frozen=True)
 class SlicerParams:
-    """Self-tuning comparator: reference = one-pole LPF of the input."""
+    """Self-tuning comparator: reference = one-pole LPF of the input, ``hysteresis`` volts wide."""
 
     lpf_time_constant: float
-    hysteresis: float = 0.010
+    hysteresis: ClassVar[float] = 0.010
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
+        # written so that NaN fails the check
         if not self.lpf_time_constant > 0.0:
             raise ValueError("lpf_time_constant must be positive")
-        if not self.hysteresis >= 0.0:
-            raise ValueError("hysteresis must be >= 0")
 
     @staticmethod
     def for_bit_rate(bit_rate: float) -> "SlicerParams":
@@ -221,27 +208,6 @@ class ClipParams:
         return math.exp(-1.0 / (sample_rate * self.spike_decay))
 
 
-def _decaying_impulses(n: int, idx: np.ndarray, jumps: np.ndarray, mult: float) -> np.ndarray:
-    """``n`` samples of ``out[k] = mult * out[k-1] + impulse[k]`` from rest.
-
-    The impulses are ``jumps`` at the increasing sample indices ``idx``.  The
-    loop runs once per impulse, filling the samples up to the next one with
-    ``mult`` powers, so the cost in Python steps does not grow with ``n``.
-    """
-    out = np.zeros(n, dtype=np.float64)
-    if idx.size == 0:
-        return out
-    lengths = np.diff(idx, append=n)
-    powers = mult ** np.arange(int(lengths.max()) + 1, dtype=np.float64)
-    value = 0.0
-    prev_len = 0
-    for start, length, jump in zip(idx.tolist(), lengths.tolist(), jumps.tolist()):
-        value = value * powers[prev_len] + jump
-        out[start : start + length] = value * powers[:length]
-        prev_len = length
-    return out
-
-
 def modulate(
     bus_amp_h: float,
     bus_amp_l: float,
@@ -255,7 +221,9 @@ def modulate(
     ``y[k] = a * target[k] + (1 - a) * y[k-1]`` from ``y[0] = target[0]``,
     so ``y - target`` is zero until the first transition, jumps by
     ``-(1 - a) * (target[k] - target[k-1])`` at each transition and decays
-    by ``1 - a`` per sample in between.
+    by ``1 - a`` per sample in between.  The loop runs once per transition,
+    filling the samples up to the next one with powers of ``1 - a``, so its
+    cost in Python steps does not grow with the number of samples.
     """
     if not bus_amp_h >= bus_amp_l >= 0.0:
         raise ValueError("need bus_amp_h >= bus_amp_l >= 0")
@@ -265,20 +233,18 @@ def modulate(
     tau = rise_time / math.log(9.0)  # 10-90% of a one-pole step
     a = 1.0 - math.exp(-1.0 / (logic.sample_rate * tau))
     idx = logic.transitions()
-    jumps = -(1.0 - a) * (target[idx] - target[idx - 1])
-    lag = _decaying_impulses(len(target), idx, jumps, 1.0 - a)
+    lag = np.zeros(len(target), dtype=np.float64)
+    if idx.size:
+        jumps = -(1.0 - a) * (target[idx] - target[idx - 1])
+        lengths = np.diff(idx, append=len(target))
+        powers = (1.0 - a) ** np.arange(int(lengths.max()) + 1, dtype=np.float64)
+        value = 0.0
+        prev_len = 0
+        for start, length, jump in zip(idx.tolist(), lengths.tolist(), jumps.tolist()):
+            value = value * powers[prev_len] + jump
+            lag[start : start + length] = value * powers[:length]
+            prev_len = length
     return EnvelopeTrace(logic.sample_rate, target + lag)
-
-
-def detect(env: EnvelopeTrace, p: DetectorParams = DetectorParams()) -> VoltageTrace:
-    """Logarithmic envelope detector (vectorized, memoryless), for display only.
-
-    ``np.log10`` is not bit-equal to the C library's log10 of the exact
-    paths (the kernels and ``initial_reference``), so none of them calls it.
-    """
-    x = np.maximum(env.samples, p.floor_volts)
-    out = p.ref_out + p.slope * 20.0 * np.log10(x / p.ref_in)
-    return VoltageTrace(env.sample_rate, out)
 
 
 def initial_reference(p: DetectorParams, first: list[float]) -> list[float]:
@@ -302,40 +268,6 @@ def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
     return LogicTimeline(det.sample_rate, levels)
 
 
-def inject_latchup_spike(
-    det_in: EnvelopeTrace,
-    transitions: LogicTimeline,
-    clip: ClipParams,
-    clip_enabled: bool = True,
-    detector: DetectorParams = DetectorParams(),
-) -> EnvelopeTrace:
-    """Stimulate the detector with a decaying spike at each logic transition.
-
-    The spike is an excursion of ``min(spike_amplitude, v_f)`` volts on the
-    detector output (the full amplitude with the clip disabled), decaying
-    with ``spike_decay``.  On the envelope that is a multiplicative factor
-    through the log detector, which is how it is applied here, so that
-    ``detect()`` of the result shows exactly the additive excursion.  The
-    excursions of successive transitions add: the spike voltage jumps by
-    the amplitude at each transition and decays by ``clip.decay_mult`` per
-    sample.  No transitions, no change.
-    """
-    if len(det_in) != len(transitions):
-        raise ValueError("envelope and transition timeline must be aligned")
-    amp = clip.effective_amplitude(clip_enabled)
-    idx = transitions.transitions()
-    if idx.size == 0 or amp == 0.0:
-        return det_in
-    spike_v = _decaying_impulses(
-        len(det_in), idx, np.full(idx.size, amp), clip.decay_mult(det_in.sample_rate)
-    )
-    if clip_enabled:
-        spike_v = np.minimum(spike_v, clip.v_f)
-    factor = 10.0 ** (spike_v / (20.0 * detector.slope))
-    base = np.where(factor > 1.0, np.maximum(det_in.samples, detector.floor_volts), det_in.samples)
-    return EnvelopeTrace(det_in.sample_rate, base * factor)
-
-
 @dataclass(frozen=True)
 class Demodulator:
     """Detector + slicer chain, with closed-loop spike feedback when ``clip`` is set.
@@ -344,7 +276,9 @@ class Demodulator:
     into the detector input within the same sample; a large unclipped spike
     then holds the output at its previous level indefinitely (latch-up).
     The output starts high (``H``, the idle bus) and the reference at
-    ``initial_reference`` of the first envelope sample.
+    ``initial_reference`` of the first envelope sample.  With ``clip`` None
+    the detector trace is exactly the block kernels' detector of each
+    envelope sample.
     """
 
     detector: DetectorParams = DetectorParams()

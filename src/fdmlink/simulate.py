@@ -678,8 +678,8 @@ def sweep_node_count(
     one node pulling that line low, in dB.  One ``_AmplitudeTable`` of the
     master and ``max(n_range)`` copies of the slave serves every count: n
     reads the first n + 1 nodes, the same sum an n-slave table makes.  A
-    row passes when every line clears ``min_depth_db``.  Each count is an
-    integer (not a bool) of at least 1.
+    row passes when every line clears ``min_depth_db``, which is positive.
+    Each count is an integer (not a bool) of at least 1.
     """
     template = next((n for n in topology.nodes if n.role == "slave"), None)
     if template is None:
@@ -687,6 +687,8 @@ def sweep_node_count(
     for n in n_range:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise TopologyError(f"node counts must be integers of at least 1, got {n!r}")
+    if not min_depth_db > 0.0:  # NaN fails too
+        raise TopologyError(f"min_depth_db must be positive, got {min_depth_db!r}")
     master = topology.nodes[topology.master_index]
     n_max = max(n_range, default=0)
     nodes = (master,) + tuple(

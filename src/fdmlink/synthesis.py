@@ -39,7 +39,6 @@ from .elements import (
     is_pole,
     lossless_poles_zeros,
     short_circuit,
-    t_network,
 )
 from .loss import LOSSLESS, LossModel
 from .units import ConfigError, KeyReader, UnitError
@@ -279,10 +278,8 @@ class FilterDesign:
             return dict(self.snapped)
         raise SpecError(f"which must be 'exact' or 'snapped', got {which!r}")
 
-    def branch_networks(
-        self, which: str = "exact", loss: LossModel = LOSSLESS
-    ) -> tuple[Network, Network, Network]:
-        """(x1, x2, xm) one-ports with the chosen values and loss model."""
+    def two_port(self, which: str = "exact", loss: LossModel = LOSSLESS) -> TwoPortZ:
+        """The T of branches (x1, x2, xm) with the chosen values and loss model."""
         v = self.values(which)
         mk_l = loss.make_inductor
 
@@ -300,11 +297,7 @@ class FilterDesign:
             x2 = short_circuit()
 
         xm = mk_l(v["l_m"]) if "l_m" in v else capacitor(v["c_m"])
-        return x1, x2, xm
-
-    def two_port(self, which: str = "exact", loss: LossModel = LOSSLESS) -> TwoPortZ:
-        x1, x2, xm = self.branch_networks(which, loss)
-        return t_network(x1, x2, xm)
+        return TwoPortZ(x1, x2, xm)
 
     def input_impedance(
         self,
@@ -493,15 +486,13 @@ def synthesize(spec: FilterSpec) -> FilterDesign:
     )
 
 
-def default_xm_inductance(
-    f_mod: float, f_stop: float, c_total: float, zero_target: float | None = None
-) -> float:
-    """Shunt inductance placing the lossless high-state zero at ``zero_target``.
+def default_xm_inductance(f_mod: float, f_stop: float, c_total: float) -> float:
+    """Shunt inductance placing the lossless high-state zero at f0 = sqrt(f_mod * f_stop).
 
-    Default target is the geometric mean of the carriers, keeping the zero
-    separated from both poles so neither is cancelled.  Solved in closed
-    form.  Let a be x_m at f_mod, X = X_IO_H, r = f0/f_mod with f0 the
-    target and alpha = f_mod/f_stop.  At f0 the branches of the T are
+    The geometric mean of the carriers keeps the zero separated from both
+    poles so neither is cancelled.  Solved in closed form.  Let a be x_m at
+    f_mod, X = X_IO_H, r = f0/f_mod and alpha = f_mod/f_stop.  At f0 the
+    branches of the T are
 
         x_m(f0) = a*r
         x2(f0)  = (X - a)*k2,   k2 = 1/r for a capacitive x2 (f_stop > f_mod),
@@ -519,16 +510,16 @@ def default_xm_inductance(
     smallest real root with x_m on the configuration's side of X: from
     X*(1 + 1e-6) to 50*X for f_stop > f_mod (configuration A), from X/1000 to
     X*(1 - 1e-6) below (configuration B).  ``SynthesisError`` when there is
-    none, as at ``zero_target`` = f_stop, where x1 itself is a pole.
+    none, as when f_mod = f_stop: f0 is then f_stop, where x1 itself is a
+    pole.
     """
-    if zero_target is None:
-        zero_target = math.sqrt(f_mod * f_stop)
+    f0 = math.sqrt(f_mod * f_stop)
     w_mod = 2.0 * math.pi * f_mod
     x = 1.0 / (w_mod * c_total)
     above = f_stop > f_mod
-    r = zero_target / f_mod
+    r = f0 / f_mod
     k2 = 1.0 / r if above else r
-    resonator = 1.0 - (zero_target / f_stop) ** 2
+    resonator = 1.0 - (f0 / f_stop) ** 2
     roots: list[float] = []
     if resonator != 0.0:
         h = r * (1.0 - (f_mod / f_stop) ** 2) / resonator
@@ -546,7 +537,7 @@ def default_xm_inductance(
     if not inside:
         raise SynthesisError(
             "no shunt inductance in the scanned range places the high-state zero "
-            f"at {zero_target:.4g} Hz; give x_m explicitly"
+            f"at {f0:.4g} Hz; give x_m explicitly"
         )
     return inside[0] * x / w_mod
 

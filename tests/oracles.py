@@ -244,7 +244,7 @@ def _flat_series(a, b):
 
 
 def masked_input_impedance(x1, x2, xm, z_load, f):
-    """``input_impedance`` of the T (x1, x2, xm), with z11/zm/z22 as ``t_network`` built them."""
+    """``input_impedance`` of the T (x1, x2, xm), with z11 and z22 as the series x1+xm and x2+xm."""
     farr = _check_freq(f)
     z11 = np.asarray(masked_impedance(_flat_series(x1, xm), farr), dtype=complex)
     zm = np.asarray(masked_impedance(xm, farr), dtype=complex)

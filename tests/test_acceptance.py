@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from fdmlink.analysis import multinode_approx, multinode_ratio
 from fdmlink.cli import main as cli_main
-from fdmlink.elements import capacitor, inductor, input_impedance, is_pole, t_network
+from fdmlink.elements import TwoPortZ, capacitor, inductor, input_impedance, is_pole
 from fdmlink.loss import LOSSLESS, LossModel
 from fdmlink.modem import ClipParams, Demodulator, LogicTimeline, SlicerParams, modulate
 from fdmlink.protocol import (
@@ -285,7 +285,7 @@ def test_criterion_10_oracle_equivalence(report):
             for _ in range(3)
         )
         z_load = complex(rng.uniform(1.0, 1e4), rng.uniform(-1e4, 1e4))
-        tp = t_network(branch(x1, f), branch(x2, f), branch(xm, f))
+        tp = TwoPortZ(branch(x1, f), branch(x2, f), branch(xm, f))
         mine = input_impedance(tp, z_load, f)
         ref = oracles.t_network_zin_nodal(1j * x1, 1j * x2, 1j * xm, z_load)
         if is_pole(ref) or is_pole(mine):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -146,6 +147,33 @@ def test_n_max_rejects_nonpositive_floor():
         n_max(44.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("floor", [math.nan, -6.0], ids=["nan", "negative"])
+def test_depth_floor_must_be_positive(floor):
+    # a NaN floor compared false everywhere, so n_max reported N_LIMIT nodes
+    with pytest.raises(ValueError, match="min_depth_db must be positive"):
+        n_max(8897.0, 30.0, floor)
+    with pytest.raises(ValueError, match="min_depth_db must be positive"):
+        budget(8897.0, 30.0, min_depth_db=floor)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, 0, -3, "2"],
+                         ids=["true", "false", "fraction", "integral_float", "zero", "negative", "str"])
+def test_node_count_must_be_an_integer_of_at_least_one(n):
+    with pytest.raises(ValueError, match=r"n must be an integer of at least 1, got "):
+        multinode_ratio(8897.0, 30.0, n)
+    with pytest.raises(ValueError, match=r"n must be an integer of at least 1, got "):
+        multinode_approx(8897.0, 30.0, n)
+    with pytest.raises(ValueError, match=r"n must be an integer of at least 1, got "):
+        budget(8897.0, 30.0, n_values=(1, n))
+
+
+def test_node_count_accepts_numpy_integers():
+    assert multinode_ratio(8897.0, 30.0, np.int64(8)) == multinode_ratio(8897.0, 30.0, 8)
+    # the report holds plain ints, so it stays JSON
+    d = budget(8897.0, 30.0, n_values=(np.int64(8),)).to_dict()
+    assert json.loads(json.dumps(d))["n"] == [8]
+
+
 # -- budget report --
 
 
@@ -189,6 +217,17 @@ def test_budget_with_shorted_pulled_state():
 
 
 # -- frequency sweep --
+
+
+@pytest.mark.parametrize(
+    "f_lo,f_hi",
+    [(-1.0, 100e6), (0.0, 100e6), (1e6, math.inf), (math.nan, 100e6), (100e6, 1e6)],
+    ids=["negative_f_lo", "zero_f_lo", "infinite_f_hi", "nan_f_lo", "reversed"],
+)
+def test_sweep_refuses_a_band_outside_zero_to_inf(design_a, f_lo, f_hi):
+    # before the check, numpy warned on the log-spaced grid or raised its own error
+    with pytest.raises(ValueError, match=r"^need 0 < f_lo < f_hi < inf$"):
+        sweep(design_a, f_lo=f_lo, f_hi=f_hi, points=11)
 
 
 def test_sweep_csv_schema(design_a):

@@ -12,6 +12,7 @@ from fdmlink.elements import (
     DegenerateNetworkError,
     Network,
     ReactiveElement,
+    TwoPortZ,
     capacitor,
     element_impedance,
     find_poles_zeros,
@@ -24,7 +25,6 @@ from fdmlink.elements import (
     resistor,
     series,
     short_circuit,
-    t_network,
     _prominent_peaks,
 )
 from fdmlink.loss import LOSSLESS, LossModel
@@ -161,7 +161,7 @@ def test_subnormal_frequency_capacitor_is_degenerate(f):
 @pytest.mark.parametrize("f", [1e-320, np.array([1e6, 1e-320])], ids=["scalar", "array"])
 def test_subnormal_frequency_capacitor_in_a_network_is_degenerate(f):
     # series, parallel and T-network raise for an array as for a scalar, without a warning
-    two_port = t_network(capacitor(1e-13), inductor(1e-6), inductor(1e-6))
+    two_port = TwoPortZ(capacitor(1e-13), inductor(1e-6), inductor(1e-6))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateNetworkError):
@@ -327,7 +327,7 @@ def test_input_impedance_matches_masked_oracle(case):
             z_load = oracles.masked_impedance(load, f)
     except ArithmeticError:  # the test above covers this load; use a short
         z_load = 0.0
-    mine = _outcome(input_impedance, t_network(x1, x2, xm), z_load, f)
+    mine = _outcome(input_impedance, TwoPortZ(x1, x2, xm), z_load, f)
     assert mine == _outcome(oracles.masked_input_impedance, x1, x2, xm, z_load, f)
 
 
@@ -480,6 +480,24 @@ def test_lossless_roots_refuse_a_lossy_network(net):
         lossless_poles_zeros(net, 1e6, 1e9)
 
 
+@pytest.mark.parametrize(
+    "locate",
+    [lambda net, lo, hi: find_poles_zeros(net.impedance, lo, hi, lossless=True),
+     lambda net, lo, hi: find_poles_zeros(net.impedance, lo, hi, lossless=False),
+     lossless_poles_zeros],
+    ids=["scan_lossless", "scan_lossy", "exact_lossless"],
+)
+@pytest.mark.parametrize(
+    "f_lo,f_hi",
+    [(-1.0, 1e9), (0.0, 1e9), (1e6, math.inf), (math.nan, 1e9), (1e9, 1e6)],
+    ids=["negative_f_lo", "zero_f_lo", "infinite_f_hi", "nan_f_lo", "reversed"],
+)
+def test_poles_zeros_refuse_a_band_outside_zero_to_inf(locate, f_lo, f_hi):
+    # before the check, the scan's log-spaced grid warned or raised numpy's own error
+    with pytest.raises(ValueError, match=r"^need 0 < f_lo < f_hi < inf$"):
+        locate(inductor(1e-6) | capacitor(1e-12), f_lo, f_hi)
+
+
 def _branch_for_reactance(x: float, f: float) -> Network:
     w = TWO_PI * f
     if x > 0:
@@ -507,7 +525,7 @@ def test_t_network_input_impedance_matches_nodal(m1, m2, mm, s1, s2, sm, rl, xl,
     x2 = m2 if s2 else -m2
     xm = mm if sm else -mm
     z_load = complex(rl, xl)
-    two_port = t_network(
+    two_port = TwoPortZ(
         _branch_for_reactance(x1, f),
         _branch_for_reactance(x2, f),
         _branch_for_reactance(xm, f),
@@ -523,7 +541,7 @@ def test_t_network_input_impedance_matches_nodal(m1, m2, mm, s1, s2, sm, rl, xl,
 def test_input_impedance_pole_flag():
     # load tuned to cancel z22 makes port 1 an ideal open
     f = 10e6
-    two_port = t_network(
+    two_port = TwoPortZ(
         _branch_for_reactance(100.0, f),
         _branch_for_reactance(50.0, f),
         _branch_for_reactance(200.0, f),
@@ -542,7 +560,7 @@ def test_input_impedance_pole_flag():
 @pytest.mark.parametrize("f", [1e300, np.array([1e300, 1e300])], ids=["scalar", "array"])
 def test_input_impedance_pole_flagged_shunt_arm_does_not_overflow(arm, den, f):
     """A shunt arm at or above POLE_CLAMP is the ideal open, decided without squaring |zm| into an overflow."""
-    two_port = t_network(short_circuit(), short_circuit(), arm)
+    two_port = TwoPortZ(short_circuit(), short_circuit(), arm)
     z22 = arm.impedance(1e300)
     assert den - z22 + z22 == den
     with np.errstate(over="raise"):

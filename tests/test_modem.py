@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdmlink import _kernels_py
 from fdmlink.modem import (
     CarrierSeparationWarning,
     ClipParams,
@@ -16,8 +17,7 @@ from fdmlink.modem import (
     SlicerParams,
     VoltageTrace,
     check_carrier_separation,
-    detect,
-    inject_latchup_spike,
+    initial_reference,
     modulate,
     slice_levels,
 )
@@ -34,12 +34,17 @@ def _mid_bits(levels, n_bits):
     return [int(levels[i * SPB + SPB // 2]) for i in range(n_bits)]
 
 
+def _detector_trace(env):
+    _, det, _ = Demodulator(clip=None).run(env)
+    return det
+
+
 # -- detector transfer curve --
 
 
 def test_detector_anchor_and_slope():
     env = EnvelopeTrace(RATE, np.array([0.010, 0.010 * 10 ** (6 / 20), 0.040]))
-    det = detect(env)
+    det = _detector_trace(env)
     assert det.samples[0] == pytest.approx(1.0, abs=1e-12)  # anchor: 10 mV -> 1 V
     assert det.samples[1] - det.samples[0] == pytest.approx(6 * 0.044, rel=1e-12)
     # +12 dB above the anchor
@@ -49,15 +54,38 @@ def test_detector_anchor_and_slope():
 def test_detector_floor_clamps():
     p = DetectorParams()
     env = EnvelopeTrace(RATE, np.array([0.0, 1e-9, p.floor_volts]))
-    det = detect(env, p)
+    det = _detector_trace(env)
     floor_out = 1.0 + 0.044 * 20 * math.log10(p.floor_volts / 0.010)
     assert det.samples == pytest.approx([floor_out] * 3, rel=1e-12)
     assert np.all(np.isfinite(det.samples))
+    assert initial_reference(p, env.samples.tolist()) == det.samples.tolist()
 
 
 def test_detector_default_floor_is_60db_down():
     p = DetectorParams()
     assert p.floor_volts == pytest.approx(1e-5, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            # below and at the floor, near the anchor, and large
+            st.sampled_from([0.0, 5e-324, 1e-9, 1e-5, 0.010, 1.0, 1e6, 1e300]),
+            st.floats(min_value=0.0, max_value=1e300),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_demodulator_detector_trace_is_the_kernel_detector(xs):
+    # with no spike model the whole-trace modem adds nothing to the detector,
+    # so its trace is the block kernels' detector bit for bit
+    p = DetectorParams()
+    det = _detector_trace(EnvelopeTrace(RATE, np.array(xs)))
+    want = _kernels_py.detector(xs, p.floor_volts, p.ref_in, p.ref_out, 20.0 * p.slope)
+    assert det.samples.tobytes() == np.array(want).tobytes()
+    assert initial_reference(p, xs) == want
 
 
 # -- modulator --
@@ -107,15 +135,14 @@ def test_transitions_indices():
     assert tl.transitions().tolist() == [2, 4, 5]
 
 
-# -- open-loop demodulation chain round trip --
+# -- demodulation round trip, no spike model --
 
 
 def test_round_trip_simple_pattern():
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]
     tl = _timeline(bits)
     env = modulate(0.02, 0.002, tl, rise_time=0.01 / 100e3)
-    det = detect(env)
-    out = slice_levels(det, SlicerParams.for_bit_rate(100e3))
+    out, _, _ = Demodulator(slicer=SlicerParams.for_bit_rate(100e3)).run(env)
     assert _mid_bits(out.levels, len(bits)) == bits
 
 
@@ -131,7 +158,7 @@ def test_round_trip_random(bits, amp_h, depth_db, rise_frac):
     amp_l = amp_h * 10 ** (-depth_db / 20)
     tl = _timeline(bits)
     env = modulate(amp_h, amp_l, tl, rise_time=rise_frac / 100e3)
-    out = slice_levels(detect(env), SlicerParams.for_bit_rate(100e3))
+    out, _, _ = Demodulator(slicer=SlicerParams.for_bit_rate(100e3)).run(env)
     assert _mid_bits(out.levels, len(bits)) == bits
 
 
@@ -140,47 +167,10 @@ def test_closed_loop_matches_open_loop_without_spikes():
     tl = _timeline(bits)
     env = modulate(0.02, 0.002, tl)
     sl = SlicerParams.for_bit_rate(100e3)
-    open_out = slice_levels(detect(env), sl)
     dem = Demodulator(slicer=sl, clip=None)
-    closed_out, _, _ = dem.run(env)
+    closed_out, det, _ = dem.run(env)
+    open_out = slice_levels(det, sl)
     assert np.array_equal(open_out.levels, closed_out.levels)
-
-
-# -- transition spikes and the diode clip --
-
-
-def test_spike_noop_without_transitions():
-    tl = _timeline([1, 1, 1])
-    env = modulate(0.02, 0.002, tl)
-    out = inject_latchup_spike(env, tl, ClipParams(spike_amplitude=1.0))
-    assert np.array_equal(out.samples, env.samples)
-
-
-def test_spike_is_additive_in_detector_volts():
-    bits = [1, 0, 1, 0, 1]
-    tl = _timeline(bits)
-    env = modulate(0.02, 0.002, tl)
-    clip = ClipParams(v_f=0.3, spike_amplitude=5.0, spike_decay=2e-6)
-    spiked = inject_latchup_spike(env, tl, clip, clip_enabled=True)
-    lift = detect(spiked).samples - detect(env).samples
-    assert np.min(lift) >= -1e-12
-    assert np.max(lift) == pytest.approx(0.3, abs=1e-9)  # clamped at v_f
-    # the excursion appears exactly at the transitions
-    for i in tl.transitions():
-        assert lift[i] == pytest.approx(0.3, abs=1e-9)
-
-
-def test_spike_unclipped_exceeds_vf():
-    bits = [1, 0, 1]
-    tl = _timeline(bits)
-    env = modulate(0.02, 0.002, tl)
-    clip = ClipParams(v_f=0.3, spike_amplitude=1.5, spike_decay=2e-6)
-    spiked = inject_latchup_spike(env, tl, clip, clip_enabled=False)
-    lift = detect(spiked).samples - detect(env).samples
-    first = tl.transitions()[0]
-    assert lift[first] == pytest.approx(1.5, abs=1e-9)
-    # without the clip, back-to-back spikes stack past the nominal amplitude
-    assert np.max(lift) >= 1.5
 
 
 # -- latch-up fault and recovery (closed loop) --
@@ -241,17 +231,12 @@ def test_clip_alone_insufficient_for_large_carrier():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: DetectorParams(slope=math.nan),
-        lambda: DetectorParams(ref_in=math.nan),
-        lambda: DetectorParams(floor=math.nan),
         lambda: SlicerParams(lpf_time_constant=math.nan),
-        lambda: SlicerParams(lpf_time_constant=1e-3, hysteresis=math.nan),
         lambda: ClipParams(v_f=math.nan),
         lambda: ClipParams(spike_amplitude=math.nan),
         lambda: ClipParams(spike_decay=math.nan),
     ],
-    ids=["detector_slope", "detector_ref_in", "detector_floor", "slicer_lpf",
-         "slicer_hysteresis", "clip_v_f", "clip_spike_amplitude", "clip_spike_decay"],
+    ids=["slicer_lpf", "clip_v_f", "clip_spike_amplitude", "clip_spike_decay"],
 )
 def test_nan_parameters_are_rejected(make):
     with pytest.raises(ValueError):
@@ -279,8 +264,6 @@ def test_traces_share_one_rate_and_shape_check(make, rate, samples):
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        DetectorParams(slope=-0.044)
     with pytest.raises(ValueError):
         SlicerParams(lpf_time_constant=0.0)
     with pytest.raises(ValueError):

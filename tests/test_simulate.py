@@ -439,6 +439,13 @@ def test_sweep_node_count_refuses_a_count_that_is_not_an_integer(demo, n_range, 
         sweep_node_count(demo.topology, n_range)
 
 
+@pytest.mark.parametrize("floor", [math.nan, -6.0, 0.0], ids=["nan", "negative", "zero"])
+def test_sweep_node_count_refuses_a_depth_floor_that_is_not_positive(demo, floor):
+    # a NaN floor failed every comparison, so every row read ok: False
+    with pytest.raises(TopologyError, match="min_depth_db must be positive"):
+        sweep_node_count(demo.topology, [1, 8], min_depth_db=floor)
+
+
 def test_sweep_node_count_builds_one_table(demo, monkeypatch):
     """One table of the master and max(n_range) slaves serves every count, in any order and repeated."""
     ns = [16, 1, 16, 3]

@@ -222,11 +222,12 @@ def test_default_xm_zero_is_exact(f_mod, f_stop, c_total):
 
 
 def test_default_xm_rejects_zero_at_f_stop():
-    # x1 is itself a pole at f_stop, so no x_m can put a zero there
+    # with f_mod = f_stop the zero's target is f_stop, where x1 is itself a
+    # pole, so no x_m can put a zero there
     with pytest.raises(SynthesisError):
-        default_xm_inductance(20e6, 50e6, 18e-12, zero_target=50e6)
+        default_xm_inductance(20e6, 20e6, 18e-12)
     with pytest.raises(SynthesisError):
-        default_xm_inductance(50e6, 20e6, 8e-12, zero_target=20e6)
+        default_xm_inductance(50e6, 50e6, 8e-12)
 
 
 # -- randomized lossless synthesis across the configuration space --
