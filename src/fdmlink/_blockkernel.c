@@ -10,13 +10,19 @@
  * the Python one runs it on local variables.  Each drive state of the slaves
  * owns its amp rows and used flags; the caller switches states between calls
  * by re-pointing amp and used, and the kernel reads them only through the
- * struct.
+ * struct.  A group in receive mode (hears[0][g] == HEAR_BYTE) is clocking in
+ * a byte its slaves only listen to: the kernel shifts the group's SDA output
+ * into rx_shift[g] on each SCL rise and logs nothing until the first fall
+ * after the eighth rise, which it logs as one EDGE_BYTE.
  */
 #include <math.h>
 #include <stdint.h>
 
 /* An event is 8 * group + 2 * kind + the group's SDA output at that sample. */
-enum { EDGE_RISE, EDGE_FALL, EDGE_DATA };
+enum { EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE };
+/* hears[0][g] is 0 (group g's clock edges reach no slave), 1 (they reach a listening one) or
+ * HEAR_BYTE (the group is clocking in a byte, logged whole as one EDGE_BYTE) */
+enum { HEAR_BYTE = 2 };
 
 typedef struct {
     int64_t n_streams;   /* 2 * groups: the SCL stream of each group, then the SDA ones */
@@ -32,6 +38,8 @@ typedef struct {
     const double *amp;    /* [4][n_streams] amplitude row per code, of the current drive state */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
     const uint8_t *hears; /* [2][groups] clock edges reach a listening slave, data edges any slave */
+    uint8_t *rx_shift;    /* [groups] the open byte's bits so far, in receive mode */
+    int64_t *rx_bits;     /* [groups] SCL rises since the byte opened */
     double *ref, *det;    /* [n_streams] */
     uint8_t *out;         /* [n_streams] */
     int64_t *events;      /* [n_streams] the edges the last call logged */
@@ -116,15 +124,27 @@ static int step_stream(block_ctx *c, const double *amp, int64_t row, int64_t s)
     return moved;
 }
 
-/* Log group g's edge if a slave of g acts on it; 1 if Python must act before the next sample. */
+/* Log group g's edge if a slave of g acts on it; 1 if Python must act before the next sample.
+ * In receive mode a rise shifts in the SDA output and a fall is logged only once eight rises are in. */
 static int log_edge(block_ctx *c, int64_t g, int moved)
 {
     const int64_t ng = c->n_streams / 2;
     int kind;
     if (moved & 1) {
-        if (!c->hears[g])
+        if (c->hears[g] == HEAR_BYTE) {
+            if (c->out[g]) {
+                c->rx_shift[g] = (uint8_t)(c->rx_shift[g] << 1 | c->out[ng + g]);
+                c->rx_bits[g]++;
+                return 0;
+            }
+            if (c->rx_bits[g] < 8)
+                return 0;
+            kind = EDGE_BYTE;
+        } else if (c->hears[g]) {
+            kind = c->out[g] ? EDGE_RISE : EDGE_FALL;
+        } else {
             return 0;
-        kind = c->out[g] ? EDGE_RISE : EDGE_FALL;
+        }
     } else if (c->out[g] && c->hears[ng + g]) {
         kind = EDGE_DATA;
     } else {

@@ -20,7 +20,11 @@ import math
 import numpy as np
 
 # the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
-from .protocol import EDGE_DATA, EDGE_FALL, EDGE_RISE
+from .protocol import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
+
+# ``hears[0, g]`` is 0 or 1 (group g's clock edges reach no slave, or a listening one) or this:
+# the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``
+HEAR_BYTE = 2
 
 
 def slicer_loop(
@@ -162,9 +166,14 @@ class BlockContext(ctypes.Structure):
     state's arrays, and ``amp_p`` and ``used_p`` at their data, and sets
     ``sda_pulled``; nothing is copied, and a state the run comes back to
     keeps its flags.  The arrays this object allocates serve as the first
-    state.  ``hears`` is (2, groups): ``hears[0, g]`` says clock edges reach
-    a listening slave of group g, ``hears[1, g]`` that data edges reach any
-    slave of it; it starts all ones.  The kernels own the rest: the
+    state.  ``hears`` is (2, groups): ``hears[0, g]`` is 1 when clock edges
+    reach a listening slave of group g, 0 when they reach none, and
+    ``HEAR_BYTE`` while the group receives a byte (see ``step_block``);
+    ``hears[1, g]`` says data edges reach any slave of it; it starts all
+    ones.  ``rx_shift`` (uint8) and ``rx_bits`` (int64), one per group,
+    hold a received byte's bits so far and its rises: the caller zeroes a
+    group's pair when it sets ``HEAR_BYTE`` for a new byte, and the
+    kernels shift into it.  The kernels own the rest: the
     position, the stream state (``ref``, ``det``, ``out``) from then on,
     ``obs`` (the master's outputs 2 * scl + sda at each quarter's
     midpoint), the flags in ``used`` of the codes that ran, ``seen_low``,
@@ -192,6 +201,8 @@ class BlockContext(ctypes.Structure):
         ("amp_p", ctypes.c_void_p),
         ("noise_p", ctypes.c_void_p),
         ("hears_p", ctypes.c_void_p),
+        ("rx_shift_p", ctypes.c_void_p),
+        ("rx_bits_p", ctypes.c_void_p),
         ("ref_p", ctypes.c_void_p),
         ("det_p", ctypes.c_void_p),
         ("out_p", ctypes.c_void_p),
@@ -264,6 +275,8 @@ class BlockContext(ctypes.Structure):
         self.det = np.zeros(n_streams)
         self.out = np.ones(n_streams, dtype=np.uint8)
         self.hears = np.ones((2, groups), dtype=np.uint8)
+        self.rx_shift = np.zeros(groups, dtype=np.uint8)
+        self.rx_bits = np.zeros(groups, dtype=np.int64)
         self.events = np.zeros(n_streams, dtype=np.int64)
         self.obs = np.full(quarters, 3, dtype=np.uint8)
         self.used = np.zeros(4, dtype=np.uint8)
@@ -283,9 +296,9 @@ class BlockContext(ctypes.Structure):
             self.trace_wire = np.zeros((n_samples, 2), dtype=np.uint8)
         else:
             self.trace_det = self.trace_ref = self.trace_out = self.trace_wire = None
-        for name in ("code", "amp", "noise", "hears", "ref", "det", "out", "events", "obs", "used",
-                     "seen_low", "bits_checked", "bit_errors", "eye", "trace_det", "trace_ref",
-                     "trace_out", "trace_wire"):
+        for name in ("code", "amp", "noise", "hears", "rx_shift", "rx_bits", "ref", "det", "out",
+                     "events", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye",
+                     "trace_det", "trace_ref", "trace_out", "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
 
@@ -308,20 +321,27 @@ def step_block(ctx: BlockContext) -> int:
     A sample steps each group's SCL stream, then its SDA stream, and then
     logs the group's edge in ``events`` if a slave acts on it, as
     8 * g + 2 * kind + the group's SDA output.  An SCL change is an
-    ``EDGE_RISE`` or ``EDGE_FALL`` and is logged if ``hears[0, g]``; an SDA
-    change with SCL high and unchanged (START or STOP) is an ``EDGE_DATA``
-    and is logged if ``hears[1, g]``.  An SDA change while SCL is low, or an
-    edge that reaches nobody, is not logged.  A rise moves nothing the
-    kernels read (a slave only samples SDA there), so the call goes on; it
-    ends after the first sample that logs a fall or a data edge, or when
-    ``quarter`` reaches ``q_end``, and ``n_events`` counts what it logged:
-    the call stopped on an edge exactly when that log holds a fall or a data
-    edge.  After a logged rise the group's next SCL change is a fall, so the
-    log holds at most two edges per group.  On the noiseless demo that is
-    433 calls, against 1,001 when every slicer output change ended one.
-    The call takes the next quarter's code only when it goes on into that
-    quarter.  With traces on it writes every sample's det/ref/out and wire
-    levels.
+    ``EDGE_RISE`` or ``EDGE_FALL`` and is logged if ``hears[0, g]`` is 1; an
+    SDA change with SCL high and unchanged (START or STOP) is an
+    ``EDGE_DATA`` and is logged if ``hears[1, g]``.  An SDA change while SCL
+    is low, or an edge that reaches nobody, is not logged.  While
+    ``hears[0, g]`` is ``HEAR_BYTE`` the group receives a byte: a rise
+    shifts the group's SDA output into ``rx_shift[g]`` (as
+    ``(rx_shift << 1 | sda) & 0xFF``) and counts in ``rx_bits[g]``, and
+    logs nothing; a fall is logged only once ``rx_bits[g]`` is at least 8,
+    as one ``EDGE_BYTE`` that leaves the byte in ``rx_shift[g]``.  A START
+    or STOP inside the byte is logged as an ``EDGE_DATA``.  A rise moves
+    nothing the kernels read (a slave only samples SDA there), so the call
+    goes on; it ends after the first sample that logs a fall, a data edge
+    or a byte, or when ``quarter`` reaches ``q_end``, and ``n_events``
+    counts what it logged: the call stopped on an edge exactly when that
+    log holds one that is not a rise.  After a logged rise the group's
+    next SCL change is a fall, so the log holds at most two edges per
+    group.  On the noiseless demo that is 249 calls, against 433 when every
+    fall inside a received byte ended one and 1,001 when every slicer
+    output change did.  The call takes the next quarter's code only when it
+    goes on into that quarter.  With traces on it writes every sample's
+    det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches; like it, it computes the detector once per
@@ -340,6 +360,7 @@ def step_block(ctx: BlockContext) -> int:
     ref = ctx.ref.tolist()
     out = ctx.out.tolist()
     hears = ctx.hears.ravel().tolist()
+    rx_shift, rx_bits = ctx.rx_shift.tolist(), ctx.rx_bits.tolist()
     events: list[int] = []
     # per group: (bit, stream) of its SCL and then its SDA stream
     pairs = [((1, g), (2, ng + g)) for g in range(ng)]
@@ -381,9 +402,18 @@ def step_block(ctx: BlockContext) -> int:
                         moved |= bit
                 if moved:
                     if moved & 1:
-                        if not hears[g]:
+                        if hears[g] == HEAR_BYTE:
+                            if out[g]:
+                                rx_shift[g] = (rx_shift[g] << 1 | out[ng + g]) & 0xFF
+                                rx_bits[g] += 1
+                                continue
+                            if rx_bits[g] < 8:
+                                continue
+                            kind = EDGE_BYTE
+                        elif hears[g]:
+                            kind = EDGE_RISE if out[g] else EDGE_FALL
+                        else:
                             continue
-                        kind = EDGE_RISE if out[g] else EDGE_FALL
                     elif out[g] and hears[ng + g]:
                         kind = EDGE_DATA
                     else:
@@ -422,6 +452,8 @@ def step_block(ctx: BlockContext) -> int:
     ctx.ref[:] = ref
     ctx.det[:] = det
     ctx.out[:] = out
+    ctx.rx_shift[:] = rx_shift
+    ctx.rx_bits[:] = rx_bits
     ctx.events[:len(events)] = events
     ctx.n_events = len(events)
     ctx.seen_low[:] = seen_low

@@ -25,6 +25,24 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _cannot_write(path: object, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse, before a run, an output path whose directory does not exist."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input, as a bad config is."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
 class _Main(click.Group):
     """Every command's bad input, a ``ConfigError``, exits 2 with one ``error:`` line."""
 
@@ -113,7 +131,7 @@ def design(specfile: str, out: str | None, fmt: str, lossless: bool, q: float | 
     }
     payload = json.dumps(doc, indent=2) + "\n"
     if out:
-        Path(out).write_text(payload)
+        _write_text(out, payload)
     if fmt == "json":
         click.echo(payload, nl=False)
     else:
@@ -166,7 +184,7 @@ def sweep(designfile: str, flo: str, fhi: str, points: int, lossless: bool, q: f
     result = run_sweep(d, loss=loss, f_lo=f_lo, f_hi=f_hi, points=points, which=which)
     csv_text = result.to_csv()
     if out:
-        Path(out).write_text(csv_text)
+        _write_text(out, csv_text)
         click.echo(f"wrote {out} ({points} points)")
     else:
         click.echo(csv_text, nl=False)
@@ -222,14 +240,17 @@ def _write_traces(path: str, traces: dict) -> None:
     # float64 columns (their values are Python floats) print .9g, int columns str
     fmts = ["{:.9g}".format if issubclass(c.dtype.type, float) else str for c in cols]
     n_rows = min((len(c) for c in cols), default=0)
-    with open(path, "w") as fh:
-        fh.write("# schema_version: 1\n")
-        fh.write(",".join(keys) + "\n")
-        # a column at a time within each chunk of rows, so memory stays bounded
-        for i in range(0, n_rows, _TRACE_CHUNK_ROWS):
-            rows = slice(i, i + _TRACE_CHUNK_ROWS)
-            texts = [list(map(fmt, c[rows].tolist())) for c, fmt in zip(cols, fmts)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+    try:
+        with open(path, "w") as fh:
+            fh.write("# schema_version: 1\n")
+            fh.write(",".join(keys) + "\n")
+            # a column at a time within each chunk of rows, so memory stays bounded
+            for i in range(0, n_rows, _TRACE_CHUNK_ROWS):
+                rows = slice(i, i + _TRACE_CHUNK_ROWS)
+                texts = [list(map(fmt, c[rows].tolist())) for c, fmt in zip(cols, fmts)]
+                fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
 
 
 def _echo_summary(metrics, err: bool) -> None:
@@ -261,6 +282,8 @@ def simulate(scenario: str, out: str | None, seed: int | None, strict: bool, tra
     from .simulate import load_scenario
 
     sc = load_scenario(scenario)
+    _check_output(out)
+    _check_output(traces)
     sink: dict | None = {} if traces else None
     try:
         with warnings.catch_warnings():
@@ -276,7 +299,7 @@ def simulate(scenario: str, out: str | None, seed: int | None, strict: bool, tra
 
     payload = metrics.to_json()
     if out:
-        Path(out).write_text(payload)
+        _write_text(out, payload)
     else:
         click.echo(payload, nl=False)
     _echo_summary(metrics, err=out is None)
@@ -294,11 +317,15 @@ def demo(out: str | None, emit_configs: str | None, seed: int | None) -> None:
     from importlib import resources
 
     data = resources.files("fdmlink") / "data"
+    _check_output(out)
     if emit_configs:
         dest = Path(emit_configs)
-        dest.mkdir(parents=True, exist_ok=True)
+        try:
+            dest.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(dest, exc) from None
         for name in ("filter_a.yaml", "filter_b.yaml", "demo_scenario.yaml", "demo_script.i2c"):
-            (dest / name).write_text((data / name).read_text())
+            _write_text(str(dest / name), (data / name).read_text())
         click.echo(f"wrote configs to {dest}")
         if out is None:
             return
@@ -306,7 +333,7 @@ def demo(out: str | None, emit_configs: str | None, seed: int | None) -> None:
 
     metrics, _ = load_scenario(Path(str(data / "demo_scenario.yaml"))).run(seed=seed)
     if out:
-        Path(out).write_text(metrics.to_json())
+        _write_text(out, metrics.to_json())
         click.echo(f"wrote {out}")
     _echo_summary(metrics, err=False)
     if not metrics.error_free:

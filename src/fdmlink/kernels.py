@@ -27,12 +27,14 @@ from pathlib import Path
 from typing import Callable
 
 from . import _kernels_py
-from ._kernels_py import EDGE_DATA, EDGE_FALL, EDGE_RISE, BlockContext
+from ._kernels_py import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_BYTE, BlockContext
 
 __all__ = [
+    "EDGE_BYTE",
     "EDGE_DATA",
     "EDGE_FALL",
     "EDGE_RISE",
+    "HEAR_BYTE",
     "BlockContext",
     "KernelBuildError",
     "backend_detail",

@@ -55,12 +55,23 @@ DEFAULT_REGISTER_WIDTH = 2
 LEAD_IN_BITS = 8
 GAP_BITS = 1
 # the kinds of bus edge a SlaveGroup delivers, with the codes the block kernels log them by
-# (``_kernels_py`` imports these; the enum in ``_blockkernel.c`` repeats them)
-EDGE_RISE, EDGE_FALL, EDGE_DATA = range(3)
+# (``_kernels_py`` imports these; the enum in ``_blockkernel.c`` repeats them).  An
+# ``EDGE_BYTE`` is the eighth fall of a byte the kernel clocked in whole; the group takes it
+# through ``SlaveGroup.byte``
+EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE = range(4)
 
 
 class ProtocolError(ConfigError):
     """Invalid transaction, address, or clock for the bus."""
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ``ProtocolError`` naming ``name``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ProtocolError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,10 +94,7 @@ class Transaction:
 
     def __post_init__(self) -> None:
         for name in ("address", "read_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ProtocolError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 <= self.address <= 0x7F:
             raise ProtocolError(f"address {self.address:#x} is not 7-bit")
         if self.direction not in ("write", "read"):
@@ -128,7 +136,9 @@ class SlaveModel:
     fill the addressed register MSB-first.  Reads stream the register at
     the current pointer MSB-first, wrapping within the register so long
     reads repeat it.  A register is ``DEFAULT_REGISTER_WIDTH`` bytes (16 bits)
-    wide unless ``widths`` names it.
+    wide unless ``widths`` names it.  The address, the pointer and every
+    register number, value and width must be integers (not bools); numpy
+    integers become ``int``.
     """
 
     address: int
@@ -137,11 +147,25 @@ class SlaveModel:
     widths: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.address = _integer("slave address", self.address)
         if not 0 <= self.address <= 0x7F:
             raise ProtocolError(f"slave address {self.address:#x} is not 7-bit")
+        where = f"slave {self.address:#04x}"
+        self.pointer = _integer(f"pointer of {where}", self.pointer)
+        for name, entry in (("registers", "register {!r}"), ("widths", "width of register {!r}")):
+            table = getattr(self, name)
+            if not isinstance(table, dict):
+                raise ProtocolError(f"{name} of {where} must be a dict, got {table!r}")
+            # run_scenario copies every model per run, so the common all-int case stays one pass
+            if not all(type(k) is int and type(v) is int for k, v in table.items()):
+                setattr(self, name, {
+                    _integer(f"register number in {name} of {where}", k):
+                    _integer(f"{entry.format(k)} of {where}", v)
+                    for k, v in table.items()
+                })
         for reg, width in self.widths.items():
             if width < 1:
-                raise ProtocolError(f"register {reg} of slave {self.address:#04x} is {width} bytes wide, need >= 1")
+                raise ProtocolError(f"register {reg} of {where} is {width} bytes wide, need >= 1")
 
     def width(self, reg: int) -> int:
         return self.widths.get(reg, DEFAULT_REGISTER_WIDTH)
@@ -173,12 +197,14 @@ class SlaveEngine:
     ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
     only while SCL is low.
 
-    ``on_address(byte)`` takes a whole address byte at once: the address
-    state's fall calls it once eight bits are in, and a
-    :class:`SlaveGroup` calls it in place of the byte's clock edges.
+    ``on_address(byte)`` and ``on_byte(byte)`` take a whole received byte
+    at once: the address byte, and a write-data byte once ``awaits_byte``
+    holds.  The address and write-data states' falls call them once eight
+    bits are in, and a :class:`SlaveGroup` calls them in place of the
+    byte's clock edges.
 
     An engine is ``listening`` unless it is idle or backing off from a
-    transfer addressed to another slave (or one the master NACKed).  Three
+    transfer addressed to another slave (or one the master NACKed).  These
     invariants hold, and :class:`SlaveGroup`'s delivery rule rests on them:
 
     - an engine that is not listening leaves its whole state unchanged on
@@ -190,7 +216,14 @@ class SlaveEngine:
       engine differs from one that shifted the byte in only in its spent
       address register, which nothing reads, and an engine left in the
       address state until the next START or STOP acts as one that backed
-      off.
+      off;
+    - in the write-data state a rise only shifts a bit in, and a fall
+      changes nothing until eight bits are in; ``sda_drive`` is False
+      throughout.  The fall that ends the byte's ACK and a START reset the
+      shift register, and a STOP leaves the engine idle.  So after
+      ``on_byte`` an engine differs from one that shifted the byte in only
+      in its spent shift register, and a START or STOP inside the byte acts
+      the same on both.
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
@@ -245,6 +278,24 @@ class SlaveEngine:
         else:
             self._back_off()
 
+    def on_byte(self, byte: int) -> None:
+        """Take a write-data byte clocked in since ``awaits_byte`` held, on its eighth fall, and acknowledge it."""
+        if self._wcount == 0:
+            self.model.pointer = byte
+        else:
+            self._wbuf.append(byte)
+            if len(self._wbuf) == self.model.width(self.model.pointer):
+                self.model.commit_write(self._wbuf)
+                self._wbuf = []
+        self._wcount += 1
+        self._state = self._ACK_WDATA
+        self.sda_drive = True
+
+    @property
+    def awaits_byte(self) -> bool:
+        """At the start of a write-data byte: no bit of it is in yet."""
+        return self._state == self._WDATA and self._nbits == 0
+
     def on_scl_fall(self) -> None:
         s = self._state
         if s == self._ADDR:
@@ -260,9 +311,7 @@ class SlaveEngine:
                 self._nbits = 0
         elif s == self._WDATA:
             if self._nbits == 8:
-                self._accept_write_byte(self._shift)
-                self._state = self._ACK_WDATA
-                self.sda_drive = True
+                self.on_byte(self._shift)
         elif s == self._ACK_WDATA:
             self.sda_drive = False
             self._state = self._WDATA
@@ -309,16 +358,6 @@ class SlaveEngine:
         self._nbits = 0
         self.sda_drive = ((self._byte >> 7) & 1) == 0
 
-    def _accept_write_byte(self, byte: int) -> None:
-        if self._wcount == 0:
-            self.model.pointer = byte
-        else:
-            self._wbuf.append(byte)
-            if len(self._wbuf) == self.model.width(self.model.pointer):
-                self.model.commit_write(self._wbuf)
-                self._wbuf = []
-        self._wcount += 1
-
     def _flush_write(self) -> None:
         # a partial register word at STOP/START is discarded
         self._wbuf = []
@@ -333,28 +372,35 @@ class SlaveGroup:
     START or a STOP (``EDGE_DATA``), with the SDA level the slaves see.  An
     SDA change while SCL is low is no edge and reaches no slave.  As on a
     real bus, a slave that has not matched the address ignores the clock
-    until the next START or STOP, and :class:`SlaveEngine`'s invariants let
-    ``edge`` skip it.  So, in engine order:
+    until the next START or STOP, and a slave receiving a byte acts only on
+    its eighth fall; :class:`SlaveEngine`'s invariants let the group skip
+    the rest.  So, in engine order:
 
     - data edges go to every engine;
-    - after a START, the group clocks the address byte into one shift
-      register of its own: the START has reset every engine to the same
-      empty address state, so each would shift the same bits.  The rises
-      and falls of that byte reach no engine.  On its eighth fall only the
-      engine with that address gets ``on_address``; every other one drops
-      out until the next START or STOP, as it would back off alone;
+    - the group is ``receiving`` while a byte is open that its engines only
+      listen to: the address byte after a START, which has reset every
+      engine to the same empty address state, and a write-data byte that
+      every listening engine ``awaits_byte``.  No rise or fall of the byte
+      reaches an engine.  ``edge`` shifts the bits into the group's own
+      register on the rises, and the first fall after the eighth rise
+      hands the byte to ``byte``.  There only the engine with that address
+      gets ``on_address``, and every other one drops out until the next
+      START or STOP, as it would back off alone; or each listening engine
+      gets ``on_byte``.  On the analog link the block kernel clocks the
+      byte in and ``simulate.run_scenario`` calls ``byte`` with it, so the
+      engines get the same callbacks on both buses;
     - other clock edges go only to the engines in ``listening``;
-    - ``listening`` is re-read after a fall that reaches an engine or ends
-      the address byte (an engine may stop) and after a data edge (an
-      engine may start or stop), never after a rise or a fall between the
-      START and the address byte's eighth fall.
+    - ``listening``, ``pulling`` and ``receiving`` are re-read after a fall
+      that reaches an engine (an engine may stop, or start a byte), after a
+      byte and after a data edge (an engine may start or stop), never after
+      a rise or a fall inside a byte.
 
     During the address byte ``listening`` holds every engine.  Addresses
     are distinct, else the engines of one address would all answer it.
     ``pulling`` holds the engines that pull SDA low, in engine order.  It
-    is re-read with ``listening``, since only a fall or a data edge moves a
-    drive and an engine that is not listening pulls nothing.  The ideal bus
-    (:func:`run_ideal_bus`) runs one group; the analog link
+    is re-read with ``listening``, since only a fall, a byte or a data edge
+    moves a drive and an engine that is not listening pulls nothing.  The
+    ideal bus (:func:`run_ideal_bus`) runs one group; the analog link
     (``simulate.run_scenario``) runs one per stream group.
     """
 
@@ -366,43 +412,65 @@ class SlaveGroup:
                 raise ProtocolError(f"two slave engines share the address {e.model.address:#04x}")
         self.listening = [e for e in self.engines if e.listening]
         self.pulling = tuple([e for e in self.listening if e.sda_drive])
-        # the address byte's shift register, and its bits so far; -1 outside an address byte
+        self.receiving = False
+        # whether the open byte is an address byte; its bits so far and their count
+        self._address = False
         self._shift = 0
-        self._nbits = -1
+        self._nbits = 0
 
     def edge(self, code: int) -> bool:
-        """Deliver the bus edge ``code``; returns whether ``listening`` and ``pulling`` were re-read."""
+        """Deliver the bus edge ``code``; returns whether ``listening``, ``pulling`` and ``receiving`` were re-read."""
         kind, sda = code >> 1, code & 1
         if kind == EDGE_RISE:
-            if self._nbits >= 0:
+            if self.receiving:
                 self._shift = (self._shift << 1) | sda
                 self._nbits += 1
             else:
                 for e in self.listening:
                     e.on_scl_rise(sda)
             return False
-        if kind == EDGE_FALL:
-            if self._nbits < 0:
-                heard = self.listening
-                for e in heard:
-                    e.on_scl_fall()
-            elif self._nbits < 8:
-                return False
-            else:
-                self._nbits = -1
-                matched = self._by_address.get(self._shift >> 1)
-                heard = [] if matched is None else [matched]
-                for e in heard:
-                    e.on_address(self._shift)
-        else:
-            heard = self.engines
-            for e in heard:
+        if kind == EDGE_DATA:
+            for e in self.engines:
                 e.on_sda_edge(sda, H)
-            self._shift = 0
-            self._nbits = 0 if sda == L else -1  # a START opens an address byte
+            self._reread(self.engines, sda == L)  # a START opens an address byte
+        elif not self.receiving:
+            heard = self.listening
+            for e in heard:
+                e.on_scl_fall()
+            self._reread(heard, False)
+        elif self._nbits < 8:
+            return False
+        else:
+            self.byte(self._shift)
+        return True
+
+    def byte(self, value: int) -> None:
+        """Hand over the open byte, ``value``, clocked in whole by its eighth fall; re-reads the lists."""
+        if self._address:
+            matched = self._by_address.get(value >> 1)
+            heard = [] if matched is None else [matched]
+            for e in heard:
+                e.on_address(value)
+        else:
+            heard = self.listening
+            for e in heard:
+                e.on_byte(value)
+        self._reread(heard, False)
+
+    def _reread(self, heard: list[SlaveEngine], start: bool) -> None:
+        """Re-read the lists from the engines in ``heard``; a ``start`` opens an address byte."""
         self.listening = listening = [e for e in heard if e.listening]
         self.pulling = tuple([e for e in listening if e.sda_drive])
-        return True
+        receiving = bool(listening)
+        if not start:  # a write-data byte opens once every listening engine awaits it
+            for e in listening:
+                if not e.awaits_byte:
+                    receiving = False
+                    break
+        self.receiving = receiving
+        if receiving:
+            self._address = start
+            self._shift = self._nbits = 0
 
 
 # The master's quarters as the block kernels' codes, 2 * scl_intent + sda_intent: (H, H) is 3,

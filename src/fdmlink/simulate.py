@@ -20,8 +20,10 @@ quarter bits whose intents do not depend on each other's observations, and
 the amplitude of each quarter follows from its intents and the slave
 drives, so ``kernels.block_stepper()`` (compiled C, or the same arithmetic
 in Python) advances the streams through a segment up to its end or the
-first bus edge a slave must act on (an SCL fall, a START or a STOP); slave
-reactions, which close the loop, run between calls.  Bit errors are
+first bus edge a slave must act on (an SCL fall, a START or a STOP, or
+the eighth fall of a byte the slaves only listen to, which the kernel
+clocks in itself); slave reactions, which close the loop, run between
+calls.  Bit errors are
 counted at quarter-bit midpoints against the ideal wired-AND level of the
 same run.
 """
@@ -53,6 +55,7 @@ from .modem import (
     initial_reference,
 )
 from .protocol import (
+    EDGE_BYTE,
     QUARTERS_PER_BIT,
     RESERVED_ADDRESSES,
     SAMPLES_PER_BIT,
@@ -458,8 +461,11 @@ def run_scenario(
     group's slaves must act on (``_kernels_py.step_block`` states the
     contract).  Each stream group's slaves form one ``protocol.SlaveGroup``,
     which delivers the bus edges by its rule; after every return each
-    logged edge goes, in order, to its group, and the context's ``hears``
-    mask follows the group's ``listening`` list.  The amplitudes come from
+    logged edge goes, in order, to its group, a received byte through
+    ``SlaveGroup.byte``.  The context's ``hears`` mask follows the group's
+    ``listening`` list, and is ``kernels.HEAR_BYTE`` with the group's shift
+    state zeroed while the group is ``receiving``, so the kernel clocks in
+    address and write-data bytes and returns only on their eighth fall.  The amplitudes come from
     ``_AmplitudeTable.for_topology``, which keeps the last table built and
     hands it to the next run on the same electrical topology, so repeated
     runs build no bus model and recompute no drive state.  A drive state,
@@ -546,7 +552,8 @@ def run_scenario(
         traces=tracing,
     )
     step = kernels.block_stepper()
-    hears, events = ctx.hears, ctx.events
+    hears, events, rx_shift, rx_bits = ctx.hears, ctx.events, ctx.rx_shift, ctx.rx_bits
+    byte_code, hear_byte = 2 * EDGE_BYTE, kernels.HEAR_BYTE
     hears[0] = [bool(group.listening) for group in groups]
     hears[1] = [bool(group.engines) for group in groups]
 
@@ -605,12 +612,21 @@ def run_scenario(
             step(ctx)
             moved = False  # some group's pulling engines changed
             for e in events[:ctx.n_events].tolist():
-                group = groups[e >> 3]
-                if group.edge(e & 7):  # the group re-read its lists
-                    hears[0, e >> 3] = bool(group.listening)
-                    if group.pulling != pulling[e >> 3]:
-                        pulling[e >> 3] = group.pulling
-                        moved = True
+                g = e >> 3
+                group = groups[g]
+                if e & 6 == byte_code:
+                    group.byte(int(rx_shift[g]))
+                elif not group.edge(e & 7):
+                    continue
+                # the group re-read its lists
+                if group.receiving:  # it opened a byte: the kernel clocks it in
+                    hears[0, g] = hear_byte
+                    rx_shift[g] = rx_bits[g] = 0
+                else:
+                    hears[0, g] = bool(group.listening)
+                if group.pulling != pulling[g]:
+                    pulling[g] = group.pulling
+                    moved = True
             if moved:
                 set_drives(tuple(pulling))
             if ctx.quarter == q_end:

@@ -574,3 +574,27 @@ def test_demo_runs_clean(runner, tmp_path):
     assert "0 bit errors" in r.output
     doc = json.loads(out.read_text())
     assert doc["transactions_completed"] == 16
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("design", "--out"), ("sweep", "--out"), ("simulate", "--out"), ("simulate", "--traces"),
+     ("demo", "--out"), ("demo", "--emit-configs")],
+)
+def test_unwritable_output_exits_2_before_any_run(runner, tmp_path, design_json, minimal_scenario, command, option):
+    """An output path that cannot be written is bad input: one ``error:`` line naming it, exit 2, no run."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    path = blocker / "sub" / "out.txt"  # a regular file stands where a directory must be
+    args = {
+        "design": ["design", SPEC_A],
+        "sweep": ["sweep", str(design_json), "--points", "11"],
+        "simulate": ["simulate", str(minimal_scenario)],
+        "demo": ["demo"],
+    }[command]
+    r = runner.invoke(main, [*args, option, str(path)])
+    assert r.exit_code == 2, r.exception
+    assert isinstance(r.exception, SystemExit)
+    errors = [line for line in r.output.splitlines() if line.startswith("error:")]  # stdout and stderr
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {path}"), errors
+    assert "transactions:" not in _alltext(r)

@@ -71,15 +71,30 @@ AMPLITUDES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e300]),
     st.floats(1e-9, 10.0),
 )
-# one drive state: per intent code, the levels the streams take in turn; a slave pulls SDA
-DRIVES = st.tuples(st.lists(st.lists(AMPLITUDES, min_size=1, max_size=3), min_size=4, max_size=4),
+# one drive state: per intent code, the levels the streams take in turn, or "keyed": a 20 dB
+# drop on each line its intent pulls low; a slave pulls SDA
+DRIVES = st.tuples(st.one_of(st.lists(st.lists(AMPLITUDES, min_size=1, max_size=3), min_size=4, max_size=4),
+                             st.just("keyed")),
                    st.booleans())
-STATE = ("ref", "det", "out", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye")
+
+
+def _bits(*bits):
+    """Intent codes of whole bits: SDA set while SCL is low, SCL high for two quarters, low again."""
+    return [q for b in bits for q in (b, 2 + b, 2 + b, b)]
+
+
+# a segment: random intent codes, or whole bits, so bytes get clocked in
+SEGMENT = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.lists(st.integers(0, 1), min_size=1, max_size=24).map(lambda bits: _bits(*bits)),
+)
+STATE = ("ref", "det", "out", "rx_shift", "rx_bits", "obs", "used", "seen_low", "bits_checked", "bit_errors",
+         "eye")
 POSITION = ("quarter", "pos", "n_events")
 
 
 def _stopped(ctx):
-    """Whether the last call ended on an edge: it logged a fall or a data edge."""
+    """Whether the last call ended on an edge: it logged a fall, a data edge or a byte."""
     kinds = ctx.events[:ctx.n_events] >> 1 & 3
     return bool((kinds != kernels.EDGE_RISE).any())
 
@@ -89,20 +104,35 @@ def _seed(ctx, first):
     ctx.ref[:] = _kernels_py.detector(first.tolist(), ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
 
 
-def _set_drives(ctxs, states, i, drive, hears):
+def _hears(rng, groups, hear_p, byte_p):
+    """A ``hears`` mask: each flag set with ``hear_p``, and a set clock flag receiving a byte with ``byte_p``."""
+    hears = (rng.random((2, groups)) < hear_p).astype(np.uint8)
+    hears[0] <<= rng.random(groups) < byte_p  # 1 becomes HEAR_BYTE
+    return hears
+
+
+def _set_drives(ctxs, states, i, drive, hears, opened):
     """Point each context at the arrays of drive state ``i``, made on its first visit, as ``run_scenario`` does.
 
-    ``states`` maps (context index, drive state index) to that state's ``amp`` and ``used``.
+    ``states`` maps (context index, drive state index) to that state's ``amp``
+    and ``used``.  Each group of ``opened`` starts its byte afresh: its
+    ``rx_shift`` and ``rx_bits`` are reset.
     """
     rows, pulled = drive
     for k, ctx in enumerate(ctxs):
         if (k, i) not in states:
-            amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
+            ng = ctx.n_streams // 2
+            if rows == "keyed":
+                amp = np.array([[0.3 if c >> 1 else 0.03] * ng + [0.3 if c & 1 and not pulled else 0.03] * ng
+                                for c in range(4)])
+            else:
+                amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
             states[k, i] = (amp, np.zeros(4, dtype=np.uint8))
         ctx.amp, ctx.used = states[k, i]
         ctx.amp_p, ctx.used_p = ctx.amp.ctypes.data, ctx.used.ctypes.data
         ctx.sda_pulled = pulled
         ctx.hears[:] = hears
+        ctx.rx_shift[opened] = ctx.rx_bits[opened] = 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,31 +151,42 @@ def _set_drives(ctxs, states, i, drive, hears):
     alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     hysteresis=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     seed=st.integers(0, 2**32 - 1),
-    segments=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=5),
+    segments=st.lists(SEGMENT, min_size=1, max_size=5),
     drives=st.lists(DRIVES, min_size=1, max_size=6),
     hear_p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    byte_p=st.sampled_from([0.0, 0.5, 1.0]),
 )
 @example(
     groups=1, spq=16, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
     ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0,
     segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
-    drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0,
+    drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0, byte_p=0.0,
+)
+@example(  # two groups receiving bytes, one cut by a START
+    groups=2, spq=8, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.01, seed=1,
+    segments=[[3, 2, 0] + _bits(1, 0, 1, 1, 0, 1, 0, 0, 1, 1) + [1, 3, 2, 0], _bits(*(0, 1) * 9)],
+    drives=[("keyed", False), ("keyed", True)], hear_p=1.0, byte_p=1.0,
 )
 def test_c_step_block_matches_python_bit_for_bit(
     groups, spq, ref0, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
-    hysteresis, seed, segments, drives, hear_p,
+    hysteresis, seed, segments, drives, hear_p, byte_p,
 ):
     """Same returns, position, state, counters, edge logs and traces, compared as bytes.
 
     The references start at the detector value of the first input
     (``ref0`` None, as in ``run_scenario``) or at drawn values, NaN and
     infinities included, that the streams take in turn.  The segments hold
-    random intent codes.  After every return on a logged fall or data edge
-    the caller moves to the next drive state, re-pointing ``amp`` and
-    ``used`` at that state's own arrays, and draws a new ``hears`` mask
-    (each flag set with probability ``hear_p``), as ``run_scenario`` does
-    after slave callbacks, so the kernels resume mid-segment on new
-    amplitude rows; drive states repeat, so a state's ``used`` flags carry
+    random intent codes, so STARTs and STOPs fall anywhere, inside received
+    bytes too.  After every return on a logged fall, data edge or byte the
+    caller moves to the next drive state, re-pointing ``amp`` and ``used``
+    at that state's own arrays, and draws a new ``hears`` mask (each flag
+    set with probability ``hear_p``, and a set clock flag receiving a byte
+    with ``byte_p``), as ``run_scenario`` does after slave callbacks, so the
+    kernels resume mid-segment on new amplitude rows.  A group that receives
+    a byte starts it afresh in one of two draws and goes on with the bits
+    it has in the other, as a group does whose byte another group's edge
+    interrupted.  Drive states repeat, so a state's ``used`` flags carry
     over from its last visit, and every state's flags are compared at the
     end.  A call at the segment end must return 0 and log nothing.  A call
     that logged only rises ran to the segment end.
@@ -159,7 +200,7 @@ def test_c_step_block_matches_python_bit_for_bit(
                   master=master % groups, noise=noise, traces=traced)
     ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
     states = {}
-    _set_drives(ctxs, states, 0, drives[0], rng.random((2, groups)) < hear_p)
+    _set_drives(ctxs, states, 0, drives[0], _hears(rng, groups, hear_p, byte_p), slice(None))
     first = c_ctx.amp[segments[0][0]] + noise[0] if noisy else c_ctx.amp[segments[0][0]]
     for ctx in ctxs:
         if ref0 is None:
@@ -186,7 +227,8 @@ def test_c_step_block_matches_python_bit_for_bit(
             assert n >= 1
             changes += 1
             i = changes % len(drives)
-            _set_drives(ctxs, states, i, drives[i], rng.random((2, groups)) < hear_p)
+            hears = _hears(rng, groups, hear_p, byte_p)
+            _set_drives(ctxs, states, i, drives[i], hears, (hears[0] == kernels.HEAR_BYTE) & (rng.random(groups) < 0.5))
     assert c_ctx.quarter == quarters
     for (k, i), (_, used) in states.items():
         if k == 0:
@@ -259,6 +301,39 @@ def test_step_block_stops_only_on_edges_a_slave_acts_on(backend):
     assert ctx.events[:ctx.n_events].tolist() == [rise + 0, data + 1, 8 + data + 1]
     assert step(ctx) == 15
     assert (ctx.n_events, ctx.quarter) == (0, 5)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_step_block_clocks_in_a_byte(backend):
+    """In receive mode a group logs one byte on the fall after its eighth rise, or a START inside the byte."""
+    step = load_stepper(backend)
+    byte = 0xA5
+    codes = [3, 2, 0] + _bits(*((byte >> i) & 1 for i in range(7, -1, -1))) + _bits(1, 0, 1) + [1, 3, 2]
+    ctx = _context(groups=2, quarters=len(codes))
+    for code in range(4):  # a 20 dB drop on each line its intent pulls low
+        ctx.amp[code] = [0.3 if code >> 1 else 0.03] * 2 + [0.3 if code & 1 else 0.03] * 2
+    ctx.hears[:] = [[kernels.HEAR_BYTE, 1], [1, 0]]  # group 0 receives; group 1 hears each clock edge
+    ctx.code[:] = codes
+    ctx.q_end = len(codes)
+    _seed(ctx, ctx.amp[3])
+    fall, data, whole = (2 * k for k in (kernels.EDGE_FALL, kernels.EDGE_DATA, kernels.EDGE_BYTE))
+    # the START, then group 1's fall after it; group 0 logs nothing on that fall
+    assert step(ctx) == 16 + 1
+    assert ctx.events[:ctx.n_events].tolist() == [data + 0]
+    assert step(ctx) == 16
+    assert ctx.events[:ctx.n_events].tolist() == [8 + fall + 0]
+    assert (ctx.rx_shift[0], ctx.rx_bits[0]) == (0, 0)
+    ctx.hears[0, 1] = 0
+    # eight bits: group 0 shifts on each rise and logs the byte on the eighth bit's fall
+    assert step(ctx) == 8 * 4 * 16
+    assert (ctx.quarter, ctx.pos) == (2 + 8 * 4, 1)
+    assert ctx.events[:ctx.n_events].tolist() == [whole + (byte & 1)]
+    assert (ctx.rx_shift[0], ctx.rx_bits[0]) == (byte, 8)
+    # a new byte, cut by a START after four rises
+    ctx.rx_shift[0] = ctx.rx_bits[0] = 0
+    assert step(ctx) == 15 + 3 * 4 * 16 + 2 * 16 + 1
+    assert ctx.events[:ctx.n_events].tolist() == [data + 0]
+    assert (ctx.rx_shift[0], ctx.rx_bits[0]) == (0b1011, 4)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,36 @@ def test_slave_model_refuses_a_register_under_one_byte(width):
     """A width below 1 is refused where the model is built, naming the register, not in a read."""
     with pytest.raises(ProtocolError, match="register 5 of slave 0x18"):
         SlaveModel(0x18, registers={5: 7}, widths={5: width})
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,field",
+    [
+        ((True,), {}, "slave address"),
+        ((24.0,), {}, "slave address"),
+        (("24",), {}, "slave address"),
+        ((0x18, {0: 7}), {"widths": {0: 1.5}}, "width of register 0 of slave 0x18"),
+        ((0x18, {0: 7.0}), {}, "register 0 of slave 0x18"),
+        ((0x18, {0: False}), {}, "register 0 of slave 0x18"),
+        ((0x18, {"0": 7}), {}, "register number in registers of slave 0x18"),
+        ((0x18, {}), {"widths": {1.0: 2}}, "register number in widths of slave 0x18"),
+        ((0x18,), {"pointer": 0.5}, "pointer of slave 0x18"),
+        ((0x18, [7]), {}, "registers of slave 0x18 must be a dict"),
+    ],
+)
+def test_slave_model_refuses_fields_that_are_not_integers(args, kwargs, field):
+    """Each bad field is named where the model is built, not mid-run in a read."""
+    with pytest.raises(ProtocolError, match=re.escape(field)):
+        SlaveModel(*args, **kwargs)
+
+
+def test_slave_model_takes_numpy_integers_as_ints():
+    m = SlaveModel(np.int64(0x18), {np.int32(5): np.uint16(0x1234)}, pointer=np.int8(5),
+                   widths={np.int64(5): np.int64(1)})
+    assert m == SlaveModel(0x18, {5: 0x1234}, pointer=5, widths={5: 1})
+    assert {type(v) for v in (m.address, m.pointer, *m.registers, *m.registers.values(), *m.widths,
+                              *m.widths.values())} == {int}
+    assert master_run(Transaction.read(0x18, 2), 100e3, [m])[2][0].payload == bytes([0x34, 0x34])
 
 
 def test_slave_group_refuses_a_shared_address():
@@ -447,10 +478,12 @@ def test_group_bus_matches_every_slave_taking_every_edge(data):
 
 
 def _edge_ops(addrs):
-    """Bus moves of the master: whole STARTs, STOPs, address and data bytes, and single line changes."""
+    """Bus moves of the master: whole STARTs, STOPs, address and data bytes, writes and single line changes."""
     return st.lists(
         st.one_of(
             st.tuples(st.just("start")),
+            # START, a slave's write address and data bytes (a STOP, START or lone edge may follow)
+            st.tuples(st.just("write"), st.sampled_from(addrs), st.lists(_byte, max_size=3)),
             st.tuples(st.just("stop")),
             st.tuples(st.just("byte"), st.tuples(st.one_of(st.sampled_from(addrs), st.integers(0, 0x7F)),
                                                   st.integers(0, 1)).map(lambda a: (a[0] << 1) | a[1])),
@@ -462,10 +495,8 @@ def _edge_ops(addrs):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_group_edges_match_every_slave_taking_every_edge(data):
-    """Edge by edge: the group's shared address receiver drives SDA as every slave shifting the address would."""
+def _group_against_every_edge(data, to_group):
+    """Drive a group by ``to_group(group, code)`` and every-edge slaves alike; drives and models must agree."""
     from .oracles import deliver_to_each
 
     addrs = data.draw(st.lists(st.integers(0, 0x7F), min_size=1, max_size=20, unique=True), label="addresses")
@@ -478,7 +509,7 @@ def test_group_edges_match_every_slave_taking_every_edge(data):
         return 0 if master_sda == 0 or any(e.sda_drive for e in oracle) else 1
 
     def deliver(code):
-        group.edge(code)
+        to_group(group, code)
         deliver_to_each(oracle, code)
         drives = [e.sda_drive for e in oracle]
         assert [e.sda_drive for e in group.engines] == drives
@@ -502,22 +533,67 @@ def test_group_edges_match_every_slave_taking_every_edge(data):
         set_sda(v)
         clock()
 
+    def start():
+        bit(1)
+        set_sda(0)
+
+    def byte(value):
+        for i in range(7, -1, -1):
+            bit((value >> i) & 1)
+        bit(1)  # the ACK slot, released by the master
+
     for op in data.draw(_edge_ops(addrs), label="ops"):
         if op[0] == "start":
-            bit(1)
-            set_sda(0)
+            start()
+        elif op[0] == "write":
+            start()
+            for value in [op[1] << 1, *op[2]]:
+                byte(value)
         elif op[0] == "stop":
             bit(0)
             set_sda(1)
         elif op[0] == "byte":
-            for i in range(7, -1, -1):
-                bit((op[1] >> i) & 1)
-            bit(1)  # the ACK slot, released by the master
+            byte(op[1])
         elif op[0] == "scl":
             clock()
         else:
             set_sda(op[1])
     assert [e.model for e in group.engines] == [e.model for e in oracle]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_edges_match_every_slave_taking_every_edge(data):
+    """Edge by edge: the group's own byte receiver drives SDA as every slave shifting each bit would."""
+    _group_against_every_edge(data, SlaveGroup.edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_bytes_match_every_slave_taking_every_edge(data):
+    """Bytes clocked in outside the group, as the link's block kernel does, drive SDA as every-edge delivery would.
+
+    While the group is ``receiving``, its rises and falls go to a shift
+    register outside it, which its next START, STOP or opened byte resets,
+    and the first fall after the eighth rise hands the byte to ``byte``.
+    """
+    rx = [0, 0]  # the byte so far and its rises
+
+    def to_group(group, code):
+        kind = code >> 1
+        if group.receiving and kind == EDGE_RISE:
+            rx[:] = [(rx[0] << 1 | code & 1) & 0xFF, rx[1] + 1]
+            return
+        if group.receiving and kind == EDGE_FALL:
+            if rx[1] < 8:
+                return
+            group.byte(rx[0])
+        elif not group.edge(code):
+            return
+        if group.receiving:
+            rx[:] = [0, 0]
+
+    _group_against_every_edge(data, to_group)
 
 
 @settings(max_examples=150, deadline=None)

@@ -793,7 +793,7 @@ def _stop_samples(sink, node) -> set[int]:
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
-    """One kernel call per master segment or per SCL fall or START/STOP that reaches a slave group."""
+    """One kernel call per master segment or per SCL fall, START/STOP or received byte that reaches a slave group."""
     from fdmlink.kernels import EDGE_RISE
 
     from .conftest import load_stepper
@@ -813,17 +813,25 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
 
     spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
     current = []
-    stops: set[int] = set()  # samples whose fall or START/STOP some slave group was handed
-    edge = SlaveGroup.edge
+    stops: set[int] = set()  # samples whose fall, START/STOP or byte some slave group was handed
+    edge, byte = SlaveGroup.edge, SlaveGroup.byte
+
+    def stopped():
+        ctx = current[-1]
+        stops.add(ctx.quarter * spq + ctx.pos - 1)  # the call ended just after that sample
 
     def delivered(self, code):
         if code >> 1 != EDGE_RISE:
-            ctx = current[-1]
-            stops.add(ctx.quarter * spq + ctx.pos - 1)  # the call ended just after that sample
+            stopped()
         return edge(self, code)
+
+    def received(self, value):
+        stopped()
+        return byte(self, value)
 
     monkeypatch.setattr(MasterEngine, "segments", counted)
     monkeypatch.setattr(SlaveGroup, "edge", delivered)
+    monkeypatch.setattr(SlaveGroup, "byte", received)
     counts, stop_counts = {}, {}
     for backend in ("c", "python"):
         fn = load_stepper(backend)
@@ -840,8 +848,9 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
         m, _ = demo.run(trace_sink=sink)
         counts[backend], stop_counts[backend] = len(current), len(stops)
     assert m.n_samples == 26_496 == sum(segments) * spq
-    # 1,001 when every slicer output change ended a call
-    assert counts["c"] == counts["python"] == 433
+    # 1,001 when every slicer output change ended a call, 433 when every fall of a byte the
+    # slaves only listen to did
+    assert counts["c"] == counts["python"] == 249
     assert stop_counts["c"] == stop_counts["python"]
     assert counts["c"] <= len(segments) + len(stops)
     assert stops <= _stop_samples(sink, demo.topology.nodes[demo.topology.master_index])
@@ -851,7 +860,7 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkeypatch, stepper):
     """With noise every node is a group: each logged edge goes to a one-slave group, clock edges to a listening one."""
-    from fdmlink.kernels import EDGE_DATA, EDGE_RISE
+    from fdmlink.kernels import EDGE_BYTE, EDGE_DATA, EDGE_RISE
 
     step = kernels.block_stepper()
     logs = []  # per call: whether it ran to the segment end, the edge kinds it logged, the group edges after it
@@ -862,13 +871,18 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
         logs.append((at_end, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
         return n
 
-    edge = SlaveGroup.edge
+    edge, byte = SlaveGroup.edge, SlaveGroup.byte
 
     def delivered(self, code):
         logs[-1][2].append((code >> 1, len(self.engines), bool(self.listening)))
         return edge(self, code)
 
+    def received(self, value):
+        logs[-1][2].append((EDGE_BYTE, len(self.engines), bool(self.listening)))
+        return byte(self, value)
+
     monkeypatch.setattr(SlaveGroup, "edge", delivered)
+    monkeypatch.setattr(SlaveGroup, "byte", received)
     monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
     sink: dict = {}
     demo.run(seed=1, noise_rms=10e-6, trace_sink=sink)
@@ -887,7 +901,8 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
 def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
     """Noiseless demo: slave callbacks go only where they can act.
 
-    7,808 when every slave got every edge, 2,904 when each slave shifted the address bits itself.
+    7,808 when every slave got every edge, 2,904 when each slave shifted the address bits itself,
+    744 when each listening slave shifted the write-data bits itself.
     """
     calls = []
 
@@ -900,12 +915,81 @@ def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
 
         return call
 
-    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address"):
+    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte"):
         monkeypatch.setattr(SlaveEngine, name, counted(name))
     m, _ = demo.run()
     assert m.error_free
-    assert len(calls) == 744
+    assert len(calls) == 616
     assert all(listening for name, listening in calls if name != "on_sda_edge")
+
+
+def _received_byte_falls(quarters) -> set[int]:
+    """Quarters of the SCL falls inside a byte the slaves only listen to, decoded from the bus.
+
+    Those bytes are the address byte after a START and each write-data byte
+    after an ACKed write address or data byte.  A fall is inside one from
+    the byte's start (the START, or the fall that ends the ACK before it) up
+    to, not including, the fall after its eighth rise.
+    """
+    inside = set()
+    receiving = address = write = False
+    rises, bits, pending = 0, 0, False
+    prev = (1, 1)
+    for q, (scl, sda) in enumerate(quarters):
+        if scl and prev[0] and sda != prev[1]:  # START or STOP
+            receiving = address = sda == 0
+            rises = bits = 0
+        elif scl and not prev[0]:
+            rises += 1
+            if rises <= 8:
+                bits = (bits << 1) | sda
+            elif rises == 9 and receiving:  # the ACK slot of a received byte
+                if address:
+                    write = not bits & 1
+                pending = sda == 0 and write
+        elif not scl and prev[0]:
+            if rises == 9:  # the fall that ends an ACK slot opens the next byte
+                receiving, address, rises, bits, pending = pending, False, 0, 0, False
+            elif receiving and rises < 8:
+                inside.add(q)
+        prev = (scl, sda)
+    return inside
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_no_call_ends_on_a_fall_inside_a_received_byte(demo, monkeypatch, stepper):
+    """Noiseless demo: the kernel clocks in address and write-data bytes, so no fall inside one ends a call.
+
+    Every call that ends on an SCL fall ends on a fall a slave acts on: the
+    eighth fall of a received byte (logged as a byte) or a fall of an ACK
+    slot or of a byte a slave sends.
+    """
+    from fdmlink.kernels import EDGE_BYTE, EDGE_FALL
+
+    quarters = run_ideal_bus(MasterEngine(demo.transactions, demo.clock_hz),
+                             [SlaveEngine(copy.deepcopy(n.slave)) for n in demo.topology.nodes if n.slave],
+                             collect=True)
+    inside = _received_byte_falls(quarters)
+    assert len(inside) == 16 * 8 + 8 * 7  # 16 address bytes and 8 write-data bytes
+    spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
+    step = kernels.block_stepper()
+    ends = []  # per call that ended on a fall: its quarter, and whether the fall ended a byte
+
+    def logged(ctx):
+        n = step(ctx)
+        kinds = (ctx.events[:ctx.n_events] >> 1 & 3).tolist()
+        if EDGE_FALL in kinds or EDGE_BYTE in kinds:
+            ends.append(((ctx.quarter * spq + ctx.pos - 1) // spq, EDGE_BYTE in kinds))
+        return n
+
+    monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
+    m, _ = demo.run()
+    assert m.error_free
+    assert not inside & {q for q, _ in ends}
+    # each received byte ends on its eighth fall, in the quarter the bus falls in
+    assert sum(byte for _, byte in ends) == 16 + 8
+    falls = {q for q, (scl, prev) in enumerate(zip(quarters, [(1, 1)] + quarters)) if prev[0] and not scl[0]}
+    assert {q for q, _ in ends} <= falls
 
 
 _ABSENT = range(0x40, 0x48)
@@ -955,7 +1039,7 @@ def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
         return call
 
     with contextlib.ExitStack() as patches:
-        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address"):
+        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte"):
             patches.enter_context(mock.patch.object(SlaveEngine, name, recorded(name)))
         ideal = MasterEngine(txns, demo.clock_hz)
         run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
