@@ -13,16 +13,26 @@
  * struct.  A group in receive mode (hears[0][g] == HEAR_BYTE) is clocking in
  * a byte its slaves only listen to: the kernel shifts the group's SDA output
  * into rx_shift[g] on each SCL rise and logs nothing until the first fall
- * after the eighth rise, which it logs as one EDGE_BYTE.
+ * after the eighth rise, which it logs as one EDGE_BYTE.  The one group in
+ * send mode (SEND_BYTE) is clocking out tx_byte: its rises shift and count
+ * the same way, its falls drive the byte's bits MSB first and then release
+ * SDA, and the first fall after the ninth rise, the ACK slot's, is logged as
+ * one EDGE_BYTE whose SDA bit is the ACK the ninth rise sampled.  A fall that
+ * changes the sender's drive re-points amp, used and sda_pulled at the other
+ * of its two drive states (tx_amp, tx_used, tx_pulled) after that sample,
+ * and the kernel takes the quarter again under the new state.
  */
 #include <math.h>
 #include <stdint.h>
 
 /* An event is 8 * group + 2 * kind + the group's SDA output at that sample. */
 enum { EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE };
-/* hears[0][g] is 0 (group g's clock edges reach no slave), 1 (they reach a listening one) or
- * HEAR_BYTE (the group is clocking in a byte, logged whole as one EDGE_BYTE) */
-enum { HEAR_BYTE = 2 };
+/* hears[0][g] is 0 (group g's clock edges reach no slave), 1 (they reach a listening one),
+ * HEAR_BYTE (the group is clocking in a byte, logged whole as one EDGE_BYTE) or SEND_BYTE
+ * (the kernel clocks out the group's tx_byte, and logs its ACK as one EDGE_BYTE) */
+enum { HEAR_BYTE = 2, SEND_BYTE = 3 };
+/* what log_edge asks of run_block: Python must act after this sample; the drive state changed */
+enum { ACT_STOP = 1, ACT_REENTER = 2 };
 
 typedef struct {
     int64_t n_streams;   /* 2 * groups: the SCL stream of each group, then the SDA ones */
@@ -33,13 +43,16 @@ typedef struct {
     int64_t q_end;       /* the segment ends before this quarter */
     int64_t sda_pulled;  /* a node other than the master pulls SDA low */
     int64_t n_events;    /* edges the last call logged */
+    int64_t tx_byte;     /* the byte the group in send mode clocks out */
+    int64_t tx_pull;     /* that group's drive: 1 while it pulls SDA low, else 0 */
+    int64_t tx_pulled[2];  /* sda_pulled of its drive states: released, then pulling */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
     const double *amp;    /* [4][n_streams] amplitude row per code, of the current drive state */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
     const uint8_t *hears; /* [2][groups] clock edges reach a listening slave, data edges any slave */
-    uint8_t *rx_shift;    /* [groups] the open byte's bits so far, in receive mode */
-    int64_t *rx_bits;     /* [groups] SCL rises since the byte opened */
+    uint8_t *rx_shift;    /* [groups] the SDA outputs at the open byte's rises so far */
+    int64_t *rx_bits;     /* [groups] SCL rises since the byte opened, in receive and send mode */
     double *ref, *det;    /* [n_streams] */
     uint8_t *out;         /* [n_streams] */
     int64_t *events;      /* [n_streams] the edges the last call logged */
@@ -51,6 +64,8 @@ typedef struct {
     double *trace_det, *trace_ref;       /* [n_quarters * spq][n_streams] or NULL */
     uint8_t *trace_out;                  /* [n_quarters * spq][n_streams] or NULL */
     uint8_t *trace_wire;                 /* [n_quarters * spq][2] or NULL */
+    const double *tx_amp[2];             /* amp of the sender's two drive states */
+    uint8_t *tx_used[2];                 /* used of the sender's two drive states */
 } block_ctx;
 
 int64_t block_ctx_size(void)
@@ -124,21 +139,40 @@ static int step_stream(block_ctx *c, const double *amp, int64_t row, int64_t s)
     return moved;
 }
 
-/* Log group g's edge if a slave of g acts on it; 1 if Python must act before the next sample.
- * In receive mode a rise shifts in the SDA output and a fall is logged only once eight rises are in. */
+/* From the next sample on, the sender drives SDA as pull: re-point the drive state if it changes. */
+static int drive(block_ctx *c, int64_t pull)
+{
+    if (pull == c->tx_pull)
+        return 0;
+    c->tx_pull = pull;
+    c->amp = c->tx_amp[pull];
+    c->used = c->tx_used[pull];
+    c->sda_pulled = c->tx_pulled[pull];
+    return ACT_REENTER;
+}
+
+/* Log group g's edge if a slave of g acts on it; returns the ACT_ flags.  In receive and send
+ * mode a rise shifts in the SDA output; a fall is logged only once eight rises (receive) or
+ * nine (send) are in, and before that a sender's fall drives its next bit. */
 static int log_edge(block_ctx *c, int64_t g, int moved)
 {
     const int64_t ng = c->n_streams / 2;
-    int kind;
+    int kind, sda = c->out[ng + g];
     if (moved & 1) {
-        if (c->hears[g] == HEAR_BYTE) {
+        if (c->hears[g] >= HEAR_BYTE) {
+            const int64_t rises = c->rx_bits[g];
             if (c->out[g]) {
-                c->rx_shift[g] = (uint8_t)(c->rx_shift[g] << 1 | c->out[ng + g]);
+                c->rx_shift[g] = (uint8_t)(c->rx_shift[g] << 1 | sda);
                 c->rx_bits[g]++;
                 return 0;
             }
-            if (c->rx_bits[g] < 8)
+            if (c->hears[g] == SEND_BYTE) {
+                if (rises < 9)
+                    return drive(c, rises < 8 && !(c->tx_byte >> (7 - rises) & 1));
+                sda = c->rx_shift[g] & 1;
+            } else if (rises < 8) {
                 return 0;
+            }
             kind = EDGE_BYTE;
         } else if (c->hears[g]) {
             kind = c->out[g] ? EDGE_RISE : EDGE_FALL;
@@ -150,8 +184,8 @@ static int log_edge(block_ctx *c, int64_t g, int moved)
     } else {
         return 0;
     }
-    c->events[c->n_events++] = 8 * g + 2 * kind + c->out[ng + g];
-    return kind != EDGE_RISE;
+    c->events[c->n_events++] = 8 * g + 2 * kind + sda;
+    return kind != EDGE_RISE ? ACT_STOP : 0;
 }
 
 static int64_t run_block(block_ctx *c)
@@ -167,12 +201,12 @@ static int64_t run_block(block_ctx *c)
     for (;;) {
         const int64_t isample = c->quarter * c->spq + c->pos;
         const int64_t row = isample * ns;
-        int stop = 0;
+        int act = 0;
         for (int64_t g = 0; g < ng; g++) {
             int moved = step_stream(c, amp, row, g);
             moved |= step_stream(c, amp, row, ng + g) << 1;
             if (moved)
-                stop |= log_edge(c, g, moved);
+                act |= log_edge(c, g, moved);
         }
         if (c->trace_wire) {
             c->trace_wire[2 * isample] = wire[0];
@@ -185,9 +219,10 @@ static int64_t run_block(block_ctx *c)
             c->pos = 0;
             c->quarter++;
         }
-        if (stop)
+        if (act & ACT_STOP)
             return n;
-        if (c->pos == 0) {
+        /* a new quarter, or the same one under the sender's new drive state */
+        if (c->pos == 0 || act) {
             if (c->quarter == c->q_end)
                 return n;
             amp = enter_quarter(c, wire);
@@ -198,7 +233,7 @@ static int64_t run_block(block_ctx *c)
 /* run_block on a local copy of *ctx: a store through one of its uint8_t or
  * double pointers may alias a field of *ctx, but not of the copy, so the
  * loop need not reload the fields after every store.  The loop changes no
- * scalar field but these three. */
+ * field but the position, the log count and the sender's drive state. */
 int64_t step_block(block_ctx *ctx)
 {
     block_ctx c = *ctx;
@@ -206,5 +241,9 @@ int64_t step_block(block_ctx *ctx)
     ctx->quarter = c.quarter;
     ctx->pos = c.pos;
     ctx->n_events = c.n_events;
+    ctx->tx_pull = c.tx_pull;
+    ctx->amp = c.amp;
+    ctx->used = c.used;
+    ctx->sda_pulled = c.sda_pulled;
     return n;
 }

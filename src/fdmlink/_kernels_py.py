@@ -22,9 +22,11 @@ import numpy as np
 # the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
 from .protocol import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
 
-# ``hears[0, g]`` is 0 or 1 (group g's clock edges reach no slave, or a listening one) or this:
-# the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``
+# ``hears[0, g]`` is 0 or 1 (group g's clock edges reach no slave, or a listening one) or one of
+# these: the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``; the kernels
+# clock out the group's ``tx_byte`` and log its ACK as one ``EDGE_BYTE``
 HEAR_BYTE = 2
+SEND_BYTE = 3
 
 
 def slicer_loop(
@@ -171,9 +173,29 @@ class BlockContext(ctypes.Structure):
     ``HEAR_BYTE`` while the group receives a byte (see ``step_block``);
     ``hears[1, g]`` says data edges reach any slave of it; it starts all
     ones.  ``rx_shift`` (uint8) and ``rx_bits`` (int64), one per group,
-    hold a received byte's bits so far and its rises: the caller zeroes a
-    group's pair when it sets ``HEAR_BYTE`` for a new byte, and the
-    kernels shift into it.  The kernels own the rest: the
+    hold the SDA outputs at an open byte's rises so far and their count:
+    the caller zeroes a group's pair when it opens a byte, and the kernels
+    shift into it.
+
+    At most one group is in send mode, ``hears[0, g] == SEND_BYTE``: the
+    kernels clock out ``tx_byte`` for it, from ``rx_bits[g]`` rises on.
+    Its two drive states, SDA released (index 0) and pulled low (index 1),
+    are given as ``tx_amp`` and ``tx_used``, two arrays each, with their
+    data in ``tx_amp_p`` and ``tx_used_p``, and ``tx_pulled``; the other
+    groups' drives are held as they are in both.  ``tx_pull`` is the
+    group's drive now, and ``amp``, ``used`` and ``sda_pulled`` point at
+    that state.  When the group's drive changes, the kernels set
+    ``tx_pull`` and re-point ``amp_p``, ``used_p`` and ``sda_pulled`` at the
+    other state (the Python stepper also ``amp`` and ``used``), so after
+    every call they name the state the run is in.  So on every return while
+    a group sends, the caller learns the sender's drive from ``tx_pull``;
+    when another group's drive changes, it rebuilds both states from the
+    other groups' drives and points at the one ``tx_pull`` names.  One
+    sender slot is enough: a second group whose slave sends at the same
+    time, which only a mis-decoded address can cause, gets each clock edge
+    (``hears[0, g]`` 1) and its drive is switched by the caller between
+    calls.  The arrays this object allocates serve as both send states
+    until the caller sets them.  The kernels own the rest: the
     position, the stream state (``ref``, ``det``, ``out``) from then on,
     ``obs`` (the master's outputs 2 * scl + sda at each quarter's
     midpoint), the flags in ``used`` of the codes that ran, ``seen_low``,
@@ -191,6 +213,9 @@ class BlockContext(ctypes.Structure):
         ("q_end", ctypes.c_int64),
         ("sda_pulled", ctypes.c_int64),
         ("n_events", ctypes.c_int64),
+        ("tx_byte", ctypes.c_int64),
+        ("tx_pull", ctypes.c_int64),
+        ("tx_pulled", ctypes.c_int64 * 2),
         ("floor", ctypes.c_double),
         ("ref_in", ctypes.c_double),
         ("ref_out", ctypes.c_double),
@@ -217,6 +242,8 @@ class BlockContext(ctypes.Structure):
         ("trace_ref_p", ctypes.c_void_p),
         ("trace_out_p", ctypes.c_void_p),
         ("trace_wire_p", ctypes.c_void_p),
+        ("tx_amp_p", ctypes.c_void_p * 2),
+        ("tx_used_p", ctypes.c_void_p * 2),
     ]
 
     def __init__(
@@ -301,6 +328,9 @@ class BlockContext(ctypes.Structure):
                      "trace_det", "trace_ref", "trace_out", "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
+        self.tx_amp, self.tx_used = (self.amp, self.amp), (self.used, self.used)
+        self.tx_amp_p[:] = self.amp_p, self.amp_p
+        self.tx_used_p[:] = self.used_p, self.used_p
 
 
 def step_block(ctx: BlockContext) -> int:
@@ -330,7 +360,19 @@ def step_block(ctx: BlockContext) -> int:
     ``(rx_shift << 1 | sda) & 0xFF``) and counts in ``rx_bits[g]``, and
     logs nothing; a fall is logged only once ``rx_bits[g]`` is at least 8,
     as one ``EDGE_BYTE`` that leaves the byte in ``rx_shift[g]``.  A START
-    or STOP inside the byte is logged as an ``EDGE_DATA``.  A rise moves
+    or STOP inside the byte is logged as an ``EDGE_DATA``.  While
+    ``hears[0, g]`` is ``SEND_BYTE`` the group sends ``tx_byte``, keeping
+    ``SlaveEngine``'s read-data rules: a rise shifts and counts as in
+    receive mode and logs nothing; with r = ``rx_bits[g]`` rises in, a fall
+    drives bit 7 - r (SDA pulled low for a 0) while r < 8 and releases SDA
+    at r = 8, and the first fall after the ninth rise is logged as one
+    ``EDGE_BYTE`` whose SDA bit is the output the last rise shifted in:
+    the master's ACK (0) or NACK.  A fall whose drive differs from
+    ``tx_pull`` switches to the other send state after its sample, and the
+    call takes the quarter again under that state, as a new call would: the
+    same samples, detector values, wire levels and ``used`` flags as when
+    the call ended on that fall and the caller switched states.  A START or
+    STOP inside a sent byte is logged as an ``EDGE_DATA`` too.  A rise moves
     nothing the kernels read (a slave only samples SDA there), so the call
     goes on; it ends after the first sample that logs a fall, a data edge
     or a byte, or when ``quarter`` reaches ``q_end``, and ``n_events``
@@ -346,7 +388,9 @@ def step_block(ctx: BlockContext) -> int:
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches; like it, it computes the detector once per
     quarter and on entry when there is no noise, and a call at the segment
-    end changes nothing but ``n_events``.
+    end changes nothing but ``n_events``.  A call changes no scalar field
+    but the position, ``n_events`` and the send drive (``tx_pull``,
+    ``amp_p``, ``used_p`` and ``sda_pulled``).
     """
     q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
     ctx.n_events = 0
@@ -361,6 +405,7 @@ def step_block(ctx: BlockContext) -> int:
     out = ctx.out.tolist()
     hears = ctx.hears.ravel().tolist()
     rx_shift, rx_bits = ctx.rx_shift.tolist(), ctx.rx_bits.tolist()
+    tx_byte = ctx.tx_byte
     events: list[int] = []
     # per group: (bit, stream) of its SCL and then its SDA stream
     pairs = [((1, g), (2, ng + g)) for g in range(ng)]
@@ -369,7 +414,8 @@ def step_block(ctx: BlockContext) -> int:
     tracing = ctx.trace_det is not None
     n = 0
     stop = False
-    while not stop and q < q_end:  # the rest of one quarter per pass
+    while not stop and q < q_end:  # the rest of one quarter, or up to a drive change, per pass
+        reenter = False
         code = int(ctx.code[q])
         wire = (code >> 1, 1 if code & 1 and not ctx.sda_pulled else 0)
         for li in (0, 1):
@@ -401,13 +447,26 @@ def step_block(ctx: BlockContext) -> int:
                         out[s] = 1
                         moved |= bit
                 if moved:
+                    sda = out[ng + g]
                     if moved & 1:
-                        if hears[g] == HEAR_BYTE:
+                        if hears[g] >= HEAR_BYTE:
+                            rises = rx_bits[g]
                             if out[g]:
-                                rx_shift[g] = (rx_shift[g] << 1 | out[ng + g]) & 0xFF
+                                rx_shift[g] = (rx_shift[g] << 1 | sda) & 0xFF
                                 rx_bits[g] += 1
                                 continue
-                            if rx_bits[g] < 8:
+                            if hears[g] == SEND_BYTE:
+                                if rises < 9:
+                                    pull = 1 if rises < 8 and not tx_byte >> (7 - rises) & 1 else 0
+                                    if pull != ctx.tx_pull:  # re-point the drive state after this sample
+                                        ctx.tx_pull = pull
+                                        ctx.amp, ctx.amp_p = ctx.tx_amp[pull], ctx.tx_amp_p[pull]
+                                        ctx.used, ctx.used_p = ctx.tx_used[pull], ctx.tx_used_p[pull]
+                                        ctx.sda_pulled = ctx.tx_pulled[pull]
+                                        reenter = True
+                                    continue
+                                sda = rx_shift[g] & 1
+                            elif rises < 8:
                                 continue
                             kind = EDGE_BYTE
                         elif hears[g]:
@@ -418,7 +477,7 @@ def step_block(ctx: BlockContext) -> int:
                         kind = EDGE_DATA
                     else:
                         continue
-                    events.append(8 * g + 2 * kind + out[ng + g])
+                    events.append(8 * g + 2 * kind + sda)
                     stop = stop or kind != EDGE_RISE
             if tracing:
                 trace_det += det
@@ -438,7 +497,7 @@ def step_block(ctx: BlockContext) -> int:
                         if m < eye[li]:
                             eye[li] = m
             pos += 1
-            if stop:
+            if stop or reenter:
                 break
         if tracing:
             block = slice(isample, q * spq + pos)

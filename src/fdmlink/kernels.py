@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import _kernels_py
-from ._kernels_py import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_BYTE, BlockContext
+from ._kernels_py import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_BYTE, SEND_BYTE, BlockContext
 
 __all__ = [
     "EDGE_BYTE",
@@ -35,6 +35,7 @@ __all__ = [
     "EDGE_FALL",
     "EDGE_RISE",
     "HEAR_BYTE",
+    "SEND_BYTE",
     "BlockContext",
     "KernelBuildError",
     "backend_detail",

@@ -56,8 +56,9 @@ LEAD_IN_BITS = 8
 GAP_BITS = 1
 # the kinds of bus edge a SlaveGroup delivers, with the codes the block kernels log them by
 # (``_kernels_py`` imports these; the enum in ``_blockkernel.c`` repeats them).  An
-# ``EDGE_BYTE`` is the eighth fall of a byte the kernel clocked in whole; the group takes it
-# through ``SlaveGroup.byte``
+# ``EDGE_BYTE`` is the eighth fall of a byte the kernel clocked in whole, which the group takes
+# through ``SlaveGroup.byte``, or the fall that ends the ACK slot of a byte it clocked out, which
+# the group takes through ``SlaveGroup.sent``
 EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE = range(4)
 
 
@@ -138,7 +139,8 @@ class SlaveModel:
     reads repeat it.  A register is ``DEFAULT_REGISTER_WIDTH`` bytes (16 bits)
     wide unless ``widths`` names it.  The address, the pointer and every
     register number, value and width must be integers (not bools); numpy
-    integers become ``int``.
+    integers become ``int``.  The pointer is one byte, 0..255, and a value
+    must fit its register: 0 <= value < 256 ** width.
     """
 
     address: int
@@ -163,9 +165,17 @@ class SlaveModel:
                     _integer(f"{entry.format(k)} of {where}", v)
                     for k, v in table.items()
                 })
+        if not 0 <= self.pointer <= 0xFF:
+            raise ProtocolError(f"pointer of {where} is {self.pointer}, outside 0..255")
         for reg, width in self.widths.items():
             if width < 1:
                 raise ProtocolError(f"register {reg} of {where} is {width} bytes wide, need >= 1")
+        for reg, value in self.registers.items():
+            width = self.width(reg)
+            if value < 0 or value >> 8 * width:
+                raise ProtocolError(
+                    f"register {reg} of {where} holds {value:#x}, which a {width}-byte register cannot hold"
+                )
 
     def width(self, reg: int) -> int:
         return self.widths.get(reg, DEFAULT_REGISTER_WIDTH)
@@ -197,11 +207,14 @@ class SlaveEngine:
     ``on_scl_rise`` samples SDA and leaves it alone, since I2C data changes
     only while SCL is low.
 
-    ``on_address(byte)`` and ``on_byte(byte)`` take a whole received byte
-    at once: the address byte, and a write-data byte once ``awaits_byte``
-    holds.  The address and write-data states' falls call them once eight
-    bits are in, and a :class:`SlaveGroup` calls them in place of the
-    byte's clock edges.
+    ``on_address(byte)``, ``on_byte(byte)`` and ``on_sent(acked)`` take a
+    whole byte at once: the address byte, a write-data byte once
+    ``awaits_byte`` holds, and the master's ACK of the read-data byte
+    ``tx_byte`` that the engine started sending when ``sends_byte`` held.
+    The address and write-data states' falls call the first two once eight
+    bits are in, and the fall that ends a read-data byte's ACK slot calls
+    ``on_sent``; a :class:`SlaveGroup` calls them in place of the byte's
+    clock edges.
 
     An engine is ``listening`` unless it is idle or backing off from a
     transfer addressed to another slave (or one the master NACKed).  These
@@ -223,7 +236,21 @@ class SlaveEngine:
       shift register, and a STOP leaves the engine idle.  So after
       ``on_byte`` an engine differs from one that shifted the byte in only
       in its spent shift register, and a START or STOP inside the byte acts
-      the same on both.
+      the same on both;
+    - in the read-data state a rise only counts a bit, and the ACK slot's
+      rise only samples the master's ACK.  The falls set ``sda_drive`` to
+      ``tx_byte``'s bits, MSB first, then release SDA, and change nothing
+      else until the ACK slot's fall calls ``on_sent``.  So after
+      ``on_sent`` an engine differs from one clocked edge by edge only in
+      its spent bit count and ACK flag, which the next byte or START
+      resets.  While its group clocks the byte out for it, ``sda_drive``
+      still holds bit 7 and the group's ``pulling`` (or the block kernel)
+      is its drive; a START or STOP inside the byte releases SDA on both;
+    - an engine outside its group's ``listening`` (idle, backing off, or
+      left in the address state by another slave's address byte) acts as
+      idle until the next START, which resets every engine: a STOP moves
+      it to idle at most, and a START leaves the same state whether or not
+      a STOP came first.  So a STOP need only reach the listening engines.
     """
 
     _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
@@ -241,7 +268,8 @@ class SlaveEngine:
         self._wcount = 0
         self._wbuf: list[int] = []
         self._master_acked = False
-        self._byte = 0
+        # the read-data byte being sent
+        self.tx_byte = 0
 
     # -- line events ------------------------------------------------------
 
@@ -296,6 +324,18 @@ class SlaveEngine:
         """At the start of a write-data byte: no bit of it is in yet."""
         return self._state == self._WDATA and self._nbits == 0
 
+    @property
+    def sends_byte(self) -> bool:
+        """At the start of a read-data byte: ``tx_byte``'s bit 7 is driven and no rise is counted."""
+        return self._state == self._RDATA and self._nbits == 0
+
+    def on_sent(self, acked: bool) -> None:
+        """Take the master's ACK of ``tx_byte``, on the fall that ends its ACK slot: send the next byte, or back off."""
+        if acked:
+            self._enter_rdata()
+        else:
+            self._back_off()
+
     def on_scl_fall(self) -> None:
         s = self._state
         if s == self._ADDR:
@@ -319,15 +359,12 @@ class SlaveEngine:
             self._nbits = 0
         elif s == self._RDATA:
             if self._nbits < 8:
-                self.sda_drive = ((self._byte >> (7 - self._nbits)) & 1) == 0
+                self.sda_drive = ((self.tx_byte >> (7 - self._nbits)) & 1) == 0
             else:
                 self.sda_drive = False
                 self._state = self._ACK_RDATA
         elif s == self._ACK_RDATA:
-            if self._master_acked:
-                self._enter_rdata()
-            else:
-                self._back_off()
+            self.on_sent(self._master_acked)
 
     # -- internals --------------------------------------------------------
 
@@ -352,11 +389,11 @@ class SlaveEngine:
         self.sda_drive = False
 
     def _enter_rdata(self) -> None:
-        self._byte = self.model.read_stream_byte(self._rk)
+        self.tx_byte = self.model.read_stream_byte(self._rk)
         self._rk += 1
         self._state = self._RDATA
         self._nbits = 0
-        self.sda_drive = ((self._byte >> 7) & 1) == 0
+        self.sda_drive = ((self.tx_byte >> 7) & 1) == 0
 
     def _flush_write(self) -> None:
         # a partial register word at STOP/START is discarded
@@ -372,34 +409,49 @@ class SlaveGroup:
     START or a STOP (``EDGE_DATA``), with the SDA level the slaves see.  An
     SDA change while SCL is low is no edge and reaches no slave.  As on a
     real bus, a slave that has not matched the address ignores the clock
-    until the next START or STOP, and a slave receiving a byte acts only on
-    its eighth fall; :class:`SlaveEngine`'s invariants let the group skip
-    the rest.  So, in engine order:
+    until the next START, a slave receiving a byte acts only on its eighth
+    fall, and a slave sending one acts on nothing but its ACK;
+    :class:`SlaveEngine`'s invariants let the group skip the rest.  So, in
+    engine order:
 
-    - data edges go to every engine;
+    - a START goes to every engine, a STOP only to the ``listening`` ones;
     - the group is ``receiving`` while a byte is open that its engines only
       listen to: the address byte after a START, which has reset every
       engine to the same empty address state, and a write-data byte that
       every listening engine ``awaits_byte``.  No rise or fall of the byte
-      reaches an engine.  ``edge`` shifts the bits into the group's own
-      register on the rises, and the first fall after the eighth rise
-      hands the byte to ``byte``.  There only the engine with that address
-      gets ``on_address``, and every other one drops out until the next
-      START or STOP, as it would back off alone; or each listening engine
-      gets ``on_byte``.  On the analog link the block kernel clocks the
-      byte in and ``simulate.run_scenario`` calls ``byte`` with it, so the
-      engines get the same callbacks on both buses;
+      reaches an engine.  ``edge`` shifts the bits in on the rises, and the
+      first fall after the eighth rise hands the byte to ``byte``.  There
+      only the engine with that address gets ``on_address``, and every
+      other one drops out until the next START, as it would back off
+      alone; or each listening engine gets ``on_byte``;
+    - the group is ``sending`` while its only listening engine clocks out a
+      read-data byte, from the fall where it ``sends_byte``; the group
+      holds that byte, ``tx_byte``.  No rise or fall of the byte or its ACK
+      slot reaches the engine.  ``edge`` counts the rises, sets ``pulling``
+      to each bit on the falls before the ninth rise (the last one releases
+      SDA), samples the ACK on the ninth rise, and the fall after it hands
+      the ACK to ``sent``, which calls ``on_sent``;
     - other clock edges go only to the engines in ``listening``;
-    - ``listening``, ``pulling`` and ``receiving`` are re-read after a fall
-      that reaches an engine (an engine may stop, or start a byte), after a
-      byte and after a data edge (an engine may start or stop), never after
-      a rise or a fall inside a byte.
+    - ``listening``, ``pulling``, ``receiving`` and ``sending`` are re-read
+      from the engines that were told after a fall that reaches an engine
+      (an engine may stop, or start a byte), after a byte, a sent byte's
+      ACK and a data edge (an engine may start or stop), never after a rise
+      or a fall inside a byte.
+
+    On the analog link the block kernel clocks the received and sent bytes
+    itself, with the same rules, and ``simulate.run_scenario`` calls
+    ``byte`` and ``sent``, so the engines get the same callbacks on both
+    buses.  ``bits`` counts the rises of the open byte that ``edge`` was
+    given: a second group sending at the same time goes edge by edge, and
+    the kernel can take its byte over from there.
 
     During the address byte ``listening`` holds every engine.  Addresses
     are distinct, else the engines of one address would all answer it.
     ``pulling`` holds the engines that pull SDA low, in engine order.  It
     is re-read with ``listening``, since only a fall, a byte or a data edge
-    moves a drive and an engine that is not listening pulls nothing.  The
+    moves a drive and an engine that is not listening pulls nothing; while
+    the group sends, ``edge`` sets it on each fall (on the link the kernel
+    keys SDA, and ``pulling`` keeps the drive of the byte's start).  The
     ideal bus (:func:`run_ideal_bus`) runs one group; the analog link
     (``simulate.run_scenario``) runs one per stream group.
     """
@@ -412,36 +464,48 @@ class SlaveGroup:
                 raise ProtocolError(f"two slave engines share the address {e.model.address:#04x}")
         self.listening = [e for e in self.engines if e.listening]
         self.pulling = tuple([e for e in self.listening if e.sda_drive])
-        self.receiving = False
-        # whether the open byte is an address byte; its bits so far and their count
-        self._address = False
+        self.receiving = self.sending = False
+        self.tx_byte = 0
+        # the SCL rises of the open byte so far, and the SDA levels they sampled
+        self.bits = 0
         self._shift = 0
-        self._nbits = 0
+        # whether the open byte is an address byte
+        self._address = False
 
     def edge(self, code: int) -> bool:
-        """Deliver the bus edge ``code``; returns whether ``listening``, ``pulling`` and ``receiving`` were re-read."""
+        """Deliver the bus edge ``code``; returns whether ``listening``, ``pulling``, ``receiving`` or ``sending`` may have moved."""
         kind, sda = code >> 1, code & 1
         if kind == EDGE_RISE:
-            if self.receiving:
+            if self.receiving or self.sending:
                 self._shift = (self._shift << 1) | sda
-                self._nbits += 1
+                self.bits += 1
             else:
                 for e in self.listening:
                     e.on_scl_rise(sda)
             return False
         if kind == EDGE_DATA:
-            for e in self.engines:
+            start = sda == L
+            heard = self.engines if start else self.listening
+            for e in heard:
                 e.on_sda_edge(sda, H)
-            self._reread(self.engines, sda == L)  # a START opens an address byte
-        elif not self.receiving:
+            self._reread(heard, start)  # a START opens an address byte
+        elif self.receiving:
+            if self.bits < 8:
+                return False
+            self.byte(self._shift)
+        elif self.sending:
+            n = self.bits
+            if n > 8:
+                self.sent(not self._shift & 1)
+            elif n < 8 and not self.tx_byte >> (7 - n) & 1:
+                self.pulling = tuple(self.listening)
+            else:
+                self.pulling = ()
+        else:
             heard = self.listening
             for e in heard:
                 e.on_scl_fall()
             self._reread(heard, False)
-        elif self._nbits < 8:
-            return False
-        else:
-            self.byte(self._shift)
         return True
 
     def byte(self, value: int) -> None:
@@ -457,20 +521,34 @@ class SlaveGroup:
                 e.on_byte(value)
         self._reread(heard, False)
 
+    def sent(self, acked: bool) -> None:
+        """Hand the master's ACK of the sent byte to its sender, on the fall that ends the ACK slot; re-reads the lists."""
+        heard = self.listening
+        for e in heard:
+            e.on_sent(acked)
+        self._reread(heard, False)
+
     def _reread(self, heard: list[SlaveEngine], start: bool) -> None:
         """Re-read the lists from the engines in ``heard``; a ``start`` opens an address byte."""
         self.listening = listening = [e for e in heard if e.listening]
         self.pulling = tuple([e for e in listening if e.sda_drive])
-        receiving = bool(listening)
-        if not start:  # a write-data byte opens once every listening engine awaits it
-            for e in listening:
-                if not e.awaits_byte:
-                    receiving = False
-                    break
-        self.receiving = receiving
-        if receiving:
+        receiving = sending = False
+        if start:
+            receiving = bool(listening)
+        elif listening:
+            if len(listening) == 1 and listening[0].sends_byte:
+                sending = True
+                self.tx_byte = listening[0].tx_byte
+            else:  # a write-data byte opens once every listening engine awaits it
+                receiving = True
+                for e in listening:
+                    if not e.awaits_byte:
+                        receiving = False
+                        break
+        self.receiving, self.sending = receiving, sending
+        if receiving or sending:
             self._address = start
-            self._shift = self._nbits = 0
+            self._shift = self.bits = 0
 
 
 # The master's quarters as the block kernels' codes, 2 * scl_intent + sda_intent: (H, H) is 3,

@@ -20,9 +20,10 @@ quarter bits whose intents do not depend on each other's observations, and
 the amplitude of each quarter follows from its intents and the slave
 drives, so ``kernels.block_stepper()`` (compiled C, or the same arithmetic
 in Python) advances the streams through a segment up to its end or the
-first bus edge a slave must act on (an SCL fall, a START or a STOP, or
-the eighth fall of a byte the slaves only listen to, which the kernel
-clocks in itself); slave reactions, which close the loop, run between
+first bus edge a slave must act on (an SCL fall, a START or a STOP, the
+eighth fall of a byte the slaves only listen to, which the kernel clocks
+in itself, or the fall that ends the ACK slot of a read-data byte, which
+it clocks out itself); slave reactions, which close the loop, run between
 calls.  Bit errors are
 counted at quarter-bit midpoints against the ideal wired-AND level of the
 same run.
@@ -462,10 +463,20 @@ def run_scenario(
     contract).  Each stream group's slaves form one ``protocol.SlaveGroup``,
     which delivers the bus edges by its rule; after every return each
     logged edge goes, in order, to its group, a received byte through
-    ``SlaveGroup.byte``.  The context's ``hears`` mask follows the group's
-    ``listening`` list, and is ``kernels.HEAR_BYTE`` with the group's shift
-    state zeroed while the group is ``receiving``, so the kernel clocks in
-    address and write-data bytes and returns only on their eighth fall.  The amplitudes come from
+    ``SlaveGroup.byte`` and a sent byte's ACK through ``SlaveGroup.sent``.
+    The context's ``hears`` mask follows the group's ``listening`` list,
+    and is ``kernels.HEAR_BYTE`` with the group's shift state zeroed while
+    the group is ``receiving``, so the kernel clocks in address and
+    write-data bytes and returns only on their eighth fall.  While a group
+    is ``sending`` and no other group holds the context's one sender slot,
+    it is ``kernels.SEND_BYTE``: the kernel clocks out the group's
+    ``tx_byte``, switching between the group's two drive states itself,
+    and returns only at the end of the byte's ACK slot.  After every return
+    while a group sends, its drive is read back from ``tx_pull``, and
+    whenever another group's drive changes both send states are rebuilt
+    from the other groups' drives.  A second group sending at the same
+    time, which only a mis-decoded address can cause, takes each clock edge
+    and keys its own bits through the group.  The amplitudes come from
     ``_AmplitudeTable.for_topology``, which keeps the last table built and
     hands it to the next run on the same electrical topology, so repeated
     runs build no bus model and recompute no drive state.  A drive state,
@@ -553,7 +564,7 @@ def run_scenario(
     )
     step = kernels.block_stepper()
     hears, events, rx_shift, rx_bits = ctx.hears, ctx.events, ctx.rx_shift, ctx.rx_bits
-    byte_code, hear_byte = 2 * EDGE_BYTE, kernels.HEAR_BYTE
+    byte_code, hear_byte, send_byte = 2 * EDGE_BYTE, kernels.HEAR_BYTE, kernels.SEND_BYTE
     hears[0] = [bool(group.listening) for group in groups]
     hears[1] = [bool(group.engines) for group in groups]
 
@@ -565,7 +576,7 @@ def run_scenario(
     # ``sda_pulled``), and the table entries behind the rows.
     states: dict[tuple[tuple[SlaveEngine, ...], ...], tuple[tuple, list[tuple[float, ...]]]] = {}
 
-    def set_drives(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> None:
+    def drive_state(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> tuple:
         state = states.get(pulled)
         if state is None:
             sda = [False] * n_nodes
@@ -582,10 +593,35 @@ def run_scenario(
             used = np.zeros(4, dtype=np.uint8)
             fields = (amp, amp.ctypes.data, used, used.ctypes.data, int(any(pulled)))
             state = states[pulled] = (fields, entries)
-        ctx.amp, ctx.amp_p, ctx.used, ctx.used_p, ctx.sda_pulled = state[0]
+        return state[0]
+
+    sender = -1  # the group whose byte the kernel clocks out, or -1
+    tx_pulls: tuple[tuple[SlaveEngine, ...], ...] = ((), ())  # its pulling engines: SDA released, pulled
+    tx_key = None  # the other groups' drives and the sender behind the context's two send states
+
+    def set_drives(pulled: list[tuple[SlaveEngine, ...]]) -> None:
+        """Point the context at the drive state of ``pulled``, and at the sender's two send states."""
+        nonlocal tx_key
+        ctx.amp, ctx.amp_p, ctx.used, ctx.used_p, ctx.sda_pulled = drive_state(tuple(pulled))
+        if sender < 0:
+            return
+        own = pulled[sender]
+        ctx.tx_pull = bool(own)
+        pulled[sender] = ()
+        key = (tuple(pulled), tx_pulls[1])
+        if key != tx_key:
+            tx_key = key
+            released = drive_state(key[0])
+            pulled[sender] = tx_pulls[1]
+            pulls = drive_state(tuple(pulled))
+            ctx.tx_amp, ctx.tx_used = (released[0], pulls[0]), (released[2], pulls[2])
+            ctx.tx_amp_p[:] = released[1], pulls[1]
+            ctx.tx_used_p[:] = released[3], pulls[3]
+            ctx.tx_pulled[:] = released[4], pulls[4]
+        pulled[sender] = own
 
     pulling = [group.pulling for group in groups]  # each group's, refreshed after its falls and data edges
-    set_drives(tuple(pulling))
+    set_drives(pulling)
     program = master.segments()
     seg = next(program)
     while True:
@@ -610,25 +646,40 @@ def run_scenario(
             ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
         while True:
             step(ctx)
-            moved = False  # some group's pulling engines changed
+            if sender >= 0:  # the kernel keys the sender's SDA
+                pulling[sender] = tx_pulls[ctx.tx_pull]
+            moved = False  # some group's pulling engines changed, or the sender did
             for e in events[:ctx.n_events].tolist():
                 g = e >> 3
                 group = groups[g]
                 if e & 6 == byte_code:
-                    group.byte(int(rx_shift[g]))
+                    if g == sender:
+                        group.sent(not e & 1)
+                    else:
+                        group.byte(int(rx_shift[g]))
                 elif not group.edge(e & 7):
                     continue
-                # the group re-read its lists
-                if group.receiving:  # it opened a byte: the kernel clocks it in
-                    hears[0, g] = hear_byte
-                    rx_shift[g] = rx_bits[g] = 0
+                # the group's lists may have moved
+                if group.sending and sender in (-1, g):  # the kernel clocks its byte out
+                    if sender != g:
+                        sender, tx_pulls = g, ((), tuple(group.listening))
+                        moved = True
+                    hears[0, g] = send_byte
+                    rx_shift[g], rx_bits[g] = 0, group.bits
+                    ctx.tx_byte = group.tx_byte
                 else:
-                    hears[0, g] = bool(group.listening)
+                    if g == sender:
+                        sender = -1
+                    if group.receiving:  # it opened a byte: the kernel clocks it in
+                        hears[0, g] = hear_byte
+                        rx_shift[g] = rx_bits[g] = 0
+                    else:
+                        hears[0, g] = bool(group.listening)
                 if group.pulling != pulling[g]:
                     pulling[g] = group.pulling
                     moved = True
             if moved:
-                set_drives(tuple(pulling))
+                set_drives(pulling)
             if ctx.quarter == q_end:
                 break
         try:

@@ -464,6 +464,10 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
          "nodes[1].address: must be an integer from 0 to 127, got '.inf'"),
         (("nodes", [{"name": "m", "role": "master"}, {"address": 24, "registers": {5: "abc"}}]),
          "nodes[1].registers.5: must be an integer >= 0, got 'abc'"),
+        (("nodes", [{"name": "m", "role": "master"}, {"address": 24, "registers": {5: 0x12345}}]),
+         "nodes[1]: register 5 of slave 0x18 holds 0x12345, which a 2-byte register cannot hold"),
+        (("nodes", [{"name": "m", "role": "master"}, {"address": 24, "registers": {5: 0x1234}, "widths": {5: 1}}]),
+         "nodes[1]: register 5 of slave 0x18 holds 0x1234, which a 1-byte register cannot hold"),
         (("nodes", [{"name": "m", "role": "master"}, {"name": "a", "address": 24}, {"name": "b", "address": 24}]),
          "nodes[1] 'a' and nodes[2] 'b' share the slave address 0x18"),
         (("nodes", [{"name": "m", "role": "master"}, {"name": "s", "address": 24}, {"name": "s", "address": 25}]),
@@ -473,7 +477,7 @@ def test_simulate_rejects_bad_run_settings(runner, tmp_path, edit, message):
     ],
     ids=["loss_list", "no_clock", "no_carriers", "no_nodes", "no_script", "script_directory",
          "unknown_key", "unknown_line", "which_abc", "pullups_string", "address_inf", "register_abc",
-         "duplicate_address", "duplicate_name", "reserved_address"],
+         "register_too_wide", "register_wider_than_its_width", "duplicate_address", "duplicate_name", "reserved_address"],
 )
 def test_simulate_rejects_malformed_scenario(runner, tmp_path, edit, message):
     doc = yaml.safe_load(MINIMAL.format(freq="20MHz"))

@@ -90,7 +90,7 @@ SEGMENT = st.one_of(
 )
 STATE = ("ref", "det", "out", "rx_shift", "rx_bits", "obs", "used", "seen_low", "bits_checked", "bit_errors",
          "eye")
-POSITION = ("quarter", "pos", "n_events")
+POSITION = ("quarter", "pos", "n_events", "tx_pull", "sda_pulled")
 
 
 def _stopped(ctx):
@@ -111,28 +111,75 @@ def _hears(rng, groups, hear_p, byte_p):
     return hears
 
 
-def _set_drives(ctxs, states, i, drive, hears, opened):
-    """Point each context at the arrays of drive state ``i``, made on its first visit, as ``run_scenario`` does.
+def _state(ctx, states, k, i, drive):
+    """Drive state ``i`` of context ``k``: its ``amp`` and ``used``, made on its first visit."""
+    if (k, i) not in states:
+        rows, pulled = drive
+        ng = ctx.n_streams // 2
+        if rows == "keyed":
+            amp = np.array([[0.3 if c >> 1 else 0.03] * ng + [0.3 if c & 1 and not pulled else 0.03] * ng
+                            for c in range(4)])
+        else:
+            amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
+        states[k, i] = (amp, np.zeros(4, dtype=np.uint8))
+    return states[k, i]
+
+
+def _set_drives(ctxs, states, i, drives, hears, opened, send=None):
+    """Point each context at the arrays of drive state ``i``, as ``run_scenario`` does.
 
     ``states`` maps (context index, drive state index) to that state's ``amp``
     and ``used``.  Each group of ``opened`` starts its byte afresh: its
-    ``rx_shift`` and ``rx_bits`` are reset.
+    ``rx_shift`` and ``rx_bits`` are reset.  ``send`` is None, or the
+    sender's ``tx_byte``, the indices of its released and pulling drive
+    states and its drive ``tx_pull``; state ``i`` is then the one
+    ``tx_pull`` names.
     """
-    rows, pulled = drive
     for k, ctx in enumerate(ctxs):
-        if (k, i) not in states:
-            ng = ctx.n_streams // 2
-            if rows == "keyed":
-                amp = np.array([[0.3 if c >> 1 else 0.03] * ng + [0.3 if c & 1 and not pulled else 0.03] * ng
-                                for c in range(4)])
-            else:
-                amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
-            states[k, i] = (amp, np.zeros(4, dtype=np.uint8))
-        ctx.amp, ctx.used = states[k, i]
+        ctx.amp, ctx.used = _state(ctx, states, k, i, drives[i])
         ctx.amp_p, ctx.used_p = ctx.amp.ctypes.data, ctx.used.ctypes.data
-        ctx.sda_pulled = pulled
+        ctx.sda_pulled = drives[i][1]
         ctx.hears[:] = hears
         ctx.rx_shift[opened] = ctx.rx_bits[opened] = 0
+        if send is not None:
+            ctx.tx_byte, pair, ctx.tx_pull = send
+            ctx.tx_amp, ctx.tx_used = zip(*(_state(ctx, states, k, j, drives[j]) for j in pair))
+            ctx.tx_amp_p[:] = [a.ctypes.data for a in ctx.tx_amp]
+            ctx.tx_used_p[:] = [u.ctypes.data for u in ctx.tx_used]
+            ctx.tx_pulled[:] = [drives[j][1] for j in pair]
+
+
+def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
+    """What the caller sets before a call: a drive state index, ``hears``, the groups it opens bytes for, and ``send``.
+
+    With probability ``send_p`` a group is in send mode, and returned as
+    the sender.  In one draw of two that is ``sender``, the last call's,
+    going on with its byte, rises and drive (read back from ``tx_pull``)
+    under two newly drawn send states, as when another group's drive moved
+    mid-byte.  Else it is a drawn group with a drawn byte, send states and
+    drive, which starts its byte afresh, goes on with the rises it has (a
+    byte another group's edge interrupted), or takes a drawn count of 0 to
+    11 rises.
+    """
+    groups = ctx.n_streams // 2
+    i = changes % n_drives
+    hears = _hears(rng, groups, hear_p, byte_p)
+    opened = (hears[0] == kernels.HEAR_BYTE) & (rng.random(groups) < 0.5)
+    send = g = None
+    if rng.random() < send_p:
+        pair = rng.integers(n_drives, size=2).tolist()
+        if sender is not None and rng.random() < 0.5:
+            g, byte, pull = sender, ctx.tx_byte, ctx.tx_pull
+            opened[g] = False
+        else:
+            g, byte, pull = int(rng.integers(groups)), int(rng.integers(256)), int(rng.integers(2))
+            how = rng.integers(3)
+            opened[g] = how == 0
+            if how == 2:
+                ctx.rx_bits[g] = rng.integers(12)
+        hears[0, g] = kernels.SEND_BYTE
+        send, i = (byte, pair, pull), pair[pull]
+    return i, hears, opened, send, g
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,22 +202,31 @@ def _set_drives(ctxs, states, i, drive, hears, opened):
     drives=st.lists(DRIVES, min_size=1, max_size=6),
     hear_p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
     byte_p=st.sampled_from([0.0, 0.5, 1.0]),
+    send_p=st.sampled_from([0.0, 0.5, 1.0]),
 )
 @example(
     groups=1, spq=16, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
     ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.0156, hysteresis=0.01, seed=0,
     segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
     drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0, byte_p=0.0,
+    send_p=0.0,
 )
 @example(  # two groups receiving bytes, one cut by a START
     groups=2, spq=8, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
     ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.01, seed=1,
     segments=[[3, 2, 0] + _bits(1, 0, 1, 1, 0, 1, 0, 0, 1, 1) + [1, 3, 2, 0], _bits(*(0, 1) * 9)],
-    drives=[("keyed", False), ("keyed", True)], hear_p=1.0, byte_p=1.0,
+    drives=[("keyed", False), ("keyed", True)], hear_p=1.0, byte_p=1.0, send_p=0.0,
+)
+@example(  # one group sends while the other's clock edges end calls and its drive moves mid-byte
+    groups=2, spq=8, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.01, seed=2,
+    segments=[[3, 2, 0] + _bits(1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1), _bits(*(1,) * 9) + [1, 3, 2, 0]],
+    drives=[("keyed", False), ("keyed", True), ("keyed", False), ("keyed", True)], hear_p=0.7, byte_p=0.0,
+    send_p=1.0,
 )
 def test_c_step_block_matches_python_bit_for_bit(
     groups, spq, ref0, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
-    hysteresis, seed, segments, drives, hear_p, byte_p,
+    hysteresis, seed, segments, drives, hear_p, byte_p, send_p,
 ):
     """Same returns, position, state, counters, edge logs and traces, compared as bytes.
 
@@ -186,10 +242,17 @@ def test_c_step_block_matches_python_bit_for_bit(
     kernels resume mid-segment on new amplitude rows.  A group that receives
     a byte starts it afresh in one of two draws and goes on with the bits
     it has in the other, as a group does whose byte another group's edge
-    interrupted.  Drive states repeat, so a state's ``used`` flags carry
-    over from its last visit, and every state's flags are compared at the
-    end.  A call at the segment end must return 0 and log nothing.  A call
-    that logged only rises ran to the segment end.
+    interrupted.  With probability ``send_p`` a group is in send mode
+    (``_caller``): the last sender going on with its byte under new send
+    states, as when another group's drive moves mid-byte, or a drawn group
+    with a drawn byte, send states, drive and a fresh, kept or drawn rise
+    count, so sent bytes run past their ACK slot and meet STARTs and
+    STOPs.  Both kernels must then point at the same drive state after
+    every call.  Drive states repeat, so a
+    state's ``used`` flags carry over from its last visit, and every
+    state's flags are compared at the end.  A call at the segment end must
+    return 0 and log nothing.  A call that logged only rises ran to the
+    segment end.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
@@ -200,7 +263,9 @@ def test_c_step_block_matches_python_bit_for_bit(
                   master=master % groups, noise=noise, traces=traced)
     ctxs = c_ctx, py_ctx = [kernels.BlockContext(groups, **params) for _ in range(2)]
     states = {}
-    _set_drives(ctxs, states, 0, drives[0], _hears(rng, groups, hear_p, byte_p), slice(None))
+    i, hears, _, send, sender = _caller(rng, c_ctx, len(drives), 0, hear_p, byte_p, send_p, None)
+    py_ctx.rx_bits[:] = c_ctx.rx_bits
+    _set_drives(ctxs, states, i, drives, hears, slice(None), send)
     first = c_ctx.amp[segments[0][0]] + noise[0] if noisy else c_ctx.amp[segments[0][0]]
     for ctx in ctxs:
         if ref0 is None:
@@ -217,18 +282,26 @@ def test_c_step_block_matches_python_bit_for_bit(
             n = c_step(c_ctx)
             assert n == _kernels_py.step_block(py_ctx)
             for name in STATE:
-                assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
+                if name != "used":  # the C kernel re-points used_p, not the array attribute; see below
+                    assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
             for name in POSITION:
                 assert getattr(c_ctx, name) == getattr(py_ctx, name), name
+            # the same drive state: each context points at its own copy of it
+            c_state, py_state = ([i for (kk, i), (amp, used) in states.items()
+                                  if kk == kc and (amp.ctypes.data, used.ctypes.data) == (ctx.amp_p, ctx.used_p)]
+                                 for kc, ctx in enumerate(ctxs))
+            assert len(c_state) == 1 and c_state == py_state
+            assert all(used.tobytes() == states[1, i][1].tobytes() for (kk, i), (_, used) in states.items() if kk == 0)
             assert c_ctx.events[:c_ctx.n_events].tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
             if not _stopped(c_ctx):
                 assert c_ctx.quarter == q_end and c_ctx.pos == 0
                 break
             assert n >= 1
             changes += 1
-            i = changes % len(drives)
-            hears = _hears(rng, groups, hear_p, byte_p)
-            _set_drives(ctxs, states, i, drives[i], hears, (hears[0] == kernels.HEAR_BYTE) & (rng.random(groups) < 0.5))
+            i, hears, opened, send, sender = _caller(rng, c_ctx, len(drives), changes, hear_p, byte_p, send_p,
+                                                     sender)
+            py_ctx.rx_bits[:] = c_ctx.rx_bits
+            _set_drives(ctxs, states, i, drives, hears, opened, send)
     assert c_ctx.quarter == quarters
     for (k, i), (_, used) in states.items():
         if k == 0:
@@ -334,6 +407,58 @@ def test_step_block_clocks_in_a_byte(backend):
     assert step(ctx) == 15 + 3 * 4 * 16 + 2 * 16 + 1
     assert ctx.events[:ctx.n_events].tolist() == [data + 0]
     assert (ctx.rx_shift[0], ctx.rx_bits[0]) == (0b1011, 4)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_step_block_clocks_out_a_byte(backend):
+    """In send mode a group keys its byte on the falls, releases SDA, and logs the ACK its ninth rise sampled.
+
+    The master releases SDA through the bits, so it reads the sent byte
+    from the line; it ACKs the first byte, NACKs the second, and cuts the
+    third with a START.  Each ACK slot's SDA changes together with its
+    fall, so the ACK must be the level at the rise.
+    """
+    step = load_stepper(backend)
+    first = 0x5A  # ends in a 0, so SDA released one fall early shows
+    codes = [3] + _bits(*[1] * 8) + [0, 2, 2, 1] + _bits(*[1] * 8) + [3, 3, 3, 0] + _bits(1, 1) + [1, 3, 2, 0]
+    ctx = _context(groups=2, quarters=len(codes))
+    # SDA released (state 0) and pulled low by the sender (state 1): a 20 dB drop on each line its level pulls low
+    states = [(np.array([[0.3 if c >> 1 else 0.03] * 2 + [0.3 if c & 1 and not pulled else 0.03] * 2
+                         for c in range(4)]), np.zeros(4, dtype=np.uint8)) for pulled in (0, 1)]
+    ctx.tx_amp, ctx.tx_used = zip(*states)
+    ctx.tx_amp_p[:] = [a.ctypes.data for a in ctx.tx_amp]
+    ctx.tx_used_p[:] = [u.ctypes.data for u in ctx.tx_used]
+    ctx.tx_pulled[:] = [0, 1]
+    ctx.amp, ctx.used = states[0]  # released: the byte opens on the first fall, which keys bit 7
+    ctx.amp_p, ctx.used_p, ctx.sda_pulled, ctx.tx_pull = ctx.tx_amp_p[0], ctx.tx_used_p[0], 0, 0
+    ctx.tx_byte = first
+    ctx.hears[:] = [[kernels.SEND_BYTE, 0], [1, 0]]  # group 0 sends; group 1 hears nothing
+    ctx.code[:] = codes
+    ctx.q_end = len(codes)
+    _seed(ctx, states[0][0][3])
+    data, whole = (2 * k for k in (kernels.EDGE_DATA, kernels.EDGE_BYTE))
+
+    def read(q0):  # the byte the master reads at the third quarter of each of 8 bits from quarter q0
+        return sum((ctx.obs[q0 + 4 * i + 2] & 1) << (7 - i) for i in range(8))
+
+    # one call: eight bits keyed, then the ACK slot, to its fall, where SDA rises too
+    assert step(ctx) == 16 * (1 + 8 * 4 + 3) + 1
+    assert ctx.events[:ctx.n_events].tolist() == [whole + 0]  # the ninth rise sampled the ACK
+    assert read(1) == first
+    assert (ctx.rx_bits[0], ctx.tx_pull, ctx.sda_pulled) == (9, 0, 0)
+    assert (ctx.amp_p, ctx.used_p) == (ctx.tx_amp_p[0], ctx.tx_used_p[0])
+    # pulled, SDA ran low only under the master's released intents (codes 1 and 3)
+    assert states[0][1].tolist() == [1, 1, 1, 1] and states[1][1].tolist() == [0, 1, 0, 1]
+    # the next byte, 0xFF: SDA stays released, and the master NACKs it
+    ctx.tx_byte, ctx.rx_shift[0], ctx.rx_bits[0] = 0xFF, 0, 0
+    assert step(ctx) == 16 * 8 * 4 + 16 * 4
+    assert ctx.events[:ctx.n_events].tolist() == [whole + 1]
+    assert read(37) == 0xFF
+    # a third byte, cut by a START after two bits and a rise
+    ctx.rx_shift[0] = ctx.rx_bits[0] = 0
+    assert step(ctx) == 15 + 16 * 4 * 2 + 16 * 2 + 1
+    assert ctx.events[:ctx.n_events].tolist() == [data + 0]
+    assert (ctx.rx_bits[0], ctx.quarter, ctx.tx_pull) == (3, len(codes) - 2, 0)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])

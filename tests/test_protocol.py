@@ -127,13 +127,39 @@ def test_slave_model_refuses_fields_that_are_not_integers(args, kwargs, field):
         SlaveModel(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "registers,widths,pointer,field",
+    [
+        ({1: 0x123456}, {}, 0, "register 1 of slave 0x18 holds 0x123456"),
+        ({0: -1}, {}, 0, "register 0 of slave 0x18 holds -0x1"),
+        ({5: 0x100}, {5: 1}, 0, "register 5 of slave 0x18 holds 0x100"),
+        ({5: 256**3}, {5: 3}, 0, "register 5 of slave 0x18 holds 0x1000000"),
+        ({}, {}, 256, "pointer of slave 0x18 is 256"),
+        ({}, {}, -1, "pointer of slave 0x18 is -1"),
+    ],
+    ids=["three_bytes_in_two", "negative", "two_bytes_in_one", "four_bytes_in_three", "pointer_256",
+         "pointer_negative"],
+)
+def test_slave_model_refuses_values_wider_than_their_register(registers, widths, pointer, field):
+    """A value must fit its register's bytes, and the pointer one byte; before, reads truncated them."""
+    with pytest.raises(ProtocolError, match=re.escape(field)):
+        SlaveModel(0x18, registers, pointer=pointer, widths=widths)
+
+
+def test_slave_model_takes_values_that_fill_their_register():
+    m = SlaveModel(0x18, {0: 0xFFFF, 5: 0xFF, 6: 256**3 - 1}, pointer=255, widths={5: 1, 6: 3})
+    assert master_run(Transaction.read(0x18, 2), 100e3, [m])[2][0].payload == b"\x00\x00"
+    m.pointer = 6
+    assert master_run(Transaction.read(0x18, 3), 100e3, [m])[2][0].payload == b"\xff\xff\xff"
+
+
 def test_slave_model_takes_numpy_integers_as_ints():
     m = SlaveModel(np.int64(0x18), {np.int32(5): np.uint16(0x1234)}, pointer=np.int8(5),
-                   widths={np.int64(5): np.int64(1)})
-    assert m == SlaveModel(0x18, {5: 0x1234}, pointer=5, widths={5: 1})
+                   widths={np.int64(5): np.int64(2)})
+    assert m == SlaveModel(0x18, {5: 0x1234}, pointer=5, widths={5: 2})
     assert {type(v) for v in (m.address, m.pointer, *m.registers, *m.registers.values(), *m.widths,
                               *m.widths.values())} == {int}
-    assert master_run(Transaction.read(0x18, 2), 100e3, [m])[2][0].payload == bytes([0x34, 0x34])
+    assert master_run(Transaction.read(0x18, 3), 100e3, [m])[2][0].payload == bytes([0x12, 0x34, 0x12])
 
 
 def test_slave_group_refuses_a_shared_address():
@@ -478,15 +504,20 @@ def test_group_bus_matches_every_slave_taking_every_edge(data):
 
 
 def _edge_ops(addrs):
-    """Bus moves of the master: whole STARTs, STOPs, address and data bytes, writes and single line changes."""
+    """Bus moves of the master: STARTs, STOPs, address and data bytes, writes, reads, cut bytes and single line changes."""
+    address = st.tuples(st.one_of(st.sampled_from(addrs), st.integers(0, 0x7F)),
+                        st.integers(0, 1)).map(lambda a: (a[0] << 1) | a[1])
     return st.lists(
         st.one_of(
             st.tuples(st.just("start")),
             # START, a slave's write address and data bytes (a STOP, START or lone edge may follow)
             st.tuples(st.just("write"), st.sampled_from(addrs), st.lists(_byte, max_size=3)),
+            # START, a slave's read address, and the bytes it sends, each ACKed (True) or not
+            st.tuples(st.just("read"), st.sampled_from(addrs), st.lists(st.booleans(), max_size=3)),
+            # START, the first 0-9 bits of an address byte (the ninth is its ACK slot), then a STOP
+            st.tuples(st.just("cut"), address, st.integers(0, 9)),
             st.tuples(st.just("stop")),
-            st.tuples(st.just("byte"), st.tuples(st.one_of(st.sampled_from(addrs), st.integers(0, 0x7F)),
-                                                  st.integers(0, 1)).map(lambda a: (a[0] << 1) | a[1])),
+            st.tuples(st.just("byte"), address),
             st.tuples(st.just("byte"), _byte),
             st.tuples(st.just("scl")),  # a lone clock edge
             st.tuples(st.just("sda"), st.integers(0, 1)),  # under a high SCL, a START or STOP anywhere
@@ -495,8 +526,14 @@ def _edge_ops(addrs):
     )
 
 
-def _group_against_every_edge(data, to_group):
-    """Drive a group by ``to_group(group, code)`` and every-edge slaves alike; drives and models must agree."""
+def _group_against_every_edge(data, to_group, pulled=lambda group: group.pulling):
+    """Drive a group by ``to_group(group, code)`` and every-edge slaves alike; drives and models must agree.
+
+    ``pulled(group)`` is the group's drive: its ``pulling``, unless
+    something outside the group clocks out a byte it sends.  An engine whose
+    byte its group sends keeps bit 7 in ``sda_drive`` until the ACK slot
+    ends, so it is held to the oracle through that drive alone.
+    """
     from .oracles import deliver_to_each
 
     addrs = data.draw(st.lists(st.integers(0, 0x7F), min_size=1, max_size=20, unique=True), label="addresses")
@@ -512,8 +549,10 @@ def _group_against_every_edge(data, to_group):
         to_group(group, code)
         deliver_to_each(oracle, code)
         drives = [e.sda_drive for e in oracle]
-        assert [e.sda_drive for e in group.engines] == drives
-        assert group.pulling == tuple(e for e, d in zip(group.engines, drives) if d)
+        sender = group.listening[0] if group.sending else None
+        assert [e.sda_drive for e in group.engines if e is not sender] == [
+            d for e, d in zip(group.engines, drives) if e is not sender]
+        assert pulled(group) == tuple(e for e, d in zip(group.engines, drives) if d)
 
     def clock():
         nonlocal scl
@@ -537,10 +576,15 @@ def _group_against_every_edge(data, to_group):
         bit(1)
         set_sda(0)
 
-    def byte(value):
-        for i in range(7, -1, -1):
+    def stop():
+        bit(0)
+        set_sda(1)
+
+    def byte(value, bits=9):
+        for i in range(7, 7 - min(bits, 8), -1):
             bit((value >> i) & 1)
-        bit(1)  # the ACK slot, released by the master
+        if bits == 9:
+            bit(1)  # the ACK slot, released by the master
 
     for op in data.draw(_edge_ops(addrs), label="ops"):
         if op[0] == "start":
@@ -549,9 +593,19 @@ def _group_against_every_edge(data, to_group):
             start()
             for value in [op[1] << 1, *op[2]]:
                 byte(value)
+        elif op[0] == "read":
+            start()
+            byte(op[1] << 1 | 1)
+            for acked in op[2]:
+                for _ in range(8):
+                    bit(1)  # released: the slave sends
+                bit(0 if acked else 1)
+        elif op[0] == "cut":
+            start()
+            byte(op[1], op[2])
+            stop()
         elif op[0] == "stop":
-            bit(0)
-            set_sda(1)
+            stop()
         elif op[0] == "byte":
             byte(op[1])
         elif op[0] == "scl":
@@ -564,36 +618,71 @@ def _group_against_every_edge(data, to_group):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_group_edges_match_every_slave_taking_every_edge(data):
-    """Edge by edge: the group's own byte receiver drives SDA as every slave shifting each bit would."""
+    """Edge by edge: the group's own byte receiver and sender drive SDA as every slave taking each bit would."""
     _group_against_every_edge(data, SlaveGroup.edge)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_group_bytes_match_every_slave_taking_every_edge(data):
-    """Bytes clocked in outside the group, as the link's block kernel does, drive SDA as every-edge delivery would.
+def test_stops_reach_only_listening_engines(data):
+    """A STOP changes no engine outside the group's ``listening``, and the group still drives SDA as every-edge delivery does.
 
-    While the group is ``receiving``, its rises and falls go to a shift
-    register outside it, which its next START, STOP or opened byte resets,
-    and the first fall after the eighth rise hands the byte to ``byte``.
+    The ops cut address bytes with a STOP after 0 to 9 bits, so engines
+    left in the address state by another slave's address, and engines
+    backing off, meet STOPs.
     """
-    rx = [0, 0]  # the byte so far and its rises
+    def to_group(group, code):
+        if code != 2 * EDGE_DATA + 1:
+            group.edge(code)
+            return
+        outside = [(e, copy.deepcopy(vars(e))) for e in group.engines if e not in group.listening]
+        group.edge(code)
+        assert all(vars(e) == before for e, before in outside)
+
+    _group_against_every_edge(data, to_group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_bytes_match_every_slave_taking_every_edge(data):
+    """Bytes clocked in and out outside the group, as the link's block kernel does, drive SDA as every-edge delivery would.
+
+    While the group is ``receiving`` or ``sending``, its rises and falls go
+    to a shift register outside it, which its next START, STOP or opened
+    byte resets.  While receiving, the first fall after the eighth rise
+    hands the byte to ``byte``.  While sending, the falls before the ninth
+    rise key the sent byte's bits and then release SDA outside the group,
+    and the fall after it hands the ACK the ninth rise sampled to ``sent``.
+    """
+    rx = [0, 0]  # the SDA levels the open byte's rises sampled, and their count
+    tx = [False]  # the drive of the byte being sent: pulling SDA low
 
     def to_group(group, code):
         kind = code >> 1
-        if group.receiving and kind == EDGE_RISE:
+        if kind == EDGE_RISE and (group.receiving or group.sending):
             rx[:] = [(rx[0] << 1 | code & 1) & 0xFF, rx[1] + 1]
             return
-        if group.receiving and kind == EDGE_FALL:
+        if kind == EDGE_FALL and group.receiving:
             if rx[1] < 8:
                 return
             group.byte(rx[0])
+        elif kind == EDGE_FALL and group.sending:
+            if rx[1] < 9:
+                tx[0] = rx[1] < 8 and not group.tx_byte >> (7 - rx[1]) & 1
+                return
+            group.sent(not rx[0] & 1)
         elif not group.edge(code):
             return
-        if group.receiving:
+        if group.receiving or group.sending:
             rx[:] = [0, 0]
+            tx[0] = bool(group.pulling)
 
-    _group_against_every_edge(data, to_group)
+    def pulled(group):
+        if group.sending:
+            return tuple(group.listening) if tx[0] else ()
+        return group.pulling
+
+    _group_against_every_edge(data, to_group, pulled)
 
 
 @settings(max_examples=150, deadline=None)

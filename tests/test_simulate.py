@@ -20,6 +20,7 @@ from fdmlink.analysis import modulation_ratio
 from fdmlink.elements import DEFAULT_POLE_CAP, POLE, inductor, resistor
 from fdmlink.loss import LOSSLESS
 from fdmlink.protocol import (
+    EDGE_RISE,
     QUARTERS_PER_BIT,
     MasterEngine,
     ProtocolError,
@@ -793,7 +794,7 @@ def _stop_samples(sink, node) -> set[int]:
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
-    """One kernel call per master segment or per SCL fall, START/STOP or received byte that reaches a slave group."""
+    """One kernel call per master segment or per SCL fall, START/STOP, or received or sent byte that reaches a slave group."""
     from fdmlink.kernels import EDGE_RISE
 
     from .conftest import load_stepper
@@ -814,7 +815,7 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
     spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
     current = []
     stops: set[int] = set()  # samples whose fall, START/STOP or byte some slave group was handed
-    edge, byte = SlaveGroup.edge, SlaveGroup.byte
+    edge, byte, sent = SlaveGroup.edge, SlaveGroup.byte, SlaveGroup.sent
 
     def stopped():
         ctx = current[-1]
@@ -829,9 +830,14 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
         stopped()
         return byte(self, value)
 
+    def acked(self, ack):
+        stopped()
+        return sent(self, ack)
+
     monkeypatch.setattr(MasterEngine, "segments", counted)
     monkeypatch.setattr(SlaveGroup, "edge", delivered)
     monkeypatch.setattr(SlaveGroup, "byte", received)
+    monkeypatch.setattr(SlaveGroup, "sent", acked)
     counts, stop_counts = {}, {}
     for backend in ("c", "python"):
         fn = load_stepper(backend)
@@ -849,8 +855,8 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
         counts[backend], stop_counts[backend] = len(current), len(stops)
     assert m.n_samples == 26_496 == sum(segments) * spq
     # 1,001 when every slicer output change ended a call, 433 when every fall of a byte the
-    # slaves only listen to did
-    assert counts["c"] == counts["python"] == 249
+    # slaves only listen to did, 249 when every fall of a byte a slave sends did
+    assert counts["c"] == counts["python"] == 121
     assert stop_counts["c"] == stop_counts["python"]
     assert counts["c"] <= len(segments) + len(stops)
     assert stops <= _stop_samples(sink, demo.topology.nodes[demo.topology.master_index])
@@ -871,7 +877,7 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
         logs.append((at_end, (ctx.events[:ctx.n_events] >> 1 & 3).tolist(), []))
         return n
 
-    edge, byte = SlaveGroup.edge, SlaveGroup.byte
+    edge, byte, sent = SlaveGroup.edge, SlaveGroup.byte, SlaveGroup.sent
 
     def delivered(self, code):
         logs[-1][2].append((code >> 1, len(self.engines), bool(self.listening)))
@@ -881,8 +887,13 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
         logs[-1][2].append((EDGE_BYTE, len(self.engines), bool(self.listening)))
         return byte(self, value)
 
+    def acked(self, ack):
+        logs[-1][2].append((EDGE_BYTE, len(self.engines), bool(self.listening)))
+        return sent(self, ack)
+
     monkeypatch.setattr(SlaveGroup, "edge", delivered)
     monkeypatch.setattr(SlaveGroup, "byte", received)
+    monkeypatch.setattr(SlaveGroup, "sent", acked)
     monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
     sink: dict = {}
     demo.run(seed=1, noise_rms=10e-6, trace_sink=sink)
@@ -899,10 +910,11 @@ def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkey
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
-    """Noiseless demo: slave callbacks go only where they can act.
+    """Noiseless demo: slave callbacks go only where they can act; only a START reaches every slave.
 
     7,808 when every slave got every edge, 2,904 when each slave shifted the address bits itself,
-    744 when each listening slave shifted the write-data bits itself.
+    744 when each listening slave shifted the write-data bits itself, 616 when each sending slave
+    clocked its read-data bits out itself and every slave got every STOP.
     """
     calls = []
 
@@ -910,67 +922,76 @@ def test_clock_edges_reach_only_listening_slaves(demo, monkeypatch, stepper):
         edge = getattr(SlaveEngine, name)
 
         def call(self, *args):
-            calls.append((name, self.listening))
+            calls.append((name, args, self.listening))
             return edge(self, *args)
 
         return call
 
-    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte"):
+    for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte", "on_sent"):
         monkeypatch.setattr(SlaveEngine, name, counted(name))
     m, _ = demo.run()
     assert m.error_free
-    assert len(calls) == 616
-    assert all(listening for name, listening in calls if name != "on_sda_edge")
+    assert len(calls) == 224
+    assert all(listening for name, args, listening in calls if (name, args) != ("on_sda_edge", (0, 1)))
 
 
-def _received_byte_falls(quarters) -> set[int]:
-    """Quarters of the SCL falls inside a byte the slaves only listen to, decoded from the bus.
+def _byte_falls(quarters) -> tuple[set[int], set[int]]:
+    """Quarters of the SCL falls inside the bytes the slaves receive and send, decoded from the bus.
 
-    Those bytes are the address byte after a START and each write-data byte
-    after an ACKed write address or data byte.  A fall is inside one from
-    the byte's start (the START, or the fall that ends the ACK before it) up
-    to, not including, the fall after its eighth rise.
+    Received bytes are the address byte after a START and each write-data
+    byte after an ACKed write address or data byte.  A fall is inside one
+    from the byte's start (the START, or the fall that ends the ACK before
+    it) up to, not including, the fall after its eighth rise.  Sent bytes
+    are each read-data byte after an ACKed read address or a read byte the
+    master ACKed; a fall is inside one from its first rise up to, not
+    including, the fall after its ninth rise, which ends its ACK slot.
     """
-    inside = set()
-    receiving = address = write = False
-    rises, bits, pending = 0, 0, False
+    received, sent = set(), set()
+    byte = None  # the open byte: "rx", "tx" or None
+    address = write = False
+    rises, bits, after = 0, 0, None
     prev = (1, 1)
     for q, (scl, sda) in enumerate(quarters):
         if scl and prev[0] and sda != prev[1]:  # START or STOP
-            receiving = address = sda == 0
+            byte, address = ("rx", True) if sda == 0 else (None, False)
             rises = bits = 0
         elif scl and not prev[0]:
             rises += 1
             if rises <= 8:
                 bits = (bits << 1) | sda
-            elif rises == 9 and receiving:  # the ACK slot of a received byte
+            elif rises == 9 and byte:  # the ACK slot: which byte comes next
                 if address:
                     write = not bits & 1
-                pending = sda == 0 and write
+                after = None if sda else "rx" if byte == "rx" and write else "tx"
         elif not scl and prev[0]:
             if rises == 9:  # the fall that ends an ACK slot opens the next byte
-                receiving, address, rises, bits, pending = pending, False, 0, 0, False
-            elif receiving and rises < 8:
-                inside.add(q)
+                byte, address, rises, bits, after = after, False, 0, 0, None
+            elif byte == "rx" and rises < 8:
+                received.add(q)
+            elif byte == "tx":
+                sent.add(q)
         prev = (scl, sda)
-    return inside
+    return received, sent
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_no_call_ends_on_a_fall_inside_a_received_byte(demo, monkeypatch, stepper):
-    """Noiseless demo: the kernel clocks in address and write-data bytes, so no fall inside one ends a call.
+    """Noiseless demo: the kernel clocks address and write-data bytes in and read-data bytes out,
+    so no fall inside one ends a call.
 
     Every call that ends on an SCL fall ends on a fall a slave acts on: the
-    eighth fall of a received byte (logged as a byte) or a fall of an ACK
-    slot or of a byte a slave sends.
+    eighth fall of a received byte or the ACK slot's fall of a sent byte
+    (each logged as a byte), or the fall that ends a received byte's ACK
+    slot.
     """
     from fdmlink.kernels import EDGE_BYTE, EDGE_FALL
 
     quarters = run_ideal_bus(MasterEngine(demo.transactions, demo.clock_hz),
                              [SlaveEngine(copy.deepcopy(n.slave)) for n in demo.topology.nodes if n.slave],
                              collect=True)
-    inside = _received_byte_falls(quarters)
-    assert len(inside) == 16 * 8 + 8 * 7  # 16 address bytes and 8 write-data bytes
+    received, sent = _byte_falls(quarters)
+    assert len(received) == 16 * 8 + 8 * 7  # 16 address bytes and 8 write-data bytes
+    assert len(sent) == 8 * 2 * 8  # 8 reads of 2 bytes
     spq = round(demo.sim_rate / (QUARTERS_PER_BIT * demo.clock_hz))
     step = kernels.block_stepper()
     ends = []  # per call that ended on a fall: its quarter, and whether the fall ended a byte
@@ -985,9 +1006,9 @@ def test_no_call_ends_on_a_fall_inside_a_received_byte(demo, monkeypatch, steppe
     monkeypatch.setattr(kernels, "block_stepper", lambda: logged)
     m, _ = demo.run()
     assert m.error_free
-    assert not inside & {q for q, _ in ends}
-    # each received byte ends on its eighth fall, in the quarter the bus falls in
-    assert sum(byte for _, byte in ends) == 16 + 8
+    assert not (received | sent) & {q for q, _ in ends}
+    # each received byte ends on its eighth fall and each sent byte on its ninth, in the quarter the bus falls in
+    assert sum(byte for _, byte in ends) == 16 + 8 + 16
     falls = {q for q, (scl, prev) in enumerate(zip(quarters, [(1, 1)] + quarters)) if prev[0] and not scl[0]}
     assert {q for q, _ in ends} <= falls
 
@@ -1039,7 +1060,7 @@ def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
         return call
 
     with contextlib.ExitStack() as patches:
-        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte"):
+        for name in ("on_scl_rise", "on_scl_fall", "on_sda_edge", "on_address", "on_byte", "on_sent"):
             patches.enter_context(mock.patch.object(SlaveEngine, name, recorded(name)))
         ideal = MasterEngine(txns, demo.clock_hz)
         run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in nodes if n.slave is not None])
@@ -1052,6 +1073,50 @@ def test_zero_noise_link_decodes_what_the_ideal_bus_decodes(demo, script, regs):
             assert decoded == ideal.results, backend
             assert metrics.bit_errors == {"scl": 0, "sda": 0}
             assert calls == ideal_calls, backend
+
+
+def test_two_slaves_sending_at_once_key_sda_together(demo, monkeypatch):
+    """With noise every node is a group; two slaves answering one read both send, and the master reads the AND.
+
+    Two slaves given one address stand in for a slave that mis-decodes an
+    address.  The kernel clocks out one group's bytes; the other group takes
+    each clock edge and keys SDA through ``run_scenario``, which rebuilds
+    the first group's two send states at each of its switches.  Both
+    steppers give the same metrics and traces.
+    """
+    from .conftest import load_stepper
+
+    topo = copy.deepcopy(demo.topology)
+    a, b = [n.slave for n in topo.nodes if n.slave is not None][:2]
+    a.registers, b.registers = {0: 0xF0A5, 1: 0x3C3C}, {0: 0x5F5A, 1: 0xC33C}
+    b.address = a.address  # after the topology checked that addresses are distinct
+    txns = [Transaction.write(a.address, [0]), Transaction.read(a.address, 4),
+            Transaction.write(a.address, [1]), Transaction.read(a.address, 3)]
+    rises = []  # the rises a group took while it was sending: it keyed its own bits
+    edge = SlaveGroup.edge
+
+    def delivered(self, code):
+        if code >> 1 == EDGE_RISE and self.sending:
+            rises.append(code)
+        return edge(self, code)
+
+    monkeypatch.setattr(SlaveGroup, "edge", delivered)
+    runs = []
+    for backend in ("c", "python"):
+        fn = load_stepper(backend)
+        sink: dict = {}
+        rises.clear()
+        with mock.patch.object(kernels, "block_stepper", lambda: fn):
+            metrics, decoded = run_scenario(topo, txns, demo.clock_hz, sim_rate=demo.sim_rate, noise_rms=1e-9,
+                                            seed=3, trace_sink=sink)
+        assert len(rises) == 7 * 9, backend  # one group sends each of the 7 bytes edge by edge
+        assert metrics.error_free, backend
+        assert [t.payload for t in decoded] == [b"\x00", bytes([0x50, 0x00] * 2), b"\x01", bytes([0x00, 0x3C, 0x00])]
+        runs.append((metrics.to_json(), sink))
+    (c_json, c_sink), (py_json, py_sink) = runs
+    assert c_json == py_json
+    assert c_sink.keys() == py_sink.keys()
+    assert all(np.array_equal(c_sink[k], py_sink[k]) for k in c_sink)
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
