@@ -7,30 +7,30 @@
  * the same order.  Build with -ffp-contract=off and without -ffast-math so
  * every double matches.  The struct layout mirrors BlockContext._fields_.
  * The exported step_block runs run_block on a local copy of the struct, as
- * the Python one runs it on local variables.  Each drive state of the slaves
- * owns its amp rows and used flags; the caller switches states between calls
- * by re-pointing amp and used, and the kernel reads them only through the
- * struct.  A group in receive mode (hears[0][g] == HEAR_BYTE) is clocking in
- * a byte its slaves only listen to: the kernel shifts the group's SDA output
- * into rx_shift[g] on each SCL rise and logs nothing until the first fall
- * after the eighth rise, which it logs as one EDGE_BYTE.  The one group in
- * send mode (SEND_BYTE) is clocking out tx_byte: its rises shift and count
- * the same way, its falls drive the byte's bits MSB first and then release
- * SDA, and the first fall after the ninth rise, the ACK slot's, is logged as
- * one EDGE_BYTE whose SDA bit is the ACK the ninth rise sampled.  A fall that
- * changes the sender's drive re-points amp, used and sda_pulled at the other
- * of its two drive states (tx_amp, tx_used, tx_pulled) after that sample,
- * and the kernel takes the quarter again under the new state.
+ * the Python one runs it on local variables.  The slaves' drive states are
+ * numbered rows of one table (amps, pulled, used); the caller switches
+ * states between calls by storing the row's index in drive.  A group in
+ * receive mode (hears[g] == HEAR_BYTE) is clocking in a byte its slaves
+ * only listen to: the kernel shifts the group's SDA output into rx_shift[g]
+ * on each SCL rise and logs nothing until the first fall after the eighth
+ * rise, which it logs as one EDGE_BYTE.  The one group in send mode
+ * (SEND_BYTE) is clocking out tx_byte: its rises shift and count the same
+ * way, its falls drive the byte's bits MSB first and then release SDA, and
+ * the first fall after the ninth rise, the ACK slot's, is logged as one
+ * EDGE_BYTE whose SDA bit is the ACK the ninth rise sampled.  A fall that
+ * changes the sender's drive stores the other of its two drive states
+ * (tx_drive) in drive after that sample, and the kernel takes the quarter
+ * again under the new state.
  */
 #include <math.h>
 #include <stdint.h>
 
 /* An event is 8 * group + 2 * kind + the group's SDA output at that sample. */
 enum { EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE };
-/* hears[0][g] is 0 (group g's clock edges reach no slave), 1 (they reach a listening one),
- * HEAR_BYTE (the group is clocking in a byte, logged whole as one EDGE_BYTE) or SEND_BYTE
- * (the kernel clocks out the group's tx_byte, and logs its ACK as one EDGE_BYTE) */
-enum { HEAR_BYTE = 2, SEND_BYTE = 3 };
+/* hears[g]: group g has no slave (nothing is logged), its data edges only reach a slave, every
+ * edge does, it is clocking in a byte (logged whole as one EDGE_BYTE), or the kernel clocks out
+ * its tx_byte (and logs the ACK as one EDGE_BYTE) */
+enum { HEAR_NONE, HEAR_DATA, HEAR_ALL, HEAR_BYTE, SEND_BYTE };
 /* what log_edge asks of run_block: Python must act after this sample; the drive state changed */
 enum { ACT_STOP = 1, ACT_REENTER = 2 };
 
@@ -41,31 +41,29 @@ typedef struct {
     int64_t quarter;     /* current quarter, counted from the run's start */
     int64_t pos;         /* next sample within it */
     int64_t q_end;       /* the segment ends before this quarter */
-    int64_t sda_pulled;  /* a node other than the master pulls SDA low */
+    int64_t drive;       /* the drive state the run is in: a row of amps, pulled and used */
     int64_t n_events;    /* edges the last call logged */
     int64_t tx_byte;     /* the byte the group in send mode clocks out */
-    int64_t tx_pull;     /* that group's drive: 1 while it pulls SDA low, else 0 */
-    int64_t tx_pulled[2];  /* sda_pulled of its drive states: released, then pulling */
+    int64_t tx_drive[2]; /* that group's drive states: SDA released, then pulled low */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
-    const double *amp;    /* [4][n_streams] amplitude row per code, of the current drive state */
+    const double *amps;   /* [drives][4][n_streams] amplitude row per code, of each drive state */
+    const uint8_t *pulled; /* [drives] a node other than the master pulls SDA low */
+    uint8_t *used;        /* [drives][4] codes that ran at least one sample */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
-    const uint8_t *hears; /* [2][groups] clock edges reach a listening slave, data edges any slave */
+    const uint8_t *hears; /* [groups] which of the group's edges reach a slave, or its byte mode */
     uint8_t *rx_shift;    /* [groups] the SDA outputs at the open byte's rises so far */
     int64_t *rx_bits;     /* [groups] SCL rises since the byte opened, in receive and send mode */
     double *ref, *det;    /* [n_streams] */
     uint8_t *out;         /* [n_streams] */
     int64_t *events;      /* [n_streams] the edges the last call logged */
     uint8_t *obs;         /* [n_quarters] the master's outputs 2 * scl + sda at each midpoint */
-    uint8_t *used;        /* [4] codes that ran at least one sample, of the current drive state */
     uint8_t *seen_low;    /* [2] each line's wired-AND level has been low */
     int64_t *bits_checked, *bit_errors;  /* [2] per stream */
     double *eye;                         /* [2] least |det - ref| at a counted midpoint */
     double *trace_det, *trace_ref;       /* [n_quarters * spq][n_streams] or NULL */
     uint8_t *trace_out;                  /* [n_quarters * spq][n_streams] or NULL */
     uint8_t *trace_wire;                 /* [n_quarters * spq][2] or NULL */
-    const double *tx_amp[2];             /* amp of the sender's two drive states */
-    uint8_t *tx_used[2];                 /* used of the sender's two drive states */
 } block_ctx;
 
 int64_t block_ctx_size(void)
@@ -84,13 +82,13 @@ static double detector(const block_ctx *c, double x)
 static const double *enter_quarter(block_ctx *c, uint8_t wire[2])
 {
     const int64_t code = c->code[c->quarter];
-    const double *amp = c->amp + code * c->n_streams;
+    const double *amp = c->amps + (4 * c->drive + code) * c->n_streams;
     wire[0] = (uint8_t)(code >> 1);
-    wire[1] = (uint8_t)((code & 1) && !c->sda_pulled);
+    wire[1] = (uint8_t)((code & 1) && !c->pulled[c->drive]);
     for (int li = 0; li < 2; li++)
         if (!wire[li])
             c->seen_low[li] = 1;
-    c->used[code] = 1;
+    c->used[4 * c->drive + code] = 1;
     if (!c->noise)
         for (int64_t s = 0; s < c->n_streams; s++)
             c->det[s] = detector(c, amp[s]);
@@ -139,15 +137,12 @@ static int step_stream(block_ctx *c, const double *amp, int64_t row, int64_t s)
     return moved;
 }
 
-/* From the next sample on, the sender drives SDA as pull: re-point the drive state if it changes. */
-static int drive(block_ctx *c, int64_t pull)
+/* From the next sample on, the sender drives SDA as pull: switch the drive state if it changes. */
+static int drive(block_ctx *c, int pull)
 {
-    if (pull == c->tx_pull)
+    if (c->tx_drive[pull] == c->drive)
         return 0;
-    c->tx_pull = pull;
-    c->amp = c->tx_amp[pull];
-    c->used = c->tx_used[pull];
-    c->sda_pulled = c->tx_pulled[pull];
+    c->drive = c->tx_drive[pull];
     return ACT_REENTER;
 }
 
@@ -174,12 +169,12 @@ static int log_edge(block_ctx *c, int64_t g, int moved)
                 return 0;
             }
             kind = EDGE_BYTE;
-        } else if (c->hears[g]) {
+        } else if (c->hears[g] == HEAR_ALL) {
             kind = c->out[g] ? EDGE_RISE : EDGE_FALL;
         } else {
             return 0;
         }
-    } else if (c->out[g] && c->hears[ng + g]) {
+    } else if (c->out[g] && c->hears[g] != HEAR_NONE) {
         kind = EDGE_DATA;
     } else {
         return 0;
@@ -233,7 +228,7 @@ static int64_t run_block(block_ctx *c)
 /* run_block on a local copy of *ctx: a store through one of its uint8_t or
  * double pointers may alias a field of *ctx, but not of the copy, so the
  * loop need not reload the fields after every store.  The loop changes no
- * field but the position, the log count and the sender's drive state. */
+ * field but the position, the log count and the drive state. */
 int64_t step_block(block_ctx *ctx)
 {
     block_ctx c = *ctx;
@@ -241,9 +236,6 @@ int64_t step_block(block_ctx *ctx)
     ctx->quarter = c.quarter;
     ctx->pos = c.pos;
     ctx->n_events = c.n_events;
-    ctx->tx_pull = c.tx_pull;
-    ctx->amp = c.amp;
-    ctx->used = c.used;
-    ctx->sda_pulled = c.sda_pulled;
+    ctx->drive = c.drive;
     return n;
 }

@@ -22,11 +22,10 @@ import numpy as np
 # the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
 from .protocol import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
 
-# ``hears[0, g]`` is 0 or 1 (group g's clock edges reach no slave, or a listening one) or one of
-# these: the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``; the kernels
-# clock out the group's ``tx_byte`` and log its ACK as one ``EDGE_BYTE``
-HEAR_BYTE = 2
-SEND_BYTE = 3
+# ``hears[g]``: group g has no slave, so nothing is logged; only its data edges reach a slave;
+# every edge does; the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``;
+# the kernels clock out the group's ``tx_byte`` and log its ACK as one ``EDGE_BYTE``
+HEAR_NONE, HEAR_DATA, HEAR_ALL, HEAR_BYTE, SEND_BYTE = range(5)
 
 
 def slicer_loop(
@@ -154,55 +153,51 @@ class BlockContext(ctypes.Structure):
     ``code`` and ``obs`` hold one code per quarter, and ``noise`` and the
     ``trace_*`` arrays (or None) a row per sample.
 
-    The caller owns ``code``, ``amp``, ``used``, ``sda_pulled``, ``hears``
-    and ``q_end``, and sets each stream's initial slicer reference in
-    ``ref`` before the first call (``run_scenario`` takes
+    The slaves' drives select a drive state, a numbered row of one table:
+    ``amps``, (drives, 4, 2 * groups) float64, has an amplitude row per
+    intent code, ``pulled``, (drives,) uint8, says a node other than the
+    master pulls SDA, and ``used``, (drives, 4) uint8, flags the codes some
+    sample ran under.  ``add_drive`` appends a state and returns its index.
+    ``drive`` names the state the run is in; a fresh table's rows are zero.
+
+    The caller owns ``code``, the table's rows, ``drive``, ``hears`` and
+    ``q_end``, and sets each stream's initial slicer reference in ``ref``
+    before the first call (``run_scenario`` takes
     ``modem.initial_reference`` of the first sample's input).  For each
     master segment it writes the segment's intent codes (2 * scl + sda)
     into ``code`` from quarter ``quarter`` on and sets ``q_end`` past them,
     keeping ``q_end`` at most ``quarters`` (the C kernel does not check).
-    The slaves' drives select a drive state: an ``amp`` of one amplitude
-    row per code, (4, 2 * groups) float64, and ``used`` flags, 4 uint8, and
-    ``sda_pulled`` (a node other than the master pulls SDA).  Whenever the
-    drives change, the caller points ``amp`` and ``used`` at the new
-    state's arrays, and ``amp_p`` and ``used_p`` at their data, and sets
-    ``sda_pulled``; nothing is copied, and a state the run comes back to
-    keeps its flags.  The arrays this object allocates serve as the first
-    state.  ``hears`` is (2, groups): ``hears[0, g]`` is 1 when clock edges
-    reach a listening slave of group g, 0 when they reach none, and
-    ``HEAR_BYTE`` while the group receives a byte (see ``step_block``);
-    ``hears[1, g]`` says data edges reach any slave of it; it starts all
-    ones.  ``rx_shift`` (uint8) and ``rx_bits`` (int64), one per group,
-    hold the SDA outputs at an open byte's rises so far and their count:
-    the caller zeroes a group's pair when it opens a byte, and the kernels
-    shift into it.
+    Whenever the drives change, the caller stores the new state's index in
+    ``drive``; nothing is copied, and a state the run comes back to keeps
+    its flags.  ``hears`` holds a mode per group, at first ``HEAR_ALL``:
+    ``HEAR_NONE`` (it has no slave), ``HEAR_DATA`` (only its data edges
+    reach one), ``HEAR_ALL`` (every edge reaches a listening one),
+    ``HEAR_BYTE`` or ``SEND_BYTE`` (see ``step_block``).  ``rx_shift``
+    (uint8) and ``rx_bits`` (int64), one per group, hold the SDA outputs at
+    an open byte's rises so far and their count: the caller zeroes a
+    group's pair when it opens a byte, and the kernels shift into it.
 
-    At most one group is in send mode, ``hears[0, g] == SEND_BYTE``: the
+    At most one group is in send mode, ``hears[g] == SEND_BYTE``: the
     kernels clock out ``tx_byte`` for it, from ``rx_bits[g]`` rises on.
-    Its two drive states, SDA released (index 0) and pulled low (index 1),
-    are given as ``tx_amp`` and ``tx_used``, two arrays each, with their
-    data in ``tx_amp_p`` and ``tx_used_p``, and ``tx_pulled``; the other
-    groups' drives are held as they are in both.  ``tx_pull`` is the
-    group's drive now, and ``amp``, ``used`` and ``sda_pulled`` point at
-    that state.  When the group's drive changes, the kernels set
-    ``tx_pull`` and re-point ``amp_p``, ``used_p`` and ``sda_pulled`` at the
-    other state (the Python stepper also ``amp`` and ``used``), so after
-    every call they name the state the run is in.  So on every return while
-    a group sends, the caller learns the sender's drive from ``tx_pull``;
-    when another group's drive changes, it rebuilds both states from the
-    other groups' drives and points at the one ``tx_pull`` names.  One
-    sender slot is enough: a second group whose slave sends at the same
-    time, which only a mis-decoded address can cause, gets each clock edge
-    (``hears[0, g]`` 1) and its drive is switched by the caller between
-    calls.  The arrays this object allocates serve as both send states
-    until the caller sets them.  The kernels own the rest: the
-    position, the stream state (``ref``, ``det``, ``out``) from then on,
-    ``obs`` (the master's outputs 2 * scl + sda at each quarter's
-    midpoint), the flags in ``used`` of the codes that ran, ``seen_low``,
-    the bit and eye counters (``bits_checked`` and ``bit_errors`` count
-    streams, not nodes, and ``eye``), the edge log (``events``, of which a
-    call fills the first ``n_events``) and the traces.
+    ``tx_drive`` holds the indexes of its two drive states, SDA released
+    and pulled low, with the other groups' drives as they are in both; its
+    drive is whichever of them ``drive`` equals.  When that drive changes,
+    the kernels store the other index in ``drive``, so on every return the
+    caller learns the sender's drive from ``drive``; when another group's
+    drive changes, it sets ``tx_drive`` and ``drive`` anew.  One sender
+    slot is enough: a second group whose slave sends at the same time,
+    which only a mis-decoded address can cause, gets each clock edge
+    (``HEAR_ALL``) and its drive is switched by the caller between calls.
+    The kernels own the rest: the position, the stream state (``ref``,
+    ``det``, ``out``) from then on, ``obs`` (the master's outputs
+    2 * scl + sda at each quarter's midpoint), the flags in ``used`` of the
+    codes that ran, ``seen_low``, the bit and eye counters
+    (``bits_checked`` and ``bit_errors`` count streams, not nodes, and
+    ``eye``), the edge log (``events``, of which a call fills the first
+    ``n_events``) and the traces.
     """
+
+    DRIVES = 4  # rows of the drive-state table before it first grows
 
     _fields_ = [
         ("n_streams", ctypes.c_int64),
@@ -211,11 +206,10 @@ class BlockContext(ctypes.Structure):
         ("quarter", ctypes.c_int64),
         ("pos", ctypes.c_int64),
         ("q_end", ctypes.c_int64),
-        ("sda_pulled", ctypes.c_int64),
+        ("drive", ctypes.c_int64),
         ("n_events", ctypes.c_int64),
         ("tx_byte", ctypes.c_int64),
-        ("tx_pull", ctypes.c_int64),
-        ("tx_pulled", ctypes.c_int64 * 2),
+        ("tx_drive", ctypes.c_int64 * 2),
         ("floor", ctypes.c_double),
         ("ref_in", ctypes.c_double),
         ("ref_out", ctypes.c_double),
@@ -223,7 +217,9 @@ class BlockContext(ctypes.Structure):
         ("alpha", ctypes.c_double),
         ("half_h", ctypes.c_double),
         ("code_p", ctypes.c_void_p),
-        ("amp_p", ctypes.c_void_p),
+        ("amps_p", ctypes.c_void_p),
+        ("pulled_p", ctypes.c_void_p),
+        ("used_p", ctypes.c_void_p),
         ("noise_p", ctypes.c_void_p),
         ("hears_p", ctypes.c_void_p),
         ("rx_shift_p", ctypes.c_void_p),
@@ -233,7 +229,6 @@ class BlockContext(ctypes.Structure):
         ("out_p", ctypes.c_void_p),
         ("events_p", ctypes.c_void_p),
         ("obs_p", ctypes.c_void_p),
-        ("used_p", ctypes.c_void_p),
         ("seen_low_p", ctypes.c_void_p),
         ("bits_checked_p", ctypes.c_void_p),
         ("bit_errors_p", ctypes.c_void_p),
@@ -242,8 +237,6 @@ class BlockContext(ctypes.Structure):
         ("trace_ref_p", ctypes.c_void_p),
         ("trace_out_p", ctypes.c_void_p),
         ("trace_wire_p", ctypes.c_void_p),
-        ("tx_amp_p", ctypes.c_void_p * 2),
-        ("tx_used_p", ctypes.c_void_p * 2),
     ]
 
     def __init__(
@@ -297,16 +290,18 @@ class BlockContext(ctypes.Structure):
             half_h=0.5 * hysteresis,
         )
         self.code = np.zeros(quarters, dtype=np.uint8)
-        self.amp = np.zeros((4, n_streams))
+        self.amps = np.zeros((self.DRIVES, 4, n_streams))
+        self.pulled = np.zeros(self.DRIVES, dtype=np.uint8)
+        self.used = np.zeros((self.DRIVES, 4), dtype=np.uint8)
+        self.n_drives = 0
         self.ref = np.zeros(n_streams)
         self.det = np.zeros(n_streams)
         self.out = np.ones(n_streams, dtype=np.uint8)
-        self.hears = np.ones((2, groups), dtype=np.uint8)
+        self.hears = np.full(groups, HEAR_ALL, dtype=np.uint8)
         self.rx_shift = np.zeros(groups, dtype=np.uint8)
         self.rx_bits = np.zeros(groups, dtype=np.int64)
         self.events = np.zeros(n_streams, dtype=np.int64)
         self.obs = np.full(quarters, 3, dtype=np.uint8)
-        self.used = np.zeros(4, dtype=np.uint8)
         self.seen_low = np.zeros(2, dtype=np.uint8)
         self.bits_checked = np.zeros(2, dtype=np.int64)
         self.bit_errors = np.zeros(2, dtype=np.int64)
@@ -323,74 +318,91 @@ class BlockContext(ctypes.Structure):
             self.trace_wire = np.zeros((n_samples, 2), dtype=np.uint8)
         else:
             self.trace_det = self.trace_ref = self.trace_out = self.trace_wire = None
-        for name in ("code", "amp", "noise", "hears", "rx_shift", "rx_bits", "ref", "det", "out",
-                     "events", "obs", "used", "seen_low", "bits_checked", "bit_errors", "eye",
-                     "trace_det", "trace_ref", "trace_out", "trace_wire"):
+        for name in ("code", "amps", "pulled", "used", "noise", "hears", "rx_shift", "rx_bits", "ref", "det",
+                     "out", "events", "obs", "seen_low", "bits_checked", "bit_errors", "eye", "trace_det",
+                     "trace_ref", "trace_out", "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
-        self.tx_amp, self.tx_used = (self.amp, self.amp), (self.used, self.used)
-        self.tx_amp_p[:] = self.amp_p, self.amp_p
-        self.tx_used_p[:] = self.used_p, self.used_p
+
+    def add_drive(self, rows, pulled) -> int:
+        """Append a drive state, ``amps`` rows (4, 2 * groups) and ``pulled``; return its index, 0, 1, ...
+
+        A full table doubles, keeping its rows, and the fields point at the
+        new arrays.  The new state's ``used`` flags start clear.
+        """
+        i = self.n_drives
+        if i == len(self.pulled):
+            for name in ("amps", "pulled", "used"):
+                old = getattr(self, name)
+                arr = np.concatenate([old, np.zeros_like(old)])
+                setattr(self, name, arr)
+                setattr(self, name + "_p", arr.ctypes.data)
+        self.amps[i] = rows
+        self.pulled[i] = pulled
+        self.used[i] = 0
+        self.n_drives = i + 1
+        return i
 
 
 def step_block(ctx: BlockContext) -> int:
     """Advance every stream through the segment from (``quarter``, ``pos``); return the count.
 
-    Quarter q runs under intent code c = ``code[q]``: stream s sees
-    x = amp[c, s] (+ noise[q * spq + pos, s]) and steps the log detector
-    d = ``detector(x)``, the one-pole reference r += alpha * (d - r) and the
-    hysteresis slicer of ``demod_loop`` (no spikes).  The wired-AND levels
-    of the quarter are SCL = c >> 1 and SDA = c & 1 unless ``sda_pulled``;
-    a line's ``seen_low`` is set once its level is low, and ``used[c]`` once
-    a sample runs under c.  At each quarter midpoint (pos = spq // 2) the
-    master's outputs go to ``obs[q]`` as 2 * scl + sda, and for each line with ``seen_low``
-    set, ``bits_checked`` grows by the line's stream count, ``bit_errors``
-    by one per stream whose output differs from the line's level, and
-    ``eye`` takes the least |det - ref|.
+    Quarter q runs under intent code c = ``code[q]`` and drive state
+    i = ``drive``: stream s sees x = amps[i, c, s] (+ noise[q * spq + pos, s])
+    and steps the log detector d = ``detector(x)``, the one-pole reference
+    r += alpha * (d - r) and the hysteresis slicer of ``demod_loop`` (no
+    spikes).  The wired-AND levels of the quarter are SCL = c >> 1 and
+    SDA = c & 1 unless ``pulled[i]``; a line's ``seen_low`` is set once its
+    level is low, and ``used[i, c]`` once a sample runs under i and c.  At
+    each quarter midpoint (pos = spq // 2) the master's outputs go to
+    ``obs[q]`` as 2 * scl + sda, and for each line with ``seen_low`` set,
+    ``bits_checked`` grows by the line's stream count, ``bit_errors`` by
+    one per stream whose output differs from the line's level, and ``eye``
+    takes the least |det - ref|.
 
     A sample steps each group's SCL stream, then its SDA stream, and then
     logs the group's edge in ``events`` if a slave acts on it, as
     8 * g + 2 * kind + the group's SDA output.  An SCL change is an
-    ``EDGE_RISE`` or ``EDGE_FALL`` and is logged if ``hears[0, g]`` is 1; an
-    SDA change with SCL high and unchanged (START or STOP) is an
-    ``EDGE_DATA`` and is logged if ``hears[1, g]``.  An SDA change while SCL
-    is low, or an edge that reaches nobody, is not logged.  While
-    ``hears[0, g]`` is ``HEAR_BYTE`` the group receives a byte: a rise
-    shifts the group's SDA output into ``rx_shift[g]`` (as
+    ``EDGE_RISE`` or ``EDGE_FALL`` and is logged if ``hears[g]`` is
+    ``HEAR_ALL``; an SDA change with SCL high and unchanged (START or STOP)
+    is an ``EDGE_DATA`` and is logged unless ``hears[g]`` is ``HEAR_NONE``.
+    An SDA change while SCL is low, or an edge that reaches nobody, is not
+    logged.  While ``hears[g]`` is ``HEAR_BYTE`` the group receives a byte:
+    a rise shifts the group's SDA output into ``rx_shift[g]`` (as
     ``(rx_shift << 1 | sda) & 0xFF``) and counts in ``rx_bits[g]``, and
     logs nothing; a fall is logged only once ``rx_bits[g]`` is at least 8,
     as one ``EDGE_BYTE`` that leaves the byte in ``rx_shift[g]``.  A START
     or STOP inside the byte is logged as an ``EDGE_DATA``.  While
-    ``hears[0, g]`` is ``SEND_BYTE`` the group sends ``tx_byte``, keeping
+    ``hears[g]`` is ``SEND_BYTE`` the group sends ``tx_byte``, keeping
     ``SlaveEngine``'s read-data rules: a rise shifts and counts as in
     receive mode and logs nothing; with r = ``rx_bits[g]`` rises in, a fall
     drives bit 7 - r (SDA pulled low for a 0) while r < 8 and releases SDA
     at r = 8, and the first fall after the ninth rise is logged as one
     ``EDGE_BYTE`` whose SDA bit is the output the last rise shifted in:
-    the master's ACK (0) or NACK.  A fall whose drive differs from
-    ``tx_pull`` switches to the other send state after its sample, and the
-    call takes the quarter again under that state, as a new call would: the
-    same samples, detector values, wire levels and ``used`` flags as when
-    the call ended on that fall and the caller switched states.  A START or
-    STOP inside a sent byte is logged as an ``EDGE_DATA`` too.  A rise moves
-    nothing the kernels read (a slave only samples SDA there), so the call
-    goes on; it ends after the first sample that logs a fall, a data edge
-    or a byte, or when ``quarter`` reaches ``q_end``, and ``n_events``
-    counts what it logged: the call stopped on an edge exactly when that
-    log holds one that is not a rise.  After a logged rise the group's
-    next SCL change is a fall, so the log holds at most two edges per
-    group.  On the noiseless demo that is 249 calls, against 433 when every
-    fall inside a received byte ended one and 1,001 when every slicer
-    output change did.  The call takes the next quarter's code only when it
-    goes on into that quarter.  With traces on it writes every sample's
+    the master's ACK (0) or NACK.  A fall that drives p (1 while SDA is
+    pulled) stores ``tx_drive[p]`` in ``drive`` after its sample if they
+    differ, and the call takes the quarter again under that state, as a new
+    call would: the same samples, detector values, wire levels and ``used``
+    flags as when the call ended on that fall and the caller switched
+    states.  A START or STOP inside a sent byte is logged as an
+    ``EDGE_DATA`` too.  A rise moves nothing the kernels read (a slave only
+    samples SDA there), so the call goes on; it ends after the first sample
+    that logs a fall, a data edge or a byte, or when ``quarter`` reaches
+    ``q_end``, and ``n_events`` counts what it logged: the call stopped on
+    an edge exactly when that log holds one that is not a rise.  After a
+    logged rise the group's next SCL change is a fall, so the log holds at
+    most two edges per group.  On the noiseless demo that is 121 calls,
+    against 249 when every fall inside a sent byte ended one, 433 when
+    every fall inside a received byte did too and 1,001 when every slicer
+    output change did.  The call takes the next quarter's code only when
+    it goes on into that quarter.  With traces on it writes every sample's
     det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches; like it, it computes the detector once per
     quarter and on entry when there is no noise, and a call at the segment
     end changes nothing but ``n_events``.  A call changes no scalar field
-    but the position, ``n_events`` and the send drive (``tx_pull``,
-    ``amp_p``, ``used_p`` and ``sda_pulled``).
+    but the position, ``n_events`` and ``drive``.
     """
     q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
     ctx.n_events = 0
@@ -403,9 +415,9 @@ def step_block(ctx: BlockContext) -> int:
     params = (ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
     ref = ctx.ref.tolist()
     out = ctx.out.tolist()
-    hears = ctx.hears.ravel().tolist()
+    hears = ctx.hears.tolist()
     rx_shift, rx_bits = ctx.rx_shift.tolist(), ctx.rx_bits.tolist()
-    tx_byte = ctx.tx_byte
+    tx_byte, tx_drive, drive = ctx.tx_byte, ctx.tx_drive[:], ctx.drive
     events: list[int] = []
     # per group: (bit, stream) of its SCL and then its SDA stream
     pairs = [((1, g), (2, ng + g)) for g in range(ng)]
@@ -417,16 +429,17 @@ def step_block(ctx: BlockContext) -> int:
     while not stop and q < q_end:  # the rest of one quarter, or up to a drive change, per pass
         reenter = False
         code = int(ctx.code[q])
-        wire = (code >> 1, 1 if code & 1 and not ctx.sda_pulled else 0)
+        amp = ctx.amps[drive, code]
+        wire = (code >> 1, 1 if code & 1 and not ctx.pulled[drive] else 0)
         for li in (0, 1):
             if not wire[li]:
                 seen_low[li] = 1
-        ctx.used[code] = 1
+        ctx.used[drive, code] = 1
         isample = q * spq + pos
         if ctx.noise is None:
-            rows = [detector(ctx.amp[code].tolist(), *params)] * (spq - pos)
+            rows = [detector(amp.tolist(), *params)] * (spq - pos)
         else:
-            xs = (ctx.amp[code] + ctx.noise[isample:isample + spq - pos]).tolist()
+            xs = (amp + ctx.noise[isample:isample + spq - pos]).tolist()
             rows = (detector(x, *params) for x in xs)
         trace_det: list[float] = []
         trace_ref: list[float] = []
@@ -457,23 +470,20 @@ def step_block(ctx: BlockContext) -> int:
                                 continue
                             if hears[g] == SEND_BYTE:
                                 if rises < 9:
-                                    pull = 1 if rises < 8 and not tx_byte >> (7 - rises) & 1 else 0
-                                    if pull != ctx.tx_pull:  # re-point the drive state after this sample
-                                        ctx.tx_pull = pull
-                                        ctx.amp, ctx.amp_p = ctx.tx_amp[pull], ctx.tx_amp_p[pull]
-                                        ctx.used, ctx.used_p = ctx.tx_used[pull], ctx.tx_used_p[pull]
-                                        ctx.sda_pulled = ctx.tx_pulled[pull]
+                                    pull = rises < 8 and not tx_byte >> (7 - rises) & 1
+                                    if tx_drive[pull] != drive:  # switch drive states after this sample
+                                        drive = tx_drive[pull]
                                         reenter = True
                                     continue
                                 sda = rx_shift[g] & 1
                             elif rises < 8:
                                 continue
                             kind = EDGE_BYTE
-                        elif hears[g]:
+                        elif hears[g] == HEAR_ALL:
                             kind = EDGE_RISE if out[g] else EDGE_FALL
                         else:
                             continue
-                    elif out[g] and hears[ng + g]:
+                    elif out[g] and hears[g] != HEAR_NONE:
                         kind = EDGE_DATA
                     else:
                         continue
@@ -519,5 +529,5 @@ def step_block(ctx: BlockContext) -> int:
     ctx.bits_checked[:] = bits_checked
     ctx.bit_errors[:] = bit_errors
     ctx.eye[:] = eye
-    ctx.quarter, ctx.pos = q, pos
+    ctx.quarter, ctx.pos, ctx.drive = q, pos, drive
     return n

@@ -27,14 +27,19 @@ from pathlib import Path
 from typing import Callable
 
 from . import _kernels_py
-from ._kernels_py import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_BYTE, SEND_BYTE, BlockContext
+from ._kernels_py import (
+    EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_ALL, HEAR_BYTE, HEAR_DATA, HEAR_NONE, SEND_BYTE, BlockContext,
+)
 
 __all__ = [
     "EDGE_BYTE",
     "EDGE_DATA",
     "EDGE_FALL",
     "EDGE_RISE",
+    "HEAR_ALL",
     "HEAR_BYTE",
+    "HEAR_DATA",
+    "HEAR_NONE",
     "SEND_BYTE",
     "BlockContext",
     "KernelBuildError",

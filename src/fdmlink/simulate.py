@@ -464,34 +464,36 @@ def run_scenario(
     which delivers the bus edges by its rule; after every return each
     logged edge goes, in order, to its group, a received byte through
     ``SlaveGroup.byte`` and a sent byte's ACK through ``SlaveGroup.sent``.
-    The context's ``hears`` mask follows the group's ``listening`` list,
-    and is ``kernels.HEAR_BYTE`` with the group's shift state zeroed while
-    the group is ``receiving``, so the kernel clocks in address and
+    The group's ``hears`` mode in the context follows its ``listening``
+    list, and is ``kernels.HEAR_BYTE`` with the group's shift state zeroed
+    while the group is ``receiving``, so the kernel clocks in address and
     write-data bytes and returns only on their eighth fall.  While a group
     is ``sending`` and no other group holds the context's one sender slot,
     it is ``kernels.SEND_BYTE``: the kernel clocks out the group's
-    ``tx_byte``, switching between the group's two drive states itself,
-    and returns only at the end of the byte's ACK slot.  After every return
-    while a group sends, its drive is read back from ``tx_pull``, and
-    whenever another group's drive changes both send states are rebuilt
-    from the other groups' drives.  A second group sending at the same
-    time, which only a mis-decoded address can cause, takes each clock edge
-    and keys its own bits through the group.  The amplitudes come from
-    ``_AmplitudeTable.for_topology``, which keeps the last table built and
-    hands it to the next run on the same electrical topology, so repeated
-    runs build no bus model and recompute no drive state.  A drive state,
-    the ``pulling`` engines of every group, gets its arrays on its first
-    visit: an amplitude row per intent code and ``used`` flags.  When some
-    group's ``pulling`` engines change, the context is pointed at the new
-    state's arrays and nothing is copied.  At the segment end the master's
-    observed codes go back to the master program as ``bytes``.  The sample
-    budget is checked once per segment, before it runs, and its noise rows
-    are drawn then, straight into the context's buffer, the same values as
-    one ``rng.normal(0, noise_rms)`` draw up front.  A run may ask for at
-    most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the
-    samples per quarter); more raise ``TopologyError`` before anything is
-    allocated.  The keying depth is taken over the drive states some sample
-    ran under, read from every state's ``used`` flags once the run ends.
+    ``tx_byte``, switching between the group's two drive states itself, and
+    returns only at the end of the byte's ACK slot.  After every return
+    while a group sends, its drive is read back from which of the two the
+    context's ``drive`` names, and whenever another group's drive changes
+    both send states are looked up again from the other groups' drives.  A
+    second group sending at the same time, which only a mis-decoded address
+    can cause, takes each clock edge and keys its own bits through the
+    group.  The amplitudes come from ``_AmplitudeTable.for_topology``, which
+    keeps the last table built and hands it to the next run on the same
+    electrical topology, so repeated runs build no bus model and recompute
+    no drive state.  A drive state, the ``pulling`` engines of every group,
+    is added to the context's table on its first visit
+    (``BlockContext.add_drive``): an amplitude row per intent code, whether
+    a slave pulls SDA, and ``used`` flags.  When some group's ``pulling``
+    engines change, the context's ``drive`` is set to the new state's index
+    and nothing is copied.  At the segment end the master's observed codes
+    go back to the master program as ``bytes``.  The sample budget is
+    checked once per segment, before it runs, and its noise rows are drawn
+    then, straight into the context's buffer, the same values as one
+    ``rng.normal(0, noise_rms)`` draw up front.  A run may ask for at most
+    ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the samples
+    per quarter); more raise ``TopologyError`` before anything is
+    allocated.  The keying depth is taken over the amplitudes some sample
+    ran under, read from the table's ``used`` flags once the run ends.
     Deterministic for a fixed seed, and the same on both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
     ``trace_sink`` to capture per-sample detector/reference traces for
@@ -564,60 +566,52 @@ def run_scenario(
     )
     step = kernels.block_stepper()
     hears, events, rx_shift, rx_bits = ctx.hears, ctx.events, ctx.rx_shift, ctx.rx_bits
-    byte_code, hear_byte, send_byte = 2 * EDGE_BYTE, kernels.HEAR_BYTE, kernels.SEND_BYTE
-    hears[0] = [bool(group.listening) for group in groups]
-    hears[1] = [bool(group.engines) for group in groups]
+    byte_code, hear_data, hear_all = 2 * EDGE_BYTE, kernels.HEAR_DATA, kernels.HEAR_ALL
+    hear_byte, send_byte = kernels.HEAR_BYTE, kernels.SEND_BYTE
+    hears[:] = [hear_all if group.listening else hear_data if group.engines else kernels.HEAR_NONE
+                for group in groups]
 
     table = _AmplitudeTable.for_topology(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
     jscl, jsda = carrier_line_index["scl"], carrier_line_index["sda"]
-    # Keyed by each group's ``pulling`` engines: the context fields of that drive state (its
-    # amplitude row per master intent code, its ``used`` flags, their addresses and
-    # ``sda_pulled``), and the table entries behind the rows.
-    states: dict[tuple[tuple[SlaveEngine, ...], ...], tuple[tuple, list[tuple[float, ...]]]] = {}
+    # the context's index of the drive state of each group's ``pulling`` engines
+    states: dict[tuple[tuple[SlaveEngine, ...], ...], int] = {}
 
-    def drive_state(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> tuple:
-        state = states.get(pulled)
-        if state is None:
+    def drive_state(pulled: tuple[tuple[SlaveEngine, ...], ...]) -> int:
+        drive = states.get(pulled)
+        if drive is None:
             sda = [False] * n_nodes
             for pulling in pulled:
                 for e in pulling:
                     sda[node_of[e]] = True
-            entries = []
+            rows = []
             for code in range(4):
                 sda[mi] = (code & 1) == L
                 # tuple(list), not tuple(genexpr): the latter shrinks an oversized
                 # tuple and strands the freed ones on CPython's free list (~0.2 MB)
-                entries.append(table(scl_drives[code >> 1], tuple(sda)))
-            amp = np.array([[a[jscl]] * n_groups + [a[jsda]] * n_groups for a in entries])
-            used = np.zeros(4, dtype=np.uint8)
-            fields = (amp, amp.ctypes.data, used, used.ctypes.data, int(any(pulled)))
-            state = states[pulled] = (fields, entries)
-        return state[0]
+                a = table(scl_drives[code >> 1], tuple(sda))
+                rows.append([a[jscl]] * n_groups + [a[jsda]] * n_groups)
+            drive = states[pulled] = ctx.add_drive(rows, any(pulled))
+        return drive
 
     sender = -1  # the group whose byte the kernel clocks out, or -1
     tx_pulls: tuple[tuple[SlaveEngine, ...], ...] = ((), ())  # its pulling engines: SDA released, pulled
     tx_key = None  # the other groups' drives and the sender behind the context's two send states
 
     def set_drives(pulled: list[tuple[SlaveEngine, ...]]) -> None:
-        """Point the context at the drive state of ``pulled``, and at the sender's two send states."""
+        """Set the context's drive state to that of ``pulled``, and the sender's two send states."""
         nonlocal tx_key
-        ctx.amp, ctx.amp_p, ctx.used, ctx.used_p, ctx.sda_pulled = drive_state(tuple(pulled))
+        ctx.drive = drive_state(tuple(pulled))
         if sender < 0:
             return
         own = pulled[sender]
-        ctx.tx_pull = bool(own)
         pulled[sender] = ()
         key = (tuple(pulled), tx_pulls[1])
         if key != tx_key:
             tx_key = key
             released = drive_state(key[0])
             pulled[sender] = tx_pulls[1]
-            pulls = drive_state(tuple(pulled))
-            ctx.tx_amp, ctx.tx_used = (released[0], pulls[0]), (released[2], pulls[2])
-            ctx.tx_amp_p[:] = released[1], pulls[1]
-            ctx.tx_used_p[:] = released[3], pulls[3]
-            ctx.tx_pulled[:] = released[4], pulls[4]
+            ctx.tx_drive[:] = released, drive_state(tuple(pulled))
         pulled[sender] = own
 
     pulling = [group.pulling for group in groups]  # each group's, refreshed after its falls and data edges
@@ -642,12 +636,12 @@ def run_scenario(
             with np.errstate(over="ignore"):  # as normal() at a noise_rms near the float limit
                 rows *= noise_rms
         if q0 == 0:
-            first = ctx.amp[ctx.code[0]] + ctx.noise[0] if noisy else ctx.amp[ctx.code[0]]
+            first = ctx.amps[ctx.drive, ctx.code[0]] + ctx.noise[0] if noisy else ctx.amps[ctx.drive, ctx.code[0]]
             ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
         while True:
             step(ctx)
             if sender >= 0:  # the kernel keys the sender's SDA
-                pulling[sender] = tx_pulls[ctx.tx_pull]
+                pulling[sender] = tx_pulls[ctx.drive == ctx.tx_drive[1]]
             moved = False  # some group's pulling engines changed, or the sender did
             for e in events[:ctx.n_events].tolist():
                 g = e >> 3
@@ -664,17 +658,17 @@ def run_scenario(
                     if sender != g:
                         sender, tx_pulls = g, ((), tuple(group.listening))
                         moved = True
-                    hears[0, g] = send_byte
+                    hears[g] = send_byte
                     rx_shift[g], rx_bits[g] = 0, group.bits
                     ctx.tx_byte = group.tx_byte
                 else:
                     if g == sender:
                         sender = -1
                     if group.receiving:  # it opened a byte: the kernel clocks it in
-                        hears[0, g] = hear_byte
+                        hears[g] = hear_byte
                         rx_shift[g] = rx_bits[g] = 0
                     else:
-                        hears[0, g] = bool(group.listening)
+                        hears[g] = hear_all if group.listening else hear_data
                 if group.pulling != pulling[g]:
                     pulling[g] = group.pulling
                     moved = True
@@ -686,14 +680,13 @@ def run_scenario(
             seg = program.send(ctx.obs[q0:q_end].tobytes())
         except StopIteration:
             break
-    # the table entries some sample ran under
-    ran = [entries[code] for (_, _, used, _, _), entries in states.values()
-           for code in np.flatnonzero(used).tolist()]
+    # the amplitudes some sample ran under, drive state by drive state
+    ran = ctx.used[:ctx.n_drives].astype(bool)
     isample = ctx.quarter * spq
 
     depth = {}
-    for line, j in (("scl", jscl), ("sda", jsda)):
-        vals = [a[j] for a in ran]
+    for line, stream in (("scl", 0), ("sda", n_groups)):
+        vals = ctx.amps[:ctx.n_drives, :, stream][ran].tolist()
         hi, lo = max(vals), min(vals)
         depth[line] = 20.0 * math.log10(hi / lo) if lo > 0 else math.inf
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import shutil
@@ -90,7 +91,7 @@ SEGMENT = st.one_of(
 )
 STATE = ("ref", "det", "out", "rx_shift", "rx_bits", "obs", "used", "seen_low", "bits_checked", "bit_errors",
          "eye")
-POSITION = ("quarter", "pos", "n_events", "tx_pull", "sda_pulled")
+POSITION = ("quarter", "pos", "n_events", "drive")
 
 
 def _stopped(ctx):
@@ -104,72 +105,82 @@ def _seed(ctx, first):
     ctx.ref[:] = _kernels_py.detector(first.tolist(), ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
 
 
+def _keyed(groups, pulled=False):
+    """Amplitude rows with a 20 dB drop on each line its intent pulls low, and on SDA if a slave pulls it."""
+    return [[0.3 if c >> 1 else 0.03] * groups + [0.3 if c & 1 and not pulled else 0.03] * groups for c in range(4)]
+
+
 def _hears(rng, groups, hear_p, byte_p):
-    """A ``hears`` mask: each flag set with ``hear_p``, and a set clock flag receiving a byte with ``byte_p``."""
-    hears = (rng.random((2, groups)) < hear_p).astype(np.uint8)
-    hears[0] <<= rng.random(groups) < byte_p  # 1 becomes HEAR_BYTE
-    return hears
+    """A ``hears`` mode per group, as ``run_scenario`` sets them.
+
+    A group has a slave with ``hear_p``; that slave listens to the clock
+    with ``hear_p`` again, and a listening group receives a byte with
+    ``byte_p``.
+    """
+    has_slave = rng.random(groups) < hear_p
+    listens = has_slave & (rng.random(groups) < hear_p)
+    receives = listens & (rng.random(groups) < byte_p)
+    return has_slave.astype(np.uint8) + listens + receives  # HEAR_NONE up to HEAR_BYTE
 
 
-def _state(ctx, states, k, i, drive):
-    """Drive state ``i`` of context ``k``: its ``amp`` and ``used``, made on its first visit."""
-    if (k, i) not in states:
-        rows, pulled = drive
-        ng = ctx.n_streams // 2
+def _drive(ctxs, states, i, drives):
+    """The table index of drawn drive state ``i``: added to every context on its first visit."""
+    if i not in states:
+        rows, pulled = drives[i]
+        n_streams = ctxs[0].n_streams
         if rows == "keyed":
-            amp = np.array([[0.3 if c >> 1 else 0.03] * ng + [0.3 if c & 1 and not pulled else 0.03] * ng
-                            for c in range(4)])
+            rows = _keyed(n_streams // 2, pulled)
         else:
-            amp = np.array([[levels[s % len(levels)] for s in range(ctx.n_streams)] for levels in rows])
-        states[k, i] = (amp, np.zeros(4, dtype=np.uint8))
-    return states[k, i]
+            rows = [[levels[s % len(levels)] for s in range(n_streams)] for levels in rows]
+        index, = {ctx.add_drive(rows, pulled) for ctx in ctxs}
+        states[i] = index
+    return states[i]
 
 
 def _set_drives(ctxs, states, i, drives, hears, opened, send=None):
-    """Point each context at the arrays of drive state ``i``, as ``run_scenario`` does.
+    """Set each context's drive state to drawn state ``i``, as ``run_scenario`` does.
 
-    ``states`` maps (context index, drive state index) to that state's ``amp``
-    and ``used``.  Each group of ``opened`` starts its byte afresh: its
+    ``states`` maps a drawn drive state to its table index, the same in
+    every context.  Each group of ``opened`` starts its byte afresh: its
     ``rx_shift`` and ``rx_bits`` are reset.  ``send`` is None, or the
-    sender's ``tx_byte``, the indices of its released and pulling drive
-    states and its drive ``tx_pull``; state ``i`` is then the one
-    ``tx_pull`` names.
+    sender's ``tx_byte`` and the drawn states of its released and pulling
+    drives; state ``i`` is then one of the two.
     """
-    for k, ctx in enumerate(ctxs):
-        ctx.amp, ctx.used = _state(ctx, states, k, i, drives[i])
-        ctx.amp_p, ctx.used_p = ctx.amp.ctypes.data, ctx.used.ctypes.data
-        ctx.sda_pulled = drives[i][1]
+    drive = _drive(ctxs, states, i, drives)
+    for ctx in ctxs:
+        ctx.drive = drive
         ctx.hears[:] = hears
         ctx.rx_shift[opened] = ctx.rx_bits[opened] = 0
-        if send is not None:
-            ctx.tx_byte, pair, ctx.tx_pull = send
-            ctx.tx_amp, ctx.tx_used = zip(*(_state(ctx, states, k, j, drives[j]) for j in pair))
-            ctx.tx_amp_p[:] = [a.ctypes.data for a in ctx.tx_amp]
-            ctx.tx_used_p[:] = [u.ctypes.data for u in ctx.tx_used]
-            ctx.tx_pulled[:] = [drives[j][1] for j in pair]
+    if send is not None:
+        byte, pair = send
+        tx_drive = [_drive(ctxs, states, j, drives) for j in pair]
+        for ctx in ctxs:
+            ctx.tx_byte = byte
+            ctx.tx_drive[:] = tx_drive
 
 
 def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
-    """What the caller sets before a call: a drive state index, ``hears``, the groups it opens bytes for, and ``send``.
+    """What the caller sets before a call: a drawn drive state, ``hears``, the groups it opens bytes for, and ``send``.
 
     With probability ``send_p`` a group is in send mode, and returned as
-    the sender.  In one draw of two that is ``sender``, the last call's,
-    going on with its byte, rises and drive (read back from ``tx_pull``)
-    under two newly drawn send states, as when another group's drive moved
-    mid-byte.  Else it is a drawn group with a drawn byte, send states and
-    drive, which starts its byte afresh, goes on with the rises it has (a
-    byte another group's edge interrupted), or takes a drawn count of 0 to
-    11 rises.
+    the sender, with two distinct drawn send states, as ``run_scenario``
+    makes them.  In one draw of two that is ``sender``, the last call's,
+    going on with its byte, rises and drive (read back from which send
+    state ``drive`` names) under the new send states, as when another
+    group's drive moved mid-byte.  Else it is a drawn group with a drawn
+    byte and drive, which starts its byte afresh, goes on with the rises it
+    has (a byte another group's edge interrupted), or takes a drawn count
+    of 0 to 11 rises.
     """
     groups = ctx.n_streams // 2
     i = changes % n_drives
     hears = _hears(rng, groups, hear_p, byte_p)
-    opened = (hears[0] == kernels.HEAR_BYTE) & (rng.random(groups) < 0.5)
+    opened = (hears == kernels.HEAR_BYTE) & (rng.random(groups) < 0.5)
     send = g = None
     if rng.random() < send_p:
-        pair = rng.integers(n_drives, size=2).tolist()
+        pair = rng.choice(n_drives, size=2, replace=False).tolist()
         if sender is not None and rng.random() < 0.5:
-            g, byte, pull = sender, ctx.tx_byte, ctx.tx_pull
+            g, byte, pull = sender, ctx.tx_byte, int(ctx.drive == ctx.tx_drive[1])
             opened[g] = False
         else:
             g, byte, pull = int(rng.integers(groups)), int(rng.integers(256)), int(rng.integers(2))
@@ -177,8 +188,8 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
             opened[g] = how == 0
             if how == 2:
                 ctx.rx_bits[g] = rng.integers(12)
-        hears[0, g] = kernels.SEND_BYTE
-        send, i = (byte, pair, pull), pair[pull]
+        hears[g] = kernels.SEND_BYTE
+        send, i = (byte, pair), pair[pull]
     return i, hears, opened, send, g
 
 
@@ -199,7 +210,8 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
     hysteresis=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     seed=st.integers(0, 2**32 - 1),
     segments=st.lists(SEGMENT, min_size=1, max_size=5),
-    drives=st.lists(DRIVES, min_size=1, max_size=6),
+    # up to more drive states than the table holds before it grows
+    drives=st.lists(DRIVES, min_size=2, max_size=3 * kernels.BlockContext.DRIVES),
     hear_p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
     byte_p=st.sampled_from([0.0, 0.5, 1.0]),
     send_p=st.sampled_from([0.0, 0.5, 1.0]),
@@ -224,6 +236,13 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
     drives=[("keyed", False), ("keyed", True), ("keyed", False), ("keyed", True)], hear_p=0.7, byte_p=0.0,
     send_p=1.0,
 )
+@example(  # every clock edge ends a call, so the table grows twice while the run goes on
+    groups=3, spq=4, ref0=None, master=1, noisy=True, noise_rms=1e-6, traced=True, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.01, seed=3,
+    segments=[[3, 2, 0] + _bits(*(0, 1) * 8), _bits(*(1, 0) * 6) + [1, 3]],
+    drives=[("keyed", i % 2 == 1) for i in range(2 * kernels.BlockContext.DRIVES + 1)], hear_p=1.0, byte_p=0.0,
+    send_p=0.5,
+)
 def test_c_step_block_matches_python_bit_for_bit(
     groups, spq, ref0, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
     hysteresis, seed, segments, drives, hear_p, byte_p, send_p,
@@ -235,24 +254,23 @@ def test_c_step_block_matches_python_bit_for_bit(
     infinities included, that the streams take in turn.  The segments hold
     random intent codes, so STARTs and STOPs fall anywhere, inside received
     bytes too.  After every return on a logged fall, data edge or byte the
-    caller moves to the next drive state, re-pointing ``amp`` and ``used``
-    at that state's own arrays, and draws a new ``hears`` mask (each flag
-    set with probability ``hear_p``, and a set clock flag receiving a byte
-    with ``byte_p``), as ``run_scenario`` does after slave callbacks, so the
-    kernels resume mid-segment on new amplitude rows.  A group that receives
-    a byte starts it afresh in one of two draws and goes on with the bits
-    it has in the other, as a group does whose byte another group's edge
-    interrupted.  With probability ``send_p`` a group is in send mode
-    (``_caller``): the last sender going on with its byte under new send
-    states, as when another group's drive moves mid-byte, or a drawn group
-    with a drawn byte, send states, drive and a fresh, kept or drawn rise
-    count, so sent bytes run past their ACK slot and meet STARTs and
-    STOPs.  Both kernels must then point at the same drive state after
-    every call.  Drive states repeat, so a
-    state's ``used`` flags carry over from its last visit, and every
-    state's flags are compared at the end.  A call at the segment end must
-    return 0 and log nothing.  A call that logged only rises ran to the
-    segment end.
+    caller moves to the next drawn drive state, adding it to both tables on
+    its first visit (so a table grows between calls once more states are
+    drawn than it first holds) and storing its index in ``drive``, and
+    draws a new ``hears`` mode per group (``_hears``), as ``run_scenario``
+    does after slave callbacks, so the kernels resume mid-segment on new
+    amplitude rows.  A group that receives a byte starts it afresh in one
+    of two draws and goes on with the bits it has in the other, as a group
+    does whose byte another group's edge interrupted.  With probability
+    ``send_p`` a group is in send mode (``_caller``): the last sender going
+    on with its byte under new send states, as when another group's drive
+    moves mid-byte, or a drawn group with a drawn byte, send states, drive
+    and a fresh, kept or drawn rise count, so sent bytes run past their ACK
+    slot and meet STARTs and STOPs.  After every call both contexts must
+    hold the same ``drive``, ``tx_drive`` and whole ``used`` table.  Drive
+    states repeat, so a state's ``used`` flags carry over from its last
+    visit.  A call at the segment end must return 0 and log nothing.  A
+    call that logged only rises ran to the segment end.
     """
     c_step = load_stepper("c")
     rng = np.random.default_rng(seed)
@@ -266,7 +284,8 @@ def test_c_step_block_matches_python_bit_for_bit(
     i, hears, _, send, sender = _caller(rng, c_ctx, len(drives), 0, hear_p, byte_p, send_p, None)
     py_ctx.rx_bits[:] = c_ctx.rx_bits
     _set_drives(ctxs, states, i, drives, hears, slice(None), send)
-    first = c_ctx.amp[segments[0][0]] + noise[0] if noisy else c_ctx.amp[segments[0][0]]
+    first = c_ctx.amps[c_ctx.drive, segments[0][0]]
+    first = first + noise[0] if noisy else first
     for ctx in ctxs:
         if ref0 is None:
             _seed(ctx, first)
@@ -282,16 +301,10 @@ def test_c_step_block_matches_python_bit_for_bit(
             n = c_step(c_ctx)
             assert n == _kernels_py.step_block(py_ctx)
             for name in STATE:
-                if name != "used":  # the C kernel re-points used_p, not the array attribute; see below
-                    assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
+                assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
             for name in POSITION:
                 assert getattr(c_ctx, name) == getattr(py_ctx, name), name
-            # the same drive state: each context points at its own copy of it
-            c_state, py_state = ([i for (kk, i), (amp, used) in states.items()
-                                  if kk == kc and (amp.ctypes.data, used.ctypes.data) == (ctx.amp_p, ctx.used_p)]
-                                 for kc, ctx in enumerate(ctxs))
-            assert len(c_state) == 1 and c_state == py_state
-            assert all(used.tobytes() == states[1, i][1].tobytes() for (kk, i), (_, used) in states.items() if kk == 0)
+            assert c_ctx.tx_drive[:] == py_ctx.tx_drive[:]
             assert c_ctx.events[:c_ctx.n_events].tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
             if not _stopped(c_ctx):
                 assert c_ctx.quarter == q_end and c_ctx.pos == 0
@@ -303,9 +316,6 @@ def test_c_step_block_matches_python_bit_for_bit(
             py_ctx.rx_bits[:] = c_ctx.rx_bits
             _set_drives(ctxs, states, i, drives, hears, opened, send)
     assert c_ctx.quarter == quarters
-    for (k, i), (_, used) in states.items():
-        if k == 0:
-            assert used.tobytes() == states[1, i][1].tobytes(), f"used of drive state {i}"
     if traced:
         for name in ("trace_det", "trace_ref", "trace_out", "trace_wire"):
             assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name
@@ -321,11 +331,12 @@ def test_step_block_ends_at_the_first_output_change():
     """Runs across quarters to the first output change, counting bits per stream at the midpoints."""
     step = _kernels_py.step_block
     ctx = _context(groups=2, master=1)
-    ctx.amp[:] = 0.3
-    ctx.amp[1, :2] = 0.03  # code 1 = (L, H): the master pulls SCL, a 20 dB drop
+    rows = np.full((4, 4), 0.3)
+    rows[1, :2] = 0.03  # code 1 = (L, H): the master pulls SCL, a 20 dB drop
+    ctx.drive = ctx.add_drive(rows, 0)
     ctx.code[:2] = [3, 1]
     ctx.q_end = 2
-    _seed(ctx, ctx.amp[3])
+    _seed(ctx, rows[3])
     # quarter 0 settles high; the drop flips both SCL streams on quarter 1's first sample
     assert step(ctx) == 17
     assert (ctx.quarter, ctx.pos) == (1, 1)
@@ -336,7 +347,7 @@ def test_step_block_ends_at_the_first_output_change():
     assert ctx.obs[0] == 3  # the master's outputs as 2 * scl + sda
     assert ctx.seen_low.tolist() == [1, 0]
     assert ctx.bits_checked.tolist() == [0, 0]  # quarter 0's midpoint came before SCL was low
-    assert ctx.used.tolist() == [0, 1, 0, 1]
+    assert ctx.used[0].tolist() == [0, 1, 0, 1]
     # on to the segment end: quarter 1's midpoint sees SCL low on both groups' streams
     assert step(ctx) == 15
     assert (ctx.n_events, ctx.quarter, ctx.pos) == (0, 2, 0)
@@ -345,12 +356,13 @@ def test_step_block_ends_at_the_first_output_change():
     assert ctx.bit_errors.tolist() == [0, 0]
     assert 0 < ctx.eye[0] < math.inf and ctx.eye[1] == math.inf
     # a slave pulling SDA makes SDA's level low while the amplitudes keep both SDA streams high
-    ctx.sda_pulled = 1
+    ctx.drive = ctx.add_drive(rows, 1)
     ctx.code[2] = 1
     ctx.q_end = 3
     assert step(ctx) == 16
     assert ctx.seen_low.tolist() == [1, 1]
     assert ctx.bits_checked.tolist() == [4, 2] and ctx.bit_errors.tolist() == [0, 2]
+    assert ctx.used[:2].tolist() == [[0, 1, 0, 1], [0, 1, 0, 0]]
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -358,12 +370,11 @@ def test_step_block_stops_only_on_edges_a_slave_acts_on(backend):
     """Falls and START/STOPs that reach a group end a call; rises are logged on the way."""
     step = load_stepper(backend)
     ctx = _context(groups=2, quarters=5)
-    for code in range(4):  # a 20 dB drop on each line its intent pulls low
-        ctx.amp[code] = [0.3 if code >> 1 else 0.03] * 2 + [0.3 if code & 1 else 0.03] * 2
-    ctx.hears[:] = [[1, 0], [1, 1]]  # clock edges reach group 0 only, data edges both
+    ctx.drive = ctx.add_drive(_keyed(2), 0)
+    ctx.hears[:] = [kernels.HEAR_ALL, kernels.HEAR_DATA]  # clock edges reach group 0 only, data edges both
     ctx.code[:] = [3, 1, 0, 2, 3]  # idle, SCL falls, SDA falls under SCL low, SCL rises, STOP
     ctx.q_end = 5
-    _seed(ctx, ctx.amp[3])
+    _seed(ctx, ctx.amps[0, 3])
     rise, fall, data = (2 * kind for kind in (kernels.EDGE_RISE, kernels.EDGE_FALL, kernels.EDGE_DATA))
     assert step(ctx) == 17
     assert (ctx.quarter, ctx.pos) == (1, 1)
@@ -383,20 +394,19 @@ def test_step_block_clocks_in_a_byte(backend):
     byte = 0xA5
     codes = [3, 2, 0] + _bits(*((byte >> i) & 1 for i in range(7, -1, -1))) + _bits(1, 0, 1) + [1, 3, 2]
     ctx = _context(groups=2, quarters=len(codes))
-    for code in range(4):  # a 20 dB drop on each line its intent pulls low
-        ctx.amp[code] = [0.3 if code >> 1 else 0.03] * 2 + [0.3 if code & 1 else 0.03] * 2
-    ctx.hears[:] = [[kernels.HEAR_BYTE, 1], [1, 0]]  # group 0 receives; group 1 hears each clock edge
+    ctx.drive = ctx.add_drive(_keyed(2), 0)
+    ctx.hears[:] = [kernels.HEAR_BYTE, kernels.HEAR_ALL]  # group 0 receives; group 1 hears every edge
     ctx.code[:] = codes
     ctx.q_end = len(codes)
-    _seed(ctx, ctx.amp[3])
+    _seed(ctx, ctx.amps[0, 3])
     fall, data, whole = (2 * k for k in (kernels.EDGE_FALL, kernels.EDGE_DATA, kernels.EDGE_BYTE))
-    # the START, then group 1's fall after it; group 0 logs nothing on that fall
+    # the START in both groups, then group 1's fall after it; group 0 logs nothing on that fall
     assert step(ctx) == 16 + 1
-    assert ctx.events[:ctx.n_events].tolist() == [data + 0]
+    assert ctx.events[:ctx.n_events].tolist() == [data + 0, 8 + data + 0]
     assert step(ctx) == 16
     assert ctx.events[:ctx.n_events].tolist() == [8 + fall + 0]
     assert (ctx.rx_shift[0], ctx.rx_bits[0]) == (0, 0)
-    ctx.hears[0, 1] = 0
+    ctx.hears[1] = kernels.HEAR_NONE
     # eight bits: group 0 shifts on each rise and logs the byte on the eighth bit's fall
     assert step(ctx) == 8 * 4 * 16
     assert (ctx.quarter, ctx.pos) == (2 + 8 * 4, 1)
@@ -422,20 +432,14 @@ def test_step_block_clocks_out_a_byte(backend):
     first = 0x5A  # ends in a 0, so SDA released one fall early shows
     codes = [3] + _bits(*[1] * 8) + [0, 2, 2, 1] + _bits(*[1] * 8) + [3, 3, 3, 0] + _bits(1, 1) + [1, 3, 2, 0]
     ctx = _context(groups=2, quarters=len(codes))
-    # SDA released (state 0) and pulled low by the sender (state 1): a 20 dB drop on each line its level pulls low
-    states = [(np.array([[0.3 if c >> 1 else 0.03] * 2 + [0.3 if c & 1 and not pulled else 0.03] * 2
-                         for c in range(4)]), np.zeros(4, dtype=np.uint8)) for pulled in (0, 1)]
-    ctx.tx_amp, ctx.tx_used = zip(*states)
-    ctx.tx_amp_p[:] = [a.ctypes.data for a in ctx.tx_amp]
-    ctx.tx_used_p[:] = [u.ctypes.data for u in ctx.tx_used]
-    ctx.tx_pulled[:] = [0, 1]
-    ctx.amp, ctx.used = states[0]  # released: the byte opens on the first fall, which keys bit 7
-    ctx.amp_p, ctx.used_p, ctx.sda_pulled, ctx.tx_pull = ctx.tx_amp_p[0], ctx.tx_used_p[0], 0, 0
+    # SDA released (state 0) and pulled low by the sender (state 1)
+    ctx.tx_drive[:] = [ctx.add_drive(_keyed(2, pulled), pulled) for pulled in (0, 1)]
+    ctx.drive = 0  # released: the byte opens on the first fall, which keys bit 7
     ctx.tx_byte = first
-    ctx.hears[:] = [[kernels.SEND_BYTE, 0], [1, 0]]  # group 0 sends; group 1 hears nothing
+    ctx.hears[:] = [kernels.SEND_BYTE, kernels.HEAR_NONE]  # group 0 sends; group 1 has no slave
     ctx.code[:] = codes
     ctx.q_end = len(codes)
-    _seed(ctx, states[0][0][3])
+    _seed(ctx, ctx.amps[0, 3])
     data, whole = (2 * k for k in (kernels.EDGE_DATA, kernels.EDGE_BYTE))
 
     def read(q0):  # the byte the master reads at the third quarter of each of 8 bits from quarter q0
@@ -445,10 +449,9 @@ def test_step_block_clocks_out_a_byte(backend):
     assert step(ctx) == 16 * (1 + 8 * 4 + 3) + 1
     assert ctx.events[:ctx.n_events].tolist() == [whole + 0]  # the ninth rise sampled the ACK
     assert read(1) == first
-    assert (ctx.rx_bits[0], ctx.tx_pull, ctx.sda_pulled) == (9, 0, 0)
-    assert (ctx.amp_p, ctx.used_p) == (ctx.tx_amp_p[0], ctx.tx_used_p[0])
+    assert (ctx.rx_bits[0], ctx.drive) == (9, 0)
     # pulled, SDA ran low only under the master's released intents (codes 1 and 3)
-    assert states[0][1].tolist() == [1, 1, 1, 1] and states[1][1].tolist() == [0, 1, 0, 1]
+    assert ctx.used[:2].tolist() == [[1, 1, 1, 1], [0, 1, 0, 1]]
     # the next byte, 0xFF: SDA stays released, and the master NACKs it
     ctx.tx_byte, ctx.rx_shift[0], ctx.rx_bits[0] = 0xFF, 0, 0
     assert step(ctx) == 16 * 8 * 4 + 16 * 4
@@ -458,7 +461,7 @@ def test_step_block_clocks_out_a_byte(backend):
     ctx.rx_shift[0] = ctx.rx_bits[0] = 0
     assert step(ctx) == 15 + 16 * 4 * 2 + 16 * 2 + 1
     assert ctx.events[:ctx.n_events].tolist() == [data + 0]
-    assert (ctx.rx_bits[0], ctx.quarter, ctx.tx_pull) == (3, len(codes) - 2, 0)
+    assert (ctx.rx_bits[0], ctx.quarter, ctx.drive) == (3, len(codes) - 2, 0)
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -468,17 +471,78 @@ def test_empty_block_changes_nothing(backend, noisy):
     step = load_stepper(backend)
     noise = np.full((32, 6), 1e-3) if noisy else None
     ctx = _context(groups=3, quarters=2, noise=noise)
-    ctx.amp[:] = 0.3
+    ctx.drive = ctx.add_drive(np.full((4, 6), 0.3), 0)
     ctx.code[0] = 3
     ctx.q_end = 1
-    _seed(ctx, ctx.amp[3] + noise[0] if noisy else ctx.amp[3])
+    _seed(ctx, ctx.amps[0, 3] + noise[0] if noisy else ctx.amps[0, 3])
     assert step(ctx) == 16
     before = {name: getattr(ctx, name).tobytes() for name in STATE}
-    ctx.amp[:] = 0.03  # a new level that a non-empty call would act on
+    ctx.drive = ctx.add_drive(np.full((4, 6), 0.03), 0)  # a new level that a non-empty call would act on
     ctx.n_events = 1
     assert step(ctx) == 0
     assert {name: getattr(ctx, name).tobytes() for name in STATE} == before
     assert (ctx.n_events, ctx.quarter, ctx.pos) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_add_drive_numbers_states_in_call_order(backend):
+    """Indexes 0, 1, ... in call order; earlier rows and flags survive growth, and the kernels read the new table."""
+    step = load_stepper(backend)
+    ctx = _context(groups=1, quarters=2)
+    # a fresh context's drive 0 is an all-zero row inside the table
+    assert ctx.drive == 0 and ctx.n_drives == 0 and len(ctx.pulled) >= 1
+    assert not ctx.amps[0].any() and ctx.pulled[0] == 0 and not ctx.used[0].any()
+    ctx.code[0] = 3
+    ctx.q_end = 1
+    _seed(ctx, ctx.amps[0, 3])
+    assert step(ctx) == 16
+    assert ctx.used[0].tolist() == [0, 0, 0, 1]
+    n = 2 * kernels.BlockContext.DRIVES + 1  # grows twice
+    assert [ctx.add_drive(np.full((4, 2), 0.1 * (i + 1)), i % 2) for i in range(n)] == list(range(n))
+    assert ctx.n_drives == n and len(ctx.pulled) > n
+    assert ctx.amps[:n, :, 0].tolist() == [[0.1 * (i + 1)] * 4 for i in range(n)]
+    assert ctx.pulled[:n].tolist() == [i % 2 for i in range(n)]
+    assert not ctx.used.any()  # the first add_drive took row 0 as a new state
+    # the kernels step on the grown table: a late state's row, its SDA pulled, and its flags
+    ctx.drive = last = n - 2
+    ctx.code[1] = 1
+    ctx.q_end = 2
+    assert step(ctx) == 16
+    assert ctx.used[last].tolist() == [0, 1, 0, 0] and ctx.used.sum() == 1
+    assert ctx.det.tolist() == _kernels_py.detector([0.1 * (last + 1)] * 2, ctx.floor, ctx.ref_in, ctx.ref_out,
+                                                     ctx.k)
+    assert ctx.seen_low.tolist() == [1, 1]  # SDA's level is low: that state's slave pulls it
+    # a third growth keeps the flags too
+    rows = len(ctx.pulled)
+    while ctx.n_drives <= rows:
+        ctx.add_drive(np.zeros((4, 2)), 0)
+    assert len(ctx.pulled) > rows and ctx.used[last].tolist() == [0, 1, 0, 0]
+
+
+def test_block_context_layout_matches_the_c_struct(tmp_path):
+    """Each ``block_ctx`` member sits at the offset of the ``BlockContext`` field of its name.
+
+    A ``_p`` field is the member without that suffix.  ``load_c`` checks
+    only the size, which two same-size fields swapped in one language keep.
+    """
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    fields = [name for name, _ in kernels.BlockContext._fields_]
+    members = [name.removesuffix("_p") for name in fields]
+    prints = "".join(f'    printf("%zu\\n", offsetof(block_ctx, {m}));\n' for m in members)
+    program = tmp_path / "layout.c"
+    program.write_text('#include <stddef.h>\n#include <stdio.h>\n#include "_blockkernel.c"\n\n'
+                       f"int main(void)\n{{\n{prints}"
+                       '    printf("%zu\\n", sizeof(block_ctx));\n    return 0;\n}\n')
+    exe = tmp_path / "layout"
+    r = subprocess.run(["cc", "-I", str(kernels.SOURCE.parent), "-o", str(exe), str(program), "-lm"],
+                       capture_output=True, text=True, timeout=kernels.BUILD_TIMEOUT_S)
+    assert r.returncode == 0, r.stderr
+    offsets = [int(v) for v in subprocess.run([str(exe)], capture_output=True, text=True, check=True,
+                                              timeout=60).stdout.split()]
+    want = [getattr(kernels.BlockContext, name).offset for name in fields]
+    assert dict(zip(members, offsets)) == dict(zip(members, want))
+    assert offsets[-1] == ctypes.sizeof(kernels.BlockContext)
 
 
 def test_block_kernel_compiles_without_warnings(tmp_path):
