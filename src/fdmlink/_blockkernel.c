@@ -4,12 +4,18 @@
  * _kernels_py.BlockContext and _kernels_py.step_block state the contract;
  * step_block there is run_block here written in Python, statement for
  * statement: the same recurrence and the same floating-point operations in
- * the same order.  Build with -ffp-contract=off and without -ffast-math so
- * every double matches.  The struct layout mirrors BlockContext._fields_.
- * The exported step_block runs run_block on a local copy of the struct, as
- * the Python one runs it on local variables.  The slaves' drive states are
- * numbered rows of one table (amps, pulled, used); the caller switches
- * states between calls by storing the row's index in drive.  A group in
+ * the same order.  The one difference is quiet_run: in a run of one group
+ * without noise or traces, the samples up to the next output change,
+ * midpoint or quarter end step both streams with their references in
+ * registers, by the same operations, where the Python stepper takes them
+ * one by one through its per-sample body.  Build with -ffp-contract=off and
+ * without -ffast-math so every double matches.  The struct layout mirrors
+ * BlockContext._fields_.  The exported step_block runs run_block on a local
+ * copy of the struct, as the Python one runs it on local variables.  The
+ * slaves' drive states are numbered rows of one table (amps, pulled, used,
+ * and without noise dets, each amplitude's detector value, which the
+ * Python side computes with the same log10); the caller switches states
+ * between calls by storing the row's index in drive.  A group in
  * receive mode (hears[g] == HEAR_BYTE) is clocking in a byte its slaves
  * only listen to: the kernel shifts the group's SDA output into rx_shift[g]
  * on each SCL rise and logs nothing until the first fall after the eighth
@@ -41,13 +47,14 @@ typedef struct {
     int64_t quarter;     /* current quarter, counted from the run's start */
     int64_t pos;         /* next sample within it */
     int64_t q_end;       /* the segment ends before this quarter */
-    int64_t drive;       /* the drive state the run is in: a row of amps, pulled and used */
+    int64_t drive;       /* the drive state the run is in: a row of amps, dets, pulled and used */
     int64_t n_events;    /* edges the last call logged */
     int64_t tx_byte;     /* the byte the group in send mode clocks out */
     int64_t tx_drive[2]; /* that group's drive states: SDA released, then pulled low */
     double floor, ref_in, ref_out, k, alpha, half_h;
     const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
     const double *amps;   /* [drives][4][n_streams] amplitude row per code, of each drive state */
+    const double *dets;   /* [drives][4][n_streams] the detector value of each amps entry, or NULL */
     const uint8_t *pulled; /* [drives] a node other than the master pulls SDA low */
     uint8_t *used;        /* [drives][4] codes that ran at least one sample */
     const double *noise;  /* [n_quarters * spq][n_streams] or NULL */
@@ -81,8 +88,7 @@ static double detector(const block_ctx *c, double x)
 /* Take the current quarter's code: its row, its wire levels, and det[] without noise. */
 static const double *enter_quarter(block_ctx *c, uint8_t wire[2])
 {
-    const int64_t code = c->code[c->quarter];
-    const double *amp = c->amps + (4 * c->drive + code) * c->n_streams;
+    const int64_t code = c->code[c->quarter], row = (4 * c->drive + code) * c->n_streams;
     wire[0] = (uint8_t)(code >> 1);
     wire[1] = (uint8_t)((code & 1) && !c->pulled[c->drive]);
     for (int li = 0; li < 2; li++)
@@ -91,8 +97,34 @@ static const double *enter_quarter(block_ctx *c, uint8_t wire[2])
     c->used[4 * c->drive + code] = 1;
     if (!c->noise)
         for (int64_t s = 0; s < c->n_streams; s++)
-            c->det[s] = detector(c, amp[s]);
-    return amp;
+            c->det[s] = c->dets[row + s];
+    return c->amps + row;
+}
+
+/* Step the one group's two streams of a noiseless, untraced run with their references in
+ * registers, by the operations of step_stream, up to the first sample that would change an
+ * output, the quarter's midpoint or its last sample.  That sample is left to run_block's
+ * per-sample body, as is every sample of any other run.  Returns the samples stepped. */
+static int64_t quiet_run(block_ctx *c, int64_t mid)
+{
+    const int64_t start = c->pos, end = start <= mid ? mid : c->spq - 1;
+    const double d0 = c->det[0], d1 = c->det[1], alpha = c->alpha, h = c->half_h;
+    const int o0 = c->out[0], o1 = c->out[1];
+    double r0 = c->ref[0], r1 = c->ref[1];
+    int64_t pos = start;
+    for (; pos < end; pos++) {
+        const double s0 = r0 + alpha * (d0 - r0), s1 = r1 + alpha * (d1 - r1);
+        if (o0 ? d0 < s0 - h : d0 > s0 + h)
+            break;
+        if (o1 ? d1 < s1 - h : d1 > s1 + h)
+            break;
+        r0 = s0;
+        r1 = s1;
+    }
+    c->ref[0] = r0;
+    c->ref[1] = r1;
+    c->pos = pos;
+    return pos - start;
 }
 
 /* The master's observation; bits and eye margins of each line once it has been low. */
@@ -186,6 +218,7 @@ static int log_edge(block_ctx *c, int64_t g, int moved)
 static int64_t run_block(block_ctx *c)
 {
     const int64_t ns = c->n_streams, ng = ns / 2, mid = c->spq / 2;
+    const int quiet = ng == 1 && !c->noise && !c->trace_det;
     const double *amp;
     uint8_t wire[2];
     int64_t n = 0;
@@ -194,6 +227,8 @@ static int64_t run_block(block_ctx *c)
         return 0;
     amp = enter_quarter(c, wire);
     for (;;) {
+        if (quiet)
+            n += quiet_run(c, mid);
         const int64_t isample = c->quarter * c->spq + c->pos;
         const int64_t row = isample * ns;
         int act = 0;

@@ -8,7 +8,8 @@ from here, and ``Demodulator.run`` always starts ``demod_loop`` high
 ``step_block`` advances the demodulator streams of ``run_scenario``
 through one master segment; ``BlockContext`` and ``step_block`` state the
 block kernels' contract, which ``step_block`` in ``_blockkernel.c`` keeps
-statement for statement.  ``detector`` is their log detector on plain
+statement for statement but for its quiet run (see ``step_block``), which
+gives the same doubles.  ``detector`` is their log detector on plain
 floats.  ``fdmlink.kernels`` picks the block stepper's backend.
 """
 
@@ -155,10 +156,15 @@ class BlockContext(ctypes.Structure):
 
     The slaves' drives select a drive state, a numbered row of one table:
     ``amps``, (drives, 4, 2 * groups) float64, has an amplitude row per
-    intent code, ``pulled``, (drives,) uint8, says a node other than the
-    master pulls SDA, and ``used``, (drives, 4) uint8, flags the codes some
-    sample ran under.  ``add_drive`` appends a state and returns its index.
-    ``drive`` names the state the run is in; a fresh table's rows are zero.
+    intent code, ``dets``, shaped like ``amps``, the ``detector`` value of
+    each amplitude (None with noise, where every sample takes its own),
+    ``pulled``, (drives,) uint8, says a node other than the master pulls
+    SDA, and ``used``, (drives, 4) uint8, flags the codes some sample ran
+    under.  ``add_drive`` appends a state and returns its index; the rows
+    of ``amps``, ``dets`` and ``pulled`` change only through it.  ``drive``
+    names the state the run is in; a row not yet added has zero amplitudes
+    and ``detector(0.0)`` detector values, so a fresh context's drive 0
+    reads as a zero row.
 
     The caller owns ``code``, the table's rows, ``drive``, ``hears`` and
     ``q_end``, and sets each stream's initial slicer reference in ``ref``
@@ -218,6 +224,7 @@ class BlockContext(ctypes.Structure):
         ("half_h", ctypes.c_double),
         ("code_p", ctypes.c_void_p),
         ("amps_p", ctypes.c_void_p),
+        ("dets_p", ctypes.c_void_p),
         ("pulled_p", ctypes.c_void_p),
         ("used_p", ctypes.c_void_p),
         ("noise_p", ctypes.c_void_p),
@@ -289,10 +296,14 @@ class BlockContext(ctypes.Structure):
             alpha=alpha,
             half_h=0.5 * hysteresis,
         )
+        if noise is not None:
+            noise = np.ascontiguousarray(noise, dtype=np.float64)
+            if noise.shape != (n_samples, n_streams):
+                raise ValueError(f"noise must be ({n_samples}, {n_streams}), got {noise.shape}")
+        self.noise = noise
         self.code = np.zeros(quarters, dtype=np.uint8)
-        self.amps = np.zeros((self.DRIVES, 4, n_streams))
-        self.pulled = np.zeros(self.DRIVES, dtype=np.uint8)
-        self.used = np.zeros((self.DRIVES, 4), dtype=np.uint8)
+        for name, arr in self._unset_drives(self.DRIVES).items():
+            setattr(self, name, arr)
         self.n_drives = 0
         self.ref = np.zeros(n_streams)
         self.det = np.zeros(n_streams)
@@ -306,11 +317,6 @@ class BlockContext(ctypes.Structure):
         self.bits_checked = np.zeros(2, dtype=np.int64)
         self.bit_errors = np.zeros(2, dtype=np.int64)
         self.eye = np.full(2, math.inf)
-        if noise is not None:
-            noise = np.ascontiguousarray(noise, dtype=np.float64)
-            if noise.shape != (n_samples, n_streams):
-                raise ValueError(f"noise must be ({n_samples}, {n_streams}), got {noise.shape}")
-        self.noise = noise
         if traces:
             self.trace_det = np.zeros((n_samples, n_streams))
             self.trace_ref = np.zeros((n_samples, n_streams))
@@ -318,26 +324,45 @@ class BlockContext(ctypes.Structure):
             self.trace_wire = np.zeros((n_samples, 2), dtype=np.uint8)
         else:
             self.trace_det = self.trace_ref = self.trace_out = self.trace_wire = None
-        for name in ("code", "amps", "pulled", "used", "noise", "hears", "rx_shift", "rx_bits", "ref", "det",
+        for name in ("code", "amps", "dets", "pulled", "used", "noise", "hears", "rx_shift", "rx_bits", "ref", "det",
                      "out", "events", "obs", "seen_low", "bits_checked", "bit_errors", "eye", "trace_det",
                      "trace_ref", "trace_out", "trace_wire"):
             arr = getattr(self, name)
             setattr(self, name + "_p", None if arr is None else arr.ctypes.data)
 
+    def _unset_drives(self, drives: int) -> dict[str, np.ndarray | None]:
+        """``drives`` rows of each drive-state table that no ``add_drive`` has set."""
+        n_streams = self.n_streams
+        if self.noise is None:
+            det0, = detector([0.0], self.floor, self.ref_in, self.ref_out, self.k)
+            dets = np.full((drives, 4, n_streams), det0)
+        else:
+            dets = None
+        return {
+            "amps": np.zeros((drives, 4, n_streams)),
+            "dets": dets,
+            "pulled": np.zeros(drives, dtype=np.uint8),
+            "used": np.zeros((drives, 4), dtype=np.uint8),
+        }
+
     def add_drive(self, rows, pulled) -> int:
         """Append a drive state, ``amps`` rows (4, 2 * groups) and ``pulled``; return its index, 0, 1, ...
 
-        A full table doubles, keeping its rows, and the fields point at the
-        new arrays.  The new state's ``used`` flags start clear.
+        Without noise the state's ``dets`` rows are ``detector`` of its
+        amplitudes.  A full table doubles, keeping its rows, and the fields
+        point at the new arrays.  The new state's ``used`` flags start clear.
         """
         i = self.n_drives
         if i == len(self.pulled):
-            for name in ("amps", "pulled", "used"):
-                old = getattr(self, name)
-                arr = np.concatenate([old, np.zeros_like(old)])
-                setattr(self, name, arr)
-                setattr(self, name + "_p", arr.ctypes.data)
+            for name, new in self._unset_drives(i).items():
+                if new is not None:
+                    arr = np.concatenate([getattr(self, name), new])
+                    setattr(self, name, arr)
+                    setattr(self, name + "_p", arr.ctypes.data)
         self.amps[i] = rows
+        if self.dets is not None:
+            self.dets[i].flat = detector(self.amps[i].ravel().tolist(), self.floor, self.ref_in, self.ref_out,
+                                         self.k)
         self.pulled[i] = pulled
         self.used[i] = 0
         self.n_drives = i + 1
@@ -399,10 +424,17 @@ def step_block(ctx: BlockContext) -> int:
     det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
-    every double matches; like it, it computes the detector once per
-    quarter and on entry when there is no noise, and a call at the segment
-    end changes nothing but ``n_events``.  A call changes no scalar field
-    but the position, ``n_events`` and ``drive``.
+    every double matches; like it, when there is no noise it takes each
+    stream's detector value from the ``dets`` row of the drive state and
+    code once per quarter and on entry, and a call at the segment end
+    changes nothing but ``n_events``.  A call changes no scalar field but
+    the position, ``n_events`` and ``drive``.  The one difference is the C
+    stepper's quiet run: in a context of one group without noise or traces
+    it steps the samples before the next one that changes an output, is a
+    midpoint or ends the quarter with both references in registers, by the
+    same operations in the same order, so the doubles are the same; this
+    loop takes those samples one by one, and stays the reference the C
+    stepper is tested against.
     """
     q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
     ctx.n_events = 0
@@ -437,7 +469,7 @@ def step_block(ctx: BlockContext) -> int:
         ctx.used[drive, code] = 1
         isample = q * spq + pos
         if ctx.noise is None:
-            rows = [detector(amp.tolist(), *params)] * (spq - pos)
+            rows = [ctx.dets[drive, code].tolist()] * (spq - pos)
         else:
             xs = (amp + ctx.noise[isample:isample + spq - pos]).tolist()
             rows = (detector(x, *params) for x in xs)

@@ -482,8 +482,9 @@ def run_scenario(
     electrical topology, so repeated runs build no bus model and recompute
     no drive state.  A drive state, the ``pulling`` engines of every group,
     is added to the context's table on its first visit
-    (``BlockContext.add_drive``): an amplitude row per intent code, whether
-    a slave pulls SDA, and ``used`` flags.  When some group's ``pulling``
+    (``BlockContext.add_drive``): an amplitude row per intent code, without
+    noise the detector value of each amplitude, whether a slave pulls SDA,
+    and ``used`` flags.  When some group's ``pulling``
     engines change, the context's ``drive`` is set to the new state's index
     and nothing is copied.  At the segment end the master's observed codes
     go back to the master program as ``bytes``.  The sample budget is

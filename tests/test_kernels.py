@@ -195,8 +195,9 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    groups=st.integers(1, 20),
-    spq=st.integers(1, 20),
+    # one group in half the draws: without noise or traces, the shape of the C stepper's quiet run
+    groups=st.one_of(st.just(1), st.integers(1, 20)),
+    spq=st.integers(1, 64),
     ref0=st.one_of(st.none(), st.lists(st.floats(), min_size=1, max_size=3)),
     master=st.integers(0, 19),
     noisy=st.booleans(),
@@ -222,6 +223,20 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
     segments=[[3, 3, 2, 0, 1, 3], [1, 0, 2, 3]],
     drives=[([[0.3], [0.3], [0.3], [0.03]], False), ([[0.03, 0.3]] * 4, True)], hear_p=1.0, byte_p=0.0,
     send_p=0.0,
+)
+@example(  # the demo's shape: its slicer, untraced and noiseless, whole bytes received and sent
+    groups=1, spq=16, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=False, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=7.80944903676084e-4, hysteresis=0.01, seed=4,
+    segments=[[3, 2, 0] + _bits(0, 0, 1, 1, 0, 0, 0, 0, 0) + _bits(0, 1, 0, 1, 1, 0, 1, 0, 1),
+              _bits(1, 1, 1, 1, 0, 0, 0, 0, 1) + [1, 3, 2, 0], _bits(*(1,) * 9) + [1, 3]],
+    drives=[("keyed", False), ("keyed", True), ("keyed", False), ("keyed", True)], hear_p=1.0, byte_p=1.0,
+    send_p=0.5,
+)
+@example(  # no hysteresis, and references that are NaN or infinite from the start
+    groups=1, spq=20, ref0=[math.nan, math.inf, -math.inf], master=0, noisy=False, noise_rms=1e-6, traced=False,
+    floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.0, seed=5,
+    segments=[[3, 2, 0] + _bits(1, 0, 1, 1, 0, 1, 0, 0, 1) + [1, 3]],
+    drives=[("keyed", False), ("keyed", True)], hear_p=1.0, byte_p=0.5, send_p=0.0,
 )
 @example(  # two groups receiving bytes, one cut by a START
     groups=2, spq=8, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=True, floor=1e-5,
@@ -325,6 +340,52 @@ def _context(groups=2, quarters=4, **kwargs):
     params = dict(floor=1e-5, ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.01, hysteresis=0.01,
                   samples_per_quarter=16, quarters=quarters)
     return kernels.BlockContext(groups, **{**params, **kwargs})
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("start,change", [(0, 0), (5, 5), (0, 5), (0, 8), (8, 11), (0, 15)],
+                         ids=["first_sample", "first_sample_mid_quarter", "mid_quarter", "at_midpoint",
+                              "from_midpoint", "at_last_sample"])
+def test_quiet_run_stops_where_the_per_sample_body_must_act(backend, start, change):
+    """A call from ``pos = start`` whose SCL output falls at sample ``change`` of the quarter stops right after it.
+
+    One group, no noise, no traces: the shape in which the C stepper steps
+    quiet samples in registers.  With alpha = -1 the SCL reference runs
+    away from its detector value, doubling its gap every sample, and the
+    hysteresis places the fall; SDA's reference runs the other way and its
+    output never moves.  Quarters are 16 samples, so the midpoint is sample
+    8, where the master's observation and bit counts must come out as the
+    per-sample body makes them.  Every state array must match the Python
+    stepper's byte for byte.
+    """
+    gap, mid = 2.0 ** -20, 8
+
+    def context():
+        ctx = _context(groups=1, quarters=2, alpha=-1.0, hysteresis=1.5 * gap * 2.0 ** (change - start + 1))
+        # a different detector value per code, so reading another code's row shows
+        ctx.drive = ctx.add_drive([[0.3 - 0.01 * code] * 2 for code in range(4)], 0)
+        ctx.code[:] = [1, 3]  # SCL's level is low in quarter 0: its midpoint counts SCL's bits
+        ctx.q_end = 2
+        ctx.pos = start
+        det = ctx.dets[0, 1]
+        ctx.ref[:] = [det[0] + gap, det[1] - gap]
+        return ctx
+
+    ctx, want = context(), context()
+    n = load_stepper(backend)(ctx)
+    assert n == _kernels_py.step_block(want)
+    for name in STATE:
+        assert getattr(ctx, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in POSITION:
+        assert getattr(ctx, name) == getattr(want, name), name
+    assert n == change - start + 1
+    assert (ctx.quarter, ctx.pos) == divmod(change + 1, 16)
+    assert ctx.out.tolist() == [0, 1]
+    assert ctx.events[:ctx.n_events].tolist() == [2 * kernels.EDGE_FALL + 1]
+    at_mid = start <= mid <= change
+    assert ctx.obs[0] == (1 if change == mid else 3)
+    assert ctx.bits_checked.tolist() == [int(at_mid), 0]
+    assert ctx.bit_errors.tolist() == [int(at_mid and change > mid), 0]
 
 
 def test_step_block_ends_at_the_first_output_change():
@@ -486,12 +547,29 @@ def test_empty_block_changes_nothing(backend, noisy):
 
 @pytest.mark.parametrize("backend", ["c", "python"])
 def test_add_drive_numbers_states_in_call_order(backend):
-    """Indexes 0, 1, ... in call order; earlier rows and flags survive growth, and the kernels read the new table."""
+    """Indexes 0, 1, ... in call order; earlier rows and flags survive growth, and the kernels read the new table.
+
+    Each added state's ``dets`` rows are ``detector`` of its amplitudes bit
+    for bit, and a row not yet added reads ``detector(0.0)``.
+    """
     step = load_stepper(backend)
     ctx = _context(groups=1, quarters=2)
+
+    def detector(xs):
+        return _kernels_py.detector(xs, ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
+
+    def check_table():
+        for name in ("amps", "dets", "pulled", "used"):
+            assert getattr(ctx, name + "_p") == getattr(ctx, name).ctypes.data, name
+        assert ctx.dets.shape == ctx.amps.shape
+        assert [detector(row) for row in ctx.amps[:ctx.n_drives].reshape(-1, 2).tolist()] == \
+            ctx.dets[:ctx.n_drives].reshape(-1, 2).tolist()
+        assert (ctx.dets[ctx.n_drives:] == detector([0.0])[0]).all()
+
     # a fresh context's drive 0 is an all-zero row inside the table
     assert ctx.drive == 0 and ctx.n_drives == 0 and len(ctx.pulled) >= 1
     assert not ctx.amps[0].any() and ctx.pulled[0] == 0 and not ctx.used[0].any()
+    check_table()
     ctx.code[0] = 3
     ctx.q_end = 1
     _seed(ctx, ctx.amps[0, 3])
@@ -502,6 +580,7 @@ def test_add_drive_numbers_states_in_call_order(backend):
     assert ctx.n_drives == n and len(ctx.pulled) > n
     assert ctx.amps[:n, :, 0].tolist() == [[0.1 * (i + 1)] * 4 for i in range(n)]
     assert ctx.pulled[:n].tolist() == [i % 2 for i in range(n)]
+    check_table()
     assert not ctx.used.any()  # the first add_drive took row 0 as a new state
     # the kernels step on the grown table: a late state's row, its SDA pulled, and its flags
     ctx.drive = last = n - 2
@@ -509,16 +588,19 @@ def test_add_drive_numbers_states_in_call_order(backend):
     ctx.q_end = 2
     assert step(ctx) == 16
     assert ctx.used[last].tolist() == [0, 1, 0, 0] and ctx.used.sum() == 1
-    assert ctx.det.tolist() == _kernels_py.detector([0.1 * (last + 1)] * 2, ctx.floor, ctx.ref_in, ctx.ref_out,
-                                                     ctx.k)
+    assert ctx.det.tolist() == detector([0.1 * (last + 1)] * 2)
     assert ctx.seen_low.tolist() == [1, 1]  # SDA's level is low: that state's slave pulls it
     # a third growth keeps the flags too
     rows = len(ctx.pulled)
     while ctx.n_drives <= rows:
         ctx.add_drive(np.zeros((4, 2)), 0)
     assert len(ctx.pulled) > rows and ctx.used[last].tolist() == [0, 1, 0, 0]
+    check_table()
+    # with noise every sample takes its own detector value: there is no table of them
+    assert _context(groups=1, quarters=2, noise=np.zeros((32, 2))).dets is None
 
 
+@pytest.mark.builds_kernel
 def test_block_context_layout_matches_the_c_struct(tmp_path):
     """Each ``block_ctx`` member sits at the offset of the ``BlockContext`` field of its name.
 
@@ -545,6 +627,7 @@ def test_block_context_layout_matches_the_c_struct(tmp_path):
     assert offsets[-1] == ctypes.sizeof(kernels.BlockContext)
 
 
+@pytest.mark.builds_kernel
 def test_block_kernel_compiles_without_warnings(tmp_path):
     """``_blockkernel.c`` builds under -Wall -Wextra -Werror with the loader's flags."""
     if shutil.which("cc") is None:
@@ -606,6 +689,7 @@ def _kernel_files(root: Path, tmp_path: Path) -> list[Path]:
     return [p for d in dirs if d.is_dir() for p in d.iterdir() if p.name.startswith("_blockkernel")]
 
 
+@pytest.mark.builds_kernel
 def test_design_and_import_neither_build_nor_load_the_kernel(tmp_path):
     # neither `fdmlink design` nor importing the simulator compiles, so
     # criterion 01's cold-start gate never pays for a build
@@ -624,6 +708,7 @@ def test_design_and_import_neither_build_nor_load_the_kernel(tmp_path):
     assert _kernel_files(root, tmp_path) == []
 
 
+@pytest.mark.builds_kernel
 def test_first_run_builds_the_kernel_into_the_package_cache(tmp_path):
     load_stepper("c")  # skips without cc
     root = _copy_package(tmp_path)
@@ -641,6 +726,7 @@ def test_first_run_builds_the_kernel_into_the_package_cache(tmp_path):
     assert built[0].suffix == ".so"  # no temporary file left behind
 
 
+@pytest.mark.builds_kernel
 def test_world_writable_cache_is_skipped(tmp_path):
     load_stepper("c")
     root = _copy_package(tmp_path)
@@ -654,6 +740,7 @@ def test_world_writable_cache_is_skipped(tmp_path):
     assert [p.parent for p in _kernel_files(root, tmp_path)] == [tmp_path / "cache" / "fdmlink"]
 
 
+@pytest.mark.builds_kernel
 def test_without_a_compiler_the_python_stepper_runs(tmp_path):
     root = _copy_package(tmp_path)
     empty = tmp_path / "no_tools"
