@@ -1,7 +1,9 @@
 /* Block stepper of run_scenario: log detector, IIR reference and slicer,
- * run across the quarter bits of one master segment.
+ * run across the quarter bits of one master plan, up to its end or its first
+ * NACKed checkpoint.
  *
- * _kernels_py.BlockContext and _kernels_py.step_block state the contract;
+ * _kernels_py.BlockContext and _kernels_py.step_block state the contract and
+ * the checkpoint rule;
  * step_block there is run_block here written in Python, statement for
  * statement: the same recurrence and the same floating-point operations in
  * the same order.  The one difference is quiet_run: in a run of one group
@@ -33,6 +35,8 @@
 
 /* An event is 8 * group + 2 * kind + the group's SDA output at that sample. */
 enum { EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE };
+/* the flag bit of a code whose quarter is a checkpoint: a NACK at its midpoint ends the run there */
+enum { CHECKPOINT = 4 };
 /* hears[g]: group g has no slave (nothing is logged), its data edges only reach a slave, every
  * edge does, it is clocking in a byte (logged whole as one EDGE_BYTE), or the kernel clocks out
  * its tx_byte (and logs the ACK as one EDGE_BYTE) */
@@ -46,13 +50,13 @@ typedef struct {
     int64_t master;      /* the master's group */
     int64_t quarter;     /* current quarter, counted from the run's start */
     int64_t pos;         /* next sample within it */
-    int64_t q_end;       /* the segment ends before this quarter */
+    int64_t q_end;       /* the run stops before this quarter; a NACKed checkpoint moves it */
     int64_t drive;       /* the drive state the run is in: a row of amps, dets, pulled and used */
     int64_t n_events;    /* edges the last call logged */
     int64_t tx_byte;     /* the byte the group in send mode clocks out */
     int64_t tx_drive[2]; /* that group's drive states: SDA released, then pulled low */
     double floor, ref_in, ref_out, k, alpha, half_h;
-    const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda */
+    const uint8_t *code;  /* [n_quarters] master intents 2 * scl + sda, | CHECKPOINT at an ACK sample */
     const double *amps;   /* [drives][4][n_streams] amplitude row per code, of each drive state */
     const double *dets;   /* [drives][4][n_streams] the detector value of each amps entry, or NULL */
     const uint8_t *pulled; /* [drives] a node other than the master pulls SDA low */
@@ -88,7 +92,7 @@ static double detector(const block_ctx *c, double x)
 /* Take the current quarter's code: its row, its wire levels, and det[] without noise. */
 static const double *enter_quarter(block_ctx *c, uint8_t wire[2])
 {
-    const int64_t code = c->code[c->quarter], row = (4 * c->drive + code) * c->n_streams;
+    const int64_t code = c->code[c->quarter] & 3, row = (4 * c->drive + code) * c->n_streams;
     wire[0] = (uint8_t)(code >> 1);
     wire[1] = (uint8_t)((code & 1) && !c->pulled[c->drive]);
     for (int li = 0; li < 2; li++)
@@ -127,11 +131,14 @@ static int64_t quiet_run(block_ctx *c, int64_t mid)
     return pos - start;
 }
 
-/* The master's observation; bits and eye margins of each line once it has been low. */
+/* The master's observation, which at a checkpoint whose SDA output is 1 (a NACK) moves q_end to
+ * the end of this quarter; bits and eye margins of each line once it has been low. */
 static void midpoint(block_ctx *c, const uint8_t wire[2])
 {
     const int64_t ng = c->n_streams / 2;
     c->obs[c->quarter] = (uint8_t)(2 * c->out[c->master] + c->out[ng + c->master]);
+    if ((c->code[c->quarter] & CHECKPOINT) && c->out[ng + c->master])
+        c->q_end = c->quarter + 1;
     for (int li = 0; li < 2; li++) {
         if (!c->seen_low[li])
             continue;
@@ -263,13 +270,14 @@ static int64_t run_block(block_ctx *c)
 /* run_block on a local copy of *ctx: a store through one of its uint8_t or
  * double pointers may alias a field of *ctx, but not of the copy, so the
  * loop need not reload the fields after every store.  The loop changes no
- * field but the position, the log count and the drive state. */
+ * field but the position, q_end, the log count and the drive state. */
 int64_t step_block(block_ctx *ctx)
 {
     block_ctx c = *ctx;
     const int64_t n = run_block(&c);
     ctx->quarter = c.quarter;
     ctx->pos = c.pos;
+    ctx->q_end = c.q_end;
     ctx->n_events = c.n_events;
     ctx->drive = c.drive;
     return n;

@@ -6,11 +6,12 @@ recurrences that cannot be vectorized (each output feeds the next state).
 from here, and ``Demodulator.run`` always starts ``demod_loop`` high
 (``out0 = H``) with ``feedback`` on exactly when a spike model is set.
 ``step_block`` advances the demodulator streams of ``run_scenario``
-through one master segment; ``BlockContext`` and ``step_block`` state the
-block kernels' contract, which ``step_block`` in ``_blockkernel.c`` keeps
-statement for statement but for its quiet run (see ``step_block``), which
-gives the same doubles.  ``detector`` is their log detector on plain
-floats.  ``fdmlink.kernels`` picks the block stepper's backend.
+through a master plan; ``BlockContext`` and ``step_block`` state the
+block kernels' contract, the checkpoint rule included, which
+``step_block`` in ``_blockkernel.c`` keeps statement for statement but
+for its quiet run (see ``step_block``), which gives the same doubles.
+``detector`` is their log detector on plain floats.  ``fdmlink.kernels``
+picks the block stepper's backend.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 # the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
-from .protocol import EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
+from .protocol import CHECKPOINT, EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
 
 # ``hears[g]``: group g has no slave, so nothing is logged; only its data edges reach a slave;
 # every edge does; the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``;
@@ -166,13 +167,15 @@ class BlockContext(ctypes.Structure):
     and ``detector(0.0)`` detector values, so a fresh context's drive 0
     reads as a zero row.
 
-    The caller owns ``code``, the table's rows, ``drive``, ``hears`` and
-    ``q_end``, and sets each stream's initial slicer reference in ``ref``
-    before the first call (``run_scenario`` takes
-    ``modem.initial_reference`` of the first sample's input).  For each
-    master segment it writes the segment's intent codes (2 * scl + sda)
-    into ``code`` from quarter ``quarter`` on and sets ``q_end`` past them,
-    keeping ``q_end`` at most ``quarters`` (the C kernel does not check).
+    The caller owns ``code``, the table's rows, ``drive`` and ``hears``,
+    and sets each stream's initial slicer reference in ``ref`` before the
+    first call (``run_scenario`` takes ``modem.initial_reference`` of the
+    first sample's input).  For each master plan it writes the plan's
+    intent codes (2 * scl + sda, ``| CHECKPOINT`` on a checkpoint, see
+    ``step_block``) into ``code`` from quarter ``quarter`` on and sets
+    ``q_end`` past them or past a part of them, keeping ``q_end`` at most
+    ``quarters`` (the C kernel does not check); the kernels move ``q_end``
+    back only at a NACKed checkpoint.
     Whenever the drives change, the caller stores the new state's index in
     ``drive``; nothing is copied, and a state the run comes back to keeps
     its flags.  ``hears`` holds a mode per group, at first ``HEAR_ALL``:
@@ -370,9 +373,9 @@ class BlockContext(ctypes.Structure):
 
 
 def step_block(ctx: BlockContext) -> int:
-    """Advance every stream through the segment from (``quarter``, ``pos``); return the count.
+    """Advance every stream through the plan from (``quarter``, ``pos``) up to ``q_end``; return the count.
 
-    Quarter q runs under intent code c = ``code[q]`` and drive state
+    Quarter q runs under intent code c = ``code[q] & 3`` and drive state
     i = ``drive``: stream s sees x = amps[i, c, s] (+ noise[q * spq + pos, s])
     and steps the log detector d = ``detector(x)``, the one-pole reference
     r += alpha * (d - r) and the hysteresis slicer of ``demod_loop`` (no
@@ -384,6 +387,17 @@ def step_block(ctx: BlockContext) -> int:
     ``bits_checked`` grows by the line's stream count, ``bit_errors`` by
     one per stream whose output differs from the line's level, and ``eye``
     takes the least |det - ref|.
+
+    The checkpoint rule: a quarter whose code has the ``CHECKPOINT`` bit
+    set is a checkpoint, where the master samples the ACK of a byte it
+    sent.  If the master's SDA output is 1 at its midpoint, a NACK, the
+    kernels set ``q_end`` to q + 1, so the call runs the rest of that
+    quarter and the run stops at its end: ``obs`` then holds every quarter
+    up to and including the first NACKed checkpoint and none after it.
+    The master plans its program as if every ACK holds and plans again
+    only after a NACK (``protocol.MasterEngine``), and every bus that runs
+    it keeps this rule: ``run_scenario`` through the kernels,
+    ``protocol.run_ideal_bus`` and ``MasterEngine.generator()``.
 
     A sample steps each group's SCL stream, then its SDA stream, and then
     logs the group's edge in ``events`` if a slave acts on it, as
@@ -416,24 +430,21 @@ def step_block(ctx: BlockContext) -> int:
     ``q_end``, and ``n_events`` counts what it logged: the call stopped on
     an edge exactly when that log holds one that is not a rise.  After a
     logged rise the group's next SCL change is a fall, so the log holds at
-    most two edges per group.  On the noiseless demo that is 121 calls,
-    against 249 when every fall inside a sent byte ended one, 433 when
-    every fall inside a received byte did too and 1,001 when every slicer
-    output change did.  The call takes the next quarter's code only when
-    it goes on into that quarter.  With traces on it writes every sample's
-    det/ref/out and wire levels.
+    most two edges per group.  The call takes the next quarter's code only
+    when it goes on into that quarter.  With traces on it writes every
+    sample's det/ref/out and wire levels.
 
     This is ``step_block`` of ``_blockkernel.c`` statement for statement, so
     every double matches; like it, when there is no noise it takes each
     stream's detector value from the ``dets`` row of the drive state and
-    code once per quarter and on entry, and a call at the segment end
-    changes nothing but ``n_events``.  A call changes no scalar field but
-    the position, ``n_events`` and ``drive``.  The one difference is the C
-    stepper's quiet run: in a context of one group without noise or traces
-    it steps the samples before the next one that changes an output, is a
-    midpoint or ends the quarter with both references in registers, by the
-    same operations in the same order, so the doubles are the same; this
-    loop takes those samples one by one, and stays the reference the C
+    code once per quarter and on entry, and a call at ``q_end`` changes
+    nothing but ``n_events``.  A call changes no scalar field but the
+    position, ``q_end``, ``n_events`` and ``drive``.  The one difference is
+    the C stepper's quiet run: in a context of one group without noise or
+    traces it steps the samples before the next one that changes an output,
+    is a midpoint or ends the quarter with both references in registers, by
+    the same operations in the same order, so the doubles are the same;
+    this loop takes those samples one by one, and stays the reference the C
     stepper is tested against.
     """
     q, q_end, pos = ctx.quarter, ctx.q_end, ctx.pos
@@ -461,6 +472,7 @@ def step_block(ctx: BlockContext) -> int:
     while not stop and q < q_end:  # the rest of one quarter, or up to a drive change, per pass
         reenter = False
         code = int(ctx.code[q])
+        check, code = code & CHECKPOINT, code & 3
         amp = ctx.amps[drive, code]
         wire = (code >> 1, 1 if code & 1 and not ctx.pulled[drive] else 0)
         for li in (0, 1):
@@ -528,6 +540,8 @@ def step_block(ctx: BlockContext) -> int:
             n += 1
             if pos == mid:
                 ctx.obs[q] = 2 * out[mscl] + out[msda]
+                if check and out[msda]:  # a NACK: the run stops after this quarter
+                    q_end = q + 1
                 for li in (0, 1):
                     if not seen_low[li]:
                         continue
@@ -561,5 +575,5 @@ def step_block(ctx: BlockContext) -> int:
     ctx.bits_checked[:] = bits_checked
     ctx.bit_errors[:] = bit_errors
     ctx.eye[:] = eye
-    ctx.quarter, ctx.pos, ctx.drive = q, pos, drive
+    ctx.quarter, ctx.pos, ctx.q_end, ctx.drive = q, pos, q_end, drive
     return n

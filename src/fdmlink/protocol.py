@@ -60,6 +60,10 @@ GAP_BITS = 1
 # through ``SlaveGroup.byte``, or the fall that ends the ACK slot of a byte it clocked out, which
 # the group takes through ``SlaveGroup.sent``
 EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE = range(4)
+# the flag bit of a master quarter that samples the ACK of a byte the master sends: a run stops
+# after such a quarter when the master sees SDA high there, a NACK (``_kernels_py.step_block``
+# states the rule; ``_kernels_py`` imports this, and the enum in ``_blockkernel.c`` repeats it)
+CHECKPOINT = 4
 
 
 class ProtocolError(ConfigError):
@@ -552,7 +556,8 @@ class SlaveGroup:
 
 
 # The master's quarters as the block kernels' codes, 2 * scl_intent + sda_intent: (H, H) is 3,
-# (H, L) 2, (L, H) 1 and (L, L) 0.  The fixed sequences:
+# (H, L) 2, (L, H) 1 and (L, L) 0, and ``| CHECKPOINT`` on a quarter that samples an ACK of the
+# master's.  The fixed sequences:
 _IDLE_BIT = bytes((3, 3, 3, 3))
 _START = bytes((3, 2, 0))  # SDA falls while SCL high
 _RESTART = bytes((1, 3, 2, 0))
@@ -560,7 +565,7 @@ _STOP = bytes((0, 2, 3, 3))  # SDA rises while SCL high
 _ACK_TAIL = bytes((1,))  # the quarter that closes an ACK slot after it is sampled
 _TX_BIT = (bytes((0, 2, 2, 0)), bytes((1, 3, 3, 1)))  # indexed by the bit sent
 _TX_NIBBLE = tuple([b"".join(_TX_BIT[(n >> bit) & 1] for bit in (3, 2, 1, 0)) for n in range(16)])
-_ACK_SLOT = bytes((1, 3, 3))  # SDA released up to the quarter that samples the ACK
+_ACK_SLOT = bytes((1, 3, 3 | CHECKPOINT))  # SDA released up to the quarter that samples the ACK
 # a byte clocked in with SDA released (each bit sampled in its third quarter), then the ACK
 # slot: ACKed, or NACKed as the last byte of a read
 _RX_ACKED = _TX_BIT[1] * 8 + _TX_BIT[0]
@@ -576,25 +581,25 @@ def _tx_quarters(byte: int) -> bytes:
 class MasterEngine:
     """Clock-owning side: compiles transactions into quarter-bit intents.
 
-    ``segments()`` is the master program.  It yields segments, each a
+    ``segments()`` is the master program.  It yields plans, each a
     ``bytes`` of intent codes ``2 * scl_intent + sda_intent``, one per
-    quarter bit, and receives back a ``bytes`` of the codes ``2 * scl +
-    sda`` of the resolved lines the master observed at the midpoint of each
-    of them, in order.  A segment ends only after a quarter whose
-    observation changes later intents: the quarter that samples the ACK of
-    a byte the master sends.  Read bits only fill ``results``, so the bytes
-    of a read, its STOP or repeated START and the next address byte run as
-    one segment.  ``generator()`` is the same program one quarter at a
-    time: it yields each intent as an (scl, sda) pair and receives that
-    quarter's (scl, sda).  Both buses drive ``segments()``; ``generator()``
-    is kept only for ``fdmbench/layers.py`` and ``tests/oracles.py``.
-    Completed transactions (with observed ACKs and read data) accumulate in
-    ``results``; a read's entry is added once the segment holding its data
-    bits has been observed.  The program opens with ``LEAD_IN_BITS`` idle
-    bits and idles ``GAP_BITS`` after each STOP; addresses in
-    ``RESERVED_ADDRESSES`` are refused.  One engine instance runs one
-    program, once: a second ``segments()`` or ``generator()`` raises
-    ``ProtocolError``.
+    quarter bit, where every quarter that samples the ACK of a byte the
+    master sends is a checkpoint, flagged ``| CHECKPOINT``.  A plan is the
+    rest of the script as if every such ACK holds.  The program receives
+    back a ``bytes`` of the codes ``2 * scl + sda`` of the resolved lines
+    the master observed at the midpoint of each quarter that ran, which
+    the checkpoint rule of ``_kernels_py.step_block`` ends at the first
+    NACK.  After a NACK the next plan goes on from there: the ACK slot's
+    tail, STOP, the gap and the remaining transactions.  ``generator()``
+    is the same program one quarter at a time, under the same rule: it
+    yields each intent as an (scl, sda) pair and receives that quarter's
+    (scl, sda), for callers that step the bus by hand.  Completed
+    transactions (with observed ACKs and read data) accumulate in
+    ``results`` once the observations of their quarters come back.  The
+    program opens with ``LEAD_IN_BITS`` idle bits and idles ``GAP_BITS``
+    after each STOP; addresses in ``RESERVED_ADDRESSES`` are refused.  One
+    engine instance runs one program, once: a second ``segments()`` or
+    ``generator()`` raises ``ProtocolError``.
     """
 
     def __init__(self, transactions: Transaction | Sequence[Transaction], clock_hz: float):
@@ -631,47 +636,73 @@ class MasterEngine:
         )
 
     def segments(self) -> Generator[bytes, bytes, None]:
-        """The master program: yields segments of intent codes, receives each one's observed codes."""
+        """The master program: yields plans of intent codes, receives the observed codes of the quarters that ran.
+
+        The quarters that ran end at the plan's first NACKed checkpoint, by
+        the checkpoint rule of ``_kernels_py.step_block``.
+        """
         if self._started:
             raise ProtocolError("this MasterEngine has run its program; make a new one")
         self._started = True
         return self._program()
 
     def _program(self) -> Generator[bytes, bytes, None]:
-        seg = _IDLE_BIT * LEAD_IN_BITS
-        # a completed read whose data bits sit in ``seg`` from index ``first``
-        read: tuple[Transaction, list[bool], int] | None = None
-        stopped = True
-        for t in self.transactions:
-            seg += _START if stopped else _RESTART
-            obs = yield seg + _tx_quarters((t.address << 1) | (t.direction == "read"))
-            if read is not None:
-                self._finish_read(read, obs)
-                read = None
-            seg = _ACK_TAIL
-            acks = [not obs[-1] & 1]
-            completed = acks[0]
-            if completed and t.direction == "write":
-                for b in t.payload:
-                    obs = yield seg + _tx_quarters(b)
-                    acks.append(not obs[-1] & 1)
+        todo = [(t, *self._body(t)) for t in self.transactions]
+        parts = [_IDLE_BIT * LEAD_IN_BITS]
+        while True:
+            starts = []  # the quarter each transaction's body starts at
+            n = len(parts[0])
+            stopped = True
+            for t, body, _, _ in todo:
+                sync = _START if stopped else _RESTART
+                starts.append(n + len(sync))
+                n += len(sync) + len(body)
+                parts += sync, body
+                stopped = t.stop_after
+            parts.append(_IDLE_BIT * 2)
+            obs = yield b"".join(parts)
+            for k, ((t, _, checks, first), base) in enumerate(zip(todo, starts)):
+                acks = []
+                for q in checks:
+                    acks.append(not obs[base + q] & 1)
                     if not acks[-1]:
-                        completed = False
                         break
-            elif completed:
-                read = (t, acks, len(seg))
-                seg += _RX_ACKED * (t.read_length - 1) + _RX_LAST
-            stopped = t.stop_after or not completed
-            if stopped:
-                seg += _STOP + _IDLE_BIT * GAP_BITS
-            if read is None:
-                self._record(t, acks, completed)
-        obs = yield seg + _IDLE_BIT * 2
-        if read is not None:
-            self._finish_read(read, obs)
+                completed = acks[-1]
+                data = self._read_data(t, obs, base + first) if completed and t.direction == "read" else b""
+                self._record(t, acks, completed, data)
+                if not completed:  # the run stopped at this NACK: plan the rest again
+                    parts = [_ACK_TAIL + _STOP + _IDLE_BIT * GAP_BITS]
+                    todo = todo[k + 1:]
+                    break
+            else:
+                return
 
-    def _finish_read(self, read: tuple[Transaction, list[bool], int], obs: bytes) -> None:
-        t, acks, first = read
+    @staticmethod
+    def _body(t: Transaction) -> tuple[bytes, list[int], int]:
+        """``t``'s quarters after its START as if every ACK holds, with its checkpoints and first data bit.
+
+        The quarters run from the address byte to the STOP and gap, or to
+        the last bit before a repeated START; the checkpoints and the data
+        bits' start are offsets into them.
+        """
+        body = bytearray(_tx_quarters((t.address << 1) | (t.direction == "read")))
+        checks = [len(body) - 1]
+        body += _ACK_TAIL
+        if t.direction == "write":
+            for b in t.payload:
+                body += _tx_quarters(b)
+                checks.append(len(body) - 1)
+                body += _ACK_TAIL
+        first = len(body)
+        if t.direction == "read":
+            body += _RX_ACKED * (t.read_length - 1) + _RX_LAST
+        if t.stop_after:
+            body += _STOP + _IDLE_BIT * GAP_BITS
+        return bytes(body), checks, first
+
+    @staticmethod
+    def _read_data(t: Transaction, obs: bytes, first: int) -> bytes:
+        """The bytes of read ``t`` from its data bits' observations, which start at quarter ``first``."""
         data = bytearray()
         for k in range(t.read_length):
             base = first + k * _QUARTERS_PER_BYTE + 2
@@ -679,10 +710,14 @@ class MasterEngine:
             for i in range(8):
                 value = (value << 1) | (obs[base + i * QUARTERS_PER_BIT] & 1)
             data.append(value)
-        self._record(t, acks, True, bytes(data))
+        return bytes(data)
 
     def generator(self) -> Generator[tuple[int, int], tuple[int, int], None]:
-        """``segments()`` one quarter at a time: yields each intent, receives its (scl, sda)."""
+        """``segments()`` one quarter at a time: yields each intent, receives its (scl, sda).
+
+        A plan ends early after a checkpoint that receives SDA high, by the
+        checkpoint rule of ``_kernels_py.step_block``.
+        """
         return self._quarters(self.segments())
 
     @staticmethod
@@ -691,8 +726,10 @@ class MasterEngine:
         while True:
             obs = bytearray()
             for code in seg:
-                scl, sda = yield code >> 1, code & 1
+                scl, sda = yield code >> 1 & 1, code & 1
                 obs.append(2 * scl + sda)
+                if code & CHECKPOINT and sda:
+                    break
             try:
                 seg = program.send(bytes(obs))
             except StopIteration:
@@ -706,9 +743,11 @@ def run_ideal_bus(
 ) -> list[tuple[int, int]] | None:
     """Step master and slaves quarter by quarter over an ideal wired-AND bus.
 
-    The master's ``segments()`` program runs a segment at a time, and one
-    :class:`SlaveGroup` hands the bus edges to the slaves.  Returns the
-    resolved (scl, sda) per quarter when ``collect`` is set.
+    The master's ``segments()`` program runs a plan at a time, up to its
+    end or its first NACKed checkpoint (the rule of
+    ``_kernels_py.step_block``), and one :class:`SlaveGroup` hands the bus
+    edges to the slaves.  Returns the resolved (scl, sda) per quarter when
+    ``collect`` is set.
     """
     group = SlaveGroup(slaves)
     quarters: list[tuple[int, int]] = []
@@ -717,7 +756,8 @@ def run_ideal_bus(
     seg = next(program)
     while True:
         obs = bytearray()
-        for code in seg:
+        for intent in seg:
+            code = intent & 3
             if group.pulling:
                 code &= 2  # a slave holds SDA low
             scl = code >> 1
@@ -727,6 +767,8 @@ def run_ideal_bus(
                 group.edge(2 * EDGE_DATA + (code & 1))
             obs.append(code)
             prev = code
+            if intent & CHECKPOINT and code & 1:
+                break
         if collect:
             quarters += [(code >> 1, code & 1) for code in obs]
         try:

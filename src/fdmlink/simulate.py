@@ -15,18 +15,18 @@ default ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``.
 Nodes only reflect the carriers, so every node sees the same line
 amplitude: without noise all detectors on a line get identical input, and
 one demodulator stream per line serves every node.  With noise each
-node-line is its own stream.  The master's program comes in segments of
-quarter bits whose intents do not depend on each other's observations, and
-the amplitude of each quarter follows from its intents and the slave
-drives, so ``kernels.block_stepper()`` (compiled C, or the same arithmetic
-in Python) advances the streams through a segment up to its end or the
+node-line is its own stream.  The master's program comes in plans of
+quarter bits, the rest of the script as if every ACK holds, and the
+amplitude of each quarter follows from its intents and the slave drives,
+so ``kernels.block_stepper()`` (compiled C, or the same arithmetic in
+Python) advances the streams through a plan up to its end, its first
+NACKed checkpoint (the rule ``_kernels_py.step_block`` states) or the
 first bus edge a slave must act on (an SCL fall, a START or a STOP, the
 eighth fall of a byte the slaves only listen to, which the kernel clocks
 in itself, or the fall that ends the ACK slot of a read-data byte, which
 it clocks out itself); slave reactions, which close the loop, run between
-calls.  Bit errors are
-counted at quarter-bit midpoints against the ideal wired-AND level of the
-same run.
+calls.  Bit errors are counted at quarter-bit midpoints against the ideal
+wired-AND level of the same run.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .modem import (
     initial_reference,
 )
 from .protocol import (
+    CHECKPOINT,
     EDGE_BYTE,
     QUARTERS_PER_BIT,
     RESERVED_ADDRESSES,
@@ -440,7 +441,7 @@ def run_scenario(
     seed: int = 0,
     trace_sink: dict | None = None,
 ) -> tuple[LinkMetrics, list[Transaction]]:
-    """Run an I2C script over the analog link, one master segment at a time.
+    """Run an I2C script over the analog link, one master plan at a time.
 
     Slaves demodulate their line voltages and react through the same
     engines as the ideal bus; the master samples its demodulated lines at
@@ -453,17 +454,20 @@ def run_scenario(
     LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default 10 mV
     hysteresis, started at ``modem.initial_reference`` of the first sample.
 
-    ``MasterEngine.segments()`` yields the master's quarters a segment at
-    a time, as ``bytes`` of the kernel's intent codes ``2 * scl + sda``,
-    which are copied into the kernel context as they are; only the ACK
-    sample of a byte the master sends ends a segment early.
-    ``kernels.block_stepper()`` runs every stream across the segment's
-    quarters, returning at the segment end or at a bus edge that some
-    group's slaves must act on (``_kernels_py.step_block`` states the
-    contract).  Each stream group's slaves form one ``protocol.SlaveGroup``,
-    which delivers the bus edges by its rule; after every return each
-    logged edge goes, in order, to its group, a received byte through
-    ``SlaveGroup.byte`` and a sent byte's ACK through ``SlaveGroup.sent``.
+    ``MasterEngine.segments()`` yields the master's quarters a plan at a
+    time, as ``bytes`` of the kernel's intent codes ``2 * scl + sda`` with
+    their checkpoint flags, which are copied into the kernel context as
+    they are.  ``kernels.block_stepper()`` runs every stream across the
+    plan's quarters, returning at the plan end, at the end of its first
+    NACKed checkpoint's quarter or at a bus edge that some group's slaves
+    must act on (``_kernels_py.step_block`` states the contract and the
+    checkpoint rule).  A noiseless run hands the kernel the whole plan; a
+    noisy one hands it the plan in windows that end after each checkpoint,
+    so that it draws no noise past a NACK.  Each stream group's slaves form
+    one ``protocol.SlaveGroup``, which delivers the bus edges by its rule;
+    after every return each logged edge goes, in order, to its group, a
+    received byte through ``SlaveGroup.byte`` and a sent byte's ACK through
+    ``SlaveGroup.sent``.
     The group's ``hears`` mode in the context follows its ``listening``
     list, and is ``kernels.HEAR_BYTE`` with the group's shift state zeroed
     while the group is ``receiving``, so the kernel clocks in address and
@@ -486,14 +490,16 @@ def run_scenario(
     noise the detector value of each amplitude, whether a slave pulls SDA,
     and ``used`` flags.  When some group's ``pulling``
     engines change, the context's ``drive`` is set to the new state's index
-    and nothing is copied.  At the segment end the master's observed codes
-    go back to the master program as ``bytes``.  The sample budget is
-    checked once per segment, before it runs, and its noise rows are drawn
-    then, straight into the context's buffer, the same values as one
-    ``rng.normal(0, noise_rms)`` draw up front.  A run may ask for at most
-    ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound`` times the samples
-    per quarter); more raise ``TopologyError`` before anything is
-    allocated.  The keying depth is taken over the amplitudes some sample
+    and nothing is copied.  When the plan ends or stops at a NACK, the
+    master's observed codes of the quarters that ran go back to the master
+    program as ``bytes``.  The sample budget is checked once per plan,
+    before it runs.  Each window's noise rows, from the last row drawn up
+    to the window end, are drawn just before it runs, straight into the
+    context's buffer, so the run draws exactly the rows it runs, the same
+    values as one ``rng.normal(0, noise_rms)`` draw up front.  A run may
+    ask for at most ``MAX_RUN_SAMPLES`` samples (``quarters_upper_bound``
+    times the samples per quarter); more raise ``TopologyError`` before
+    anything is allocated.  The keying depth is taken over the amplitudes some sample
     ran under, read from the table's ``used`` flags once the run ends.
     Deterministic for a fixed seed, and the same on both kernel backends.
     Returns the metrics and the decoded transactions; pass a dict as
@@ -561,7 +567,7 @@ def run_scenario(
         samples_per_quarter=spq,
         quarters=n_quarters,
         master=mi if noisy else 0,
-        # rows are drawn a segment at a time, just before it runs
+        # rows are drawn a window at a time, just before it runs
         noise=np.empty((n_alloc, 2 * n_nodes)) if noisy else None,
         traces=tracing,
     )
@@ -618,25 +624,33 @@ def run_scenario(
     pulling = [group.pulling for group in groups]  # each group's, refreshed after its falls and data edges
     set_drives(pulling)
     program = master.segments()
-    seg = next(program)
+    plan = next(program)
+    q0, windows = 0, []  # the plan's first quarter, and the ends of its call windows still to run
+    drawn = 0  # the noise rows drawn so far, from sample 0 on
     while True:
-        q0, q_end = ctx.quarter, ctx.quarter + len(seg)
-        if q_end > n_quarters:  # every quarter of the segment must fit the buffers
-            raise ProtocolError(
-                f"run outgrew its {n_alloc}-sample budget at sample {q0 * spq}: "
-                "MasterEngine.quarters_upper_bound undercounts the script"
-            )
-        ctx.code[q0:q_end] = np.frombuffer(seg, dtype=np.uint8)
-        ctx.q_end = q_end
+        if not windows:  # a new plan
+            end = q0 + len(plan)
+            if end > n_quarters:  # every quarter of the plan must fit the buffers
+                raise ProtocolError(
+                    f"run outgrew its {n_alloc}-sample budget at sample {q0 * spq}: "
+                    "MasterEngine.quarters_upper_bound undercounts the script"
+                )
+            codes = ctx.code[q0:end]
+            codes[:] = np.frombuffer(plan, dtype=np.uint8)
+            # a noisy run goes in windows that end after each checkpoint, so it draws no row past a NACK
+            windows = (np.flatnonzero(codes & CHECKPOINT) + (q0 + 1)).tolist() if noisy else []
+            windows.append(end)
+        ctx.q_end = windows.pop(0)
         if noisy:
             # the same values as one up-front draw of every row: a Generator's stream is
             # sequential.  normal(0, noise_rms) would give 0.0 + noise_rms * z of the same z,
             # which differs only in the sign of a zero, and a row only enters amp + noise
-            rows = ctx.noise[q0 * spq:q_end * spq]
+            rows = ctx.noise[drawn:ctx.q_end * spq]
             rng.standard_normal(out=rows)
             with np.errstate(over="ignore"):  # as normal() at a noise_rms near the float limit
                 rows *= noise_rms
-        if q0 == 0:
+            drawn = ctx.q_end * spq
+        if ctx.quarter == ctx.pos == 0:
             first = ctx.amps[ctx.drive, ctx.code[0]] + ctx.noise[0] if noisy else ctx.amps[ctx.drive, ctx.code[0]]
             ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
         while True:
@@ -675,12 +689,16 @@ def run_scenario(
                     moved = True
             if moved:
                 set_drives(pulling)
-            if ctx.quarter == q_end:
+            if ctx.quarter == ctx.q_end:
                 break
+        # a window with more to come ended on a checkpoint: go on unless it saw a NACK
+        if windows and not ctx.obs[ctx.quarter - 1] & 1:
+            continue
         try:
-            seg = program.send(ctx.obs[q0:q_end].tobytes())
+            plan = program.send(ctx.obs[q0:ctx.quarter].tobytes())
         except StopIteration:
             break
+        q0, windows = ctx.quarter, []
     # the amplitudes some sample ran under, drive state by drive state
     ran = ctx.used[:ctx.n_drives].astype(bool)
     isample = ctx.quarter * spq

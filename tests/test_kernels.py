@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fdmlink
 from fdmlink import _kernels_py, kernels
+from fdmlink.protocol import CHECKPOINT
 
 from .conftest import load_stepper
 
@@ -84,14 +85,22 @@ def _bits(*bits):
     return [q for b in bits for q in (b, 2 + b, 2 + b, b)]
 
 
-# a segment: random intent codes, or whole bits, so bytes get clocked in
+# the quarters of a byte the master sends and of its ACK slot, up to the checkpoint that samples the ACK
+def _sent(*bits):
+    return _bits(*bits) + [1, 3, 3 | CHECKPOINT]
+
+
+# a segment: random intent codes, checkpoints among them, or whole bits, so bytes get clocked in,
+# or bytes the master sends, each with its ACK checkpoint; a NACK at one ends the segment there
 SEGMENT = st.one_of(
-    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.lists(st.integers(0, 3 | CHECKPOINT), min_size=1, max_size=6),
     st.lists(st.integers(0, 1), min_size=1, max_size=24).map(lambda bits: _bits(*bits)),
+    st.lists(st.lists(st.integers(0, 1), min_size=8, max_size=8), min_size=1, max_size=3).map(
+        lambda data: [q for bits in data for q in _sent(*bits) + [1]]),
 )
 STATE = ("ref", "det", "out", "rx_shift", "rx_bits", "obs", "used", "seen_low", "bits_checked", "bit_errors",
          "eye")
-POSITION = ("quarter", "pos", "n_events", "drive")
+POSITION = ("quarter", "pos", "q_end", "n_events", "drive")
 
 
 def _stopped(ctx):
@@ -197,7 +206,9 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
 @given(
     # one group in half the draws: without noise or traces, the shape of the C stepper's quiet run
     groups=st.one_of(st.just(1), st.integers(1, 20)),
-    spq=st.integers(1, 64),
+    # short quarters in half the draws, so a call that stops on a quarter's first samples often
+    # resumes at its midpoint
+    spq=st.one_of(st.integers(3, 6), st.integers(1, 64)),
     ref0=st.one_of(st.none(), st.lists(st.floats(), min_size=1, max_size=3)),
     master=st.integers(0, 19),
     noisy=st.booleans(),
@@ -258,6 +269,14 @@ def _caller(rng, ctx, n_drives, changes, hear_p, byte_p, send_p, sender):
     drives=[("keyed", i % 2 == 1) for i in range(2 * kernels.BlockContext.DRIVES + 1)], hear_p=1.0, byte_p=0.0,
     send_p=0.5,
 )
+# calls that resume at a quarter's midpoint, after an SCL fall on its first sample, and an ACKed and a
+# NACKed checkpoint
+@example(
+    groups=1, spq=3, ref0=None, master=0, noisy=False, noise_rms=1e-6, traced=False, floor=1e-5,
+    ref_in=0.01, ref_out=1.0, k=0.88, alpha=0.03, hysteresis=0.01, seed=6,
+    segments=[[3, 3, 1, 3, 2 | CHECKPOINT, 0, 1, 3, 1], [3, 1, 3 | CHECKPOINT, 1, 3, 1], [1, 3, 1, 3]],
+    drives=[("keyed", False), ("keyed", False)], hear_p=1.0, byte_p=0.0, send_p=0.0,
+)
 def test_c_step_block_matches_python_bit_for_bit(
     groups, spq, ref0, master, noisy, noise_rms, traced, floor, ref_in, ref_out, k, alpha,
     hysteresis, seed, segments, drives, hear_p, byte_p, send_p,
@@ -268,13 +287,15 @@ def test_c_step_block_matches_python_bit_for_bit(
     (``ref0`` None, as in ``run_scenario``) or at drawn values, NaN and
     infinities included, that the streams take in turn.  The segments hold
     random intent codes, so STARTs and STOPs fall anywhere, inside received
-    bytes too.  After every return on a logged fall, data edge or byte the
-    caller moves to the next drawn drive state, adding it to both tables on
-    its first visit (so a table grows between calls once more states are
-    drawn than it first holds) and storing its index in ``drive``, and
-    draws a new ``hears`` mode per group (``_hears``), as ``run_scenario``
-    does after slave callbacks, so the kernels resume mid-segment on new
-    amplitude rows.  A group that receives a byte starts it afresh in one
+    bytes too, and checkpoints: a segment runs to its end or to its first
+    checkpoint whose midpoint saw the master's SDA output high, a NACK,
+    where ``q_end`` must have moved to.  After every return on a logged
+    fall, data edge or byte the caller moves to the next drawn drive
+    state, adding it to both tables on its first visit (so a table grows
+    between calls once more states are drawn than it first holds) and
+    storing its index in ``drive``, and draws a new ``hears`` mode per
+    group (``_hears``), as ``run_scenario`` does after slave callbacks, so
+    the kernels resume mid-segment on new amplitude rows.  A group that receives a byte starts it afresh in one
     of two draws and goes on with the bits it has in the other, as a group
     does whose byte another group's edge interrupted.  With probability
     ``send_p`` a group is in send mode (``_caller``): the last sender going
@@ -299,7 +320,7 @@ def test_c_step_block_matches_python_bit_for_bit(
     i, hears, _, send, sender = _caller(rng, c_ctx, len(drives), 0, hear_p, byte_p, send_p, None)
     py_ctx.rx_bits[:] = c_ctx.rx_bits
     _set_drives(ctxs, states, i, drives, hears, slice(None), send)
-    first = c_ctx.amps[c_ctx.drive, segments[0][0]]
+    first = c_ctx.amps[c_ctx.drive, segments[0][0] & 3]
     first = first + noise[0] if noisy else first
     for ctx in ctxs:
         if ref0 is None:
@@ -308,9 +329,10 @@ def test_c_step_block_matches_python_bit_for_bit(
             ctx.ref[:] = [ref0[s % len(ref0)] for s in range(ctx.n_streams)]
     changes = 0
     for seg in segments:
-        q_end = c_ctx.quarter + len(seg)
+        q0 = c_ctx.quarter
+        q_end = q0 + len(seg)
         for ctx in ctxs:
-            ctx.code[ctx.quarter:q_end] = seg
+            ctx.code[q0:q_end] = seg
             ctx.q_end = q_end
         while True:
             n = c_step(c_ctx)
@@ -322,7 +344,7 @@ def test_c_step_block_matches_python_bit_for_bit(
             assert c_ctx.tx_drive[:] == py_ctx.tx_drive[:]
             assert c_ctx.events[:c_ctx.n_events].tobytes() == py_ctx.events[:py_ctx.n_events].tobytes()
             if not _stopped(c_ctx):
-                assert c_ctx.quarter == q_end and c_ctx.pos == 0
+                assert c_ctx.quarter == c_ctx.q_end and c_ctx.pos == 0
                 break
             assert n >= 1
             changes += 1
@@ -330,7 +352,9 @@ def test_c_step_block_matches_python_bit_for_bit(
                                                      sender)
             py_ctx.rx_bits[:] = c_ctx.rx_bits
             _set_drives(ctxs, states, i, drives, hears, opened, send)
-    assert c_ctx.quarter == quarters
+        nacked = [q for q in range(q0, c_ctx.quarter) if c_ctx.code[q] & CHECKPOINT and c_ctx.obs[q] & 1]
+        assert nacked in ([], [c_ctx.quarter - 1])
+        assert c_ctx.quarter == q_end or nacked
     if traced:
         for name in ("trace_det", "trace_ref", "trace_out", "trace_wire"):
             assert getattr(c_ctx, name).tobytes() == getattr(py_ctx, name).tobytes(), name

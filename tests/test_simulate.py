@@ -794,7 +794,7 @@ def _stop_samples(sink, node) -> set[int]:
 
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
-    """One kernel call per master segment or per SCL fall, START/STOP, or received or sent byte that reaches a slave group."""
+    """One kernel call per master plan or per SCL fall, START/STOP, or received or sent byte that reaches a slave group."""
     from fdmlink.kernels import EDGE_RISE
 
     from .conftest import load_stepper
@@ -855,12 +855,13 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
         counts[backend], stop_counts[backend] = len(current), len(stops)
     assert m.n_samples == 26_496 == sum(segments) * spq
     # 1,001 when every slicer output change ended a call, 433 when every fall of a byte the
-    # slaves only listen to did, 249 when every fall of a byte a slave sends did
-    assert counts["c"] == counts["python"] == 121
+    # slaves only listen to did, 249 when every fall of a byte a slave sends did, 121 when the
+    # ACK sample of every byte the master sends did (in 25 segments)
+    assert counts["c"] == counts["python"] == 97
     assert stop_counts["c"] == stop_counts["python"]
     assert counts["c"] <= len(segments) + len(stops)
     assert stops <= _stop_samples(sink, demo.topology.nodes[demo.topology.master_index])
-    assert len(segments) == 25
+    assert len(segments) == 1  # the demo's slaves ACK every byte, so the first plan runs whole
 
 
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
@@ -1126,3 +1127,70 @@ def test_undercounted_sample_budget_raises_protocol_error(demo, monkeypatch, ste
     monkeypatch.setattr(MasterEngine, "quarters_upper_bound", lambda self: 40)
     with pytest.raises(ProtocolError, match="sample budget"):
         demo.run(seed=1, noise_rms=10e-6, trace_sink={})
+
+
+# -- the NACK path: a plan stops at its first NACKed checkpoint --
+
+# present and absent addresses, NACKed reads and writes, and repeated STARTs: after a present
+# write, and after an absent one, whose NACK puts a STOP where the START would be
+_NACK_SCRIPT = [
+    Transaction.write(0x18, [5, 0x12, 0x34]),
+    Transaction.write(0x41, [5, 1]),
+    Transaction.write(0x19, [5], stop_after=False),
+    Transaction.read(0x19, 2),
+    Transaction.read(0x42, 3),
+    Transaction.write(0x43, [7], stop_after=False),
+    Transaction.read(0x1a, 1),
+    Transaction.write(0x1b, [5], stop_after=False),
+    Transaction.read(0x44, 2, stop_after=False),
+    Transaction.read(0x1b, 2),
+]
+
+
+@pytest.mark.parametrize("noise_rms", [0.0, 1e-9])
+def test_nacks_decode_as_on_the_ideal_bus_on_both_steppers(demo, noise_rms):
+    """Each NACK ends a plan; the link decodes what the ideal bus decodes, byte-identical on C and Python."""
+    from .conftest import load_stepper
+
+    ideal = MasterEngine(_NACK_SCRIPT, demo.clock_hz)
+    run_ideal_bus(ideal, [SlaveEngine(copy.deepcopy(n.slave)) for n in demo.topology.nodes if n.slave is not None])
+    assert [t.completed for t in ideal.results] == [True, False, True, True, False, False, True, True, False, True]
+    assert ideal.results[3].payload == b"\x01\x94"
+    runs = []
+    for backend in ("c", "python"):
+        fn = load_stepper(backend)
+        sink: dict = {}
+        with mock.patch.object(kernels, "block_stepper", lambda: fn):
+            metrics, decoded = run_scenario(demo.topology, _NACK_SCRIPT, demo.clock_hz, sim_rate=demo.sim_rate,
+                                            noise_rms=noise_rms, seed=4, trace_sink=sink)
+        assert decoded == ideal.results, backend
+        assert metrics.bit_errors == {"scl": 0, "sda": 0}, backend
+        runs.append((metrics.to_json(), sink))
+    (c_json, c_sink), (py_json, py_sink) = runs
+    assert c_json == py_json
+    assert c_sink.keys() == py_sink.keys()
+    assert all(c_sink[k].tobytes() == py_sink[k].tobytes() for k in c_sink)
+
+
+@pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
+def test_a_noisy_run_draws_a_noise_row_per_sample_it_runs(demo, stepper):
+    """No noise row is drawn past a NACK: the rows drawn are exactly the run's samples."""
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *, out):
+            drawn.append(len(out))
+            return self.rng.standard_normal(out=out)
+
+    metrics, _ = run_scenario(demo.topology, _NACK_SCRIPT, demo.clock_hz, sim_rate=demo.sim_rate,
+                              noise_rms=10e-6, seed=4)
+    with mock.patch.object(np.random, "default_rng", Counted):
+        counted, _ = run_scenario(demo.topology, _NACK_SCRIPT, demo.clock_hz, sim_rate=demo.sim_rate,
+                                  noise_rms=10e-6, seed=4)
+    assert counted.to_json() == metrics.to_json()
+    assert sum(drawn) == metrics.n_samples
+    assert sum(not t.completed for t in metrics.results) >= 4
