@@ -10,8 +10,9 @@ through a master plan; ``BlockContext`` and ``step_block`` state the
 block kernels' contract, the checkpoint rule included, which
 ``step_block`` in ``_blockkernel.c`` keeps statement for statement but
 for its quiet run (see ``step_block``), which gives the same doubles.
-``detector`` is their log detector on plain floats.  ``fdmlink.kernels``
-picks the block stepper's backend.
+``detector`` is their log detector on plain floats, with the fixed curve
+of ``modem.DetectorParams``.  ``fdmlink.kernels`` picks the block stepper's
+backend.
 """
 
 from __future__ import annotations
@@ -21,13 +22,20 @@ import math
 
 import numpy as np
 
-# the kinds of bus edge ``step_block`` logs: an event is 8 * group + 2 * kind + SDA output
-from .protocol import CHECKPOINT, EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE
+from .modem import DetectorParams, SlicerParams
 
-# ``hears[g]``: group g has no slave, so nothing is logged; only its data edges reach a slave;
-# every edge does; the group is clocking in a byte, which it takes whole as one ``EDGE_BYTE``;
-# the kernels clock out the group's ``tx_byte`` and log its ACK as one ``EDGE_BYTE``
-HEAR_NONE, HEAR_DATA, HEAR_ALL, HEAR_BYTE, SEND_BYTE = range(5)
+# the kinds of bus edge ``step_block`` logs (an event is 8 * group + 2 * kind + SDA output), and
+# the ``hears`` modes of ``protocol.SlaveGroup.mode``
+from .protocol import (
+    CHECKPOINT, EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_ALL, HEAR_BYTE, HEAR_NONE, SEND_BYTE,
+)
+
+# every run's detector curve and slicer hysteresis, as ``BlockContext`` stores them
+FLOOR = DetectorParams.floor_volts
+REF_IN = DetectorParams.ref_in
+REF_OUT = DetectorParams.ref_out
+K = 20.0 * DetectorParams.slope
+HALF_H = 0.5 * SlicerParams.hysteresis
 
 
 def slicer_loop(
@@ -134,13 +142,13 @@ def demod_loop(
     return levels, det, refs
 
 
-def detector(xs: list[float], floor: float, ref_in: float, ref_out: float, k: float) -> list[float]:
-    """ref_out + k * log10(max(x, floor) / ref_in) of each x: the block kernels' log detector.
+def detector(xs: list[float]) -> list[float]:
+    """REF_OUT + K * log10(max(x, FLOOR) / REF_IN) of each x: the block kernels' log detector.
 
     ``math.log10`` is the C library's log10, so each value is the double
     that ``_blockkernel.c`` computes for the same x.
     """
-    log10 = math.log10
+    log10, floor, ref_in, ref_out, k = math.log10, FLOOR, REF_IN, REF_OUT, K
     return [ref_out + k * log10((floor if x < floor else x) / ref_in) for x in xs]
 
 
@@ -178,10 +186,9 @@ class BlockContext(ctypes.Structure):
     back only at a NACKed checkpoint.
     Whenever the drives change, the caller stores the new state's index in
     ``drive``; nothing is copied, and a state the run comes back to keeps
-    its flags.  ``hears`` holds a mode per group, at first ``HEAR_ALL``:
-    ``HEAR_NONE`` (it has no slave), ``HEAR_DATA`` (only its data edges
-    reach one), ``HEAR_ALL`` (every edge reaches a listening one),
-    ``HEAR_BYTE`` or ``SEND_BYTE`` (see ``step_block``).  ``rx_shift``
+    its flags.  ``hears`` holds a mode per group, at first ``HEAR_ALL``
+    (``protocol.SlaveGroup.mode`` states the modes, ``step_block`` how the
+    kernels act on them).  ``rx_shift``
     (uint8) and ``rx_bits`` (int64), one per group, hold the SDA outputs at
     an open byte's rises so far and their count: the caller zeroes a
     group's pair when it opens a byte, and the kernels shift into it.
@@ -253,12 +260,7 @@ class BlockContext(ctypes.Structure):
         self,
         groups: int,
         *,
-        floor: float,
-        ref_in: float,
-        ref_out: float,
-        k: float,
         alpha: float,
-        hysteresis: float,
         samples_per_quarter: int,
         quarters: int,
         master: int = 0,
@@ -267,10 +269,12 @@ class BlockContext(ctypes.Structure):
     ):
         """``noise`` is (quarters * samples_per_quarter, 2 * groups); ``traces`` records them.
 
-        The detector is ``detector`` with ``floor``, ``ref_in``, ``ref_out``
-        and ``k``.  Quarters are ``samples_per_quarter`` long, with the
-        midpoint at half of that, and ``master`` is the group whose outputs
-        the master observes.
+        ``floor``, ``ref_in``, ``ref_out``, ``k`` and ``half_h`` are the
+        module's ``FLOOR``, ``REF_IN``, ``REF_OUT``, ``K`` and ``HALF_H``,
+        so the detector is ``detector``; ``alpha`` is the slicer reference's
+        coefficient per sample.  Quarters are ``samples_per_quarter`` long,
+        with the midpoint at half of that, and ``master`` is the group whose
+        outputs the master observes.
         """
         if groups < 1:
             raise ValueError(f"need at least one group, got {groups}")
@@ -281,23 +285,18 @@ class BlockContext(ctypes.Structure):
         # ctypes stores the int64 fields modulo 2**64 without a word
         if samples_per_quarter * quarters > 2**63 - 1:
             raise ValueError(f"{quarters} quarters of {samples_per_quarter} samples overflow int64")
-        # floor/ref_in > 0 keeps every log10 argument positive (or NaN)
-        if not (ref_in > 0 and floor / ref_in > 0):
-            raise ValueError(f"need ref_in > 0 and floor/ref_in > 0, got {floor!r}/{ref_in!r}")
-        if not hysteresis >= 0:
-            raise ValueError(f"hysteresis must be >= 0, got {hysteresis!r}")
         n_streams = 2 * groups
         n_samples = quarters * samples_per_quarter
         super().__init__(
             n_streams=n_streams,
             spq=samples_per_quarter,
             master=master,
-            floor=floor,
-            ref_in=ref_in,
-            ref_out=ref_out,
-            k=k,
+            floor=FLOOR,
+            ref_in=REF_IN,
+            ref_out=REF_OUT,
+            k=K,
             alpha=alpha,
-            half_h=0.5 * hysteresis,
+            half_h=HALF_H,
         )
         if noise is not None:
             noise = np.ascontiguousarray(noise, dtype=np.float64)
@@ -337,7 +336,7 @@ class BlockContext(ctypes.Structure):
         """``drives`` rows of each drive-state table that no ``add_drive`` has set."""
         n_streams = self.n_streams
         if self.noise is None:
-            det0, = detector([0.0], self.floor, self.ref_in, self.ref_out, self.k)
+            det0, = detector([0.0])
             dets = np.full((drives, 4, n_streams), det0)
         else:
             dets = None
@@ -364,8 +363,7 @@ class BlockContext(ctypes.Structure):
                     setattr(self, name + "_p", arr.ctypes.data)
         self.amps[i] = rows
         if self.dets is not None:
-            self.dets[i].flat = detector(self.amps[i].ravel().tolist(), self.floor, self.ref_in, self.ref_out,
-                                         self.k)
+            self.dets[i].flat = detector(self.amps[i].ravel().tolist())
         self.pulled[i] = pulled
         self.used[i] = 0
         self.n_drives = i + 1
@@ -455,7 +453,6 @@ def step_block(ctx: BlockContext) -> int:
     mid = spq // 2
     mscl, msda = ctx.master, ng + ctx.master
     alpha, h2 = ctx.alpha, ctx.half_h
-    params = (ctx.floor, ctx.ref_in, ctx.ref_out, ctx.k)
     ref = ctx.ref.tolist()
     out = ctx.out.tolist()
     hears = ctx.hears.tolist()
@@ -484,7 +481,7 @@ def step_block(ctx: BlockContext) -> int:
             rows = [ctx.dets[drive, code].tolist()] * (spq - pos)
         else:
             xs = (amp + ctx.noise[isample:isample + spq - pos]).tolist()
-            rows = (detector(x, *params) for x in xs)
+            rows = (detector(x) for x in xs)
         trace_det: list[float] = []
         trace_ref: list[float] = []
         trace_out: list[int] = []

@@ -7,7 +7,9 @@ The modem's whole-trace loops, ``slicer_loop`` and ``demod_loop``, live in
 system ``cc`` can build it, else ``_kernels_py.step_block``, the same loop
 written in Python, which gives the same doubles bit for bit.  The
 docstrings of ``BlockContext`` and ``_kernels_py.step_block`` state the
-contract both keep.
+contract both keep, and ``protocol.SlaveGroup``'s the modes of ``hears``;
+the edge kinds, the checkpoint flag and those modes are codes of
+``protocol``.
 Nothing is compiled or loaded at import; the first ``block_stepper()`` call
 compiles the source once into a cache keyed by its hash (the package's
 ``__pycache__``, else ``$XDG_CACHE_HOME/fdmlink`` or ``~/.cache/fdmlink``)
@@ -27,20 +29,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import _kernels_py
-from ._kernels_py import (
-    EDGE_BYTE, EDGE_DATA, EDGE_FALL, EDGE_RISE, HEAR_ALL, HEAR_BYTE, HEAR_DATA, HEAR_NONE, SEND_BYTE, BlockContext,
-)
+from ._kernels_py import BlockContext
 
 __all__ = [
-    "EDGE_BYTE",
-    "EDGE_DATA",
-    "EDGE_FALL",
-    "EDGE_RISE",
-    "HEAR_ALL",
-    "HEAR_BYTE",
-    "HEAR_DATA",
-    "HEAR_NONE",
-    "SEND_BYTE",
     "BlockContext",
     "KernelBuildError",
     "backend_detail",

@@ -247,7 +247,7 @@ def modulate(
     return EnvelopeTrace(logic.sample_rate, target + lag)
 
 
-def initial_reference(p: DetectorParams, first: list[float]) -> list[float]:
+def initial_reference(first: list[float]) -> list[float]:
     """Each slicer's reference before its first sample: the detector value of that sample's envelope.
 
     The one rule for ``Demodulator.run`` and every stream of
@@ -255,7 +255,7 @@ def initial_reference(p: DetectorParams, first: list[float]) -> list[float]:
     """
     from . import _kernels_py  # on use, so loading a scenario does not import the kernels
 
-    return _kernels_py.detector(first, p.floor_volts, p.ref_in, p.ref_out, 20.0 * p.slope)
+    return _kernels_py.detector(first)
 
 
 def slice_levels(det: VoltageTrace, p: SlicerParams) -> LogicTimeline:
@@ -300,7 +300,7 @@ class Demodulator:
             decay_mult = self.clip.decay_mult(rate)
             if self.clip_enabled:
                 spike_cap = self.clip.v_f
-        (ref0,) = initial_reference(p, [float(env.samples[0])])
+        (ref0,) = initial_reference([float(env.samples[0])])
         levels, det, refs = _kernels_py.demod_loop(
             env.samples,
             p.ref_in,

@@ -64,6 +64,10 @@ EDGE_RISE, EDGE_FALL, EDGE_DATA, EDGE_BYTE = range(4)
 # after such a quarter when the master sees SDA high there, a NACK (``_kernels_py.step_block``
 # states the rule; ``_kernels_py`` imports this, and the enum in ``_blockkernel.c`` repeats it)
 CHECKPOINT = 4
+# the modes of ``SlaveGroup.mode``, which says which of a group's edges the block kernels log
+# (``SlaveGroup`` states them; ``_kernels_py`` imports these, and the enum in ``_blockkernel.c``
+# repeats them)
+HEAR_NONE, HEAR_DATA, HEAR_ALL, HEAR_BYTE, SEND_BYTE = range(5)
 
 
 class ProtocolError(ConfigError):
@@ -220,9 +224,11 @@ class SlaveEngine:
     ``on_sent``; a :class:`SlaveGroup` calls them in place of the byte's
     clock edges.
 
-    An engine is ``listening`` unless it is idle or backing off from a
-    transfer addressed to another slave (or one the master NACKed).  These
-    invariants hold, and :class:`SlaveGroup`'s delivery rule rests on them:
+    An engine is ``listening`` unless it is idle: before its first START,
+    after a STOP, and once it backs off from a transfer addressed to
+    another slave (or one the master NACKed), which stops it as a STOP
+    does.  These invariants hold, and :class:`SlaveGroup`'s delivery rule
+    rests on them:
 
     - an engine that is not listening leaves its whole state unchanged on
       ``on_scl_rise`` and ``on_scl_fall``, and its ``sda_drive`` is False;
@@ -250,19 +256,19 @@ class SlaveEngine:
       resets.  While its group clocks the byte out for it, ``sda_drive``
       still holds bit 7 and the group's ``pulling`` (or the block kernel)
       is its drive; a START or STOP inside the byte releases SDA on both;
-    - an engine outside its group's ``listening`` (idle, backing off, or
-      left in the address state by another slave's address byte) acts as
+    - an engine outside its group's ``listening`` (idle, or left in the
+      address state by another slave's address byte) acts as
       idle until the next START, which resets every engine: a STOP moves
       it to idle at most, and a START leaves the same state whether or not
       a STOP came first.  So a STOP need only reach the listening engines.
     """
 
-    _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA, _BACKOFF = range(8)
+    _IDLE, _ADDR, _ACK_ADDR, _WDATA, _ACK_WDATA, _RDATA, _ACK_RDATA = range(7)
 
     def __init__(self, model: SlaveModel):
         self.model = model
         self.sda_drive = False
-        # whether clock edges can change the engine (it is neither idle nor backing off), kept with _state
+        # whether clock edges can change the engine (it is not idle), kept with _state
         self.listening = False
         self._state = self._IDLE
         self._shift = 0
@@ -298,7 +304,7 @@ class SlaveEngine:
     def on_address(self, byte: int) -> None:
         """Take the address byte (address and R/W bit) clocked in since the START, on its eighth fall.
 
-        The engine acknowledges an address of its own and backs off from any other.
+        The engine acknowledges an address of its own and stops at any other.
         """
         if (byte >> 1) == self.model.address:
             self._rw = byte & 1
@@ -308,7 +314,7 @@ class SlaveEngine:
             self._wcount = 0
             self._wbuf = []
         else:
-            self._back_off()
+            self._stop()
 
     def on_byte(self, byte: int) -> None:
         """Take a write-data byte clocked in since ``awaits_byte`` held, on its eighth fall, and acknowledge it."""
@@ -334,11 +340,11 @@ class SlaveEngine:
         return self._state == self._RDATA and self._nbits == 0
 
     def on_sent(self, acked: bool) -> None:
-        """Take the master's ACK of ``tx_byte``, on the fall that ends its ACK slot: send the next byte, or back off."""
+        """Take the master's ACK of ``tx_byte``, on the fall that ends its ACK slot: send the next byte, or stop."""
         if acked:
             self._enter_rdata()
         else:
-            self._back_off()
+            self._stop()
 
     def on_scl_fall(self) -> None:
         s = self._state
@@ -386,12 +392,6 @@ class SlaveEngine:
         self.listening = False
         self.sda_drive = False
 
-    def _back_off(self) -> None:
-        # ignore the clock until the next START or STOP
-        self._state = self._BACKOFF
-        self.listening = False
-        self.sda_drive = False
-
     def _enter_rdata(self) -> None:
         self.tx_byte = self.model.read_stream_byte(self._rk)
         self._rk += 1
@@ -419,28 +419,30 @@ class SlaveGroup:
     engine order:
 
     - a START goes to every engine, a STOP only to the ``listening`` ones;
-    - the group is ``receiving`` while a byte is open that its engines only
-      listen to: the address byte after a START, which has reset every
-      engine to the same empty address state, and a write-data byte that
-      every listening engine ``awaits_byte``.  No rise or fall of the byte
-      reaches an engine.  ``edge`` shifts the bits in on the rises, and the
-      first fall after the eighth rise hands the byte to ``byte``.  There
-      only the engine with that address gets ``on_address``, and every
-      other one drops out until the next START, as it would back off
-      alone; or each listening engine gets ``on_byte``;
-    - the group is ``sending`` while its only listening engine clocks out a
-      read-data byte, from the fall where it ``sends_byte``; the group
-      holds that byte, ``tx_byte``.  No rise or fall of the byte or its ACK
-      slot reaches the engine.  ``edge`` counts the rises, sets ``pulling``
-      to each bit on the falls before the ninth rise (the last one releases
-      SDA), samples the ACK on the ninth rise, and the fall after it hands
-      the ACK to ``sent``, which calls ``on_sent``;
+    - the group receives (``mode`` is ``HEAR_BYTE``) while a byte is open
+      that its engines only listen to: the address byte after a START,
+      which has reset every engine to the same empty address state, and a
+      write-data byte that every listening engine ``awaits_byte``.  No rise
+      or fall of the byte reaches an engine.  ``edge`` shifts the bits in
+      on the rises, and the first fall after the eighth rise hands the byte
+      to ``byte``.  There only the engine with that address gets
+      ``on_address``, and every other one drops out until the next START,
+      as it would back off alone; or each listening engine gets
+      ``on_byte``;
+    - the group sends (``mode`` is ``SEND_BYTE``) while its only listening
+      engine clocks out a read-data byte, from the fall where it
+      ``sends_byte``; the group holds that byte, ``tx_byte``.  No rise or
+      fall of the byte or its ACK slot reaches the engine.  ``edge`` counts
+      the rises, sets ``pulling`` to each bit on the falls before the ninth
+      rise (the last one releases SDA), samples the ACK on the ninth rise,
+      and the fall after it hands the ACK to ``sent``, which calls
+      ``on_sent``;
     - other clock edges go only to the engines in ``listening``;
-    - ``listening``, ``pulling``, ``receiving`` and ``sending`` are re-read
-      from the engines that were told after a fall that reaches an engine
-      (an engine may stop, or start a byte), after a byte, a sent byte's
-      ACK and a data edge (an engine may start or stop), never after a rise
-      or a fall inside a byte.
+    - ``listening``, ``pulling`` and ``mode`` are re-read from the engines
+      that were told after a fall that reaches an engine (an engine may
+      stop, or start a byte), after a byte, a sent byte's ACK and a data
+      edge (an engine may start or stop), never after a rise or a fall
+      inside a byte.
 
     On the analog link the block kernel clocks the received and sent bytes
     itself, with the same rules, and ``simulate.run_scenario`` calls
@@ -458,6 +460,15 @@ class SlaveGroup:
     keys SDA, and ``pulling`` keeps the drive of the byte's start).  The
     ideal bus (:func:`run_ideal_bus`) runs one group; the analog link
     (``simulate.run_scenario``) runs one per stream group.
+
+    ``mode`` is one of ``protocol``'s hear modes, which on the link also
+    say which of the group's edges the block kernel logs for it
+    (``_kernels_py.step_block`` states how): ``HEAR_NONE`` for a group
+    without engines, so no edge; ``HEAR_BYTE`` and ``SEND_BYTE`` while it
+    receives or sends (the kernel clocks the byte from ``bits`` rises on,
+    and logs only the fall that ends the byte or its ACK slot); else
+    ``HEAR_ALL`` (every edge) while an engine is ``listening``, and
+    ``HEAR_DATA`` (only STARTs and STOPs) otherwise.
     """
 
     def __init__(self, engines: Iterable[SlaveEngine]):
@@ -468,7 +479,7 @@ class SlaveGroup:
                 raise ProtocolError(f"two slave engines share the address {e.model.address:#04x}")
         self.listening = [e for e in self.engines if e.listening]
         self.pulling = tuple([e for e in self.listening if e.sda_drive])
-        self.receiving = self.sending = False
+        self.mode = HEAR_ALL if self.listening else HEAR_DATA if self.engines else HEAR_NONE
         self.tx_byte = 0
         # the SCL rises of the open byte so far, and the SDA levels they sampled
         self.bits = 0
@@ -477,10 +488,10 @@ class SlaveGroup:
         self._address = False
 
     def edge(self, code: int) -> bool:
-        """Deliver the bus edge ``code``; returns whether ``listening``, ``pulling``, ``receiving`` or ``sending`` may have moved."""
+        """Deliver the bus edge ``code``; returns whether ``listening``, ``pulling`` or ``mode`` may have moved."""
         kind, sda = code >> 1, code & 1
         if kind == EDGE_RISE:
-            if self.receiving or self.sending:
+            if self.mode >= HEAR_BYTE:
                 self._shift = (self._shift << 1) | sda
                 self.bits += 1
             else:
@@ -493,11 +504,11 @@ class SlaveGroup:
             for e in heard:
                 e.on_sda_edge(sda, H)
             self._reread(heard, start)  # a START opens an address byte
-        elif self.receiving:
+        elif self.mode == HEAR_BYTE:
             if self.bits < 8:
                 return False
             self.byte(self._shift)
-        elif self.sending:
+        elif self.mode == SEND_BYTE:
             n = self.bits
             if n > 8:
                 self.sent(not self._shift & 1)
@@ -536,21 +547,21 @@ class SlaveGroup:
         """Re-read the lists from the engines in ``heard``; a ``start`` opens an address byte."""
         self.listening = listening = [e for e in heard if e.listening]
         self.pulling = tuple([e for e in listening if e.sda_drive])
-        receiving = sending = False
-        if start:
-            receiving = bool(listening)
-        elif listening:
-            if len(listening) == 1 and listening[0].sends_byte:
-                sending = True
-                self.tx_byte = listening[0].tx_byte
-            else:  # a write-data byte opens once every listening engine awaits it
-                receiving = True
-                for e in listening:
-                    if not e.awaits_byte:
-                        receiving = False
-                        break
-        self.receiving, self.sending = receiving, sending
-        if receiving or sending:
+        if not listening:
+            mode = HEAR_DATA if self.engines else HEAR_NONE
+        elif start:
+            mode = HEAR_BYTE
+        elif len(listening) == 1 and listening[0].sends_byte:
+            mode = SEND_BYTE
+            self.tx_byte = listening[0].tx_byte
+        else:  # a write-data byte opens once every listening engine awaits it
+            mode = HEAR_BYTE
+            for e in listening:
+                if not e.awaits_byte:
+                    mode = HEAR_ALL
+                    break
+        self.mode = mode
+        if mode >= HEAR_BYTE:
             self._address = start
             self._shift = self.bits = 0
 

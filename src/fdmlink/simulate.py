@@ -11,7 +11,7 @@ low collapses that carrier for everyone - a wired-AND in amplitude.
 
 Demodulation is a log detector, an IIR reference and a slicer with
 hysteresis (same math as the modem kernels), the same for every run: the
-default ``DetectorParams()`` and ``SlicerParams.for_bit_rate(clock)``.
+fixed ``DetectorParams`` curve and ``SlicerParams.for_bit_rate(clock)``.
 Nodes only reflect the carriers, so every node sees the same line
 amplitude: without noise all detectors on a line get identical input, and
 one demodulator stream per line serves every node.  With noise each
@@ -47,20 +47,16 @@ import yaml
 from .elements import DEFAULT_POLE_CAP, Network, capacitor, inductor, is_open, resistor, series
 from .eseries import ESERIES
 from .loss import DEFAULT_Q, DEFAULT_Q_REF_HZ, LOSSLESS, LossModel
-from .modem import (
-    H,
-    L,
-    DetectorParams,
-    SlicerParams,
-    check_carrier_separation,
-    initial_reference,
-)
+from .modem import H, L, SlicerParams, check_carrier_separation, initial_reference
 from .protocol import (
     CHECKPOINT,
     EDGE_BYTE,
+    HEAR_ALL,
+    HEAR_BYTE,
     QUARTERS_PER_BIT,
     RESERVED_ADDRESSES,
     SAMPLES_PER_BIT,
+    SEND_BYTE,
     MasterEngine,
     ProtocolError,
     SlaveEngine,
@@ -94,8 +90,6 @@ MIN_SAMPLES_PER_QUARTER = 13
 # the most samples a run may ask for (quarters_upper_bound * samples per quarter):
 # 2**24 is over 600 times the demo's, and a noisy demo run of it takes seconds
 MAX_RUN_SAMPLES = 2**24
-# every node's detector
-_DETECTOR = DetectorParams()
 # The highest harmonic order the overlap check warns about.  A float ratio
 # near n is only good to about n * 2**-52, so from about 2**33 on only an
 # exact integer is within the check's 1e-6, and from 2**53 on every ratio is
@@ -449,9 +443,9 @@ def run_scenario(
     each distinct demodulator input is one stream: without noise one
     stream per line fans out to every node, and its bit counts are scaled
     by the node count; with noise each node-line is its own stream.  Every
-    stream is the same demodulator: the default ``DetectorParams()`` and
+    stream is the same demodulator: the fixed ``DetectorParams`` curve and
     ``SlicerParams.for_bit_rate(clock_hz)``, whose reference is a one-pole
-    LPF of ``modem.SLICER_TAU_BITS`` bit periods with the default 10 mV
+    LPF of ``modem.SLICER_TAU_BITS`` bit periods with the fixed 10 mV
     hysteresis, started at ``modem.initial_reference`` of the first sample.
 
     ``MasterEngine.segments()`` yields the master's quarters a plan at a
@@ -467,15 +461,12 @@ def run_scenario(
     one ``protocol.SlaveGroup``, which delivers the bus edges by its rule;
     after every return each logged edge goes, in order, to its group, a
     received byte through ``SlaveGroup.byte`` and a sent byte's ACK through
-    ``SlaveGroup.sent``.
-    The group's ``hears`` mode in the context follows its ``listening``
-    list, and is ``kernels.HEAR_BYTE`` with the group's shift state zeroed
-    while the group is ``receiving``, so the kernel clocks in address and
-    write-data bytes and returns only on their eighth fall.  While a group
-    is ``sending`` and no other group holds the context's one sender slot,
-    it is ``kernels.SEND_BYTE``: the kernel clocks out the group's
-    ``tx_byte``, switching between the group's two drive states itself, and
-    returns only at the end of the byte's ACK slot.  After every return
+    ``SlaveGroup.sent``.  A group's ``hears`` entry in the context is its
+    ``SlaveGroup.mode`` (its docstring states the modes), set at the start
+    and after each of its edges: a byte mode hands the kernel the group's
+    shift state, and ``SEND_BYTE`` reads ``HEAR_ALL`` while another group
+    holds the context's one sender slot.  The kernel switches the sender
+    between its two drive states itself.  After every return
     while a group sends, its drive is read back from which of the two the
     context's ``drive`` names, and whenever another group's drive changes
     both send states are looked up again from the other groups' drives.  A
@@ -555,15 +546,9 @@ def run_scenario(
     node_of = {e: ni for ni, e in enumerate(engines) if e is not None}
     scl_drives = {H: (False,) * n_nodes, L: tuple([i == mi for i in range(n_nodes)])}
     tracing = trace_sink is not None
-    slicer = SlicerParams.for_bit_rate(clock_hz)
     ctx = kernels.BlockContext(
         n_groups,
-        floor=_DETECTOR.floor_volts,
-        ref_in=_DETECTOR.ref_in,
-        ref_out=_DETECTOR.ref_out,
-        k=20.0 * _DETECTOR.slope,
-        alpha=slicer.alpha(sim_rate),
-        hysteresis=slicer.hysteresis,
+        alpha=SlicerParams.for_bit_rate(clock_hz).alpha(sim_rate),
         samples_per_quarter=spq,
         quarters=n_quarters,
         master=mi if noisy else 0,
@@ -573,10 +558,8 @@ def run_scenario(
     )
     step = kernels.block_stepper()
     hears, events, rx_shift, rx_bits = ctx.hears, ctx.events, ctx.rx_shift, ctx.rx_bits
-    byte_code, hear_data, hear_all = 2 * EDGE_BYTE, kernels.HEAR_DATA, kernels.HEAR_ALL
-    hear_byte, send_byte = kernels.HEAR_BYTE, kernels.SEND_BYTE
-    hears[:] = [hear_all if group.listening else hear_data if group.engines else kernels.HEAR_NONE
-                for group in groups]
+    byte_code = 2 * EDGE_BYTE
+    hears[:] = [group.mode for group in groups]
 
     table = _AmplitudeTable.for_topology(topology)
     carrier_line_index = {c.line: j for j, c in enumerate(topology.carriers)}
@@ -652,7 +635,7 @@ def run_scenario(
             drawn = ctx.q_end * spq
         if ctx.quarter == ctx.pos == 0:
             first = ctx.amps[ctx.drive, ctx.code[0]] + ctx.noise[0] if noisy else ctx.amps[ctx.drive, ctx.code[0]]
-            ctx.ref[:] = initial_reference(_DETECTOR, first.tolist())
+            ctx.ref[:] = initial_reference(first.tolist())
         while True:
             step(ctx)
             if sender >= 0:  # the kernel keys the sender's SDA
@@ -669,21 +652,19 @@ def run_scenario(
                 elif not group.edge(e & 7):
                     continue
                 # the group's lists may have moved
-                if group.sending and sender in (-1, g):  # the kernel clocks its byte out
+                mode = group.mode
+                if mode == SEND_BYTE and sender not in (-1, g):  # another group holds the sender slot
+                    mode = HEAR_ALL
+                if mode == SEND_BYTE:  # the kernel clocks its byte out
                     if sender != g:
                         sender, tx_pulls = g, ((), tuple(group.listening))
                         moved = True
-                    hears[g] = send_byte
-                    rx_shift[g], rx_bits[g] = 0, group.bits
                     ctx.tx_byte = group.tx_byte
-                else:
-                    if g == sender:
-                        sender = -1
-                    if group.receiving:  # it opened a byte: the kernel clocks it in
-                        hears[g] = hear_byte
-                        rx_shift[g] = rx_bits[g] = 0
-                    else:
-                        hears[g] = hear_all if group.listening else hear_data
+                elif g == sender:
+                    sender = -1
+                hears[g] = mode
+                if mode >= HEAR_BYTE:  # the kernel clocks the byte from the group's rises on
+                    rx_shift[g], rx_bits[g] = 0, group.bits
                 if group.pulling != pulling[g]:
                     pulling[g] = group.pulling
                     moved = True

@@ -58,7 +58,7 @@ def test_detector_floor_clamps():
     floor_out = 1.0 + 0.044 * 20 * math.log10(p.floor_volts / 0.010)
     assert det.samples == pytest.approx([floor_out] * 3, rel=1e-12)
     assert np.all(np.isfinite(det.samples))
-    assert initial_reference(p, env.samples.tolist()) == det.samples.tolist()
+    assert initial_reference(env.samples.tolist()) == det.samples.tolist()
 
 
 def test_detector_default_floor_is_60db_down():
@@ -81,11 +81,10 @@ def test_detector_default_floor_is_60db_down():
 def test_demodulator_detector_trace_is_the_kernel_detector(xs):
     # with no spike model the whole-trace modem adds nothing to the detector,
     # so its trace is the block kernels' detector bit for bit
-    p = DetectorParams()
     det = _detector_trace(EnvelopeTrace(RATE, np.array(xs)))
-    want = _kernels_py.detector(xs, p.floor_volts, p.ref_in, p.ref_out, 20.0 * p.slope)
+    want = _kernels_py.detector(xs)
     assert det.samples.tobytes() == np.array(want).tobytes()
-    assert initial_reference(p, xs) == want
+    assert initial_reference(xs) == want
 
 
 # -- modulator --

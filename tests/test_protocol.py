@@ -13,7 +13,12 @@ from fdmlink.protocol import (
     EDGE_DATA,
     EDGE_FALL,
     EDGE_RISE,
+    HEAR_ALL,
+    HEAR_BYTE,
+    HEAR_DATA,
+    HEAR_NONE,
     MAX_CLOCK_HZ,
+    SEND_BYTE,
     RESERVED_ADDRESSES,
     MasterEngine,
     ProtocolError,
@@ -170,6 +175,47 @@ def test_slave_group_refuses_a_shared_address():
         SlaveGroup([SlaveEngine(_temp_slave(0x18)), SlaveEngine(_temp_slave(0x19)), SlaveEngine(_temp_slave(0x18))])
     with pytest.raises(ProtocolError, match="share the address 0x18"):
         master_run(Transaction.read(0x18, 2), 100e3, [_temp_slave(), _temp_slave()])
+
+
+def test_group_mode_follows_the_transfer_on_the_ideal_bus(monkeypatch):
+    """``mode`` through a write and a read to 0x18, a bystander at 0x19 on the bus, at each edge where it moves.
+
+    Idle, the group hears only STARTs and STOPs; a START opens the address
+    byte; the addressed engine's ACK slots hear every edge; a write-data
+    byte is clocked in and a read-data byte clocked out; the NACK of the
+    last read byte and a STOP leave it idle.
+    """
+    from fdmlink import protocol
+
+    assert SlaveGroup([]).mode == HEAR_NONE
+    moves = []
+
+    class Recording(SlaveGroup):
+        def __init__(self, engines):
+            super().__init__(engines)
+            moves.append((None, self.mode))
+
+        def edge(self, code):
+            moved = super().edge(code)
+            if self.mode != moves[-1][1]:
+                kind = code >> 1
+                moves.append(("start" if code == 2 * EDGE_DATA else "stop" if kind == EDGE_DATA
+                              else "rise" if kind == EDGE_RISE else "fall", self.mode))
+            return moved
+
+    monkeypatch.setattr(protocol, "SlaveGroup", Recording)
+    slaves = [SlaveEngine(_temp_slave(0x18)), SlaveEngine(_temp_slave(0x19))]
+    master = MasterEngine([Transaction.write(0x18, [0x05]), Transaction.read(0x18, 1)], 100e3)
+    run_ideal_bus(master, slaves)
+    assert all(t.completed for t in master.results)
+    assert moves == [
+        (None, HEAR_DATA),
+        ("start", HEAR_BYTE), ("fall", HEAR_ALL),  # the address byte, then its ACK slot
+        ("fall", HEAR_BYTE), ("fall", HEAR_ALL), ("fall", HEAR_BYTE),  # the data byte, its ACK slot, the next
+        ("stop", HEAR_DATA),
+        ("start", HEAR_BYTE), ("fall", HEAR_ALL),
+        ("fall", SEND_BYTE), ("fall", HEAR_DATA),  # the read-data byte, up to the fall after its NACK
+    ]
 
 
 def test_write_then_read_round_trip():
@@ -551,7 +597,7 @@ def _group_against_every_edge(data, to_group, pulled=lambda group: group.pulling
         to_group(group, code)
         deliver_to_each(oracle, code)
         drives = [e.sda_drive for e in oracle]
-        sender = group.listening[0] if group.sending else None
+        sender = group.listening[0] if group.mode == SEND_BYTE else None
         assert [e.sda_drive for e in group.engines if e is not sender] == [
             d for e, d in zip(group.engines, drives) if e is not sender]
         assert pulled(group) == tuple(e for e, d in zip(group.engines, drives) if d)
@@ -649,8 +695,8 @@ def test_stops_reach_only_listening_engines(data):
 def test_group_bytes_match_every_slave_taking_every_edge(data):
     """Bytes clocked in and out outside the group, as the link's block kernel does, drive SDA as every-edge delivery would.
 
-    While the group is ``receiving`` or ``sending``, its rises and falls go
-    to a shift register outside it, which its next START, STOP or opened
+    While the group receives or sends (``HEAR_BYTE`` or ``SEND_BYTE``), its
+    rises and falls go to a shift register outside it, which its next START, STOP or opened
     byte resets.  While receiving, the first fall after the eighth rise
     hands the byte to ``byte``.  While sending, the falls before the ninth
     rise key the sent byte's bits and then release SDA outside the group,
@@ -661,26 +707,26 @@ def test_group_bytes_match_every_slave_taking_every_edge(data):
 
     def to_group(group, code):
         kind = code >> 1
-        if kind == EDGE_RISE and (group.receiving or group.sending):
+        if kind == EDGE_RISE and group.mode >= HEAR_BYTE:
             rx[:] = [(rx[0] << 1 | code & 1) & 0xFF, rx[1] + 1]
             return
-        if kind == EDGE_FALL and group.receiving:
+        if kind == EDGE_FALL and group.mode == HEAR_BYTE:
             if rx[1] < 8:
                 return
             group.byte(rx[0])
-        elif kind == EDGE_FALL and group.sending:
+        elif kind == EDGE_FALL and group.mode == SEND_BYTE:
             if rx[1] < 9:
                 tx[0] = rx[1] < 8 and not group.tx_byte >> (7 - rx[1]) & 1
                 return
             group.sent(not rx[0] & 1)
         elif not group.edge(code):
             return
-        if group.receiving or group.sending:
+        if group.mode >= HEAR_BYTE:
             rx[:] = [0, 0]
             tx[0] = bool(group.pulling)
 
     def pulled(group):
-        if group.sending:
+        if group.mode == SEND_BYTE:
             return tuple(group.listening) if tx[0] else ()
         return group.pulling
 

@@ -22,6 +22,7 @@ from fdmlink.loss import LOSSLESS
 from fdmlink.protocol import (
     EDGE_RISE,
     QUARTERS_PER_BIT,
+    SEND_BYTE,
     MasterEngine,
     ProtocolError,
     SlaveEngine,
@@ -795,7 +796,7 @@ def _stop_samples(sink, node) -> set[int]:
 
 def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
     """One kernel call per master plan or per SCL fall, START/STOP, or received or sent byte that reaches a slave group."""
-    from fdmlink.kernels import EDGE_RISE
+    from fdmlink.protocol import EDGE_RISE
 
     from .conftest import load_stepper
 
@@ -867,7 +868,7 @@ def test_block_calls_scale_with_events_not_samples(demo, monkeypatch):
 @pytest.mark.parametrize("stepper", ["c", "python"], indirect=True)
 def test_noisy_kernel_returns_only_on_edges_a_listening_slave_takes(demo, monkeypatch, stepper):
     """With noise every node is a group: each logged edge goes to a one-slave group, clock edges to a listening one."""
-    from fdmlink.kernels import EDGE_BYTE, EDGE_DATA, EDGE_RISE
+    from fdmlink.protocol import EDGE_BYTE, EDGE_DATA, EDGE_RISE
 
     step = kernels.block_stepper()
     logs = []  # per call: whether it ran to the segment end, the edge kinds it logged, the group edges after it
@@ -985,7 +986,7 @@ def test_no_call_ends_on_a_fall_inside_a_received_byte(demo, monkeypatch, steppe
     (each logged as a byte), or the fall that ends a received byte's ACK
     slot.
     """
-    from fdmlink.kernels import EDGE_BYTE, EDGE_FALL
+    from fdmlink.protocol import EDGE_BYTE, EDGE_FALL
 
     quarters = run_ideal_bus(MasterEngine(demo.transactions, demo.clock_hz),
                              [SlaveEngine(copy.deepcopy(n.slave)) for n in demo.topology.nodes if n.slave],
@@ -1097,7 +1098,7 @@ def test_two_slaves_sending_at_once_key_sda_together(demo, monkeypatch):
     edge = SlaveGroup.edge
 
     def delivered(self, code):
-        if code >> 1 == EDGE_RISE and self.sending:
+        if code >> 1 == EDGE_RISE and self.mode == SEND_BYTE:
             rises.append(code)
         return edge(self, code)
 
